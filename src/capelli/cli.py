@@ -20,25 +20,18 @@ import json
 import sys
 from fractions import Fraction
 
-from .borel import BorelDescriptor, parse_symbol, validate_sequence
+from .borel import BorelDescriptor, format_symbol, parse_symbol, validate_sequence
 from .equivalence import DEFAULT_BUDGET, orbit
 from .exact_linalg import format_rational, parse_rational
 from .isjp import eigenvalue, interpolation_polynomial
-from .partitions import format_partition, frobenius_coords, parse_partition
-from .tau import (
-    eigenvalue_map_full,
-    eigenvalue_map_rel_even,
-    eigenvalue_map_very_even,
-    forced_kernel_map,
-    standard_map,
+from .partitions import (
+    format_partition,
+    frobenius_coords,
+    parse_int_list,
+    parse_partition,
 )
-from .verify import (
-    MAP_CHOICES,
-    PAIR_CHOICES,
-    SweepConfig,
-    reproduce_example,
-    run_sweep,
-)
+from .tau import MAP_FAMILIES, family_map, standard_map
+from .verify import PAIR_CHOICES, SweepConfig, reproduce_example, run_sweep
 from .weights import (
     diag_highest_weight,
     highest_weight,
@@ -48,44 +41,39 @@ from .weights import (
 )
 
 
-def _parse_theta(text: str) -> Fraction:
-    return parse_rational(text)
-
-
-def _parse_ell(text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
-    return tuple(int(p) for p in text.split(","))
+def _parsed(flag: str, parse, text: str):
+    """parse(text), with a ValueError re-raised naming the flag."""
+    try:
+        return parse(text)
+    except ValueError as error:
+        raise ValueError(f"{flag}: {error}") from None
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in text.split(","))
 
 
+def _borel(args) -> BorelDescriptor:
+    ell = _parsed("--borel", parse_int_list, args.borel)
+    return BorelDescriptor(args.m, args.n, ell)
+
+
 def _emit(payload, out_path: str | None) -> None:
+    """Write payload as JSON to out_path, or to stdout when no path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _map_for_borel(borel: BorelDescriptor, family: str):
-    if family == "full":
-        return eigenvalue_map_full(borel)
-    if family == "releven":
-        return eigenvalue_map_rel_even(borel)
-    if family == "veryeven":
-        return eigenvalue_map_very_even(borel)
-    if family == "cb-forced":
-        return forced_kernel_map(borel)
-    raise ValueError(f"unknown family {family!r}")
+    except OSError as error:
+        raise ValueError(f"--out: {error}") from None
 
 
 def _cmd_isjp(args) -> int:
-    theta = _parse_theta(args.theta)
-    lam = parse_partition(args.lam)
+    theta = _parsed("--theta", parse_rational, args.theta)
+    lam = _parsed("--lambda", parse_partition, args.lam)
     poly = interpolation_polynomial(args.m, args.n, theta, lam)
     payload = poly.to_json_dict()
     payload["lambda"] = format_partition(lam)
@@ -98,7 +86,7 @@ def _cmd_hw(args) -> int:
     if args.table:
         sys.stdout.write(_closed_form_csv(args.max))
         return 0
-    lam = parse_partition(args.lam)
+    lam = _parsed("--lambda", parse_partition, args.lam)
     if args.seq is not None:
         seq = validate_sequence(
             tuple(parse_symbol(p) for p in args.seq.split(",")), args.m, args.n
@@ -106,7 +94,7 @@ def _cmd_hw(args) -> int:
         w, rho = diag_highest_weight(seq, lam, args.m, args.n, dual=args.dual)
         payload = {
             "lambda": format_partition(lam),
-            "seq": [f"{kind}{index}" for kind, index in seq],
+            "seq": [format_symbol(symbol) for symbol in seq],
             "dual": args.dual,
             "hw": w.to_json_dict(),
             "rho": rho.to_json_dict(),
@@ -116,7 +104,7 @@ def _cmd_hw(args) -> int:
     if args.borel is None:
         sys.stderr.write("hw: provide --borel, --seq, or --table\n")
         return 2
-    borel = BorelDescriptor(args.m, args.n, _parse_ell(args.borel))
+    borel = _borel(args)
     payload = {
         "lambda": format_partition(lam),
         "ell": list(borel.ell),
@@ -155,8 +143,8 @@ def _cmd_tau(args) -> int:
         if args.borel is None:
             sys.stderr.write("tau: --borel is required unless --family std\n")
             return 2
-        borel = BorelDescriptor(args.m, args.n, _parse_ell(args.borel))
-        affine = _map_for_borel(borel, args.family)
+        borel = _borel(args)
+        affine = family_map(borel, args.family)
         payload = affine.to_json_dict()
         payload["family"] = args.family
         payload["ell"] = list(borel.ell)
@@ -165,16 +153,15 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    theta = _parse_theta(args.theta)
-    mu = parse_partition(args.mu)
-    lam = parse_partition(args.lam)
+    theta = _parsed("--theta", parse_rational, args.theta)
+    mu = _parsed("--mu", parse_partition, args.mu)
+    lam = _parsed("--lambda", parse_partition, args.lam)
     if args.borel is not None:
         if theta != Fraction(1, 2):
             sys.stderr.write("eig: --borel requires theta 1/2\n")
             return 2
-        borel = BorelDescriptor(args.m, args.n, _parse_ell(args.borel))
-        affine = _map_for_borel(borel, args.map)
-        point = affine.apply(highest_weight(lam, borel))
+        borel = _borel(args)
+        point = family_map(borel, args.map).apply(highest_weight(lam, borel))
         value = interpolation_polynomial(args.m, args.n, theta, mu).evaluate(point)
     else:
         value = eigenvalue(mu, lam, args.m, args.n, theta)
@@ -185,7 +172,7 @@ def _cmd_eig(args) -> int:
         "eigenvalue": format_rational(value),
     }
     if args.borel is not None:
-        payload["ell"] = list(_parse_ell(args.borel))
+        payload["ell"] = list(borel.ell)
         payload["map"] = args.map
         payload["node"] = [
             format_rational(v) for v in frobenius_coords(lam, args.m, args.n, theta)
@@ -195,8 +182,8 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    theta = _parse_theta(args.theta)
-    point = _parse_point(args.point)
+    theta = _parsed("--theta", parse_rational, args.theta)
+    point = _parsed("--point", _parse_point, args.point)
     result = orbit(point, args.m, args.n, theta, budget=args.budget)
     _emit(result.to_json_dict(), args.out)
     return 0
@@ -214,8 +201,7 @@ def _cmd_verify(args) -> int:
     )
     report = run_sweep(config)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json_text())
+        _emit(report.to_json_dict(), args.out)
     sys.stdout.write(report.summary() + "\n")
     return 0 if report.ok else 1
 
@@ -269,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         default="full",
-        choices=["full", "releven", "veryeven", "cb-forced", "std"],
+        choices=[*MAP_FAMILIES, "std"],
         help="which map family (std ignores --borel)",
     )
     add_out(p)
@@ -284,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--map",
         default="full",
-        choices=["full", "releven", "veryeven", "cb-forced"],
+        choices=list(MAP_FAMILIES),
         help="map family used with --borel",
     )
     add_out(p)
@@ -304,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=int, required=True)
     p.add_argument("--mu-max", type=int, required=True)
     p.add_argument("--borels", default="all", help='"all" or levels like 1,1')
-    p.add_argument("--map", default="full", choices=list(MAP_CHOICES))
+    p.add_argument("--map", default="full", choices=list(MAP_FAMILIES))
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 

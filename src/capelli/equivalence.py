@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exact_linalg import Vector, format_rational
 from .isjp import interpolation_polynomial
-from .partitions import enumerate_hooks
+from .partitions import enumerate_hooks, require_theta
 
 DEFAULT_BUDGET = 10**4
 HALF = Fraction(1, 2)
@@ -24,18 +24,11 @@ def _check_point(point, m: int, n: int) -> Vector:
     return point
 
 
-def _check_theta(theta) -> Fraction:
-    theta = Fraction(theta)
-    if theta <= 0:
-        raise ValueError("theta outside allowed domain")
-    return theta
-
-
 def monoidal_moves(point, m: int, n: int, theta) -> list[Vector]:
     """All points one move away: x-block and y-block adjacent swaps, and unit
     shifts -e_i + e_{m+j} (resp. +e_i - e_{m+j}) available when x_i +
     theta*y_j equals (1-theta)/2 (resp. its negative)."""
-    theta = _check_theta(theta)
+    theta = require_theta(theta)
     point = _check_point(point, m, n)
     level = (1 - theta) / 2
     out = set()
@@ -68,7 +61,7 @@ def infinite_witness(point, m: int, n: int, theta) -> tuple[int, int, int] | Non
     """At theta = 1/2: a triple (i, i0, j), scanned over ordered x-pairs, with
     x_i - x_{i0} = 2*x_i + y_j = -1/2; such a point has an infinite orbit.
     Returns None when theta != 1/2 or no triple fires."""
-    theta = _check_theta(theta)
+    theta = require_theta(theta)
     point = _check_point(point, m, n)
     if theta != HALF:
         return None
@@ -110,7 +103,9 @@ def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitRe
     """Breadth-first closure under the moves. Stops early with a witness when
     the infinite-orbit criterion fires, or with budget_exhausted when more
     than `budget` distinct points appear."""
-    theta = _check_theta(theta)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    theta = require_theta(theta)
     start = _check_point(point, m, n)
     seen = {start}
     queue = deque([start])
@@ -146,7 +141,7 @@ def closure_member(u, v, m: int, n: int, theta) -> bool:
     """True iff v lies in the described closure set of u's orbit for some
     witness triple of u: agreement outside the triple's coordinates, and the
     two affine conditions holding at a common value +-1/2."""
-    theta = _check_theta(theta)
+    theta = require_theta(theta)
     if theta != HALF:
         raise ValueError("closure criterion requires theta = 1/2")
     u = _check_point(u, m, n)
@@ -176,7 +171,7 @@ def equivalent_up_to_degree(
 ) -> bool:
     """Whether every interpolation polynomial of size <= max_degree takes the
     same value at u and v."""
-    theta = _check_theta(theta)
+    theta = require_theta(theta)
     u = _check_point(u, m, n)
     v = _check_point(v, m, n)
     for mu in enumerate_hooks(m, n, max_degree):

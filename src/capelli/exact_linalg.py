@@ -62,17 +62,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def vec_dot(u: Vector, v: Vector) -> Rational:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -131,29 +120,9 @@ class RationalMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix add")
-        return RationalMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
         return RationalMatrix([[c * x for x in row] for row in self.entries])
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch in matmul: {self.cols} vs {other.rows}"
-            )
-        cols = other.transpose().entries
-        return RationalMatrix(
-            [[vec_dot(row, col) for col in cols] for row in self.entries]
-        )
 
     def apply(self, vec) -> Vector:
         """Matrix-vector product."""

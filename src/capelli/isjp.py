@@ -14,6 +14,7 @@ from .partitions import (
     enumerate_hooks,
     frobenius_coords,
     require_hook,
+    require_theta,
     size,
     validate_partition,
 )
@@ -34,9 +35,7 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     |lam|! at the shifted coordinates of lam, value 0 at those of every other
     hook partition of size <= |lam|.
     """
-    theta = Fraction(theta)
-    if theta <= 0:
-        raise ValueError("theta outside allowed domain")
+    theta = require_theta(theta)
     lam = require_hook(lam, m, n)
     key = (m, n, theta, lam)
     if key in _CACHE:
@@ -65,8 +64,5 @@ def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:
     """Value of the interpolation polynomial of mu at the shifted coordinates
     of lam; the scalar through which the operator indexed by mu acts on the
     component indexed by lam."""
-    theta = Fraction(theta)
-    mu = require_hook(mu, m, n)
-    lam = require_hook(lam, m, n)
     poly = interpolation_polynomial(m, n, theta, mu)
     return poly.evaluate(frobenius_coords(lam, m, n, theta))

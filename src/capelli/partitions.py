@@ -50,6 +50,8 @@ def transpose(lam: Partition) -> Partition:
 
 def is_hook(lam: Partition, m: int, n: int) -> bool:
     """True iff the diagram fits in the (m|n) fat hook: row m+1 has length <= n."""
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be nonnegative, got ({m}, {n})")
     lam = validate_partition(lam)
     return part(lam, m + 1) <= n
 
@@ -115,20 +117,17 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     >>> enumerate_hooks(1, 1, 3)
     [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,)]
     """
-    out = []
-    for d in range(max_size + 1):
-        for lam in _hooks_of_size(m, n, d):
-            out.append(lam)
-    return out
-
-
-def _hooks_of_size(m: int, n: int, d: int):
-    found = [
-        lam
-        for lam in enumerate_partitions(d, d if d else 1)
-        if sum(lam) == d and is_hook(lam, m, n)
+    return [
+        lam for lam in enumerate_partitions(max_size, max_size) if is_hook(lam, m, n)
     ]
-    return sorted(found)
+
+
+def require_theta(theta) -> Fraction:
+    """theta as a Fraction; raises ValueError outside the domain theta > 0."""
+    theta = Fraction(theta)
+    if theta <= 0:
+        raise ValueError("theta outside allowed domain")
+    return theta
 
 
 def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
@@ -144,9 +143,7 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
     >>> frobenius_coords((1,), 1, 1, Fraction(1, 2))
     (Fraction(1, 2), Fraction(1, 2))
     """
-    theta = Fraction(theta)
-    if theta <= 0:
-        raise ValueError("theta outside allowed domain")
+    theta = require_theta(theta)
     lam = require_hook(lam, m, n)
     cols = arm_columns(lam, m, n)
     xs = [
@@ -160,12 +157,22 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
     return tuple(Fraction(v) for v in xs + ys)
 
 
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list; a blank string is the empty list."""
+    if not text.strip():
+        return ()
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"bad integer {token.strip()!r}") from None
+    return tuple(values)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list; empty string is the empty partition."""
-    text = text.strip()
-    if not text:
-        return ()
-    return validate_partition(int(tok) for tok in text.split(","))
+    return validate_partition(parse_int_list(text))
 
 
 def format_partition(lam: Partition) -> str:

@@ -6,6 +6,7 @@ polynomial functions, and the invariant operator built from dual bases."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,7 +209,7 @@ def symmetrize_to_tensor(poly: SuperPolynomial, d: int) -> dict:
         raise ValueError(f"element is not homogeneous of degree {d}")
     space = poly.space
     tensor: dict[tuple[int, ...], Fraction] = {}
-    scale = Fraction(1, _factorial(d))
+    scale = Fraction(1, math.factorial(d))
     for key, coef in poly.terms.items():
         word = _term_word(space, key)
         for perm in itertools.permutations(range(d)):
@@ -261,13 +262,6 @@ def derivation_pairing(u: SuperPolynomial, p: SuperPolynomial) -> Fraction:
     return apply_derivation(u, p).constant_term()
 
 
-def _factorial(d: int) -> int:
-    out = 1
-    for t in range(2, d + 1):
-        out *= t
-    return out
-
-
 def dual_basis_matrix(
     subspace: list[SuperPolynomial], dual: list[SuperPolynomial], d: int
 ) -> RationalMatrix:
@@ -292,9 +286,7 @@ def invariant_operator_matrix(
         for w_star, w in zip(subspace, dual):
             image = image + w_star * apply_derivation(w, q)
         columns.append(_coordinates(image, subspace))
-    return RationalMatrix(
-        [[columns[c][r] for c in range(len(subspace))] for r in range(len(subspace))]
-    )
+    return RationalMatrix(columns).transpose()
 
 
 def _coordinates(poly: SuperPolynomial, basis: list[SuperPolynomial]):

@@ -5,23 +5,12 @@ polynomials satisfying both."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import RationalMatrix, nullspace_basis
-from .partitions import enumerate_hooks, enumerate_partitions
-
-_BINOMIAL_CACHE: dict[tuple[int, int], int] = {}
-
-
-def _binomial(n: int, k: int) -> int:
-    key = (n, k)
-    if key not in _BINOMIAL_CACHE:
-        value = 1
-        for t in range(k):
-            value = value * (n - t) // (t + 1)
-        _BINOMIAL_CACHE[key] = value
-    return _BINOMIAL_CACHE[key]
+from .partitions import enumerate_hooks, enumerate_partitions, require_theta
 
 
 class SparsePolynomial:
@@ -171,7 +160,7 @@ class SparsePolynomial:
             e = exp[index]
             for k in range(e + 1):
                 new_exp = exp[:index] + (k,) + exp[index + 1 :]
-                add = coef * _binomial(e, k) * amount ** (e - k)
+                add = coef * math.comb(e, k) * amount ** (e - k)
                 terms[new_exp] = terms.get(new_exp, Fraction(0)) + add
         return SparsePolynomial(self.num_x, self.num_y, terms)
 
@@ -242,13 +231,6 @@ def is_separately_symmetric(poly: SparsePolynomial) -> bool:
     return True
 
 
-def _require_theta(theta) -> Fraction:
-    theta = Fraction(theta)
-    if theta <= 0:
-        raise ValueError("theta outside allowed domain")
-    return theta
-
-
 def monoidal_defect(
     poly: SparsePolynomial, theta, i: int = 1, j: int = 1
 ) -> SparsePolynomial:
@@ -258,7 +240,7 @@ def monoidal_defect(
 
     i and j are 1-based block indices.
     """
-    theta = _require_theta(theta)
+    theta = require_theta(theta)
     m, n = poly.num_x, poly.num_y
     if not (1 <= i <= m and 1 <= j <= n):
         raise ValueError(f"pair ({i},{j}) out of range for ({m},{n})")
@@ -301,7 +283,7 @@ def lambda_basis(m: int, n: int, theta, max_degree: int) -> tuple[SparsePolynomi
     block-symmetric polynomials that are shift-compatible on every hyperplane
     x_i = -theta*y_j. Its size equals the number of (m|n)-hook partitions of
     size <= max_degree."""
-    return _lambda_basis_cached(int(m), int(n), _require_theta(theta), int(max_degree))
+    return _lambda_basis_cached(int(m), int(n), require_theta(theta), int(max_degree))
 
 
 @lru_cache(maxsize=None)

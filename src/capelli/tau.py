@@ -272,6 +272,39 @@ def eigenvalue_map_full(
     return AffineMap(matrix, offset)
 
 
+# -- the map-family registry ---------------------------------------------------------
+#
+# Dispatch goes through the module-level constructor names, not through function
+# objects stored in a table, so rebinding a constructor on this module (to trace
+# it, say) also covers the calls made by family name.
+
+MAP_FAMILIES = ("full", "releven", "veryeven", "cb-forced")
+
+
+def in_family_domain(borel: BorelDescriptor, family: str) -> bool:
+    """Whether the family's map is defined on the Borel; the full and
+    forced-kernel maps are defined on every decreasing Borel."""
+    if family == "releven":
+        return borel.is_relatively_even()
+    if family == "veryeven":
+        return borel.is_very_even()
+    return family in MAP_FAMILIES
+
+
+def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
+    """The family's canonical map for the Borel; raises ValueError when the
+    Borel is outside the family's domain."""
+    if family == "full":
+        return eigenvalue_map_full(borel)
+    if family == "releven":
+        return eigenvalue_map_rel_even(borel)
+    if family == "veryeven":
+        return eigenvalue_map_very_even(borel)
+    if family == "cb-forced":
+        return forced_kernel_map(borel)
+    raise ValueError(f"unknown map family {family!r}; use one of {MAP_FAMILIES}")
+
+
 # -- equal-family pair maps (theta = 1) -----------------------------------------------
 
 

@@ -16,21 +16,25 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences
 from .exact_linalg import format_rational
 from .isjp import interpolation_polynomial
-from .partitions import enumerate_hooks, format_partition, frobenius_coords
+from .partitions import (
+    enumerate_hooks,
+    format_partition,
+    frobenius_coords,
+    parse_int_list,
+)
 from .tau import (
+    MAP_FAMILIES,
     AffineMap,
     diag_map_first,
     diag_map_second,
-    eigenvalue_map_full,
-    eigenvalue_map_rel_even,
-    eigenvalue_map_very_even,
-    forced_kernel_map,
+    family_map,
+    in_family_domain,
     standard_map,
 )
 from .weights import (
@@ -40,7 +44,6 @@ from .weights import (
     is_generic,
 )
 
-MAP_CHOICES = ("full", "releven", "veryeven", "cb-forced")
 PAIR_CHOICES = ("diag", "glm2n")
 
 
@@ -59,23 +62,20 @@ class SweepConfig:
     def __post_init__(self):
         if self.pair not in PAIR_CHOICES:
             raise ValueError(f"pair must be one of {PAIR_CHOICES}")
-        if self.map_choice not in MAP_CHOICES:
-            raise ValueError(f"map choice must be one of {MAP_CHOICES}")
+        if self.map_choice not in MAP_FAMILIES:
+            raise ValueError(f"map choice must be one of {MAP_FAMILIES}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if self.lambda_max < 0 or self.mu_max < 0:
             raise ValueError("degree bounds must be nonnegative")
+        if self.borels != "all":
+            try:
+                BorelDescriptor(self.m, self.n, parse_int_list(self.borels))
+            except ValueError as error:
+                raise ValueError(f'borels must be "all" or levels: {error}') from None
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "m": self.m,
-            "n": self.n,
-            "lambda_max": self.lambda_max,
-            "mu_max": self.mu_max,
-            "borels": self.borels,
-            "map_choice": self.map_choice,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,12 +92,7 @@ class SweepReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "cases": self.cases,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -129,26 +124,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
     if config.borels == "all":
         return BorelDescriptor.enumerate(config.m, config.n)
-    ell = tuple(int(part) for part in config.borels.split(",") if part != "")
-    return [BorelDescriptor(config.m, config.n, ell)]
-
-
-def _map_for(borel: BorelDescriptor, choice: str) -> AffineMap | None:
-    """Affine map of the selected family, or None when the Borel is outside
-    the family's domain (it is then skipped, not failed)."""
-    if choice == "full":
-        return eigenvalue_map_full(borel)
-    if choice == "cb-forced":
-        return forced_kernel_map(borel)
-    if choice == "releven":
-        if not borel.is_relatively_even():
-            return None
-        return eigenvalue_map_rel_even(borel)
-    if choice == "veryeven":
-        if not borel.is_very_even():
-            return None
-        return eigenvalue_map_very_even(borel)
-    raise ValueError(f"unknown map choice {choice!r}")
+    return [BorelDescriptor(config.m, config.n, parse_int_list(config.borels))]
 
 
 def _run_glm2n(config: SweepConfig) -> SweepReport:
@@ -159,9 +135,10 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     mus = enumerate_hooks(m, n, config.mu_max)
     mu_polys = [(mu, interpolation_polynomial(m, n, theta, mu)) for mu in mus]
     for borel in _selected_borels(config):
-        tau = _map_for(borel, config.map_choice)
-        if tau is None:
+        # A Borel outside the family's domain is skipped, not failed.
+        if not in_family_domain(borel, config.map_choice):
             continue
+        tau = family_map(borel, config.map_choice)
         for lam in enumerate_hooks(m, n, config.lambda_max):
             hw = highest_weight(lam, borel)
             point = tau.apply(hw)
@@ -315,7 +292,7 @@ def _example_uniqueness() -> dict:
     eliminates one, and the survivor is the canonical full-family map."""
     from .equivalence import closure_member
     from .exact_linalg import RationalMatrix, vec_add
-    from .tau import full_member, x0_eps_entry, x0_delta_entry
+    from .tau import x0_eps_entry, x0_delta_entry
 
     m, n = 2, 1
     theta = Fraction(1, 2)
@@ -351,13 +328,14 @@ def _example_uniqueness() -> dict:
     # coordinates pin (a, b, c) exactly, because each parameter multiplies the
     # same nonzero difference of the last two input coordinates; intersect the
     # solution sets over r = 1, 2, 3.
-    allowed = None
+    fittings = []
     steps = []
     for r in (1, 2, 3):
         hw = highest_weight((r,), borel)
         u = vec_add(hw.coords(), r_b.coords())
         gap = u[2] - u[3]
-        assert gap != 0
+        if gap == 0:
+            raise AssertionError(f"one-row shape r={r}: zero parameter gap")
         half = Fraction(1, 2)
         fitting = set()
         for target in orbit_of(r):
@@ -367,9 +345,10 @@ def _example_uniqueness() -> dict:
             matrix = param_matrix(a, b, c)
             offset = vec_add(matrix.apply(r_b.coords()), x0)
             image = vec_add(matrix.apply(hw.coords()), offset)
-            assert tuple(image) == tuple(target)
+            if tuple(image) != tuple(target):
+                raise AssertionError(f"fitted map misses orbit point {target}")
             fitting.add((a, b, c))
-        allowed = fitting if allowed is None else (allowed & fitting)
+        fittings.append(fitting)
         steps.append(
             {
                 "r": r,
@@ -378,8 +357,7 @@ def _example_uniqueness() -> dict:
                 ),
             }
         )
-    assert allowed is not None
-    survivors = sorted(allowed)
+    survivors = sorted(set.intersection(*fittings))
     offset_candidates = []
     for a, b, c in survivors:
         matrix = param_matrix(a, b, c)
@@ -395,17 +373,9 @@ def _example_uniqueness() -> dict:
     ]
     final = None
     if len(kept) == 1:
-        matrix, offset = kept[0]
-        canonical = eigenvalue_map_full(borel, full_member(borel))
-        final = {
-            "matrix": [
-                [format_rational(v) for v in matrix.row(i)]
-                for i in range(matrix.rows)
-            ],
-            "offset": _format_point(offset),
-            "equals_canonical": matrix == canonical.matrix
-            and tuple(offset) == tuple(canonical.offset),
-        }
+        survivor = AffineMap(*kept[0])
+        final = survivor.to_json_dict()
+        final["equals_canonical"] = survivor == family_map(borel, "full")
     return {
         "m": m,
         "n": n,

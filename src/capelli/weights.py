@@ -47,10 +47,6 @@ def hw_standard_doubled(lam, m: int, n: int) -> WeightVector:
     return WeightVector.make(eps, delta)
 
 
-def rho_opposite(m: int, num_delta: int) -> WeightVector:
-    return weyl_vector(opposite_sequence(m, num_delta))
-
-
 # -- odd reflections ----------------------------------------------------------
 
 
@@ -119,7 +115,7 @@ def reflection_walk(lam, borel: BorelDescriptor) -> tuple[WeightVector, WeightVe
     m, num_delta = borel.m, borel.num_delta
     seq = list(opposite_sequence(m, num_delta))
     w = hw_standard_doubled(lam, m, borel.n)
-    rho = rho_opposite(m, num_delta)
+    rho = weyl_vector(opposite_sequence(m, num_delta))
     for alpha in borel.generic_roots():
         sign, i, k = _mixed_root_indices(alpha)
         if sign != -1:

@@ -1,13 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import shutil
 import subprocess
 
 import pytest
 
-from capelli.cli import main
+from capelli.cli import build_parser, main
 from capelli.isjp import eigenvalue
+from capelli.tau import MAP_FAMILIES
 from fractions import Fraction
 
 
@@ -262,6 +264,65 @@ class TestExample:
         assert code == 0
         data = json.loads(out_file.read_text())
         assert data["all_match"] is True
+
+
+def _choices(subcommand, flag):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[subcommand]._actions
+    return next(a for a in actions if flag in a.option_strings).choices
+
+
+def test_map_choices_come_from_the_registry():
+    assert _choices("tau", "--family") == [*MAP_FAMILIES, "std"]
+    assert _choices("eig", "--map") == list(MAP_FAMILIES)
+    assert _choices("verify", "--map") == list(MAP_FAMILIES)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["isjp", "--theta", "1", "--lambda", "a,b"], ["--lambda", "'a'"]),
+            (["hw", "--borel", "x", "--lambda", "1"], ["--borel", "'x'"]),
+            (["tau", "--borel", "1,x"], ["--borel", "'x'"]),
+            (["isjp", "--theta", "x", "--lambda", "1"], ["--theta", "'x'"]),
+            (
+                ["verify", "--pair", "glm2n", "--lambda-max", "1", "--mu-max", "1",
+                 "--borels", "x"],
+                ["borels", "'x'"],
+            ),
+            (
+                ["orbit", "--theta", "1/2", "--point", "0,0,0", "--budget", "-1"],
+                ["budget", "-1"],
+            ),
+            (
+                ["isjp", "--m", "-1", "--theta", "1", "--lambda", "1"],
+                ["m and n must be nonnegative"],
+            ),
+        ],
+    )
+    def test_one_line_error_naming_the_input(self, capsys, argv, expected):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for text in expected:
+            assert text in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["isjp", "--theta", "1", "--lambda", "1"],
+            ["verify", "--pair", "glm2n", "--m", "1", "--n", "1",
+             "--lambda-max", "1", "--mu-max", "1"],
+        ],
+    )
+    def test_unwritable_out_is_a_one_line_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: --out: ") and err.count("\n") == 1
+        assert not target.exists()
 
 
 @pytest.mark.skipif(shutil.which("capelli") is None, reason="entry point not on PATH")

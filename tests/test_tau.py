@@ -6,6 +6,7 @@ from capelli.borel import BorelDescriptor, WeightVector, weyl_vector
 from capelli.exact_linalg import RationalMatrix
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
+    MAP_FAMILIES,
     AffineMap,
     diag_map_first,
     diag_map_second,
@@ -13,8 +14,10 @@ from capelli.tau import (
     eigenvalue_map_full,
     eigenvalue_map_rel_even,
     eigenvalue_map_very_even,
+    family_map,
     forced_kernel_map,
     full_member,
+    in_family_domain,
     in_full_family,
     in_kernel_family,
     in_plain_family,
@@ -217,3 +220,38 @@ def test_diag_maps():
     assert second.apply(w) == (6, 9)
     std = diag_map_standard(1, 1)
     assert std.apply(w) == (5 - HALF, 7 + HALF)
+
+
+CONSTRUCTORS = {
+    "full": eigenvalue_map_full,
+    "releven": eigenvalue_map_rel_even,
+    "veryeven": eigenvalue_map_very_even,
+    "cb-forced": forced_kernel_map,
+}
+
+
+def test_registry_names_every_family_constructor():
+    assert sorted(MAP_FAMILIES) == sorted(CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("family", MAP_FAMILIES)
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 2)])
+def test_family_domain_is_where_the_constructor_succeeds(family, m, n):
+    for b in BorelDescriptor.enumerate(m, n):
+        try:
+            expected = CONSTRUCTORS[family](b)
+        except ValueError:
+            expected = None
+        assert in_family_domain(b, family) == (expected is not None)
+        if expected is None:
+            with pytest.raises(ValueError):
+                family_map(b, family)
+        else:
+            assert family_map(b, family) == expected
+
+
+def test_unknown_family_has_empty_domain():
+    b = BorelDescriptor(2, 1, (1, 1))
+    assert not in_family_domain(b, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        family_map(b, "bogus")

@@ -1,9 +1,12 @@
 """Tests for the sweep engine and the frozen worked examples."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import capelli
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
 
 
@@ -21,6 +24,10 @@ class TestSweepConfig:
     def test_rejects_nonpositive_rank(self):
         with pytest.raises(ValueError):
             SweepConfig(pair="diag", m=0, n=1, lambda_max=1, mu_max=1)
+
+    def test_rejects_malformed_borels_on_construction(self):
+        with pytest.raises(ValueError, match="borels.*'x'"):
+            SweepConfig(pair="glm2n", m=2, n=1, lambda_max=1, mu_max=1, borels="1,x")
 
     def test_json_round_trip(self):
         cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=3, mu_max=2)
@@ -190,3 +197,14 @@ class TestUniquenessExample:
     def test_unknown_example_rejected(self):
         with pytest.raises(ValueError):
             reproduce_example("nope")
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so the worked examples and every other
+    # internal check must raise real exceptions instead.
+    for path in Path(capelli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [
+            node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"
