@@ -306,9 +306,9 @@ class BorelDescriptor:
 def parse_symbol(token: str) -> Symbol:
     """Parse "e2" or "d1" into a symbol."""
     token = token.strip().lower()
-    if len(token) < 2 or token[0] not in ("e", "d"):
-        raise ValueError(f"bad symbol token {token!r}")
-    return (token[0], int(token[1:]))
+    if token[:1] in ("e", "d") and token[1:].isdecimal():
+        return (token[0], int(token[1:]))
+    raise ValueError(f"bad symbol token {token!r}")
 
 
 def format_symbol(symbol: Symbol) -> str:

@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -53,9 +54,24 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in text.split(","))
 
 
+def _parse_sequence(text: str):
+    return tuple(parse_symbol(p) for p in text.split(","))
+
+
 def _borel(args) -> BorelDescriptor:
     ell = _parsed("--borel", parse_int_list, args.borel)
     return BorelDescriptor(args.m, args.n, ell)
+
+
+@contextlib.contextmanager
+def _out_file(out_path: str):
+    """The --out file opened for writing; an OSError becomes a ValueError
+    naming the flag."""
+    try:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as error:
+        raise ValueError(f"--out: {error}") from None
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -64,11 +80,8 @@ def _emit(payload, out_path: str | None) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
-    try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as error:
-        raise ValueError(f"--out: {error}") from None
+    with _out_file(out_path) as handle:
+        handle.write(text)
 
 
 def _cmd_isjp(args) -> int:
@@ -88,9 +101,8 @@ def _cmd_hw(args) -> int:
         return 0
     lam = _parsed("--lambda", parse_partition, args.lam)
     if args.seq is not None:
-        seq = validate_sequence(
-            tuple(parse_symbol(p) for p in args.seq.split(",")), args.m, args.n
-        )
+        seq = _parsed("--seq", _parse_sequence, args.seq)
+        seq = validate_sequence(seq, args.m, args.n)
         w, rho = diag_highest_weight(seq, lam, args.m, args.n, dual=args.dual)
         payload = {
             "lambda": format_partition(lam),
@@ -199,9 +211,11 @@ def _cmd_verify(args) -> int:
         borels=args.borels,
         map_choice=args.map,
     )
-    report = run_sweep(config)
-    if args.out:
-        _emit(report.to_json_dict(), args.out)
+    # The report file is opened first, so a bad path fails before the sweep.
+    with _out_file(args.out) if args.out else contextlib.nullcontext() as handle:
+        report = run_sweep(config)
+        if handle:
+            handle.write(report.to_json_text())
     sys.stdout.write(report.summary() + "\n")
     return 0 if report.ok else 1
 

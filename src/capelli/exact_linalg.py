@@ -6,7 +6,6 @@ ever introduced, so every comparison downstream is an exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -160,54 +159,22 @@ def _rref(entries):
     return pivots
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of solve_linear: exactly one of three statuses."""
+def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
+    """Solve matrix * x = b exactly for each right-hand side b of a square,
+    invertible matrix, with one elimination for all of them.
 
-    status: str  # "unique" | "none" | "underdetermined"
-    solution: Vector | None  # a solution when one exists, else None
-    nullspace: tuple[Vector, ...]  # basis of the homogeneous solutions
-
-    UNIQUE = "unique"
-    NONE = "none"
-    UNDERDETERMINED = "underdetermined"
-
-
-def solve_linear(matrix: RationalMatrix, rhs) -> SolveResult:
-    """Solve matrix * x = rhs exactly, reporting the solution-set shape."""
-    rhs = as_vector(rhs)
-    if matrix.rows != len(rhs):
-        raise ValueError(
-            f"dimension mismatch in solve_linear: {matrix.rows} vs {len(rhs)}"
-        )
-    work = [list(row) + [b] for row, b in zip(matrix.entries, rhs)]
-    if not work:
-        null = nullspace_basis(matrix)
-        status = SolveResult.UNIQUE if not null else SolveResult.UNDERDETERMINED
-        return SolveResult(status, (Fraction(0),) * matrix.cols, tuple(null))
-    pivots = _rref(work)
-    n = matrix.cols
-    if n in pivots:
-        return SolveResult(SolveResult.NONE, None, ())
-    solution = [Fraction(0)] * n
-    for row, col in zip(work, pivots):
-        solution[col] = row[n]
-    null = _nullspace_from_rref([row[:n] for row in work], pivots, n)
-    if null:
-        return SolveResult(SolveResult.UNDERDETERMINED, tuple(solution), tuple(null))
-    return SolveResult(SolveResult.UNIQUE, tuple(solution), ())
-
-
-def _nullspace_from_rref(entries, pivots, cols):
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for row, col in zip(entries, pivots):
-            vec[col] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+    Raises ValueError if the matrix is not square or is singular.
+    """
+    n = matrix.rows
+    if matrix.cols != n:
+        raise ValueError(f"solve_linear needs a square matrix, got {n}x{matrix.cols}")
+    columns = [as_vector(b) for b in rhs_columns]
+    if any(len(b) != n for b in columns):
+        raise ValueError(f"right-hand side length differs from {n} rows")
+    work = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix.entries)]
+    if _rref(work)[:n] != list(range(n)):
+        raise ValueError("singular matrix in solve_linear")
+    return [tuple(row[n + k] for row in work) for k in range(len(columns))]
 
 
 def nullspace_basis(matrix: RationalMatrix) -> list[Vector]:
@@ -220,13 +187,13 @@ def nullspace_basis(matrix: RationalMatrix) -> list[Vector]:
     >>> nullspace_basis(m)
     [(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1))]
     """
-    if matrix.rows == 0:
-        return [
-            tuple(
-                Fraction(1) if j == f else Fraction(0) for j in range(matrix.cols)
-            )
-            for f in range(matrix.cols)
-        ]
     work = [list(row) for row in matrix.entries]
     pivots = _rref(work)
-    return _nullspace_from_rref(work, pivots, matrix.cols)
+    basis = []
+    for free in (c for c in range(matrix.cols) if c not in pivots):
+        vec = [Fraction(0)] * matrix.cols
+        vec[free] = Fraction(1)
+        for row, col in zip(work, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis

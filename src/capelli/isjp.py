@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact_linalg import RationalMatrix, SolveResult, solve_linear
+from .exact_linalg import RationalMatrix, solve_linear
 from .partitions import (
     Partition,
     enumerate_hooks,
@@ -20,7 +21,9 @@ from .partitions import (
 )
 from .sympoly import SparsePolynomial, lambda_basis
 
-_CACHE: dict[tuple, SparsePolynomial] = {}
+# Sizes whose polynomials stay cached; each entry holds every polynomial of
+# one size for one (m, n, theta).
+CACHED_SIZES = 64
 
 
 def characteristic_value(lam: Partition) -> int:
@@ -28,8 +31,28 @@ def characteristic_value(lam: Partition) -> int:
     return math.factorial(size(validate_partition(lam)))
 
 
+@lru_cache(maxsize=CACHED_SIZES)
+def _polynomials_of_size(m: int, n: int, theta, d: int) -> dict:
+    """The interpolation polynomial of every hook partition of size d, from
+    one solve over the nodes of size <= d with one right-hand side per shape."""
+    basis = lambda_basis(m, n, theta, d)
+    nodes = enumerate_hooks(m, n, d)
+    points = [frobenius_coords(mu, m, n, theta) for mu in nodes]
+    matrix = RationalMatrix([[poly.evaluate(p) for poly in basis] for p in points])
+    shapes = [lam for lam in nodes if size(lam) == d]
+    rhs = [
+        [characteristic_value(lam) if mu == lam else 0 for mu in nodes]
+        for lam in shapes
+    ]
+    return {
+        lam: SparsePolynomial.combination(m, n, coefs, basis)
+        for lam, coefs in zip(shapes, solve_linear(matrix, rhs))
+    }
+
+
 def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
-    """Build (and cache) the interpolation polynomial of a hook partition.
+    """The interpolation polynomial of a hook partition, cached with every
+    other polynomial of its size.
 
     Defined by: degree <= |lam|, lies in the compatible filtered space, value
     |lam|! at the shifted coordinates of lam, value 0 at those of every other
@@ -37,27 +60,7 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     """
     theta = require_theta(theta)
     lam = require_hook(lam, m, n)
-    key = (m, n, theta, lam)
-    if key in _CACHE:
-        return _CACHE[key]
-    d = size(lam)
-    basis = lambda_basis(m, n, theta, d)
-    shapes = enumerate_hooks(m, n, d)
-    nodes = [frobenius_coords(mu, m, n, theta) for mu in shapes]
-    matrix = RationalMatrix([[poly.evaluate(node) for poly in basis] for node in nodes])
-    rhs = [
-        Fraction(characteristic_value(lam)) if mu == lam else Fraction(0)
-        for mu in shapes
-    ]
-    solved = solve_linear(matrix, rhs)
-    if solved.status != SolveResult.UNIQUE:
-        raise ValueError("interpolation degenerate at this theta")
-    result = SparsePolynomial.zero(m, n)
-    for coef, poly in zip(solved.solution, basis):
-        if coef:
-            result = result + poly.scale(coef)
-    _CACHE[key] = result
-    return result
+    return _polynomials_of_size(m, n, theta, size(lam))[lam]
 
 
 def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:

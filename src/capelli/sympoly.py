@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact_linalg import RationalMatrix, nullspace_basis
 from .partitions import enumerate_hooks, enumerate_partitions, require_theta
@@ -61,6 +60,15 @@ class SparsePolynomial:
             raise ValueError(f"variable index {index} out of range")
         exp = tuple(1 if k == index else 0 for k in range(width))
         return cls(num_x, num_y, {exp: Fraction(1)})
+
+    @classmethod
+    def combination(cls, num_x: int, num_y: int, coefs, polys) -> "SparsePolynomial":
+        """The linear combination sum of c * p over paired coefs and polys."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for c, poly in zip(coefs, polys):
+            for exp, coef in poly.terms.items():
+                terms[exp] = terms.get(exp, 0) + c * coef
+        return cls(num_x, num_y, terms)
 
     # -- basics ------------------------------------------------------------
 
@@ -283,13 +291,7 @@ def lambda_basis(m: int, n: int, theta, max_degree: int) -> tuple[SparsePolynomi
     block-symmetric polynomials that are shift-compatible on every hyperplane
     x_i = -theta*y_j. Its size equals the number of (m|n)-hook partitions of
     size <= max_degree."""
-    return _lambda_basis_cached(int(m), int(n), require_theta(theta), int(max_degree))
-
-
-@lru_cache(maxsize=None)
-def _lambda_basis_cached(
-    m: int, n: int, theta: Fraction, max_degree: int
-) -> tuple[SparsePolynomial, ...]:
+    theta = require_theta(theta)
     generators = [
         monomial_symmetric(m, n, a, b) for a, b in _generator_shapes(m, n, max_degree)
     ]
@@ -304,15 +306,10 @@ def _lambda_basis_cached(
             )
         else:
             matrix = RationalMatrix.zero(1, len(defects))
-        coords = nullspace_basis(matrix)
-        basis = []
-        for vec in coords:
-            poly = SparsePolynomial.zero(m, n)
-            for c, g in zip(vec, generators):
-                if c:
-                    poly = poly + g.scale(c)
-            basis.append(poly)
-        basis = tuple(basis)
+        basis = tuple(
+            SparsePolynomial.combination(m, n, vec, generators)
+            for vec in nullspace_basis(matrix)
+        )
     expected = len(enumerate_hooks(m, n, max_degree))
     if len(basis) != expected:
         raise ValueError(

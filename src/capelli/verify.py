@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .borel import BorelDescriptor, all_sequences
+from .borel import BorelDescriptor, all_sequences, format_symbol
 from .exact_linalg import format_rational
 from .isjp import interpolation_polynomial
 from .partitions import (
@@ -182,8 +182,8 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     mus = enumerate_hooks(m, n, config.mu_max)
     mu_polys = [(mu, interpolation_polynomial(m, n, theta, mu)) for mu in mus]
     lams = enumerate_hooks(m, n, config.lambda_max)
-    for index1, seq1 in enumerate(sequences):
-        for index2, seq2 in enumerate(sequences):
+    for seq1 in sequences:
+        for seq2 in sequences:
             for lam in lams:
                 w1, rho1 = diag_highest_weight(seq1, lam, m, n, dual=True)
                 w2, rho2 = diag_highest_weight(seq2, lam, m, n, dual=False)
@@ -199,8 +199,8 @@ def _run_diag(config: SweepConfig) -> SweepReport:
                         report.failures.append(
                             {
                                 "kind": "pair_eigenvalue",
-                                "seq1": index1,
-                                "seq2": index2,
+                                "seq1": ",".join(map(format_symbol, seq1)),
+                                "seq2": ",".join(map(format_symbol, seq2)),
                                 "lambda": format_partition(lam),
                                 "mu": format_partition(mu),
                                 "first": format_rational(first),

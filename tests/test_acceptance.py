@@ -3,7 +3,8 @@ checked exhaustively at desk scale. All equalities are exact rational
 equalities — no tolerances anywhere."""
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, perm
 
 import pytest
 
@@ -16,7 +17,7 @@ from capelli.borel import (
 from capelli.equivalence import orbit
 from capelli.exact_linalg import RationalMatrix
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
-from capelli.partitions import enumerate_hooks, frobenius_coords
+from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
 from capelli.superalg import (
     SuperPolynomial,
     SuperSpace,
@@ -105,6 +106,60 @@ class TestNodeIdentities:
             for mu in shapes:
                 if mu != lam and sum(lam) <= sum(mu):
                     assert eigenvalue(mu, lam, m, n, theta) == 0, (lam, mu, theta)
+
+
+def contains(outer, inner) -> bool:
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+
+
+@lru_cache(maxsize=None)
+def standard_tableaux(outer, inner=()) -> int:
+    """Number of standard tableaux of the skew shape outer/inner (inner inside
+    outer), by removing the cell that holds the largest entry."""
+    if outer == inner:
+        return 1
+    total = 0
+    for i, row in enumerate(outer):
+        corner = i + 1 == len(outer) or outer[i + 1] < row
+        if corner and row > (inner[i] if i < len(inner) else 0):
+            smaller = outer[:i] + ((row - 1,) if row > 1 else ()) + outer[i + 1 :]
+            total += standard_tableaux(smaller, inner)
+    return total
+
+
+class TestIndependentOracles:
+    """Eigenvalues against a closed form and a duality, neither of which
+    rebuilds the interpolation system the library solves."""
+
+    @pytest.mark.parametrize(
+        "m,n,max_size", [(1, 1, 5), (2, 1, 5), (1, 0, 5), (2, 2, 4), (3, 1, 4)]
+    )
+    def test_theta_one_binomial_formula(self, m, n, max_size):
+        # Shifted Schur functions (Okounkov-Olshanski): at theta = 1,
+        # P_mu(node lam) = |lam|!/(|lam|-|mu|)! f^{lam/mu} f^mu / f^lam.
+        shapes = enumerate_hooks(m, n, max_size)
+        for mu in shapes:
+            for lam in shapes:
+                expected = Fraction(0)
+                if contains(lam, mu):
+                    expected = Fraction(
+                        perm(size(lam), size(mu))
+                        * standard_tableaux(lam, mu)
+                        * standard_tableaux(mu),
+                        standard_tableaux(lam),
+                    )
+                assert eigenvalue(mu, lam, m, n, 1) == expected, (mu, lam)
+
+    @pytest.mark.parametrize(
+        "theta", [Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(2, 3)]
+    )
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+    def test_theta_inversion_duality(self, m, n, theta):
+        shapes = enumerate_hooks(m, n, 3)
+        for mu in shapes:
+            for lam in shapes:
+                dual = eigenvalue(transpose(mu), transpose(lam), n, m, 1 / theta)
+                assert eigenvalue(mu, lam, m, n, theta) == dual, (mu, lam)
 
 
 class TestPairSweeps:

@@ -7,6 +7,7 @@ import subprocess
 
 import pytest
 
+from capelli import cli
 from capelli.cli import build_parser, main
 from capelli.isjp import eigenvalue
 from capelli.tau import MAP_FAMILIES
@@ -300,6 +301,10 @@ class TestBadInput:
                 ["isjp", "--m", "-1", "--theta", "1", "--lambda", "1"],
                 ["m and n must be nonnegative"],
             ),
+            (
+                ["hw", "--m", "1", "--n", "1", "--seq", "e1,dx", "--lambda", "1"],
+                ["--seq", "'dx'"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):
@@ -317,7 +322,13 @@ class TestBadInput:
              "--lambda-max", "1", "--mu-max", "1"],
         ],
     )
-    def test_unwritable_out_is_a_one_line_error(self, capsys, tmp_path, argv):
+    def test_unwritable_out_is_a_one_line_error(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
         target = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(capsys, *argv, "--out", str(target))
         assert code == 2

@@ -1,12 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capelli.exact_linalg import (
     RationalMatrix,
-    SolveResult,
     format_rational,
     nullspace_basis,
     parse_rational,
@@ -53,27 +52,29 @@ def test_matrix_products():
 
 def test_solve_unique():
     # 2x + y = 5, x - y = 1  =>  x = 2, y = 1
+    # 2x + y = 1, x - y = 2  =>  x = 1, y = -1
     a = RationalMatrix([[2, 1], [1, -1]])
-    result = solve_linear(a, (5, 1))
-    assert result.status == SolveResult.UNIQUE
-    assert result.solution == (Fraction(2), Fraction(1))
-    assert result.nullspace == ()
+    assert solve_linear(a, [(5, 1), (1, 2)]) == [
+        (Fraction(2), Fraction(1)),
+        (Fraction(1), Fraction(-1)),
+    ]
+    assert solve_linear(a, []) == []
 
 
 def test_solve_none():
+    # A singular matrix raises, whether or not this right-hand side is consistent.
     a = RationalMatrix([[1, 1], [2, 2]])
-    result = solve_linear(a, (1, 3))
-    assert result.status == SolveResult.NONE
-    assert result.solution is None
+    for rhs in ((1, 3), (1, 2)):
+        with pytest.raises(ValueError, match="singular"):
+            solve_linear(a, [rhs])
 
 
 def test_solve_underdetermined():
-    a = RationalMatrix([[1, 1]])
-    result = solve_linear(a, (3,))
-    assert result.status == SolveResult.UNDERDETERMINED
-    assert a.apply(result.solution) == (Fraction(3),)
-    assert len(result.nullspace) == 1
-    assert a.apply(result.nullspace[0]) == (Fraction(0),)
+    # A non-square matrix raises, and so does a right-hand side of the wrong length.
+    with pytest.raises(ValueError, match="square"):
+        solve_linear(RationalMatrix([[1, 1]]), [(3,)])
+    with pytest.raises(ValueError, match="length"):
+        solve_linear(RationalMatrix([[1, 0], [0, 1]]), [(1, 2, 3)])
 
 
 def test_nullspace_known_kernel():
@@ -121,14 +122,14 @@ def test_nullspace_vectors_are_kernel_elements(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_solve_consistent_system(data):
-    a = data.draw(matrices())
-    x = tuple(data.draw(small_fractions) for _ in range(a.cols))
-    b = a.apply(x)
-    result = solve_linear(a, b)
-    assert result.status in (SolveResult.UNIQUE, SolveResult.UNDERDETERMINED)
-    assert a.apply(result.solution) == b
-    if result.status == SolveResult.UNIQUE:
-        assert result.solution == x
+    # Round trip on invertible matrices: solving A x = A x gives back x.
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    a = RationalMatrix(
+        [[data.draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    )
+    assume(not nullspace_basis(a))
+    xs = [tuple(data.draw(small_fractions) for _ in range(n)) for _ in range(2)]
+    assert solve_linear(a, [a.apply(x) for x in xs]) == xs
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 import capelli
+from capelli import verify
+from capelli.borel import weyl_vector
+from capelli.tau import AffineMap, diag_map_first
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
 
 
@@ -118,6 +121,24 @@ class TestPairSweep:
         report = run_sweep(cfg)
         assert report.ok
         assert report.cases == 36 * 4 * 4
+
+    def test_failure_records_name_the_orderings(self, monkeypatch):
+        # Break the first-factor map of the ordering d1,e1 only: every failure
+        # must name that ordering as seq1, in the form `capelli hw --seq` takes.
+        broken = weyl_vector((("d", 1), ("e", 1)))
+
+        def first(rho):
+            affine = diag_map_first(rho)
+            if rho != broken:
+                return affine
+            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+
+        monkeypatch.setattr(verify, "diag_map_first", first)
+        cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=2, mu_max=1)
+        failures = run_sweep(cfg).failures
+        assert failures
+        assert {f["seq1"] for f in failures} == {"d1,e1"}
+        assert {f["seq2"] for f in failures} == {"e1,d1", "d1,e1"}
 
 
 class TestReportSerialization:
