@@ -128,19 +128,23 @@ def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
 
 def weyl_vector(seq: Sequence) -> WeightVector:
     """Half-sum over ordered pairs of (earlier - later), signed +1 for a
-    same-family pair and -1 for a mixed pair."""
+    same-family pair and -1 for a mixed pair. In closed form, the symbol at
+    position p has coefficient half of (same-family after - mixed after) -
+    (same-family before - mixed before)."""
     num_eps = sum(1 for kind, _ in seq if kind == "e")
-    num_delta = len(seq) - num_eps
-    rho = WeightVector.zero(num_eps, num_delta)
-    half = Fraction(1, 2)
-    for a, b in itertools.combinations(range(len(seq)), 2):
-        sign = half if seq[a][0] == seq[b][0] else -half
-        step = (
-            WeightVector.unit(num_eps, num_delta, seq[a])
-            - WeightVector.unit(num_eps, num_delta, seq[b])
-        ).scale(sign)
-        rho = rho + step
-    return rho
+    family_size = {"e": num_eps, "d": len(seq) - num_eps}
+    coeffs = {kind: [Fraction(0)] * size for kind, size in family_size.items()}
+    same_seen = {"e": 0, "d": 0}
+    for p, (kind, index) in enumerate(seq):
+        same_before = same_seen[kind]
+        same_after = family_size[kind] - same_before - 1
+        mixed_before = p - same_before
+        mixed_after = len(seq) - p - 1 - same_after
+        coeffs[kind][index - 1] = Fraction(
+            (same_after - mixed_after) - (same_before - mixed_before), 2
+        )
+        same_seen[kind] += 1
+    return WeightVector(tuple(coeffs["e"]), tuple(coeffs["d"]))
 
 
 @dataclass(frozen=True)

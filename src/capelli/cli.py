@@ -54,8 +54,9 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(p) for p in text.split(","))
 
 
-def _parse_sequence(text: str):
-    return tuple(parse_symbol(p) for p in text.split(","))
+def _parse_sequence(text: str, num_eps: int, num_delta: int):
+    seq = tuple(parse_symbol(p) for p in text.split(","))
+    return validate_sequence(seq, num_eps, num_delta)
 
 
 def _borel(args) -> BorelDescriptor:
@@ -101,8 +102,9 @@ def _cmd_hw(args) -> int:
         return 0
     lam = _parsed("--lambda", parse_partition, args.lam)
     if args.seq is not None:
-        seq = _parsed("--seq", _parse_sequence, args.seq)
-        seq = validate_sequence(seq, args.m, args.n)
+        seq = _parsed(
+            "--seq", lambda text: _parse_sequence(text, args.m, args.n), args.seq
+        )
         w, rho = diag_highest_weight(seq, lam, args.m, args.n, dual=args.dual)
         payload = {
             "lambda": format_partition(lam),

@@ -127,22 +127,30 @@ def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
     return [BorelDescriptor(config.m, config.n, parse_int_list(config.borels))]
 
 
+def _values(polys, point) -> tuple:
+    return tuple(poly.evaluate(point) for poly in polys)
+
+
 def _run_glm2n(config: SweepConfig) -> SweepReport:
     report = SweepReport(config)
     m, n = config.m, config.n
     theta = Fraction(1, 2)
     std = standard_map(m, n)
     mus = enumerate_hooks(m, n, config.mu_max)
-    mu_polys = [(mu, interpolation_polynomial(m, n, theta, mu)) for mu in mus]
+    polys = [interpolation_polynomial(m, n, theta, mu) for mu in mus]
+    # The node and its values depend on lambda alone: computed once for
+    # every Borel.
+    lams = enumerate_hooks(m, n, config.lambda_max)
+    nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
+    node_rows = [_values(polys, node) for node in nodes]
     for borel in _selected_borels(config):
         # A Borel outside the family's domain is skipped, not failed.
         if not in_family_domain(borel, config.map_choice):
             continue
         tau = family_map(borel, config.map_choice)
-        for lam in enumerate_hooks(m, n, config.lambda_max):
+        for lam, node, node_row in zip(lams, nodes, node_rows):
             hw = highest_weight(lam, borel)
             point = tau.apply(hw)
-            node = frobenius_coords(lam, m, n, theta)
             if is_generic(lam, borel):
                 report.cases += 1
                 expected = std.apply(hw_standard_doubled(lam, m, n))
@@ -156,10 +164,9 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                             "rhs": _format_point(expected),
                         }
                     )
-            for mu, poly in mu_polys:
+            row = node_row if point == node else _values(polys, point)
+            for mu, lhs, rhs in zip(mus, row, node_row):
                 report.cases += 1
-                lhs = poly.evaluate(point)
-                rhs = poly.evaluate(node)
                 if lhs != rhs:
                     report.failures.append(
                         {
@@ -180,27 +187,38 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     theta = Fraction(1)
     sequences = list(all_sequences(m, n))
     mus = enumerate_hooks(m, n, config.mu_max)
-    mu_polys = [(mu, interpolation_polynomial(m, n, theta, mu)) for mu in mus]
+    polys = [interpolation_polynomial(m, n, theta, mu) for mu in mus]
     lams = enumerate_hooks(m, n, config.lambda_max)
-    for seq1 in sequences:
-        for seq2 in sequences:
-            for lam in lams:
-                w1, rho1 = diag_highest_weight(seq1, lam, m, n, dual=True)
-                w2, rho2 = diag_highest_weight(seq2, lam, m, n, dual=False)
-                p1 = diag_map_first(rho1).apply(w1)
-                p2 = diag_map_second(rho2).apply(w2)
-                node = frobenius_coords(lam, m, n, theta)
-                for mu, poly in mu_polys:
-                    report.cases += 1
-                    value = poly.evaluate(node)
-                    first = poly.evaluate(p1)
-                    second = poly.evaluate(p2)
+    node_rows = [_values(polys, frobenius_coords(lam, m, n, theta)) for lam in lams]
+
+    def side_rows(seq, dual: bool, factor_map) -> list:
+        """Per lambda, the values at the mapped highest weight of one side;
+        a row equal to the node row is stored as the node row itself."""
+        rows = []
+        for lam, node_row in zip(lams, node_rows):
+            w, rho = diag_highest_weight(seq, lam, m, n, dual=dual)
+            row = _values(polys, factor_map(rho).apply(w))
+            rows.append(node_row if row == node_row else row)
+        return rows
+
+    # Each value row depends on one ordering, never on the pair, so the pair
+    # loop below only compares rows computed once per ordering.
+    first_rows = [side_rows(seq, True, diag_map_first) for seq in sequences]
+    second_rows = [side_rows(seq, False, diag_map_second) for seq in sequences]
+    names = [",".join(map(format_symbol, seq)) for seq in sequences]
+    for name1, rows1 in zip(names, first_rows):
+        for name2, rows2 in zip(names, second_rows):
+            for lam, node_row, row1, row2 in zip(lams, node_rows, rows1, rows2):
+                report.cases += len(mus)
+                if row1 is node_row and row2 is node_row:
+                    continue
+                for mu, value, first, second in zip(mus, node_row, row1, row2):
                     if first != value or second != value:
                         report.failures.append(
                             {
                                 "kind": "pair_eigenvalue",
-                                "seq1": ",".join(map(format_symbol, seq1)),
-                                "seq2": ",".join(map(format_symbol, seq2)),
+                                "seq1": name1,
+                                "seq2": name2,
                                 "lambda": format_partition(lam),
                                 "mu": format_partition(mu),
                                 "first": format_rational(first),

@@ -187,6 +187,20 @@ class TestPairSweeps:
         )
         assert report.cases == expected
 
+    @pytest.mark.parametrize(
+        "m,n,bound,cases",
+        [(3, 1, 3, 28_224), (3, 2, 2, 230_400)],
+    )
+    def test_every_pair_of_many_orderings(self, m, n, bound, cases):
+        # 24 and 120 orderings: the sweep works once per ordering, so the
+        # pair loop only compares rows.
+        report = run_sweep(
+            SweepConfig(pair="diag", m=m, n=n, lambda_max=bound, mu_max=bound)
+        )
+        assert report.ok, report.failures[:3]
+        expected = perm(m + n) ** 2 * len(enumerate_hooks(m, n, bound)) ** 2
+        assert report.cases == expected == cases
+
 
 class TestOneSidedSweeps:
     """Half-parameter fully exhaustive check over every decreasing Borel:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,28 @@ def test_weyl_vector_swap_increment():
             swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
             alpha = WeightVector.unit(2, 2, seq[p]) - WeightVector.unit(2, 2, seq[p + 1])
             assert weyl_vector(tuple(swapped)) == rho + alpha
+
+
+def _pairwise_half_sum(seq):
+    """The defining half-sum over ordered pairs, one pair at a time."""
+    coeff = {symbol: Fraction(0) for symbol in seq}
+    for a, b in itertools.combinations(seq, 2):
+        sign = Fraction(1, 2) if a[0] == b[0] else Fraction(-1, 2)
+        coeff[a] += sign
+        coeff[b] -= sign
+    return coeff
+
+
+def test_weyl_vector_closed_form_matches_pairwise_half_sum():
+    count = 0
+    for m in range(4):
+        for n in range(4):
+            for seq in all_sequences(m, n):
+                rho = weyl_vector(seq)
+                assert rho.shape() == (m, n)
+                assert {sym: rho.coeff(sym) for sym in seq} == _pairwise_half_sum(seq)
+                count += 1
+    assert count == 1065
 
 
 def test_descriptor_validation():

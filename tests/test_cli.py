@@ -2,11 +2,14 @@
 
 import argparse
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capelli
 from capelli import cli
 from capelli.cli import build_parser, main
 from capelli.isjp import eigenvalue
@@ -305,6 +308,10 @@ class TestBadInput:
                 ["hw", "--m", "1", "--n", "1", "--seq", "e1,dx", "--lambda", "1"],
                 ["--seq", "'dx'"],
             ),
+            (
+                ["hw", "--m", "1", "--n", "1", "--seq", "e1,e2", "--lambda", "1"],
+                ["--seq", "not an ordering"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):
@@ -336,28 +343,35 @@ class TestBadInput:
         assert not target.exists()
 
 
-@pytest.mark.skipif(shutil.which("capelli") is None, reason="entry point not on PATH")
+def run_module(*argv, timeout):
+    """Run `python -m capelli` on the sources of the imported package."""
+    src = str(Path(capelli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "capelli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
 class TestInstalledEntryPoint:
     def test_help_runs(self):
-        proc = subprocess.run(
-            ["capelli", "--help"], capture_output=True, text=True, timeout=60
-        )
+        proc = run_module("--help", timeout=60)
         assert proc.returncode == 0
         assert "verify" in proc.stdout
 
     def test_end_to_end_verify(self, tmp_path):
         out_file = tmp_path / "report.json"
-        proc = subprocess.run(
-            [
-                "capelli", "verify",
-                "--pair", "glm2n",
-                "--m", "1", "--n", "1",
-                "--lambda-max", "2",
-                "--mu-max", "2",
-                "--out", str(out_file),
-            ],
-            capture_output=True,
-            text=True,
+        proc = run_module(
+            "verify",
+            "--pair", "glm2n",
+            "--m", "1", "--n", "1",
+            "--lambda-max", "2",
+            "--mu-max", "2",
+            "--out", str(out_file),
             timeout=120,
         )
         assert proc.returncode == 0

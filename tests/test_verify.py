@@ -1,15 +1,21 @@
 """Tests for the sweep engine and the frozen worked examples."""
 
 import ast
+import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import capelli
 from capelli import verify
-from capelli.borel import weyl_vector
-from capelli.tau import AffineMap, diag_map_first
+from capelli.borel import format_symbol, standard_sequence, weyl_vector
+from capelli.exact_linalg import format_rational
+from capelli.isjp import interpolation_polynomial
+from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
+from capelli.tau import AffineMap, diag_map_first, diag_map_second
+from capelli.weights import diag_highest_weight
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
 
 
@@ -139,6 +145,65 @@ class TestPairSweep:
         assert failures
         assert {f["seq1"] for f in failures} == {"d1,e1"}
         assert {f["seq2"] for f in failures} == {"e1,d1", "d1,e1"}
+
+
+    def test_forced_failures_match_a_per_case_loop(self, monkeypatch):
+        # Break the second-factor map of the ordering e2,d1,e1 only, then
+        # recompute every case the direct way: walk, map and evaluate anew for
+        # each (seq1, seq2, lambda, mu).
+        broken = weyl_vector((("e", 2), ("d", 1), ("e", 1)))
+
+        def second(rho):
+            affine = diag_map_second(rho)
+            if rho != broken:
+                return affine
+            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+
+        monkeypatch.setattr(verify, "diag_map_second", second)
+        m, n = 2, 1
+        report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
+        lams = enumerate_hooks(m, n, 2)
+        mus = enumerate_hooks(m, n, 2)
+        orderings = list(itertools.permutations(standard_sequence(m, n)))
+        expected = []
+        for seq1 in orderings:
+            for seq2 in orderings:
+                for lam in lams:
+                    for mu in mus:
+                        poly = interpolation_polynomial(m, n, Fraction(1), mu)
+                        w1, rho1 = diag_highest_weight(seq1, lam, m, n, dual=True)
+                        w2, rho2 = diag_highest_weight(seq2, lam, m, n, dual=False)
+                        first = poly.evaluate(diag_map_first(rho1).apply(w1))
+                        second_value = poly.evaluate(second(rho2).apply(w2))
+                        node = poly.evaluate(frobenius_coords(lam, m, n, 1))
+                        if first != node or second_value != node:
+                            expected.append(
+                                {
+                                    "kind": "pair_eigenvalue",
+                                    "seq1": ",".join(map(format_symbol, seq1)),
+                                    "seq2": ",".join(map(format_symbol, seq2)),
+                                    "lambda": format_partition(lam),
+                                    "mu": format_partition(mu),
+                                    "first": format_rational(first),
+                                    "second": format_rational(second_value),
+                                    "node": format_rational(node),
+                                }
+                            )
+        assert expected
+        assert report.failures == expected
+        assert report.cases == len(orderings) ** 2 * len(lams) * len(mus)
+
+    def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return diag_highest_weight(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "diag_highest_weight", counted)
+        m, n = 2, 1
+        assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
+        assert len(calls) == 2 * 6 * len(enumerate_hooks(m, n, 2))
 
 
 class TestReportSerialization:
