@@ -57,24 +57,27 @@ def monoidal_moves(point, m: int, n: int, theta) -> list[Vector]:
     return sorted(out)
 
 
+def _witness_triples(point, m: int, n: int):
+    """Every triple (i, i0, j), scanned over ordered x-pairs, with
+    x_i - x_{i0} = 2*x_i + y_j = -1/2."""
+    for i in range(1, m + 1):
+        for i0 in range(1, m + 1):
+            if i == i0 or point[i - 1] - point[i0 - 1] != -HALF:
+                continue
+            for j in range(1, n + 1):
+                if 2 * point[i - 1] + point[m + j - 1] == -HALF:
+                    yield (i, i0, j)
+
+
 def infinite_witness(point, m: int, n: int, theta) -> tuple[int, int, int] | None:
-    """At theta = 1/2: a triple (i, i0, j), scanned over ordered x-pairs, with
-    x_i - x_{i0} = 2*x_i + y_j = -1/2; such a point has an infinite orbit.
-    Returns None when theta != 1/2 or no triple fires."""
+    """At theta = 1/2: the first witness triple (i, i0, j) of the point; such
+    a point has an infinite orbit. Returns None when theta != 1/2 or no
+    triple fires."""
     theta = require_theta(theta)
     point = _check_point(point, m, n)
     if theta != HALF:
         return None
-    for i in range(1, m + 1):
-        for i0 in range(1, m + 1):
-            if i == i0:
-                continue
-            if point[i - 1] - point[i0 - 1] != -HALF:
-                continue
-            for j in range(1, n + 1):
-                if 2 * point[i - 1] + point[m + j - 1] == -HALF:
-                    return (i, i0, j)
-    return None
+    return next(_witness_triples(point, m, n), None)
 
 
 @dataclass(frozen=True)
@@ -146,23 +149,13 @@ def closure_member(u, v, m: int, n: int, theta) -> bool:
         raise ValueError("closure criterion requires theta = 1/2")
     u = _check_point(u, m, n)
     v = _check_point(v, m, n)
-    for i in range(1, m + 1):
-        for i0 in range(1, m + 1):
-            if i == i0 or u[i - 1] - u[i0 - 1] != -HALF:
-                continue
-            for j in range(1, n + 1):
-                if 2 * u[i - 1] + u[m + j - 1] != -HALF:
-                    continue
-                inside = {i - 1, i0 - 1, m + j - 1}
-                if any(
-                    v[s] != u[s] for s in range(m + n) if s not in inside
-                ):
-                    continue
-                common = v[i - 1] - v[i0 - 1]
-                if common in (HALF, -HALF) and (
-                    2 * v[i - 1] + v[m + j - 1] == common
-                ):
-                    return True
+    for i, i0, j in _witness_triples(u, m, n):
+        inside = {i - 1, i0 - 1, m + j - 1}
+        if any(v[s] != u[s] for s in range(m + n) if s not in inside):
+            continue
+        common = v[i - 1] - v[i0 - 1]
+        if common in (HALF, -HALF) and 2 * v[i - 1] + v[m + j - 1] == common:
+            return True
     return False
 
 

@@ -90,11 +90,9 @@ def double_partition(lam: Partition, m: int, n: int) -> Partition:
     return validate_partition(head + tail)
 
 
-def enumerate_partitions(max_size: int, max_parts: int, max_part: int | None = None):
+def enumerate_partitions(max_size: int, max_parts: int):
     """Yield all partitions with at most max_parts parts and size <= max_size,
     ordered by size then lexicographically."""
-    if max_part is None:
-        max_part = max_size
 
     def rows(remaining, parts_left, cap):
         yield ()
@@ -104,7 +102,7 @@ def enumerate_partitions(max_size: int, max_parts: int, max_part: int | None = N
             for rest in rows(remaining - first, parts_left - 1, first):
                 yield (first,) + rest
 
-    found = sorted(rows(max_size, max_parts, max_part), key=lambda p: (sum(p), p))
+    found = sorted(rows(max_size, max_parts, max_size), key=lambda p: (sum(p), p))
     yield from found
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences, format_symbol
-from .exact_linalg import format_rational
+from .exact_linalg import format_rational, vec_add
 from .isjp import interpolation_polynomial
 from .partitions import (
     enumerate_hooks,
@@ -308,38 +308,18 @@ def _example_uniqueness() -> dict:
     rank-(2,2) Borel with both levels equal to one: orbit matching over
     one-row shapes forces two offset candidates, the closure criterion
     eliminates one, and the survivor is the canonical full-family map."""
-    from .equivalence import closure_member
-    from .exact_linalg import RationalMatrix, vec_add
-    from .tau import x0_eps_entry, x0_delta_entry
+    from .equivalence import OrbitResult, closure_member, orbit
+    from .tau import matrix_from_pair_columns, standard_offset
 
     m, n = 2, 1
     theta = Fraction(1, 2)
     borel = BorelDescriptor(m, n, (1, 1))
     r_b = borel.root_sum()
-    x0 = tuple(
-        [x0_eps_entry(i, m, n) for i in range(1, m + 1)]
-        + [x0_delta_entry(k, m, n) for k in range(1, n + 1)]
-    )
+    x0 = standard_offset(m, n)
 
-    def param_matrix(a: Fraction, b: Fraction, c: Fraction) -> RationalMatrix:
-        half = Fraction(1, 2)
-        return RationalMatrix(
-            [
-                [-half, 0, a, -a],
-                [0, -half, b, -b],
-                [0, 0, -half + c, -half - c],
-            ]
-        )
-
-    def orbit_of(r: int):
-        base = frobenius_coords((r,), m, n, theta)
-        quarter = Fraction(1, 4)
-        return [
-            base,
-            (base[0], quarter, Fraction(0)),
-            (base[1], base[0], Fraction(1)),
-            (quarter, base[0], Fraction(0)),
-        ]
+    def candidate(a: Fraction, b: Fraction, c: Fraction) -> AffineMap:
+        matrix = matrix_from_pair_columns(m, n, [(a, b, c)])
+        return AffineMap(matrix, vec_add(matrix.apply(r_b.coords()), x0))
 
     # Orbit matching: for a one-row shape the mapped highest weight must land
     # in the shape's equivalence orbit. For each orbit point the three image
@@ -349,21 +329,21 @@ def _example_uniqueness() -> dict:
     fittings = []
     steps = []
     for r in (1, 2, 3):
+        shape_orbit = orbit(frobenius_coords((r,), m, n, theta), m, n, theta)
+        if shape_orbit.status != OrbitResult.FINITE:
+            raise AssertionError(f"one-row shape r={r}: orbit is {shape_orbit.status}")
         hw = highest_weight((r,), borel)
-        u = vec_add(hw.coords(), r_b.coords())
+        u = (hw + r_b).coords()
         gap = u[2] - u[3]
         if gap == 0:
             raise AssertionError(f"one-row shape r={r}: zero parameter gap")
         half = Fraction(1, 2)
         fitting = set()
-        for target in orbit_of(r):
+        for target in shape_orbit.points:
             a = (target[0] + half * u[0] - x0[0]) / gap
             b = (target[1] + half * u[1] - x0[1]) / gap
             c = (target[2] + half * (u[2] + u[3]) - x0[2]) / gap
-            matrix = param_matrix(a, b, c)
-            offset = vec_add(matrix.apply(r_b.coords()), x0)
-            image = vec_add(matrix.apply(hw.coords()), offset)
-            if tuple(image) != tuple(target):
+            if candidate(a, b, c).apply(hw) != target:
                 raise AssertionError(f"fitted map misses orbit point {target}")
             fitting.add((a, b, c))
         fittings.append(fitting)
@@ -376,24 +356,17 @@ def _example_uniqueness() -> dict:
             }
         )
     survivors = sorted(set.intersection(*fittings))
-    offset_candidates = []
-    for a, b, c in survivors:
-        matrix = param_matrix(a, b, c)
-        offset = vec_add(matrix.apply(r_b.coords()), x0)
-        offset_candidates.append((matrix, offset))
+    offset_candidates = [candidate(*abc) for abc in survivors]
 
     # Closure elimination: the offset must lie in the closure class of the
     # standard offset.
     kept = [
-        (matrix, offset)
-        for matrix, offset in offset_candidates
-        if closure_member(x0, offset, m, n, theta)
+        f for f in offset_candidates if closure_member(x0, f.offset, m, n, theta)
     ]
     final = None
     if len(kept) == 1:
-        survivor = AffineMap(*kept[0])
-        final = survivor.to_json_dict()
-        final["equals_canonical"] = survivor == family_map(borel, "full")
+        final = kept[0].to_json_dict()
+        final["equals_canonical"] = kept[0] == family_map(borel, "full")
     return {
         "m": m,
         "n": n,
@@ -403,7 +376,7 @@ def _example_uniqueness() -> dict:
         "surviving_parameters": [
             [format_rational(v) for v in abc] for abc in survivors
         ],
-        "offset_candidates": [_format_point(off) for _, off in offset_candidates],
-        "after_closure": [_format_point(off) for _, off in kept],
+        "offset_candidates": [_format_point(f.offset) for f in offset_candidates],
+        "after_closure": [_format_point(f.offset) for f in kept],
         "final": final,
     }

@@ -1,7 +1,8 @@
 """Highest weights of the modules attached to hook partitions, for every
 Borel containing the diagonal Cartan: closed forms for the standard Borels,
 single odd-reflection steps, reflection walks that re-derive the closed
-forms, and permutation transport to arbitrary orderings."""
+forms, and the diagram rule that reads the highest weight of any ordering
+off the Young diagram."""
 
 from __future__ import annotations
 
@@ -12,15 +13,15 @@ from .borel import (
     Sequence,
     WeightVector,
     opposite_sequence,
-    standard_sequence,
+    validate_sequence,
     weyl_vector,
 )
 from .partitions import (
-    Partition,
     arm_columns,
     double_partition,
     part,
     require_hook,
+    transpose,
 )
 
 # -- standard highest weights ------------------------------------------------
@@ -72,40 +73,6 @@ def odd_reflection_step(w: WeightVector, alpha: WeightVector) -> WeightVector:
 
 
 # -- walks along orderings -----------------------------------------------------
-
-
-def bubble_walk(
-    start: Sequence, target: Sequence, w: WeightVector, rho: WeightVector
-) -> tuple[WeightVector, WeightVector]:
-    """Walk from one ordering to another by adjacent swaps of mixed-family
-    pairs, updating the highest weight and the Weyl vector at every swap.
-
-    Requires the same-family relative orders of start and target to agree, so
-    that mixed swaps suffice.
-    """
-    if sorted(start) != sorted(target):
-        raise ValueError("orderings use different symbols")
-    rank = {sym: p for p, sym in enumerate(target)}
-    seq = list(start)
-    num_eps, num_delta = w.shape()
-    while tuple(seq) != target:
-        for p in range(len(seq) - 1):
-            if rank[seq[p]] > rank[seq[p + 1]]:
-                if seq[p][0] == seq[p + 1][0]:
-                    raise ValueError(
-                        "same-family inversion: orderings are not mixed-swap "
-                        f"reachable ({seq[p]} vs {seq[p + 1]})"
-                    )
-                alpha = WeightVector.unit(num_eps, num_delta, seq[p]) - (
-                    WeightVector.unit(num_eps, num_delta, seq[p + 1])
-                )
-                w = odd_reflection_step(w, alpha)
-                rho = rho + alpha
-                seq[p], seq[p + 1] = seq[p + 1], seq[p]
-                break
-        else:
-            raise AssertionError("no inversion found yet orderings differ")
-    return w, rho
 
 
 def reflection_walk(lam, borel: BorelDescriptor) -> tuple[WeightVector, WeightVector]:
@@ -176,39 +143,33 @@ def nongeneric_index(lam, borel: BorelDescriptor) -> int | None:
 # -- arbitrary orderings for the equal-family pair ------------------------------
 
 
-def monotone_core(seq: Sequence, descending: bool) -> Sequence:
-    """Replace each family's indices by the sorted ones, keeping the family
-    pattern of the ordering."""
-    eps_count = sum(1 for kind, _ in seq if kind == "e")
-    delta_count = len(seq) - eps_count
-    eps_sorted = sorted(range(1, eps_count + 1), reverse=descending)
-    delta_sorted = sorted(range(1, delta_count + 1), reverse=descending)
-    eps_iter = iter(eps_sorted)
-    delta_iter = iter(delta_sorted)
-    return tuple(
-        ("e", next(eps_iter)) if kind == "e" else ("d", next(delta_iter))
-        for kind, _ in seq
-    )
+def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
+    """Highest weight, for the ordering seq of the m e- and n d-symbols, of
+    the module indexed by an (m|n)-hook partition, read off its diagram: the
+    j-th e-symbol met takes the boxes of row j right of the columns already
+    taken, and the j-th d-symbol met takes the boxes of column j below the
+    rows already taken. Each count is the coefficient of the symbol itself.
 
+    Examples
+    ========
 
-def transport(
-    seq: Sequence, core: Sequence, value: WeightVector
-) -> WeightVector:
-    """Move a weight across the family-preserving permutation taking the
-    monotone core ordering to the requested ordering: the coefficient at each
-    position is preserved."""
-    num_eps, num_delta = value.shape()
-    eps = [Fraction(0)] * num_eps
-    delta = [Fraction(0)] * num_delta
-    for sym, core_sym in zip(seq, core):
-        if sym[0] != core_sym[0]:
-            raise ValueError("ordering and core have different family patterns")
-        coeff = value.coeff(core_sym)
-        if sym[0] == "e":
-            eps[sym[1] - 1] = coeff
+    >>> diagram_cut((("e", 1), ("e", 2), ("d", 1)), (3, 1, 1), 2, 1).coords()
+    (Fraction(3, 1), Fraction(1, 1), Fraction(1, 1))
+    >>> diagram_cut((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1).coords()
+    (Fraction(2, 1), Fraction(0, 1), Fraction(3, 1))
+    """
+    lam = require_hook(lam, m, n)
+    columns = transpose(lam)
+    coeffs = {"e": [0] * m, "d": [0] * n}
+    taken = {"e": 0, "d": 0}
+    for kind, index in seq:
+        if kind == "e":
+            boxes = part(lam, taken["e"] + 1) - taken["d"]
         else:
-            delta[sym[1] - 1] = coeff
-    return WeightVector.make(eps, delta)
+            boxes = part(columns, taken["d"] + 1) - taken["e"]
+        coeffs[kind][index - 1] = max(0, boxes)
+        taken[kind] += 1
+    return WeightVector.make(coeffs["e"], coeffs["d"])
 
 
 def diag_highest_weight(
@@ -217,18 +178,12 @@ def diag_highest_weight(
     """Highest weight and Weyl vector of an arbitrary ordering for the
     (m|n)-hook module (dual=False) or its dual (dual=True).
 
-    The dual module's weights are reached from the all-d-first ordering and
-    carry the negated standard highest weight; the module itself starts from
-    the standard ordering.
+    The dual's highest weight is minus the module's lowest weight, which is
+    the module's highest weight for the reversed ordering.
     """
-    lam = require_hook(lam, m, n)
-    core = monotone_core(seq, descending=dual)
+    seq = validate_sequence(seq, m, n)
     if dual:
-        start = opposite_sequence(m, n)
-        w0 = -hw_standard_diag(lam, m, n)
+        w = -diagram_cut(tuple(reversed(seq)), lam, m, n)
     else:
-        start = standard_sequence(m, n)
-        w0 = hw_standard_diag(lam, m, n)
-    rho0 = weyl_vector(start)
-    w_core, rho_core = bubble_walk(start, core, w0, rho0)
-    return transport(seq, core, w_core), transport(seq, core, rho_core)
+        w = diagram_cut(seq, lam, m, n)
+    return w, weyl_vector(seq)

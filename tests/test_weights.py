@@ -10,19 +10,17 @@ from capelli.borel import (
     standard_sequence,
     weyl_vector,
 )
-from capelli.partitions import enumerate_hooks, part, size
+from capelli.partitions import double_partition, enumerate_hooks, part
 from capelli.weights import (
-    bubble_walk,
     diag_highest_weight,
+    diagram_cut,
     highest_weight,
     hw_standard_diag,
     hw_standard_doubled,
     is_generic,
-    monotone_core,
     nongeneric_index,
     odd_reflection_step,
     reflection_walk,
-    transport,
     truncated_root_sum,
 )
 
@@ -119,38 +117,64 @@ def test_reflection_walk_matches_closed_form():
                 assert rho == rho_target
 
 
-def test_monotone_core():
-    seq = (("d", 2), ("e", 1), ("d", 1), ("e", 2))
-    assert monotone_core(seq, descending=False) == (
-        ("d", 1),
-        ("e", 1),
-        ("d", 2),
-        ("e", 2),
-    )
-    assert monotone_core(seq, descending=True) == (
-        ("d", 2),
-        ("e", 2),
-        ("d", 1),
-        ("e", 1),
-    )
+def _swap(seq, p):
+    seq = list(seq)
+    seq[p], seq[p + 1] = seq[p + 1], seq[p]
+    return tuple(seq)
 
 
-def test_transport_recovers_weyl_vector():
-    # moving the core's Weyl vector across the permutation must agree with
-    # the direct half-sum of the target ordering
-    for m, n in [(1, 1), (2, 1)]:
+def test_diagram_cut_follows_adjacent_swaps():
+    # a mixed swap is an odd reflection in the simple root it crosses; a
+    # same-family swap only relabels, so the two coefficients trade places
+    swaps = 0
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
+        hooks = enumerate_hooks(m, n, 4)
         for seq in all_sequences(m, n):
-            for descending in (False, True):
-                core = monotone_core(seq, descending)
-                assert transport(seq, core, weyl_vector(core)) == weyl_vector(seq)
+            for lam in hooks:
+                w = diagram_cut(seq, lam, m, n)
+                for p in range(len(seq) - 1):
+                    a, b = seq[p], seq[p + 1]
+                    swapped = diagram_cut(_swap(seq, p), lam, m, n)
+                    if a[0] != b[0]:
+                        alpha = WeightVector.unit(m, n, a) - WeightVector.unit(m, n, b)
+                        assert swapped == odd_reflection_step(w, alpha), (seq, p, lam)
+                    else:
+                        traded = {a: b, b: a}
+                        assert [swapped.coeff(s) for s in seq] == [
+                            w.coeff(traded.get(s, s)) for s in seq
+                        ], (seq, p, lam)
+                    swaps += 1
+    assert swaps == 7798
 
 
-def test_bubble_walk_rejects_same_family_inversions():
-    start = standard_sequence(2, 1)
-    target = (("e", 2), ("e", 1), ("d", 1))
-    w = WeightVector.zero(2, 1)
+def test_diagram_cut_matches_decreasing_borel_closed_form():
+    # the paper's (m|2n) highest weight of the dual module is minus the
+    # diagram cut of the doubled partition for the reversed ordering
+    cases = 0
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        for b in BorelDescriptor.enumerate(m, n):
+            reversed_seq = tuple(reversed(b.sequence()))
+            for lam in enumerate_hooks(m, n, 5):
+                doubled = double_partition(lam, m, n)
+                assert -diagram_cut(reversed_seq, doubled, m, 2 * n) == (
+                    highest_weight(lam, b)
+                ), (lam, b.ell)
+                cases += 1
+    assert cases == 1397
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        (("e", 1), ("e", 3), ("d", 1)),
+        (("e", 1), ("e", 1), ("d", 1)),
+        (("e", 1), ("d", 1)),
+    ],
+)
+@pytest.mark.parametrize("dual", [False, True])
+def test_diag_highest_weight_rejects_bad_orderings(seq, dual):
     with pytest.raises(ValueError):
-        bubble_walk(start, target, w, weyl_vector(start))
+        diag_highest_weight(seq, (1,), 2, 1, dual)
 
 
 def test_diag_highest_weight_small_oracles():
@@ -176,7 +200,7 @@ def test_diag_highest_weight_rho_always_matches_direct():
 
 
 def test_diag_highest_weight_standard_is_closed_form():
-    for m, n in [(1, 1), (2, 1)]:
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]:
         for lam in enumerate_hooks(m, n, 4):
             w, _ = diag_highest_weight(standard_sequence(m, n), lam, m, n, dual=False)
             assert w == hw_standard_diag(lam, m, n)
