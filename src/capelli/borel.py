@@ -1,7 +1,7 @@
 """Borel subalgebras containing the diagonal Cartan, encoded as orderings of
 the two families of coordinate functionals, plus the combinatorics attached
-to the "decreasing" ones: right-count vectors, generic roots, root sums, and
-the even/odd classification used by the eigenvalue maps."""
+to the "decreasing" ones: right-count vectors, root sums, and the even/odd
+classification used by the eigenvalue maps."""
 
 from __future__ import annotations
 
@@ -106,11 +106,6 @@ def standard_sequence(num_eps: int, num_delta: int) -> Sequence:
     )
 
 
-def opposite_sequence(num_eps: int, num_delta: int) -> Sequence:
-    """d_N .. d_1 then e_m .. e_1: the reverse of the standard order."""
-    return tuple(reversed(standard_sequence(num_eps, num_delta)))
-
-
 def all_sequences(num_eps: int, num_delta: int):
     """Every ordering of the symbols: one Borel per ordering."""
     return itertools.permutations(standard_sequence(num_eps, num_delta))
@@ -199,21 +194,6 @@ class BorelDescriptor:
         return tuple(seq)
 
     @classmethod
-    def from_sequence(cls, seq, m: int, n: int) -> "BorelDescriptor":
-        seq = validate_sequence(seq, m, 2 * n)
-        eps_order = [index for kind, index in seq if kind == "e"]
-        delta_order = [index for kind, index in seq if kind == "d"]
-        if eps_order != sorted(eps_order, reverse=True) or delta_order != sorted(
-            delta_order, reverse=True
-        ):
-            raise ValueError(f"sequence {seq} is not decreasing")
-        ell = []
-        for i in range(1, m + 1):
-            pos = seq.index(("e", i))
-            ell.append(sum(1 for kind, _ in seq[pos + 1 :] if kind == "d"))
-        return cls(m, n, tuple(ell))
-
-    @classmethod
     def opposite(cls, m: int, n: int) -> "BorelDescriptor":
         """The decreasing Borel with every e-symbol after every d-symbol."""
         return cls(m, n, (0,) * m)
@@ -230,21 +210,9 @@ class BorelDescriptor:
 
     # -- roots and root sums ------------------------------------------------
 
-    def generic_roots(self) -> list[WeightVector]:
-        """d_k - e_i for i = m..1 and k = 1..ell_i, in reflection-walk order."""
-        roots = []
-        for i in range(self.m, 0, -1):
-            for k in range(1, self.ell_of(i) + 1):
-                roots.append(self.root(i, k))
-        return roots
-
-    def root(self, i: int, k: int) -> WeightVector:
-        return WeightVector.unit(self.m, self.num_delta, ("d", k)) - WeightVector.unit(
-            self.m, self.num_delta, ("e", i)
-        )
-
     def root_sum(self) -> WeightVector:
-        """Sum of the generic roots: -sum ell_i e_i + sum j_k d_k."""
+        """Sum of the generic roots d_k - e_i over k <= ell_i:
+        -sum ell_i e_i + sum j_k d_k."""
         eps = [-Fraction(v) for v in self.ell]
         delta = [Fraction(j) for j in self.j_vector()]
         return WeightVector.make(eps, delta)
@@ -284,24 +252,6 @@ class BorelDescriptor:
     def even_core(self) -> "BorelDescriptor":
         """Round every right-count down to an even number."""
         return BorelDescriptor(self.m, self.n, tuple(2 * (v // 2) for v in self.ell))
-
-    def core_reflection_roots(self) -> list[WeightVector]:
-        """Roots d_{2k-1} - e_i over pairs with ell_i = 2k-1, ordered by k then
-        i descending: the reflections leading from the even core to this Borel."""
-        pairs = [
-            (k, i)
-            for k in range(self.n, 0, -1)
-            for i in range(self.m, 0, -1)
-            if self.ell_of(i) == 2 * k - 1
-        ]
-        return [self.root(i, 2 * k - 1) for k, i in pairs]
-
-    def classify(self) -> str:
-        if self.is_very_even():
-            return "very_even"
-        if self.is_relatively_even():
-            return "rel_even"
-        return "general"
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "ell": list(self.ell)}

@@ -38,7 +38,6 @@ from .weights import (
     highest_weight,
     hw_standard_doubled,
     is_generic,
-    truncated_root_sum,
 )
 
 
@@ -119,12 +118,14 @@ def _cmd_hw(args) -> int:
         sys.stderr.write("hw: provide --borel, --seq, or --table\n")
         return 2
     borel = _borel(args)
+    hw_standard = hw_standard_doubled(lam, args.m, args.n)
+    hw_borel = highest_weight(lam, borel)
     payload = {
         "lambda": format_partition(lam),
         "ell": list(borel.ell),
-        "hw_standard": hw_standard_doubled(lam, args.m, args.n).to_json_dict(),
-        "truncated_root_sum": truncated_root_sum(lam, borel).to_json_dict(),
-        "hw_borel": highest_weight(lam, borel).to_json_dict(),
+        "hw_standard": hw_standard.to_json_dict(),
+        "truncated_root_sum": (hw_standard - hw_borel).to_json_dict(),
+        "hw_borel": hw_borel.to_json_dict(),
         "generic": is_generic(lam, borel),
     }
     _emit(payload, args.out)
@@ -238,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mn(p, default_m=2, default_n=1):
-        p.add_argument("--m", type=int, default=default_m, help="even rank")
-        p.add_argument("--n", type=int, default=default_n, help="pair rank")
+    def add_mn(p):
+        p.add_argument("--m", type=int, default=2, help="even rank")
+        p.add_argument("--n", type=int, default=1, help="pair rank")
 
     def add_out(p):
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")

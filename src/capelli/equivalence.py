@@ -1,7 +1,7 @@
 """The move-generated equivalence on evaluation points: block transpositions
 plus unit shifts across the affine conditions x_i + theta*y_j = (1-theta)/2
 and x_i + theta*y_j = -(1-theta)/2, orbit search with explicit infinite-orbit
-detection at theta = 1/2, and the polynomial-separation test."""
+detection at theta = 1/2, and the closure criterion."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import Vector, format_rational
-from .isjp import interpolation_polynomial
-from .partitions import enumerate_hooks, require_theta
+from .partitions import require_theta
 
 DEFAULT_BUDGET = 10**4
 HALF = Fraction(1, 2)
@@ -158,17 +157,3 @@ def closure_member(u, v, m: int, n: int, theta) -> bool:
             return True
     return False
 
-
-def equivalent_up_to_degree(
-    u, v, m: int, n: int, theta, max_degree: int = 4
-) -> bool:
-    """Whether every interpolation polynomial of size <= max_degree takes the
-    same value at u and v."""
-    theta = require_theta(theta)
-    u = _check_point(u, m, n)
-    v = _check_point(v, m, n)
-    for mu in enumerate_hooks(m, n, max_degree):
-        poly = interpolation_polynomial(m, n, theta, mu)
-        if poly.evaluate(u) != poly.evaluate(v):
-            return False
-    return True

@@ -108,9 +108,6 @@ class RationalMatrix:
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 

@@ -1,6 +1,6 @@
 """Sparse polynomials in two blocks of variables x_1..x_m, y_1..y_n, the
-block-symmetry and shift-compatibility predicates, and the filtered basis of
-polynomials satisfying both."""
+shift-compatibility defect, and the filtered basis of block-symmetric
+polynomials whose defect vanishes."""
 
 from __future__ import annotations
 
@@ -226,19 +226,6 @@ def _distinct_permutations(values):
     return sorted(set(itertools.permutations(values)))
 
 
-def is_separately_symmetric(poly: SparsePolynomial) -> bool:
-    """True iff invariant under permutations within each block (checked on
-    adjacent transpositions, which generate both symmetric groups)."""
-    m, n = poly.num_x, poly.num_y
-    for a in range(m - 1):
-        if poly.swap_variables(a, a + 1) != poly:
-            return False
-    for b in range(n - 1):
-        if poly.swap_variables(m + b, m + b + 1) != poly:
-            return False
-    return True
-
-
 def monoidal_defect(
     poly: SparsePolynomial, theta, i: int = 1, j: int = 1
 ) -> SparsePolynomial:
@@ -258,22 +245,6 @@ def monoidal_defect(
     plus = poly.shift_variable(xi, half).shift_variable(yj, -half)
     minus = poly.shift_variable(xi, -half).shift_variable(yj, half)
     return (plus - minus).collapse_variable(xi, -theta, yj)
-
-
-def satisfies_monoidal_symmetry(
-    poly: SparsePolynomial, theta, all_pairs: bool = False
-) -> bool:
-    """Shift-compatibility check; block-symmetric polynomials only need the
-    (1,1) pair, all_pairs=True checks every pair exhaustively."""
-    m, n = poly.num_x, poly.num_y
-    if m == 0 or n == 0:
-        return True
-    pairs = (
-        [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-        if all_pairs
-        else [(1, 1)]
-    )
-    return all(monoidal_defect(poly, theta, i, j).is_zero() for i, j in pairs)
 
 
 def _generator_shapes(m: int, n: int, max_degree: int):

@@ -83,14 +83,6 @@ def standard_map(m: int, n: int) -> AffineMap:
     return AffineMap(standard_matrix(m, n), standard_offset(m, n))
 
 
-def x0_eps_entry(i: int, m: int, n: int) -> Fraction:
-    return Fraction(m + 1 - 2 * n - 2 * i, 4)
-
-
-def x0_delta_entry(k: int, m: int, n: int) -> Fraction:
-    return Fraction(m + 2 + 2 * n - 4 * k, 2)
-
-
 # -- perturbation families ---------------------------------------------------------
 #
 # A compatible matrix differs from the standard one only in the d-columns,
@@ -147,18 +139,6 @@ def in_plain_family(matrix: RationalMatrix, m: int, n: int) -> bool:
     return True
 
 
-def in_kernel_family(matrix: RationalMatrix, borel: BorelDescriptor) -> bool:
-    """Compatible and annihilating every odd root sum of the Borel."""
-    m, n = borel.m, borel.n
-    if not in_plain_family(matrix, m, n):
-        return False
-    zero = (Fraction(0),) * (m + n)
-    return all(
-        matrix.apply(borel.odd_root_sum(k).coords()) == zero
-        for k in borel.odd_pair_set()
-    )
-
-
 def in_full_family(matrix: RationalMatrix, borel: BorelDescriptor) -> bool:
     """Compatible and sending d_{2k-1}, for each odd pair k, to the pinned
     value e_{m - j_{2k}}/2 - e_{m+k}."""
@@ -208,51 +188,35 @@ def full_member(borel: BorelDescriptor) -> RationalMatrix:
 # -- per-Borel maps -----------------------------------------------------------------
 
 
-def eigenvalue_map_very_even(
-    borel: BorelDescriptor, matrix: RationalMatrix | None = None
-) -> AffineMap:
-    """Map for a very even Borel: any compatible matrix with offset equal to
+def eigenvalue_map_very_even(borel: BorelDescriptor) -> AffineMap:
+    """Map for a very even Borel: the standard matrix with offset equal to
     the standard matrix applied to the Borel's Weyl vector."""
     if not borel.is_very_even():
         raise ValueError(f"Borel ell={borel.ell} is not very even")
-    m, n = borel.m, borel.n
-    if matrix is None:
-        matrix = standard_matrix(m, n)
-    elif not in_plain_family(matrix, m, n):
-        raise ValueError("matrix is not a compatible perturbation")
-    offset = standard_matrix(m, n).apply(weyl_vector(borel.sequence()).coords())
-    return AffineMap(matrix, offset)
+    matrix = standard_matrix(borel.m, borel.n)
+    return AffineMap(matrix, matrix.apply(weyl_vector(borel.sequence()).coords()))
 
 
-def eigenvalue_map_rel_even(
-    borel: BorelDescriptor, matrix: RationalMatrix | None = None
-) -> AffineMap:
-    """Map for a relatively even Borel: a kernel-family matrix with offset
-    taken from the Borel's even core."""
+def eigenvalue_map_rel_even(borel: BorelDescriptor) -> AffineMap:
+    """Map for a relatively even Borel: the canonical kernel-family matrix
+    with offset taken from the Borel's even core."""
     if not borel.is_relatively_even():
         raise ValueError(f"Borel ell={borel.ell} is not relatively even")
-    return _kernel_map(borel, matrix)
+    return _kernel_map(borel)
 
 
-def _kernel_map(
-    borel: BorelDescriptor, matrix: RationalMatrix | None
-) -> AffineMap:
-    m, n = borel.m, borel.n
-    if matrix is None:
-        matrix = kernel_member(borel)
-    elif not in_kernel_family(matrix, borel):
-        raise ValueError("matrix is not in the kernel family of this Borel")
+def _kernel_map(borel: BorelDescriptor) -> AffineMap:
     core = borel.even_core()
-    offset = standard_matrix(m, n).apply(weyl_vector(core.sequence()).coords())
-    return AffineMap(matrix, offset)
+    offset = standard_matrix(borel.m, borel.n).apply(
+        weyl_vector(core.sequence()).coords()
+    )
+    return AffineMap(kernel_member(borel), offset)
 
 
-def forced_kernel_map(
-    borel: BorelDescriptor, matrix: RationalMatrix | None = None
-) -> AffineMap:
+def forced_kernel_map(borel: BorelDescriptor) -> AffineMap:
     """The kernel-family construction applied without the relatively-even
     hypothesis: a negative control that provably fails on some Borels."""
-    return _kernel_map(borel, matrix)
+    return _kernel_map(borel)
 
 
 def eigenvalue_map_full(
@@ -306,15 +270,6 @@ def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
 
 
 # -- equal-family pair maps (theta = 1) -----------------------------------------------
-
-
-def diag_map_standard(m: int, n: int) -> AffineMap:
-    """Second-factor map for the distinguished pair of Borels: add the
-    standard Weyl vector."""
-    from .borel import standard_sequence
-
-    rho = weyl_vector(standard_sequence(m, n))
-    return AffineMap(RationalMatrix.identity(m + n), rho.coords())
 
 
 def diag_map_first(rho: WeightVector) -> AffineMap:

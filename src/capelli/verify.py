@@ -70,9 +70,13 @@ class SweepConfig:
             raise ValueError("degree bounds must be nonnegative")
         if self.borels != "all":
             try:
-                BorelDescriptor(self.m, self.n, parse_int_list(self.borels))
+                borel = BorelDescriptor(self.m, self.n, parse_int_list(self.borels))
             except ValueError as error:
                 raise ValueError(f'borels must be "all" or levels: {error}') from None
+            if self.pair == "glm2n" and not in_family_domain(borel, self.map_choice):
+                raise ValueError(
+                    f"map {self.map_choice} is not defined on borels {self.borels}"
+                )
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -144,7 +148,8 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
     node_rows = [_values(polys, node) for node in nodes]
     for borel in _selected_borels(config):
-        # A Borel outside the family's domain is skipped, not failed.
+        # Under borels "all", a Borel outside the family's domain is skipped,
+        # not failed; SweepConfig rejects an explicit one.
         if not in_family_domain(borel, config.map_choice):
             continue
         tau = family_map(borel, config.map_choice)

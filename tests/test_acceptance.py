@@ -8,12 +8,7 @@ from math import comb, perm
 
 import pytest
 
-from capelli.borel import (
-    BorelDescriptor,
-    opposite_sequence,
-    standard_sequence,
-    weyl_vector,
-)
+from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
 from capelli.equivalence import orbit
 from capelli.exact_linalg import RationalMatrix
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
@@ -25,18 +20,23 @@ from capelli.superalg import (
     invariant_operator_matrix,
     symmetrization_pairing,
 )
-from capelli.sympoly import lambda_basis, satisfies_monoidal_symmetry
+from capelli.sympoly import lambda_basis
 from capelli.tau import diag_map_first, diag_map_second, standard_map
 from capelli.verify import SweepConfig, reproduce_example, run_sweep
-from capelli.weights import (
-    diag_highest_weight,
-    highest_weight,
+from capelli.weights import diag_highest_weight, highest_weight, hw_standard_doubled
+from reference import (
+    closed_form_highest_weight,
     hw_standard_diag,
-    hw_standard_doubled,
+    opposite_sequence,
     reflection_walk,
+    satisfies_monoidal_symmetry,
 )
 
 RANKS = [(1, 1), (2, 1), (2, 2)]
+# every rank with m, n <= 3 and m >= 1, the first three listed first
+WALK_RANKS = RANKS + [
+    (m, n) for m in (1, 2, 3) for n in (0, 1, 2, 3) if (m, n) not in RANKS
+]
 THETAS = [Fraction(1), Fraction(1, 2)]
 HALF = Fraction(1, 2)
 
@@ -384,7 +384,8 @@ def _compositions(total, parts):
 class TestStructuralProperties:
     """Basis dimensions count hooks; the Borel root sum decomposes into its
     even core plus the odd-pair sums; the reflection walk reproduces the
-    closed-form highest weight on every decreasing Borel."""
+    closed-form highest weight and the library's on every decreasing Borel
+    with m, n <= 3."""
 
     @pytest.mark.parametrize("m,n", RANKS)
     @pytest.mark.parametrize("theta", THETAS)
@@ -403,11 +404,14 @@ class TestStructuralProperties:
                         total = total + b.odd_root_sum(k)
                     assert total == b.root_sum(), (m, n, b.ell)
 
-    @pytest.mark.parametrize("m,n", RANKS)
+    @pytest.mark.parametrize("m,n", WALK_RANKS)
     def test_reflection_walk_matches_closed_form(self, m, n):
+        # the walk, the paper's closed form and the library's diagram rule
+        # are three independent derivations of the same highest weight
         for b in BorelDescriptor.enumerate(m, n):
             rho_target = weyl_vector(b.sequence())
             for lam in enumerate_hooks(m, n, 6):
                 w, rho = reflection_walk(lam, b)
+                assert w == closed_form_highest_weight(lam, b), (lam, b.ell)
                 assert w == highest_weight(lam, b), (lam, b.ell)
                 assert rho == rho_target

@@ -10,10 +10,16 @@ from capelli.borel import (
     WeightVector,
     all_sequences,
     format_symbol,
-    opposite_sequence,
     parse_symbol,
     standard_sequence,
     weyl_vector,
+)
+from reference import (
+    core_reflection_roots,
+    from_sequence,
+    generic_roots,
+    opposite_sequence,
+    root,
 )
 
 
@@ -123,12 +129,12 @@ def test_descriptor_validation():
 def test_descriptor_sequence_round_trip():
     b = BorelDescriptor(2, 1, (1, 1))
     assert b.sequence() == (("d", 2), ("e", 2), ("e", 1), ("d", 1))
-    assert BorelDescriptor.from_sequence(b.sequence(), 2, 1) == b
+    assert from_sequence(b.sequence(), 2, 1) == b
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         for b in BorelDescriptor.enumerate(m, n):
-            assert BorelDescriptor.from_sequence(b.sequence(), m, n) == b
+            assert from_sequence(b.sequence(), m, n) == b
     with pytest.raises(ValueError):
-        BorelDescriptor.from_sequence(
+        from_sequence(
             (("e", 1), ("e", 2), ("d", 1), ("d", 2)), 2, 1
         )
 
@@ -149,14 +155,14 @@ def test_j_vector():
 
 def test_generic_roots_and_root_sum():
     b = BorelDescriptor(2, 1, (1, 1))
-    roots = b.generic_roots()
-    assert roots == [b.root(2, 1), b.root(1, 1)]
-    assert b.root(1, 1) == wv([-1, 0], [1, 0])
+    roots = generic_roots(b)
+    assert roots == [root(b, 2, 1), root(b, 1, 1)]
+    assert root(b, 1, 1) == wv([-1, 0], [1, 0])
     assert b.root_sum() == wv([-1, -1], [2, 0])
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         for b in BorelDescriptor.enumerate(m, n):
             total = WeightVector.zero(m, 2 * n)
-            for alpha in b.generic_roots():
+            for alpha in generic_roots(b):
                 total = total + alpha
             assert total == b.root_sum()
 
@@ -169,12 +175,15 @@ def test_rho_equals_opposite_plus_root_sum():
 
 
 def test_classification():
-    assert BorelDescriptor(2, 1, (0, 0)).classify() == "very_even"
-    assert BorelDescriptor(2, 1, (2, 2)).classify() == "very_even"
-    assert BorelDescriptor(2, 1, (0, 1)).classify() == "rel_even"
-    assert BorelDescriptor(2, 1, (1, 1)).classify() == "general"
+    # the facts the deleted three-way label encoded, through the predicates
+    assert BorelDescriptor(2, 1, (0, 0)).is_very_even()
+    assert BorelDescriptor(2, 1, (2, 2)).is_very_even()
+    rel_even = BorelDescriptor(2, 1, (0, 1))
+    assert rel_even.is_relatively_even() and not rel_even.is_very_even()
+    assert not BorelDescriptor(2, 1, (1, 1)).is_relatively_even()
     assert BorelDescriptor(2, 1, (1, 1)).odd_pair_set() == (1,)
-    assert BorelDescriptor(2, 2, (1, 3)).classify() == "rel_even"
+    assert BorelDescriptor(2, 2, (1, 3)).is_relatively_even()
+    assert not BorelDescriptor(2, 2, (1, 3)).is_very_even()
     assert BorelDescriptor(2, 2, (1, 3)).odd_pair_set() == (1, 2)
     # very even implies relatively even
     for b in BorelDescriptor.enumerate(2, 2):
@@ -210,12 +219,12 @@ def test_root_sum_decomposition():
 
 def test_core_reflection_roots():
     b = BorelDescriptor(2, 2, (1, 3))
-    assert b.core_reflection_roots() == [b.root(2, 3), b.root(1, 1)]
+    assert core_reflection_roots(b) == [root(b, 2, 3), root(b, 1, 1)]
     # the Weyl vector moves from the core by exactly the reflection roots
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         for b in BorelDescriptor.enumerate(m, n):
             rho = weyl_vector(b.even_core().sequence())
-            for alpha in b.core_reflection_roots():
+            for alpha in core_reflection_roots(b):
                 rho = rho + alpha
             assert rho == weyl_vector(b.sequence())
 

@@ -312,6 +312,11 @@ class TestBadInput:
                 ["hw", "--m", "1", "--n", "1", "--seq", "e1,e2", "--lambda", "1"],
                 ["--seq", "not an ordering"],
             ),
+            (
+                ["verify", "--pair", "glm2n", "--lambda-max", "2", "--mu-max", "2",
+                 "--borels", "1,1", "--map", "releven"],
+                ["releven", "1,1"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

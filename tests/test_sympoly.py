@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from capelli.partitions import enumerate_hooks
 from capelli.sympoly import (
     SparsePolynomial,
-    is_separately_symmetric,
     lambda_basis,
     monoidal_defect,
     monomial_symmetric,
-    satisfies_monoidal_symmetry,
 )
+from reference import is_separately_symmetric, satisfies_monoidal_symmetry
 
 
 def poly_from(num_x, num_y, terms):

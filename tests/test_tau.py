@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.borel import BorelDescriptor, WeightVector, weyl_vector
+from capelli.borel import BorelDescriptor, WeightVector, standard_sequence, weyl_vector
 from capelli.exact_linalg import RationalMatrix
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
@@ -10,7 +10,6 @@ from capelli.tau import (
     AffineMap,
     diag_map_first,
     diag_map_second,
-    diag_map_standard,
     eigenvalue_map_full,
     eigenvalue_map_rel_even,
     eigenvalue_map_very_even,
@@ -19,7 +18,6 @@ from capelli.tau import (
     full_member,
     in_family_domain,
     in_full_family,
-    in_kernel_family,
     in_plain_family,
     kernel_member,
     matrix_from_pair_columns,
@@ -28,10 +26,9 @@ from capelli.tau import (
     standard_map,
     standard_matrix,
     standard_offset,
-    x0_delta_entry,
-    x0_eps_entry,
 )
 from capelli.weights import highest_weight, hw_standard_doubled, is_generic
+from reference import in_kernel_family, x0_delta_entry, x0_eps_entry
 
 HALF = Fraction(1, 2)
 
@@ -218,7 +215,7 @@ def test_diag_maps():
     w = WeightVector.make([5], [7])
     assert first.apply(w) == (-6, -9)
     assert second.apply(w) == (6, 9)
-    std = diag_map_standard(1, 1)
+    std = diag_map_second(weyl_vector(standard_sequence(1, 1)))
     assert std.apply(w) == (5 - HALF, 7 + HALF)
 
 

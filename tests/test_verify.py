@@ -38,6 +38,22 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="borels.*'x'"):
             SweepConfig(pair="glm2n", m=2, n=1, lambda_max=1, mu_max=1, borels="1,x")
 
+    @pytest.mark.parametrize(
+        "borels, map_choice", [("1,1", "releven"), ("0,1", "veryeven")]
+    )
+    def test_rejects_explicit_borel_outside_the_map_domain(self, borels, map_choice):
+        # a sweep of a Borel the map skips would run no case and report OK
+        with pytest.raises(ValueError, match=f"{map_choice}.*{borels}"):
+            SweepConfig(
+                pair="glm2n", m=2, n=1, lambda_max=2, mu_max=2,
+                borels=borels, map_choice=map_choice,
+            )
+        # the pair sweep does not use the Borel, so its domain does not apply
+        SweepConfig(
+            pair="diag", m=2, n=1, lambda_max=2, mu_max=2,
+            borels=borels, map_choice=map_choice,
+        )
+
     def test_json_round_trip(self):
         cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=3, mu_max=2)
         data = cfg.to_json_dict()

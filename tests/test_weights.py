@@ -6,20 +6,24 @@ from capelli.borel import (
     BorelDescriptor,
     WeightVector,
     all_sequences,
-    opposite_sequence,
     standard_sequence,
     weyl_vector,
 )
-from capelli.partitions import double_partition, enumerate_hooks, part
+from capelli.partitions import enumerate_hooks, part
 from capelli.weights import (
     diag_highest_weight,
     diagram_cut,
     highest_weight,
-    hw_standard_diag,
     hw_standard_doubled,
     is_generic,
+)
+from reference import (
+    closed_form_highest_weight,
+    closed_form_standard,
+    hw_standard_diag,
     nongeneric_index,
     odd_reflection_step,
+    opposite_sequence,
     reflection_walk,
     truncated_root_sum,
 )
@@ -113,7 +117,7 @@ def test_reflection_walk_matches_closed_form():
             rho_target = weyl_vector(b.sequence())
             for lam in enumerate_hooks(m, n, 4):
                 w, rho = reflection_walk(lam, b)
-                assert w == highest_weight(lam, b), (lam, b.ell)
+                assert w == closed_form_highest_weight(lam, b), (lam, b.ell)
                 assert rho == rho_target
 
 
@@ -148,29 +152,42 @@ def test_diagram_cut_follows_adjacent_swaps():
 
 
 def test_diagram_cut_matches_decreasing_borel_closed_form():
-    # the paper's (m|2n) highest weight of the dual module is minus the
-    # diagram cut of the doubled partition for the reversed ordering
+    # the library's (m|2n) highest weights, which are minus the diagram cut
+    # of the doubled partition for the reversed ordering, equal the paper's
+    # closed forms on every decreasing Borel
     cases = 0
-    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
-        for b in BorelDescriptor.enumerate(m, n):
-            reversed_seq = tuple(reversed(b.sequence()))
-            for lam in enumerate_hooks(m, n, 5):
-                doubled = double_partition(lam, m, n)
-                assert -diagram_cut(reversed_seq, doubled, m, 2 * n) == (
-                    highest_weight(lam, b)
-                ), (lam, b.ell)
-                cases += 1
-    assert cases == 1397
+    for m in range(1, 4):
+        for n in range(4):
+            hooks = enumerate_hooks(m, n, 6)
+            for lam in hooks:
+                assert hw_standard_doubled(lam, m, n) == closed_form_standard(
+                    lam, m, n
+                ), lam
+            for b in BorelDescriptor.enumerate(m, n):
+                for lam in hooks:
+                    assert highest_weight(lam, b) == closed_form_highest_weight(
+                        lam, b
+                    ), (lam, b.ell)
+                    cases += 1
+    assert cases == 5801
 
 
-@pytest.mark.parametrize(
-    "seq",
-    [
-        (("e", 1), ("e", 3), ("d", 1)),
-        (("e", 1), ("e", 1), ("d", 1)),
-        (("e", 1), ("d", 1)),
-    ],
-)
+BAD_ORDERINGS = [
+    (("e", 1), ("e", 3), ("d", 1)),
+    (("e", 1), ("e", 1), ("d", 1)),
+    (("e", 1), ("d", 1)),
+    (("e", 3), ("e", 1), ("d", 1)),
+    (("e", 1), ("e", 2), ("d", 1), ("d", 2)),
+]
+
+
+@pytest.mark.parametrize("seq", BAD_ORDERINGS)
+def test_diagram_cut_rejects_bad_orderings(seq):
+    with pytest.raises(ValueError):
+        diagram_cut(seq, (1,), 2, 1)
+
+
+@pytest.mark.parametrize("seq", BAD_ORDERINGS)
 @pytest.mark.parametrize("dual", [False, True])
 def test_diag_highest_weight_rejects_bad_orderings(seq, dual):
     with pytest.raises(ValueError):
