@@ -306,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_mn(p)
     p.add_argument("--lambda-max", type=int, required=True)
     p.add_argument("--mu-max", type=int, required=True)
-    p.add_argument("--borels", default="all", help='"all" or levels like 1,1')
-    p.add_argument("--map", default="full", choices=list(MAP_FAMILIES))
+    p.add_argument("--borels", default="all", help='glm2n: "all" or levels like 1,1')
+    p.add_argument("--map", default="full", choices=list(MAP_FAMILIES), help="glm2n")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 

@@ -16,10 +16,11 @@ class SparsePolynomial:
     """Polynomial stored as {exponent tuple: nonzero Rational coefficient}.
 
     Exponent tuples have length num_x + num_y: the x-block first, then the
-    y-block. Instances are treated as immutable.
+    y-block. Instances are treated as immutable, so the integer form that
+    `evaluate` builds on its first call is never invalidated.
     """
 
-    __slots__ = ("num_x", "num_y", "terms")
+    __slots__ = ("num_x", "num_y", "terms", "_scaled")
 
     def __init__(self, num_x: int, num_y: int, terms=None):
         self.num_x = num_x
@@ -41,6 +42,7 @@ class SparsePolynomial:
                     if not clean[exp]:
                         del clean[exp]
         self.terms = clean
+        self._scaled = None
 
     # -- constructors ------------------------------------------------------
 
@@ -143,20 +145,47 @@ class SparsePolynomial:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point of length num_x + num_y."""
-        point = tuple(Fraction(v) for v in point)
+        """Exact value at a point of length num_x + num_y.
+
+        The sum runs in integers: the coefficients over their common
+        denominator, the point over the LCM of its denominators, and one
+        table of integer powers. Terms of degree k carry the factor
+        scale^(top - k), so only the result is a Fraction."""
+        # Fractions are immutable, so one is kept rather than copied.
+        point = tuple(v if type(v) is Fraction else Fraction(v) for v in point)
         if len(point) != self.num_x + self.num_y:
             raise ValueError(
                 f"point has length {len(point)}, expected {self.num_x + self.num_y}"
             )
-        total = Fraction(0)
+        if self._scaled is None:
+            self._scaled = self._integer_form()
+        den, top, groups = self._scaled
+        scale = math.lcm(*(v.denominator for v in point))
+        powers = []
+        for v in point:
+            a = v.numerator * (scale // v.denominator)
+            powers.extend(a**e for e in range(top + 1))
+        lookup = powers.__getitem__
+        total = 0
+        for group in groups:
+            total = total * scale + sum(
+                math.prod(map(lookup, slots), start=coef) for coef, slots in group
+            )
+        return Fraction(total, den * scale**top)
+
+    def _integer_form(self):
+        """(den, top, groups): den is the LCM of the coefficient denominators,
+        top the total degree (0 for the zero polynomial), and groups[k] lists,
+        for each term of degree k, its integer numerator coef * den and the
+        positions of its variable powers in a table of top + 1 powers per
+        variable."""
+        den = math.lcm(*(coef.denominator for coef in self.terms.values()))
+        top = max((sum(exp) for exp in self.terms), default=0)
+        groups = [[] for _ in range(top + 1)]
         for exp, coef in self.terms.items():
-            value = coef
-            for base, e in zip(point, exp):
-                if e:
-                    value *= base**e
-            total += value
-        return total
+            slots = tuple(i * (top + 1) + e for i, e in enumerate(exp) if e)
+            groups[sum(exp)].append((coef.numerator * (den // coef.denominator), slots))
+        return den, top, groups
 
     def shift_variable(self, index: int, amount) -> "SparsePolynomial":
         """Substitute variable[index] -> variable[index] + amount."""

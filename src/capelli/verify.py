@@ -68,6 +68,11 @@ class SweepConfig:
             raise ValueError("m and n must be positive")
         if self.lambda_max < 0 or self.mu_max < 0:
             raise ValueError("degree bounds must be nonnegative")
+        if self.pair == "diag" and (self.borels, self.map_choice) != ("all", "full"):
+            raise ValueError(
+                'the diag sweep runs every ordering with the diag maps: it takes '
+                f'borels "all" and map full, not {self.borels} and {self.map_choice}'
+            )
         if self.borels != "all":
             try:
                 borel = BorelDescriptor(self.m, self.n, parse_int_list(self.borels))
@@ -194,7 +199,11 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     mus = enumerate_hooks(m, n, config.mu_max)
     polys = [interpolation_polynomial(m, n, theta, mu) for mu in mus]
     lams = enumerate_hooks(m, n, config.lambda_max)
-    node_rows = [_values(polys, frobenius_coords(lam, m, n, theta)) for lam in lams]
+    nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
+    node_rows = [_values(polys, node) for node in nodes]
+    # Many orderings map to the same point, so each distinct point is
+    # evaluated once; a node point keeps its node row object.
+    rows_at = dict(zip(nodes, node_rows))
 
     def side_rows(seq, dual: bool, factor_map) -> list:
         """Per lambda, the values at the mapped highest weight of one side;
@@ -202,7 +211,10 @@ def _run_diag(config: SweepConfig) -> SweepReport:
         rows = []
         for lam, node_row in zip(lams, node_rows):
             w, rho = diag_highest_weight(seq, lam, m, n, dual=dual)
-            row = _values(polys, factor_map(rho).apply(w))
+            point = factor_map(rho).apply(w)
+            row = rows_at.get(point)
+            if row is None:
+                row = rows_at[point] = _values(polys, point)
             rows.append(node_row if row == node_row else row)
         return rows
 

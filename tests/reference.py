@@ -216,6 +216,24 @@ def equivalent_up_to_degree(u, v, m: int, n: int, theta, max_degree: int = 4) ->
     )
 
 
+def evaluate_by_fractions(poly: SparsePolynomial, point) -> Fraction:
+    """The value of poly at point, term by term in Fraction arithmetic: the
+    oracle for the integer arithmetic of `SparsePolynomial.evaluate`."""
+    point = tuple(Fraction(v) for v in point)
+    if len(point) != poly.num_x + poly.num_y:
+        raise ValueError(
+            f"point has length {len(point)}, expected {poly.num_x + poly.num_y}"
+        )
+    total = Fraction(0)
+    for exp, coef in poly.terms.items():
+        value = coef
+        for base, e in zip(point, exp):
+            if e:
+                value *= base**e
+        total += value
+    return total
+
+
 def is_separately_symmetric(poly: SparsePolynomial) -> bool:
     """True iff invariant under permutations within each block (checked on
     adjacent transpositions, which generate both symmetric groups)."""

@@ -317,6 +317,16 @@ class TestBadInput:
                  "--borels", "1,1", "--map", "releven"],
                 ["releven", "1,1"],
             ),
+            (
+                ["verify", "--pair", "diag", "--m", "2", "--n", "1", "--lambda-max", "1",
+                 "--mu-max", "1", "--borels", "1,1", "--map", "releven"],
+                ["diag", "1,1", "releven"],
+            ),
+            (
+                ["verify", "--pair", "diag", "--lambda-max", "1", "--mu-max", "1",
+                 "--map", "veryeven"],
+                ["diag", "veryeven"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

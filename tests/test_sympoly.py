@@ -11,7 +11,11 @@ from capelli.sympoly import (
     monoidal_defect,
     monomial_symmetric,
 )
-from reference import is_separately_symmetric, satisfies_monoidal_symmetry
+from reference import (
+    evaluate_by_fractions,
+    is_separately_symmetric,
+    satisfies_monoidal_symmetry,
+)
 
 
 def poly_from(num_x, num_y, terms):
@@ -171,3 +175,53 @@ def test_evaluate_is_ring_map(p, q):
     point = (Fraction(1, 2), Fraction(-2), Fraction(3))
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+# Coefficients and coordinates mix denominators, signs and zeros, so the
+# common denominators and the scale^(top - k) factors all matter.
+rationals = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def polys_and_points(draw):
+    num_x = draw(st.integers(0, 3))
+    num_y = draw(st.integers(0, 3))
+    width = num_x + num_y
+    kind = draw(st.sampled_from(["zero", "constant", "general"]))
+    if kind == "zero":
+        poly = SparsePolynomial.zero(num_x, num_y)
+    elif kind == "constant":
+        poly = SparsePolynomial.constant(num_x, num_y, draw(rationals))
+    else:
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            degree = draw(st.integers(0, 8))
+            exp = [0] * width
+            for _ in range(degree if width else 0):
+                exp[draw(st.integers(0, width - 1))] += 1
+            terms[tuple(exp)] = draw(rationals)
+        poly = SparsePolynomial(num_x, num_y, terms)
+    point = tuple(draw(rationals) for _ in range(width))
+    return poly, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_points())
+def test_evaluate_matches_fraction_arithmetic(case):
+    poly, point = case
+    expected = evaluate_by_fractions(poly, point)
+    wrong_length = point + (1,)
+    with pytest.raises(ValueError, match="point has length"):
+        poly.evaluate(wrong_length)
+    # the first call builds the integer form, the second reuses it
+    first = poly.evaluate(point)
+    second = poly.evaluate(point)
+    assert type(first) is Fraction
+    assert first == second == expected
+    with pytest.raises(ValueError, match="point has length"):
+        poly.evaluate(wrong_length)
+    assert poly == SparsePolynomial(poly.num_x, poly.num_y, poly.terms)
+    assert hash(poly) == hash(SparsePolynomial(poly.num_x, poly.num_y, poly.terms))

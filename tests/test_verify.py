@@ -14,6 +14,7 @@ from capelli.borel import format_symbol, standard_sequence, weyl_vector
 from capelli.exact_linalg import format_rational
 from capelli.isjp import interpolation_polynomial
 from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
+from capelli.sympoly import SparsePolynomial
 from capelli.tau import AffineMap, diag_map_first, diag_map_second
 from capelli.weights import diag_highest_weight
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
@@ -48,11 +49,24 @@ class TestSweepConfig:
                 pair="glm2n", m=2, n=1, lambda_max=2, mu_max=2,
                 borels=borels, map_choice=map_choice,
             )
-        # the pair sweep does not use the Borel, so its domain does not apply
-        SweepConfig(
-            pair="diag", m=2, n=1, lambda_max=2, mu_max=2,
-            borels=borels, map_choice=map_choice,
-        )
+        # the pair sweep takes no Borel and no map at all
+        with pytest.raises(ValueError, match="diag sweep"):
+            SweepConfig(
+                pair="diag", m=2, n=1, lambda_max=2, mu_max=2,
+                borels=borels, map_choice=map_choice,
+            )
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"borels": "1,1"}, {"map_choice": "releven"}, {"borels": "0,1", "map_choice": "full"}],
+    )
+    def test_diag_sweep_rejects_borels_and_map(self, options):
+        # it sweeps every ordering with the diag maps, so either option would
+        # be echoed in the report for a sweep that did not use it
+        with pytest.raises(ValueError, match="diag sweep.*borels"):
+            SweepConfig(pair="diag", m=2, n=1, lambda_max=1, mu_max=1, **options)
+        SweepConfig(pair="diag", m=2, n=1, lambda_max=1, mu_max=1, borels="all",
+                    map_choice="full")
 
     def test_json_round_trip(self):
         cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=3, mu_max=2)
@@ -208,6 +222,33 @@ class TestPairSweep:
         assert expected
         assert report.failures == expected
         assert report.cases == len(orderings) ** 2 * len(lams) * len(mus)
+
+    def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
+        m, n = 2, 1
+        theta = Fraction(1)
+        lams = enumerate_hooks(m, n, 2)
+        mus = enumerate_hooks(m, n, 2)
+        for mu in mus:  # warm the polynomial cache: its build evaluates too
+            interpolation_polynomial(m, n, theta, mu)
+        points = {frobenius_coords(lam, m, n, theta) for lam in lams}
+        for seq in itertools.permutations(standard_sequence(m, n)):
+            for lam in lams:
+                w1, rho1 = diag_highest_weight(seq, lam, m, n, dual=True)
+                w2, rho2 = diag_highest_weight(seq, lam, m, n, dual=False)
+                points.add(diag_map_first(rho1).apply(w1))
+                points.add(diag_map_second(rho2).apply(w2))
+        calls = []
+        evaluate = SparsePolynomial.evaluate
+
+        def counted(poly, point):
+            calls.append(point)
+            return evaluate(poly, point)
+
+        monkeypatch.setattr(SparsePolynomial, "evaluate", counted)
+        assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
+        assert len(points) < 2 * 6 * len(lams)
+        assert len(calls) == len(mus) * len(points)
+        assert set(calls) == points
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
         calls = []
