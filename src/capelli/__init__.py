@@ -13,7 +13,7 @@ from .partitions import (
     is_hook,
     transpose,
 )
-from .sympoly import SparsePolynomial, lambda_basis
+from .sympoly import SparsePolynomial
 
 __all__ = [
     "Rational",
@@ -26,7 +26,6 @@ __all__ = [
     "frobenius_coords",
     "interpolation_polynomial",
     "is_hook",
-    "lambda_basis",
     "parse_rational",
     "transpose",
 ]

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import Rational, format_rational
+from .partitions import require_rank
 
 # A symbol is ("e", i) or ("d", k) with 1-based index: a functional on the
 # even (e) or odd (d) part of the diagonal Cartan.
@@ -29,23 +30,6 @@ class WeightVector:
         return cls(
             tuple(Fraction(v) for v in eps), tuple(Fraction(v) for v in delta)
         )
-
-    @classmethod
-    def zero(cls, num_eps: int, num_delta: int) -> "WeightVector":
-        return cls((Fraction(0),) * num_eps, (Fraction(0),) * num_delta)
-
-    @classmethod
-    def unit(cls, num_eps: int, num_delta: int, symbol: Symbol) -> "WeightVector":
-        kind, index = symbol
-        eps = [Fraction(0)] * num_eps
-        delta = [Fraction(0)] * num_delta
-        if kind == "e":
-            eps[index - 1] = Fraction(1)
-        elif kind == "d":
-            delta[index - 1] = Fraction(1)
-        else:
-            raise ValueError(f"bad symbol {symbol}")
-        return cls(tuple(eps), tuple(delta))
 
     def shape(self) -> tuple[int, int]:
         return (len(self.eps), len(self.delta))
@@ -76,17 +60,6 @@ class WeightVector:
         return WeightVector(
             tuple(c * a for a in self.eps), tuple(c * a for a in self.delta)
         )
-
-    def pairing(self, other: "WeightVector") -> Rational:
-        """Invariant form: +1 on each e-coordinate, -1 on each d-coordinate."""
-        self._check(other)
-        return sum(
-            (a * b for a, b in zip(self.eps, other.eps)), Fraction(0)
-        ) - sum((a * b for a, b in zip(self.delta, other.delta)), Fraction(0))
-
-    def coeff(self, symbol: Symbol) -> Rational:
-        kind, index = symbol
-        return self.eps[index - 1] if kind == "e" else self.delta[index - 1]
 
     def coords(self) -> tuple[Rational, ...]:
         """Flatten to a plain point: e-block then d-block."""
@@ -154,6 +127,7 @@ class BorelDescriptor:
     ell: tuple[int, ...]
 
     def __post_init__(self):
+        require_rank(self.m, self.n)
         ell = tuple(int(v) for v in self.ell)
         object.__setattr__(self, "ell", ell)
         if len(ell) != self.m:

@@ -92,10 +92,6 @@ class RationalMatrix:
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
 
@@ -107,9 +103,6 @@ class RationalMatrix:
             " ".join(format_rational(x) for x in row) for row in self.entries
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
@@ -157,40 +150,36 @@ def _rref(entries):
 
 
 def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
-    """Solve matrix * x = b exactly for each right-hand side b of a square,
-    invertible matrix, with one elimination for all of them.
+    """Solve matrix * x = b exactly for each right-hand side b, with one
+    elimination for all of them.
 
-    Raises ValueError if the matrix is not square or is singular.
-    """
-    n = matrix.rows
-    if matrix.cols != n:
-        raise ValueError(f"solve_linear needs a square matrix, got {n}x{matrix.cols}")
-    columns = [as_vector(b) for b in rhs_columns]
-    if any(len(b) != n for b in columns):
-        raise ValueError(f"right-hand side length differs from {n} rows")
-    work = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix.entries)]
-    if _rref(work)[:n] != list(range(n)):
-        raise ValueError("singular matrix in solve_linear")
-    return [tuple(row[n + k] for row in work) for k in range(len(columns))]
+    The matrix needs full row rank, so at least as many columns as rows.
+    Pivot columns are picked from left to right and every other coordinate
+    of x is 0; a square invertible matrix gives its unique solution.
 
-
-def nullspace_basis(matrix: RationalMatrix) -> list[Vector]:
-    """Deterministic basis of the kernel of matrix (free-column vectors).
+    Raises ValueError if the rows are dependent or a right-hand side has the
+    wrong length.
 
     Examples
     ========
 
-    >>> m = RationalMatrix([[1, 1, 0], [0, 0, 1]])
-    >>> nullspace_basis(m)
-    [(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1))]
+    >>> solve_linear(RationalMatrix([[1, 1, 0], [0, 0, 2]]), [(3, 4)])
+    [(Fraction(3, 1), Fraction(0, 1), Fraction(2, 1))]
     """
-    work = [list(row) for row in matrix.entries]
-    pivots = _rref(work)
-    basis = []
-    for free in (c for c in range(matrix.cols) if c not in pivots):
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for row, col in zip(work, pivots):
-            vec[col] = -row[free]
-        basis.append(tuple(vec))
-    return basis
+    rows, cols = matrix.rows, matrix.cols
+    columns = [as_vector(b) for b in rhs_columns]
+    if any(len(b) != rows for b in columns):
+        raise ValueError(f"right-hand side length differs from {rows} rows")
+    work = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix.entries)]
+    pivots = [c for c in _rref(work) if c < cols]
+    if len(pivots) < rows:
+        raise ValueError(
+            f"singular matrix in solve_linear: rank {len(pivots)} < {rows} rows"
+        )
+    solutions = []
+    for k in range(cols, cols + len(columns)):
+        x = [Fraction(0)] * cols
+        for row, c in zip(work, pivots):
+            x[c] = row[k]
+        solutions.append(tuple(x))
+    return solutions

@@ -48,10 +48,15 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def is_hook(lam: Partition, m: int, n: int) -> bool:
-    """True iff the diagram fits in the (m|n) fat hook: row m+1 has length <= n."""
+def require_rank(m: int, n: int):
+    """Raise ValueError unless both ranks are nonnegative."""
     if m < 0 or n < 0:
         raise ValueError(f"m and n must be nonnegative, got ({m}, {n})")
+
+
+def is_hook(lam: Partition, m: int, n: int) -> bool:
+    """True iff the diagram fits in the (m|n) fat hook: row m+1 has length <= n."""
+    require_rank(m, n)
     lam = validate_partition(lam)
     return part(lam, m + 1) <= n
 

@@ -1,15 +1,13 @@
-"""Sparse polynomials in two blocks of variables x_1..x_m, y_1..y_n, the
-shift-compatibility defect, and the filtered basis of block-symmetric
-polynomials whose defect vanishes."""
+"""Sparse polynomials in two blocks of variables x_1..x_m, y_1..y_n, and the
+deformed shifted power sums, whose products span the block-symmetric
+polynomials that are shift-compatible on every hyperplane x_i = -theta*y_j."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-from .exact_linalg import RationalMatrix, nullspace_basis
-from .partitions import enumerate_hooks, enumerate_partitions, require_theta
+from .partitions import require_theta
 
 
 class SparsePolynomial:
@@ -47,21 +45,8 @@ class SparsePolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_x: int, num_y: int) -> "SparsePolynomial":
-        return cls(num_x, num_y, {})
-
-    @classmethod
     def constant(cls, num_x: int, num_y: int, value) -> "SparsePolynomial":
         return cls(num_x, num_y, {(0,) * (num_x + num_y): Fraction(value)})
-
-    @classmethod
-    def variable(cls, num_x: int, num_y: int, index: int) -> "SparsePolynomial":
-        """The variable with 0-based index into the combined block list."""
-        width = num_x + num_y
-        if not 0 <= index < width:
-            raise ValueError(f"variable index {index} out of range")
-        exp = tuple(1 if k == index else 0 for k in range(width))
-        return cls(num_x, num_y, {exp: Fraction(1)})
 
     @classmethod
     def combination(cls, num_x: int, num_y: int, coefs, polys) -> "SparsePolynomial":
@@ -77,15 +62,6 @@ class SparsePolynomial:
     def _check_shape(self, other: "SparsePolynomial"):
         if (self.num_x, self.num_y) != (other.num_x, other.num_y):
             raise ValueError("mixing polynomials over different variable blocks")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
 
     def __eq__(self, other):
         return (
@@ -134,15 +110,7 @@ class SparsePolynomial:
                 terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
         return SparsePolynomial(self.num_x, self.num_y, terms)
 
-    def power(self, k: int) -> "SparsePolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SparsePolynomial.constant(self.num_x, self.num_y, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point of length num_x + num_y.
@@ -187,41 +155,6 @@ class SparsePolynomial:
             groups[sum(exp)].append((coef.numerator * (den // coef.denominator), slots))
         return den, top, groups
 
-    def shift_variable(self, index: int, amount) -> "SparsePolynomial":
-        """Substitute variable[index] -> variable[index] + amount."""
-        amount = Fraction(amount)
-        if not amount:
-            return self
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, coef in self.terms.items():
-            e = exp[index]
-            for k in range(e + 1):
-                new_exp = exp[:index] + (k,) + exp[index + 1 :]
-                add = coef * math.comb(e, k) * amount ** (e - k)
-                terms[new_exp] = terms.get(new_exp, Fraction(0)) + add
-        return SparsePolynomial(self.num_x, self.num_y, terms)
-
-    def collapse_variable(self, index: int, scalar, target: int) -> "SparsePolynomial":
-        """Substitute variable[index] -> scalar * variable[target]."""
-        scalar = Fraction(scalar)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, coef in self.terms.items():
-            e = exp[index]
-            new = list(exp)
-            new[index] = 0
-            new[target] += e
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + coef * scalar**e
-        return SparsePolynomial(self.num_x, self.num_y, terms)
-
-    def swap_variables(self, a: int, b: int) -> "SparsePolynomial":
-        terms = {}
-        for exp, coef in self.terms.items():
-            new = list(exp)
-            new[a], new[b] = new[b], new[a]
-            terms[tuple(new)] = coef
-        return SparsePolynomial(self.num_x, self.num_y, terms)
-
     def to_json_dict(self) -> dict:
         from .exact_linalg import format_rational
 
@@ -235,85 +168,31 @@ class SparsePolynomial:
         }
 
 
-def monomial_symmetric(num_x: int, num_y: int, alpha, beta) -> SparsePolynomial:
-    """Product of the monomial symmetric polynomial of shape alpha in the
-    x-block with the one of shape beta in the y-block."""
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    if len(alpha) > num_x or len(beta) > num_y:
-        raise ValueError("shape has more parts than variables")
-    x_exps = _distinct_permutations(alpha + (0,) * (num_x - len(alpha)))
-    y_exps = _distinct_permutations(beta + (0,) * (num_y - len(beta)))
+def deformed_power_sum(m: int, n: int, theta, r: int) -> SparsePolynomial:
+    """The deformed shifted power sum p_r = sum_i x_i^r + sum_j psi_r(y_j).
+
+    With D g(t) = g(t + 1/2) - g(t - 1/2), psi_r is the polynomial with
+    psi_r(0) = 0 and D psi_r(y) = D(x^r) at x = -theta*y, so p_r is
+    shift-compatible on every hyperplane x_i = -theta*y_j (Sergeev-Veselov,
+    Comm. Math. Phys. 245, 2004). Its r coefficients solve a triangular
+    system: D(y^k) has degree k - 1 and leading coefficient k."""
+    theta = require_theta(theta)
+    if r < 1:
+        raise ValueError(f"power sum index must be positive, got {r}")
+
+    def diff(k: int, j: int) -> Fraction:
+        """Coefficient of t^j in D(t^k): only odd k - j survive."""
+        return Fraction(math.comb(k, j), 2 ** (k - j - 1)) if (k - j) % 2 else 0
+
+    psi = [Fraction(0)] * (r + 1)
+    for j in range(r - 1, -1, -1):
+        rest = sum(psi[k] * diff(k, j) for k in range(j + 2, r + 1))
+        psi[j + 1] = (diff(r, j) * (-theta) ** j - rest) / (j + 1)
+    width = m + n
     terms = {}
-    for xe in x_exps:
-        for ye in y_exps:
-            terms[xe + ye] = Fraction(1)
-    return SparsePolynomial(num_x, num_y, terms)
-
-
-def _distinct_permutations(values):
-    return sorted(set(itertools.permutations(values)))
-
-
-def monoidal_defect(
-    poly: SparsePolynomial, theta, i: int = 1, j: int = 1
-) -> SparsePolynomial:
-    """Obstruction to shift-compatibility on the hyperplane x_i = -theta*y_j:
-    the difference f(.., x_i + 1/2, .., y_j - 1/2, ..) - f(.., x_i - 1/2, ..,
-    y_j + 1/2, ..) restricted to that hyperplane. Zero iff compatible there.
-
-    i and j are 1-based block indices.
-    """
-    theta = require_theta(theta)
-    m, n = poly.num_x, poly.num_y
-    if not (1 <= i <= m and 1 <= j <= n):
-        raise ValueError(f"pair ({i},{j}) out of range for ({m},{n})")
-    xi = i - 1
-    yj = m + j - 1
-    half = Fraction(1, 2)
-    plus = poly.shift_variable(xi, half).shift_variable(yj, -half)
-    minus = poly.shift_variable(xi, -half).shift_variable(yj, half)
-    return (plus - minus).collapse_variable(xi, -theta, yj)
-
-
-def _generator_shapes(m: int, n: int, max_degree: int):
-    alphas = list(enumerate_partitions(max_degree, m)) if m else [()]
-    betas = list(enumerate_partitions(max_degree, n)) if n else [()]
-    pairs = [
-        (a, b) for a in alphas for b in betas if sum(a) + sum(b) <= max_degree
-    ]
-    pairs.sort(key=lambda ab: (sum(ab[0]) + sum(ab[1]), ab[0], ab[1]))
-    return pairs
-
-
-def lambda_basis(m: int, n: int, theta, max_degree: int) -> tuple[SparsePolynomial, ...]:
-    """Deterministic basis, up to total degree max_degree, of the space of
-    block-symmetric polynomials that are shift-compatible on every hyperplane
-    x_i = -theta*y_j. Its size equals the number of (m|n)-hook partitions of
-    size <= max_degree."""
-    theta = require_theta(theta)
-    generators = [
-        monomial_symmetric(m, n, a, b) for a, b in _generator_shapes(m, n, max_degree)
-    ]
-    if m == 0 or n == 0:
-        basis = tuple(generators)
-    else:
-        defects = [monoidal_defect(g, theta) for g in generators]
-        exps = sorted({exp for d in defects for exp in d.terms})
-        if exps:
-            matrix = RationalMatrix(
-                [[d.terms.get(exp, Fraction(0)) for d in defects] for exp in exps]
-            )
-        else:
-            matrix = RationalMatrix.zero(1, len(defects))
-        basis = tuple(
-            SparsePolynomial.combination(m, n, vec, generators)
-            for vec in nullspace_basis(matrix)
-        )
-    expected = len(enumerate_hooks(m, n, max_degree))
-    if len(basis) != expected:
-        raise ValueError(
-            f"basis dimension {len(basis)} != hook count {expected} "
-            f"for (m,n,theta,degree)=({m},{n},{theta},{max_degree})"
-        )
-    return basis
+    for i in range(m):
+        terms[tuple(r if v == i else 0 for v in range(width))] = 1
+    for j in range(m, width):
+        for k in range(1, r + 1):
+            terms[tuple(k if v == j else 0 for v in range(width))] = psi[k]
+    return SparsePolynomial(m, n, terms)

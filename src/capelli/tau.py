@@ -80,7 +80,10 @@ def standard_offset(m: int, n: int) -> Vector:
 
 
 def standard_map(m: int, n: int) -> AffineMap:
-    return AffineMap(standard_matrix(m, n), standard_offset(m, n))
+    # The offset comes first: its opposite Borel rejects a negative rank
+    # before any matrix is built.
+    offset = standard_offset(m, n)
+    return AffineMap(standard_matrix(m, n), offset)
 
 
 # -- perturbation families ---------------------------------------------------------
@@ -104,55 +107,6 @@ def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
             entries[r][m + 2 * k - 2] += col[r]
             entries[r][m + 2 * k - 1] -= col[r]
     return RationalMatrix(entries)
-
-
-def pair_columns_of(matrix: RationalMatrix, m: int, n: int):
-    """Inverse of matrix_from_pair_columns; raises if the matrix is not in
-    the compatible family."""
-    base = standard_matrix(m, n)
-    if (matrix.rows, matrix.cols) != (m + n, m + 2 * n):
-        raise ValueError("matrix has wrong shape")
-    for j in range(m):
-        if matrix.column(j) != base.column(j):
-            raise ValueError("matrix changes an e-column")
-    columns = []
-    for k in range(1, n + 1):
-        hi = tuple(
-            a - b
-            for a, b in zip(matrix.column(m + 2 * k - 2), base.column(m + 2 * k - 2))
-        )
-        lo = tuple(
-            a - b
-            for a, b in zip(matrix.column(m + 2 * k - 1), base.column(m + 2 * k - 1))
-        )
-        if tuple(-v for v in lo) != hi:
-            raise ValueError("d-pair columns are not opposite perturbations")
-        columns.append(hi)
-    return columns
-
-
-def in_plain_family(matrix: RationalMatrix, m: int, n: int) -> bool:
-    try:
-        pair_columns_of(matrix, m, n)
-    except ValueError:
-        return False
-    return True
-
-
-def in_full_family(matrix: RationalMatrix, borel: BorelDescriptor) -> bool:
-    """Compatible and sending d_{2k-1}, for each odd pair k, to the pinned
-    value e_{m - j_{2k}}/2 - e_{m+k}."""
-    m, n = borel.m, borel.n
-    if not in_plain_family(matrix, m, n):
-        return False
-    for k in borel.odd_pair_set():
-        got = matrix.column(m + 2 * k - 2)
-        want = [Fraction(0)] * (m + n)
-        want[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
-        want[m + k - 1] += Fraction(-1)
-        if got != tuple(want):
-            return False
-    return True
 
 
 def kernel_member(borel: BorelDescriptor) -> RationalMatrix:
@@ -219,19 +173,13 @@ def forced_kernel_map(borel: BorelDescriptor) -> AffineMap:
     return _kernel_map(borel)
 
 
-def eigenvalue_map_full(
-    borel: BorelDescriptor, matrix: RationalMatrix | None = None
-) -> AffineMap:
-    """Map defined for every decreasing Borel: a full-family matrix with
-    offset (matrix applied to the Borel root sum) + standard offset; the
-    offset does not depend on the choice within the family."""
-    m, n = borel.m, borel.n
-    if matrix is None:
-        matrix = full_member(borel)
-    elif not in_full_family(matrix, borel):
-        raise ValueError("matrix is not in the full family of this Borel")
+def eigenvalue_map_full(borel: BorelDescriptor) -> AffineMap:
+    """Map defined for every decreasing Borel: the canonical full-family
+    matrix with offset (matrix applied to the Borel root sum) + standard
+    offset; the offset does not depend on the choice within the family."""
+    matrix = full_member(borel)
     offset = vec_add(
-        matrix.apply(borel.root_sum().coords()), standard_offset(m, n)
+        matrix.apply(borel.root_sum().coords()), standard_offset(borel.m, borel.n)
     )
     return AffineMap(matrix, offset)
 

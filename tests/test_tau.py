@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from capelli.borel import BorelDescriptor, WeightVector, standard_sequence, weyl_vector
-from capelli.exact_linalg import RationalMatrix
+from capelli.exact_linalg import RationalMatrix, vec_add
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
     MAP_FAMILIES,
@@ -17,18 +17,22 @@ from capelli.tau import (
     forced_kernel_map,
     full_member,
     in_family_domain,
-    in_full_family,
-    in_plain_family,
     kernel_member,
     matrix_from_pair_columns,
-    pair_columns_of,
     restrict_matrix,
     standard_map,
     standard_matrix,
     standard_offset,
 )
 from capelli.weights import highest_weight, hw_standard_doubled, is_generic
-from reference import in_kernel_family, x0_delta_entry, x0_eps_entry
+from reference import (
+    in_full_family,
+    in_kernel_family,
+    in_plain_family,
+    pair_columns_of,
+    x0_delta_entry,
+    x0_eps_entry,
+)
 
 HALF = Fraction(1, 2)
 
@@ -119,7 +123,7 @@ def test_full_member_gl22_is_papers_final_map():
 
 def test_full_family_offset_choice_independent():
     # (2|4): ell = (0,1) pins only pair 1; pair 2 stays free, and varying it
-    # must not move the offset
+    # must not move the offset, matrix * root sum + standard offset
     b = BorelDescriptor(2, 2, (0, 1))
     assert b.odd_pair_set() == (1,)
     base = full_member(b)
@@ -127,8 +131,11 @@ def test_full_family_offset_choice_independent():
     cols2 = [cols[0], (Fraction(1), Fraction(-2), 0, Fraction(1, 3))]
     other = matrix_from_pair_columns(2, 2, cols2)
     assert in_full_family(other, b)
-    assert eigenvalue_map_full(b, other).offset == eigenvalue_map_full(b).offset
     assert other != base
+    other_offset = vec_add(
+        other.apply(b.root_sum().coords()), standard_offset(2, 2)
+    )
+    assert other_offset == eigenvalue_map_full(b).offset
 
 
 def test_very_even_map():
@@ -149,7 +156,8 @@ def test_full_extends_very_even():
         for b in BorelDescriptor.enumerate(m, n):
             if not b.is_very_even():
                 continue
-            full = eigenvalue_map_full(b, standard_matrix(m, n))
+            # on a very even Borel the full-family member is the standard matrix
+            full = eigenvalue_map_full(b)
             even = eigenvalue_map_very_even(b)
             assert full.matrix == even.matrix
             assert full.offset == even.offset

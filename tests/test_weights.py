@@ -20,12 +20,14 @@ from capelli.weights import (
 from reference import (
     closed_form_highest_weight,
     closed_form_standard,
+    coeff,
     hw_standard_diag,
     nongeneric_index,
     odd_reflection_step,
     opposite_sequence,
     reflection_walk,
     truncated_root_sum,
+    unit_weight,
 )
 
 
@@ -140,12 +142,12 @@ def test_diagram_cut_follows_adjacent_swaps():
                     a, b = seq[p], seq[p + 1]
                     swapped = diagram_cut(_swap(seq, p), lam, m, n)
                     if a[0] != b[0]:
-                        alpha = WeightVector.unit(m, n, a) - WeightVector.unit(m, n, b)
+                        alpha = unit_weight(m, n, a) - unit_weight(m, n, b)
                         assert swapped == odd_reflection_step(w, alpha), (seq, p, lam)
                     else:
                         traded = {a: b, b: a}
-                        assert [swapped.coeff(s) for s in seq] == [
-                            w.coeff(traded.get(s, s)) for s in seq
+                        assert [coeff(swapped, s) for s in seq] == [
+                            coeff(w, traded.get(s, s)) for s in seq
                         ], (seq, p, lam)
                     swaps += 1
     assert swaps == 7798
