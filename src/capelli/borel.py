@@ -55,12 +55,6 @@ class WeightVector:
     def __neg__(self) -> "WeightVector":
         return WeightVector(tuple(-a for a in self.eps), tuple(-a for a in self.delta))
 
-    def scale(self, c) -> "WeightVector":
-        c = Fraction(c)
-        return WeightVector(
-            tuple(c * a for a in self.eps), tuple(c * a for a in self.delta)
-        )
-
     def coords(self) -> tuple[Rational, ...]:
         """Flatten to a plain point: e-block then d-block."""
         return self.eps + self.delta
@@ -143,6 +137,8 @@ class BorelDescriptor:
 
     def ell_of(self, i: int) -> int:
         """Right-count of e_i (1-based)."""
+        if not 1 <= i <= self.m:
+            raise ValueError(f"i={i} out of range")
         return self.ell[i - 1]
 
     def j_of(self, k: int) -> int:
@@ -226,9 +222,6 @@ class BorelDescriptor:
     def even_core(self) -> "BorelDescriptor":
         """Round every right-count down to an even number."""
         return BorelDescriptor(self.m, self.n, tuple(2 * (v // 2) for v in self.ell))
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "ell": list(self.ell)}
 
 
 def parse_symbol(token: str) -> Symbol:

@@ -21,7 +21,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .borel import BorelDescriptor, format_symbol, parse_symbol, validate_sequence
+from .borel import (
+    BorelDescriptor,
+    format_symbol,
+    parse_symbol,
+    validate_sequence,
+    weyl_vector,
+)
 from .equivalence import DEFAULT_BUDGET, orbit
 from .exact_linalg import format_rational, parse_rational
 from .isjp import eigenvalue, interpolation_polynomial
@@ -104,13 +110,13 @@ def _cmd_hw(args) -> int:
         seq = _parsed(
             "--seq", lambda text: _parse_sequence(text, args.m, args.n), args.seq
         )
-        w, rho = diag_highest_weight(seq, lam, args.m, args.n, dual=args.dual)
+        w = diag_highest_weight(seq, lam, args.m, args.n, dual=args.dual)
         payload = {
             "lambda": format_partition(lam),
             "seq": [format_symbol(symbol) for symbol in seq],
             "dual": args.dual,
             "hw": w.to_json_dict(),
-            "rho": rho.to_json_dict(),
+            "rho": weyl_vector(seq).to_json_dict(),
         }
         _emit(payload, args.out)
         return 0

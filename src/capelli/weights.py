@@ -10,7 +10,6 @@ from .borel import (
     WeightVector,
     standard_sequence,
     validate_sequence,
-    weyl_vector,
 )
 from .partitions import double_partition, part, require_hook, transpose
 
@@ -69,27 +68,23 @@ def highest_weight(lam, borel: BorelDescriptor) -> WeightVector:
 
 def is_generic(lam, borel: BorelDescriptor) -> bool:
     """True iff 2*lam_i >= ell_i for all i (equivalently for i = m alone, as
-    ell increases and rows decrease). Then the highest weight is the
-    standard one minus the Borel's root sum."""
+    ell increases and rows decrease; with no e-symbol, m = 0, every shape is
+    generic). Then the highest weight is the standard one minus the Borel's
+    root sum."""
     lam = require_hook(lam, borel.m, borel.n)
-    return 2 * part(lam, borel.m) >= borel.ell_of(borel.m)
+    return borel.m == 0 or 2 * part(lam, borel.m) >= borel.ell_of(borel.m)
 
 
 # -- arbitrary orderings for the equal-family pair ------------------------------
 
 
-def diag_highest_weight(
-    seq: Sequence, lam, m: int, n: int, dual: bool
-) -> tuple[WeightVector, WeightVector]:
-    """Highest weight and Weyl vector of an arbitrary ordering for the
-    (m|n)-hook module (dual=False) or its dual (dual=True).
+def diag_highest_weight(seq: Sequence, lam, m: int, n: int, dual: bool) -> WeightVector:
+    """Highest weight of an arbitrary ordering for the (m|n)-hook module
+    (dual=False) or its dual (dual=True).
 
     The dual's highest weight is minus the module's lowest weight, which is
     the module's highest weight for the reversed ordering.
     """
-    seq = validate_sequence(seq, m, n)
     if dual:
-        w = -diagram_cut(reversed(seq), lam, m, n)
-    else:
-        w = diagram_cut(seq, lam, m, n)
-    return w, weyl_vector(seq)
+        return -diagram_cut(reversed(seq), lam, m, n)
+    return diagram_cut(seq, lam, m, n)

@@ -80,17 +80,19 @@ class TestNodeIdentities:
         standard = standard_sequence(m, n)
         for lam in enumerate_hooks(m, n, 6):
             node = frobenius_coords(lam, m, n, Fraction(1))
-            w1, rho1 = diag_highest_weight(opposite, lam, m, n, dual=True)
+            w1 = diag_highest_weight(opposite, lam, m, n, dual=True)
             assert w1 == -hw_standard_diag(lam, m, n)
-            assert diag_map_first(rho1).apply(w1) == node
-            w2, rho2 = diag_highest_weight(standard, lam, m, n, dual=False)
+            assert diag_map_first(weyl_vector(opposite)).apply(w1) == node
+            w2 = diag_highest_weight(standard, lam, m, n, dual=False)
             assert w2 == hw_standard_diag(lam, m, n)
-            assert diag_map_second(rho2).apply(w2) == node
+            assert diag_map_second(weyl_vector(standard)).apply(w2) == node
 
     @pytest.mark.parametrize("m,n", RANKS)
     def test_half_parameter_standard_map_hits_node(self, m, n):
+        # The glm2n sweep checks generic weights against the node itself, so
+        # this identity is what ties that check to the standard map.
         std = standard_map(m, n)
-        for lam in enumerate_hooks(m, n, 6):
+        for lam in enumerate_hooks(m, n, 11):
             assert std.apply(hw_standard_doubled(lam, m, n)) == frobenius_coords(
                 lam, m, n, HALF
             )

@@ -36,7 +36,6 @@ def test_weight_vector_arithmetic():
     assert a + b == wv([1, 3], [4])
     assert a - b == wv([1, 1], [2])
     assert -a == wv([-1, -2], [-3])
-    assert a.scale(Fraction(1, 2)) == wv([Fraction(1, 2), 1], [Fraction(3, 2)])
     assert a.coords() == (1, 2, 3)
     with pytest.raises(ValueError):
         a + wv([1], [1])
@@ -130,6 +129,17 @@ def test_descriptor_validation():
     for m, n, ell in [(2, -1, (0, 0)), (-1, 1, ())]:
         with pytest.raises(ValueError, match="m and n must be nonnegative"):
             BorelDescriptor(m, n, ell)
+
+
+@pytest.mark.parametrize("m, n, ell", [(2, 1, (0, 1)), (0, 1, ())])
+def test_index_lookups_reject_indices_out_of_range(m, n, ell):
+    b = BorelDescriptor(m, n, ell)
+    for i in (0, m + 1):
+        with pytest.raises(ValueError, match=f"i={i} out of range"):
+            b.ell_of(i)
+    for k in (0, 2 * n + 1):
+        with pytest.raises(ValueError, match=f"k={k} out of range"):
+            b.j_of(k)
 
 
 def test_descriptor_sequence_round_trip():

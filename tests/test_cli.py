@@ -71,6 +71,13 @@ class TestHw:
         assert data["seq"] == ["d1", "e1"]
         assert "hw" in data and "rho" in data
 
+    def test_borel_mode_without_e_symbols(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "hw", "--m", "0", "--n", "1", "--borel", "", "--lambda", "1"
+        )
+        assert code == 0
+        assert '"generic": true' in out
+
     def test_table_mode_is_csv(self, capsys):
         code, out, _ = run_cli(capsys, "hw", "--table", "--max", "2")
         assert code == 0
@@ -338,6 +345,14 @@ class TestBadInput:
             (
                 ["hw", "--m", "2", "--n", "-1", "--borel", "0,0", "--lambda", "1"],
                 ["m and n must be nonnegative", "(2, -1)"],
+            ),
+            (
+                ["example", "--name", "gl22_table", "--max", "-1"],
+                ["table bound must be nonnegative", "-1"],
+            ),
+            (
+                ["hw", "--table", "--max", "-3"],
+                ["table bound must be nonnegative", "-3"],
             ),
         ],
     )

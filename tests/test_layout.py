@@ -1,7 +1,7 @@
 """The library holds the library: every module-level function and class in
 `src/capelli`, and every non-dunder method of its classes, has a caller
 there, or is public API. References that only the tests need live in
-`tests/reference.py`."""
+`tests/reference.py`. Nothing in the library is an `assert`."""
 
 import ast
 from collections import Counter
@@ -50,11 +50,20 @@ def test_every_definition_has_a_library_caller():
     assert uncalled == []
 
 
+def _attributes_used(node) -> Counter:
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    )
+
+
 def test_every_method_has_a_library_caller():
-    # A method counts as called when its name is used somewhere in the
-    # library outside its own definition, public classes included.
+    """A method counts as called when an attribute of its name is used
+    somewhere in the library outside its own definition, public classes
+    included; a local variable of the same name does not count. A method name
+    shared by two classes can still hide one of them: a call of either counts
+    for both."""
     trees = _trees()
-    total = sum((_names_used(tree) for tree in trees.values()), Counter())
+    total = sum((_attributes_used(tree) for tree in trees.values()), Counter())
     uncalled = []
     for stem, tree in trees.items():
         if stem in EXEMPT_MODULES:
@@ -67,6 +76,16 @@ def test_every_method_has_a_library_caller():
                     continue
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
-                if total[node.name] - _names_used(node)[node.name] <= 0:
+                if total[node.name] - _attributes_used(node)[node.name] <= 0:
                     uncalled.append(f"{stem}.{cls.name}.{node.name}")
     assert uncalled == []
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so the worked examples and every other
+    # internal check must raise real exceptions instead.
+    for stem, tree in _trees().items():
+        asserts = [
+            node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+        assert not asserts, f"{stem}.py: assert at lines {asserts}"

@@ -1,22 +1,30 @@
 """Tests for the sweep engine and the frozen worked examples."""
 
-import ast
 import itertools
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import capelli
 from capelli import verify
-from capelli.borel import format_symbol, standard_sequence, weyl_vector
+from capelli.borel import BorelDescriptor, format_symbol, standard_sequence, weyl_vector
 from capelli.exact_linalg import format_rational
 from capelli.isjp import interpolation_polynomial
 from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
 from capelli.sympoly import SparsePolynomial
-from capelli.tau import AffineMap, diag_map_first, diag_map_second
-from capelli.weights import diag_highest_weight
+from capelli.tau import (
+    AffineMap,
+    diag_map_first,
+    diag_map_second,
+    family_map,
+    standard_map,
+)
+from capelli.weights import (
+    diag_highest_weight,
+    highest_weight,
+    hw_standard_doubled,
+    is_generic,
+)
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
 
 
@@ -70,7 +78,7 @@ class TestSweepConfig:
 
     def test_json_round_trip(self):
         cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=3, mu_max=2)
-        data = cfg.to_json_dict()
+        data = SweepReport(cfg).to_json_dict()["config"]
         assert data["pair"] == "glm2n"
         assert data["borels"] == "all"
         assert data["map_choice"] == "full"
@@ -128,6 +136,85 @@ class TestOneSidedSweep:
         first = next(f for f in report.failures if f["kind"] == "eigenvalue")
         assert set(first) == {"kind", "ell", "lambda", "mu", "lhs", "rhs"}
         assert first["lhs"] != first["rhs"]
+
+    def test_failures_of_both_kinds_match_a_per_case_loop(self, monkeypatch):
+        # Shift the offset of the full map of ell = (1, 1) only, then
+        # recompute every case the direct way: the expected vector is the
+        # standard map of the standard weight, and each value is evaluated
+        # anew for each (Borel, lambda, mu).
+        def shifted(borel, family):
+            affine = family_map(borel, family)
+            if borel.ell != (1, 1):
+                return affine
+            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+
+        monkeypatch.setattr(verify, "family_map", shifted)
+        m, n, theta = 2, 1, Fraction(1, 2)
+        report = run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2))
+        lams = enumerate_hooks(m, n, 3)
+        mus = enumerate_hooks(m, n, 2)
+        expected = []
+        cases = 0
+        for borel in BorelDescriptor.enumerate(m, n):
+            for lam in lams:
+                point = shifted(borel, "full").apply(highest_weight(lam, borel))
+                if is_generic(lam, borel):
+                    cases += 1
+                    vector = standard_map(m, n).apply(hw_standard_doubled(lam, m, n))
+                    if point != vector:
+                        expected.append(
+                            {
+                                "kind": "generic_vector",
+                                "ell": list(borel.ell),
+                                "lambda": format_partition(lam),
+                                "lhs": [format_rational(v) for v in point],
+                                "rhs": [format_rational(v) for v in vector],
+                            }
+                        )
+                for mu in mus:
+                    cases += 1
+                    poly = interpolation_polynomial(m, n, theta, mu)
+                    lhs = poly.evaluate(point)
+                    rhs = poly.evaluate(frobenius_coords(lam, m, n, theta))
+                    if lhs != rhs:
+                        expected.append(
+                            {
+                                "kind": "eigenvalue",
+                                "ell": list(borel.ell),
+                                "lambda": format_partition(lam),
+                                "mu": format_partition(mu),
+                                "lhs": format_rational(lhs),
+                                "rhs": format_rational(rhs),
+                            }
+                        )
+        assert {f["kind"] for f in expected} == {"generic_vector", "eigenvalue"}
+        assert report.failures == expected
+        assert report.cases == cases
+
+    def test_each_distinct_borel_point_is_evaluated_once(self, monkeypatch):
+        # the one-sided sweep reads the same value table
+        m, n, theta = 2, 1, Fraction(1, 2)
+        lams = enumerate_hooks(m, n, 3)
+        mus = enumerate_hooks(m, n, 2)
+        for mu in mus:
+            interpolation_polynomial(m, n, theta, mu)
+        nodes = {frobenius_coords(lam, m, n, theta) for lam in lams}
+        points = set(nodes)
+        for borel in BorelDescriptor.enumerate(m, n):
+            for lam in lams:
+                points.add(family_map(borel, "full").apply(highest_weight(lam, borel)))
+        calls = []
+        evaluate = SparsePolynomial.evaluate
+
+        def counted(poly, point):
+            calls.append(point)
+            return evaluate(poly, point)
+
+        monkeypatch.setattr(SparsePolynomial, "evaluate", counted)
+        assert run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2)).ok
+        assert points - nodes
+        assert len(calls) == len(mus) * len(points)
+        assert set(calls) == points
 
     def test_forced_kernel_control_clean_on_even_levels(self):
         # On very even Borels the forced matrix is the true one, so the
@@ -201,10 +288,12 @@ class TestPairSweep:
                 for lam in lams:
                     for mu in mus:
                         poly = interpolation_polynomial(m, n, Fraction(1), mu)
-                        w1, rho1 = diag_highest_weight(seq1, lam, m, n, dual=True)
-                        w2, rho2 = diag_highest_weight(seq2, lam, m, n, dual=False)
-                        first = poly.evaluate(diag_map_first(rho1).apply(w1))
-                        second_value = poly.evaluate(second(rho2).apply(w2))
+                        w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
+                        w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
+                        first_map = diag_map_first(weyl_vector(seq1))
+                        second_map = second(weyl_vector(seq2))
+                        first = poly.evaluate(first_map.apply(w1))
+                        second_value = poly.evaluate(second_map.apply(w2))
                         node = poly.evaluate(frobenius_coords(lam, m, n, 1))
                         if first != node or second_value != node:
                             expected.append(
@@ -233,10 +322,11 @@ class TestPairSweep:
         points = {frobenius_coords(lam, m, n, theta) for lam in lams}
         for seq in itertools.permutations(standard_sequence(m, n)):
             for lam in lams:
-                w1, rho1 = diag_highest_weight(seq, lam, m, n, dual=True)
-                w2, rho2 = diag_highest_weight(seq, lam, m, n, dual=False)
-                points.add(diag_map_first(rho1).apply(w1))
-                points.add(diag_map_second(rho2).apply(w2))
+                rho = weyl_vector(seq)
+                w1 = diag_highest_weight(seq, lam, m, n, dual=True)
+                w2 = diag_highest_weight(seq, lam, m, n, dual=False)
+                points.add(diag_map_first(rho).apply(w1))
+                points.add(diag_map_second(rho).apply(w2))
         calls = []
         evaluate = SparsePolynomial.evaluate
 
@@ -340,14 +430,3 @@ class TestUniquenessExample:
     def test_unknown_example_rejected(self):
         with pytest.raises(ValueError):
             reproduce_example("nope")
-
-
-def test_package_has_no_assert_statements():
-    # `python -O` strips asserts, so the worked examples and every other
-    # internal check must raise real exceptions instead.
-    for path in Path(capelli.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        asserts = [
-            node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
-        ]
-        assert not asserts, f"{path.name}: assert at lines {asserts}"
