@@ -37,14 +37,9 @@ from .partitions import (
     parse_int_list,
     parse_partition,
 )
-from .tau import MAP_FAMILIES, family_map, standard_map
+from .tau import MAP_FAMILIES, family_map
 from .verify import PAIR_CHOICES, SweepConfig, reproduce_example, run_sweep
-from .weights import (
-    diag_highest_weight,
-    highest_weight,
-    hw_standard_doubled,
-    is_generic,
-)
+from .weights import diag_highest_weight, highest_weight, is_generic
 
 
 def _parsed(flag: str, parse, text: str):
@@ -121,10 +116,9 @@ def _cmd_hw(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.borel is None:
-        sys.stderr.write("hw: provide --borel, --seq, or --table\n")
-        return 2
+        raise ValueError("hw: provide --borel, --seq, or --table")
     borel = _borel(args)
-    hw_standard = hw_standard_doubled(lam, args.m, args.n)
+    hw_standard = highest_weight(lam, BorelDescriptor.opposite(args.m, args.n))
     hw_borel = highest_weight(lam, borel)
     payload = {
         "lambda": format_partition(lam),
@@ -157,18 +151,16 @@ def _closed_form_csv(max_entry: int) -> str:
 
 def _cmd_tau(args) -> int:
     if args.family == "std":
-        affine = standard_map(args.m, args.n)
+        # The standard map is the full map of the opposite Borel.
+        affine = family_map(BorelDescriptor.opposite(args.m, args.n), "full")
         payload = affine.to_json_dict()
-        payload["family"] = "std"
+    elif args.borel is None:
+        raise ValueError("tau: --borel is required unless --family std")
     else:
-        if args.borel is None:
-            sys.stderr.write("tau: --borel is required unless --family std\n")
-            return 2
         borel = _borel(args)
-        affine = family_map(borel, args.family)
-        payload = affine.to_json_dict()
-        payload["family"] = args.family
+        payload = family_map(borel, args.family).to_json_dict()
         payload["ell"] = list(borel.ell)
+    payload["family"] = args.family
     _emit(payload, args.out)
     return 0
 
@@ -179,8 +171,7 @@ def _cmd_eig(args) -> int:
     lam = _parsed("--lambda", parse_partition, args.lam)
     if args.borel is not None:
         if theta != Fraction(1, 2):
-            sys.stderr.write("eig: --borel requires theta 1/2\n")
-            return 2
+            raise ValueError("eig: --borel requires theta 1/2")
         borel = _borel(args)
         point = family_map(borel, args.map).apply(highest_weight(lam, borel))
         value = interpolation_polynomial(args.m, args.n, theta, mu).evaluate(point)

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import Vector, format_rational
-from .partitions import require_theta
+from .partitions import require_rank, require_theta
 
 DEFAULT_BUDGET = 10**4
 HALF = Fraction(1, 2)
 
 
 def _check_point(point, m: int, n: int) -> Vector:
+    require_rank(m, n)
     point = tuple(Fraction(v) for v in point)
     if len(point) != m + n:
         raise ValueError(f"point has length {len(point)}, expected {m + n}")

@@ -1,6 +1,9 @@
 """Affine maps carrying Borel highest weights to interpolation-polynomial
-arguments: the standard halve-and-pair map, its compatible perturbation
-families, canonical members, and the per-Borel offset constructions."""
+arguments: the standard halve-and-pair matrix and offset, its compatible
+perturbation families and their canonical members, and the two per-Borel
+constructions, full and kernel, behind the one map-family registry. The
+standard map is the full map of the opposite Borel. The (m|n)+(m|n) pair
+needs no matrix: its two factors send w to -(w + rho) and to w + rho."""
 
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class AffineMap:
         }
 
 
-# -- the standard map -------------------------------------------------------------
+# -- the standard matrix and offset -------------------------------------------------
 
 
 def restrict_matrix(m: int, n: int) -> RationalMatrix:
@@ -77,13 +80,6 @@ def standard_offset(m: int, n: int) -> Vector:
     (m + 2 + 2n - 4k)/2."""
     rho = weyl_vector(BorelDescriptor.opposite(m, n).sequence())
     return standard_matrix(m, n).apply(rho.coords())
-
-
-def standard_map(m: int, n: int) -> AffineMap:
-    # The offset comes first: its opposite Borel rejects a negative rank
-    # before any matrix is built.
-    offset = standard_offset(m, n)
-    return AffineMap(standard_matrix(m, n), offset)
 
 
 # -- perturbation families ---------------------------------------------------------
@@ -140,48 +136,34 @@ def full_member(borel: BorelDescriptor) -> RationalMatrix:
 
 
 # -- per-Borel maps -----------------------------------------------------------------
-
-
-def eigenvalue_map_very_even(borel: BorelDescriptor) -> AffineMap:
-    """Map for a very even Borel: the standard matrix with offset equal to
-    the standard matrix applied to the Borel's Weyl vector."""
-    if not borel.is_very_even():
-        raise ValueError(f"Borel ell={borel.ell} is not very even")
-    matrix = standard_matrix(borel.m, borel.n)
-    return AffineMap(matrix, matrix.apply(weyl_vector(borel.sequence()).coords()))
-
-
-def eigenvalue_map_rel_even(borel: BorelDescriptor) -> AffineMap:
-    """Map for a relatively even Borel: the canonical kernel-family matrix
-    with offset taken from the Borel's even core."""
-    if not borel.is_relatively_even():
-        raise ValueError(f"Borel ell={borel.ell} is not relatively even")
-    return _kernel_map(borel)
-
-
-def _kernel_map(borel: BorelDescriptor) -> AffineMap:
-    core = borel.even_core()
-    offset = standard_matrix(borel.m, borel.n).apply(
-        weyl_vector(core.sequence()).coords()
-    )
-    return AffineMap(kernel_member(borel), offset)
-
-
-def forced_kernel_map(borel: BorelDescriptor) -> AffineMap:
-    """The kernel-family construction applied without the relatively-even
-    hypothesis: a negative control that provably fails on some Borels."""
-    return _kernel_map(borel)
+#
+# Two constructions cover every family. The full map is defined on every
+# decreasing Borel; on a very even one its matrix is the standard matrix and
+# its offset the standard matrix applied to the Borel's Weyl vector, and on
+# the opposite Borel it is the standard map. The kernel map is the paper's
+# map for a relatively even Borel, and applied elsewhere it is the negative
+# control, which provably fails on some Borels.
 
 
 def eigenvalue_map_full(borel: BorelDescriptor) -> AffineMap:
-    """Map defined for every decreasing Borel: the canonical full-family
-    matrix with offset (matrix applied to the Borel root sum) + standard
-    offset; the offset does not depend on the choice within the family."""
+    """The canonical full-family matrix with offset (matrix applied to the
+    Borel root sum) + standard offset; the offset does not depend on the
+    choice within the family."""
     matrix = full_member(borel)
     offset = vec_add(
         matrix.apply(borel.root_sum().coords()), standard_offset(borel.m, borel.n)
     )
     return AffineMap(matrix, offset)
+
+
+def eigenvalue_map_kernel(borel: BorelDescriptor) -> AffineMap:
+    """The canonical kernel-family matrix with offset the standard matrix
+    applied to the Weyl vector of the Borel's even core."""
+    core = borel.even_core()
+    offset = standard_matrix(borel.m, borel.n).apply(
+        weyl_vector(core.sequence()).coords()
+    )
+    return AffineMap(kernel_member(borel), offset)
 
 
 # -- the map-family registry ---------------------------------------------------------
@@ -191,6 +173,8 @@ def eigenvalue_map_full(borel: BorelDescriptor) -> AffineMap:
 # it, say) also covers the calls made by family name.
 
 MAP_FAMILIES = ("full", "releven", "veryeven", "cb-forced")
+# The families defined on part of the decreasing Borels, and the name of that part.
+_PARTIAL_DOMAINS = {"releven": "relatively even", "veryeven": "very even"}
 
 
 def in_family_domain(borel: BorelDescriptor, family: str) -> bool:
@@ -206,32 +190,10 @@ def in_family_domain(borel: BorelDescriptor, family: str) -> bool:
 def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
     """The family's canonical map for the Borel; raises ValueError when the
     Borel is outside the family's domain."""
-    if family == "full":
+    if family not in MAP_FAMILIES:
+        raise ValueError(f"unknown map family {family!r}; use one of {MAP_FAMILIES}")
+    if not in_family_domain(borel, family):
+        raise ValueError(f"Borel ell={borel.ell} is not {_PARTIAL_DOMAINS[family]}")
+    if family in ("full", "veryeven"):
         return eigenvalue_map_full(borel)
-    if family == "releven":
-        return eigenvalue_map_rel_even(borel)
-    if family == "veryeven":
-        return eigenvalue_map_very_even(borel)
-    if family == "cb-forced":
-        return forced_kernel_map(borel)
-    raise ValueError(f"unknown map family {family!r}; use one of {MAP_FAMILIES}")
-
-
-# -- equal-family pair maps (theta = 1) -----------------------------------------------
-
-
-def diag_map_first(rho: WeightVector) -> AffineMap:
-    """First-factor map attached to a Borel with Weyl vector rho: negate and
-    subtract the Weyl vector."""
-    size = len(rho.coords())
-    return AffineMap(
-        RationalMatrix.identity(size).scale(-1),
-        tuple(-v for v in rho.coords()),
-    )
-
-
-def diag_map_second(rho: WeightVector) -> AffineMap:
-    """Second-factor map attached to a Borel with Weyl vector rho: add the
-    Weyl vector."""
-    size = len(rho.coords())
-    return AffineMap(RationalMatrix.identity(size), rho.coords())
+    return eigenvalue_map_kernel(borel)

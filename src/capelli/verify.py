@@ -1,14 +1,15 @@
 """Exhaustive desk-scale verification sweeps.
 
 Two sweeps are provided. The pair sweep ("diag") checks, for every ordered
-pair of Borel orderings of a doubled hook module, that the two affine
-eigenvalue maps send the two highest weights to points where every
-interpolation polynomial takes the same value as at the standard node. The
-one-sided sweep ("glm2n") checks, for every decreasing Borel of the
-half-parameter family, that the selected affine map sends every Borel
-highest weight to a point spectrally equal to the standard node, and that on
-generic weights it reaches the node as a vector. Both sweeps read their
-values from one table that evaluates each distinct point once.
+pair of Borel orderings of a doubled hook module, that the two Weyl-vector
+shifts, w -> -(w + rho) for the dual module and w -> w + rho for the module,
+send the two highest weights to points where every interpolation polynomial
+takes the same value as at the standard node. The one-sided sweep ("glm2n")
+checks, for every decreasing Borel of the half-parameter family, that the
+selected affine map sends every Borel highest weight to a point spectrally
+equal to the standard node, and that on generic weights it reaches the node
+as a vector. Both sweeps read their values from one table that evaluates
+each distinct point once.
 
 Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 """
@@ -29,20 +30,8 @@ from .partitions import (
     frobenius_coords,
     parse_int_list,
 )
-from .tau import (
-    MAP_FAMILIES,
-    AffineMap,
-    diag_map_first,
-    diag_map_second,
-    family_map,
-    in_family_domain,
-)
-from .weights import (
-    diag_highest_weight,
-    highest_weight,
-    hw_standard_doubled,
-    is_generic,
-)
+from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
+from .weights import diag_highest_weight, highest_weight, is_generic
 
 PAIR_CHOICES = ("diag", "glm2n")
 
@@ -197,20 +186,22 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     mus, lams, _, node_rows, row = _value_table(config, Fraction(1))
     sequences = list(all_sequences(m, n))
 
-    def side_rows(seq, dual: bool, factor_map) -> list:
-        """Per lambda, the values at the mapped highest weight of one side;
-        a row equal to the node row is stored as the node row itself."""
-        affine = factor_map(weyl_vector(seq))
+    def side_rows(seq, dual: bool) -> list:
+        """Per lambda, the values at the mapped highest weight of one side:
+        the first (dual) factor maps w to -(w + rho), the second to w + rho.
+        A row equal to the node row is stored as the node row itself."""
+        rho = weyl_vector(seq)
         rows = []
         for lam, node_row in zip(lams, node_rows):
-            values = row(affine.apply(diag_highest_weight(seq, lam, m, n, dual)))
+            shifted = diag_highest_weight(seq, lam, m, n, dual) + rho
+            values = row((-shifted if dual else shifted).coords())
             rows.append(node_row if values == node_row else values)
         return rows
 
     # Each value row depends on one ordering, never on the pair, so the pair
     # loop below only compares rows computed once per ordering.
-    first_rows = [side_rows(seq, True, diag_map_first) for seq in sequences]
-    second_rows = [side_rows(seq, False, diag_map_second) for seq in sequences]
+    first_rows = [side_rows(seq, True) for seq in sequences]
+    second_rows = [side_rows(seq, False) for seq in sequences]
     names = [",".join(map(format_symbol, seq)) for seq in sequences]
     for name1, rows1 in zip(names, first_rows):
         for name2, rows2 in zip(names, second_rows):
@@ -281,10 +272,11 @@ def _example_table(max_entry: int) -> dict:
         raise ValueError(f"table bound must be nonnegative, got {max_entry}")
     m, n = 2, 1
     borel = BorelDescriptor(m, n, (1, 1))
+    opposite = BorelDescriptor.opposite(m, n)
     rows = []
     all_match = True
     for lam in _table_shapes(max_entry):
-        hw0 = hw_standard_doubled(lam, m, n).coords()
+        hw0 = highest_weight(lam, opposite).coords()
         hw = highest_weight(lam, borel).coords()
         closed0, closedb = _closed_form_table_row(lam)
         matches = hw0 == tuple(map(Fraction, closed0)) and hw == tuple(

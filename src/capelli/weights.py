@@ -8,7 +8,6 @@ from .borel import (
     BorelDescriptor,
     Sequence,
     WeightVector,
-    standard_sequence,
     validate_sequence,
 )
 from .partitions import double_partition, part, require_hook, transpose
@@ -51,15 +50,10 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
 # doubled module's lowest weight: minus the cut of the reversed ordering.
 
 
-def hw_standard_doubled(lam, m: int, n: int) -> WeightVector:
-    """Highest weight for the all-d-first ordering: minus the doubled rows
-    and minus the duplicated clipped column depths."""
-    doubled = double_partition(lam, m, n)
-    return -diagram_cut(standard_sequence(m, 2 * n), doubled, m, 2 * n)
-
-
 def highest_weight(lam, borel: BorelDescriptor) -> WeightVector:
-    """Highest weight for a decreasing Borel of the (m|2n) family."""
+    """Highest weight for a decreasing Borel of the (m|2n) family. On the
+    opposite Borel it is the standard weight: minus the doubled rows and
+    minus the duplicated clipped column depths."""
     doubled = double_partition(lam, borel.m, borel.n)
     return -diagram_cut(
         reversed(borel.sequence()), doubled, borel.m, borel.num_delta

@@ -20,9 +20,9 @@ from capelli.superalg import (
     invariant_operator_matrix,
     symmetrization_pairing,
 )
-from capelli.tau import diag_map_first, diag_map_second, standard_map
+from capelli.tau import family_map
 from capelli.verify import SweepConfig, reproduce_example, run_sweep
-from capelli.weights import diag_highest_weight, highest_weight, hw_standard_doubled
+from capelli.weights import diag_highest_weight, highest_weight
 from reference import (
     closed_form_highest_weight,
     defect_nullspace_basis,
@@ -82,18 +82,20 @@ class TestNodeIdentities:
             node = frobenius_coords(lam, m, n, Fraction(1))
             w1 = diag_highest_weight(opposite, lam, m, n, dual=True)
             assert w1 == -hw_standard_diag(lam, m, n)
-            assert diag_map_first(weyl_vector(opposite)).apply(w1) == node
+            assert (-(w1 + weyl_vector(opposite))).coords() == node
             w2 = diag_highest_weight(standard, lam, m, n, dual=False)
             assert w2 == hw_standard_diag(lam, m, n)
-            assert diag_map_second(weyl_vector(standard)).apply(w2) == node
+            assert (w2 + weyl_vector(standard)).coords() == node
 
     @pytest.mark.parametrize("m,n", RANKS)
     def test_half_parameter_standard_map_hits_node(self, m, n):
         # The glm2n sweep checks generic weights against the node itself, so
         # this identity is what ties that check to the standard map.
-        std = standard_map(m, n)
+        # The standard map is the full map of the opposite Borel.
+        opposite = BorelDescriptor.opposite(m, n)
+        std = family_map(opposite, "full")
         for lam in enumerate_hooks(m, n, 11):
-            assert std.apply(hw_standard_doubled(lam, m, n)) == frobenius_coords(
+            assert std.apply(highest_weight(lam, opposite)) == frobenius_coords(
                 lam, m, n, HALF
             )
 
@@ -257,6 +259,7 @@ class TestClosedFormTable:
 
     def test_closed_forms_directly(self):
         borel = BorelDescriptor(2, 1, (1, 1))
+        opposite = BorelDescriptor.opposite(2, 1)
         assert highest_weight((), borel).coords() == (0, 0, 0, 0)
         for r in range(1, 6):
             assert highest_weight((r,), borel).coords() == (
@@ -265,7 +268,7 @@ class TestClosedFormTable:
             for s in range(1, r + 1):
                 for t in range(0, 6):
                     lam = (r, s) + (1,) * t
-                    assert hw_standard_doubled(lam, 2, 1).coords() == (
+                    assert highest_weight(lam, opposite).coords() == (
                         -2 * r, -2 * s, -t, -t,
                     )
                     assert highest_weight(lam, borel).coords() == (

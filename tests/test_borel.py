@@ -118,6 +118,19 @@ def test_weyl_vector_closed_form_matches_pairwise_half_sum():
     assert count == 1065
 
 
+def test_weyl_vector_of_the_reversed_ordering_is_its_negative():
+    # Reversing an ordering flips every ordered pair, so rho(reversed) =
+    # -rho. This ties the two diag factors together: the dual side's point
+    # -(w + rho(seq)) is -w + rho(reversed seq).
+    count = 0
+    for m in range(6):
+        for n in range(6 - m):
+            for seq in all_sequences(m, n):
+                assert weyl_vector(tuple(reversed(seq))) == -weyl_vector(seq)
+                count += 1
+    assert count == 873  # sum of (m + n)! over m + n <= 5
+
+
 def test_descriptor_validation():
     BorelDescriptor(2, 1, (1, 1))
     with pytest.raises(ValueError):

@@ -354,6 +354,23 @@ class TestBadInput:
                 ["hw", "--table", "--max", "-3"],
                 ["table bound must be nonnegative", "-3"],
             ),
+            (
+                ["orbit", "--m", "2", "--n", "-1", "--theta", "1", "--point", "0"],
+                ["m and n must be nonnegative", "(2, -1)"],
+            ),
+            (
+                ["orbit", "--m", "-1", "--n", "2", "--theta", "1", "--point", "0"],
+                ["m and n must be nonnegative", "(-1, 2)"],
+            ),
+            (["hw", "--lambda", "1"], ["hw: provide --borel, --seq, or --table"]),
+            (
+                ["tau", "--m", "2", "--n", "1"],
+                ["tau: --borel is required unless --family std"],
+            ),
+            (
+                ["eig", "--theta", "1", "--mu", "1", "--lambda", "1", "--borel", "1,1"],
+                ["eig: --borel requires theta 1/2"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

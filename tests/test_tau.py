@@ -1,30 +1,26 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from capelli.borel import BorelDescriptor, WeightVector, standard_sequence, weyl_vector
+from capelli.borel import BorelDescriptor, weyl_vector
 from capelli.exact_linalg import RationalMatrix, vec_add
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
     MAP_FAMILIES,
     AffineMap,
-    diag_map_first,
-    diag_map_second,
     eigenvalue_map_full,
-    eigenvalue_map_rel_even,
-    eigenvalue_map_very_even,
+    eigenvalue_map_kernel,
     family_map,
-    forced_kernel_map,
     full_member,
     in_family_domain,
     kernel_member,
     matrix_from_pair_columns,
     restrict_matrix,
-    standard_map,
     standard_matrix,
     standard_offset,
 )
-from capelli.weights import highest_weight, hw_standard_doubled, is_generic
+from capelli.weights import highest_weight, is_generic
 from reference import (
     in_full_family,
     in_kernel_family,
@@ -45,7 +41,7 @@ def test_restrict_matrix():
 
 
 def test_standard_map_gl22_anchor():
-    sm = standard_map(2, 1)
+    sm = family_map(BorelDescriptor.opposite(2, 1), "full")
     assert sm.matrix == RationalMatrix(
         [
             [-HALF, 0, 0, 0],
@@ -69,8 +65,9 @@ def test_standard_map_hits_frobenius_coords():
     # the standard map carries the standard highest weight to the shifted
     # coordinates of the shape at theta = 1/2
     for m, n in [(1, 1), (2, 1), (2, 2)]:
+        opposite = BorelDescriptor.opposite(m, n)
         for lam in enumerate_hooks(m, n, 4):
-            got = standard_map(m, n).apply(hw_standard_doubled(lam, m, n))
+            got = family_map(opposite, "full").apply(highest_weight(lam, opposite))
             assert got == frobenius_coords(lam, m, n, HALF), (m, n, lam)
 
 
@@ -138,41 +135,51 @@ def test_full_family_offset_choice_independent():
     assert other_offset == eigenvalue_map_full(b).offset
 
 
+def weyl_vector_map(b):
+    """The very even construction: the standard matrix with offset the
+    standard matrix applied to the Borel's Weyl vector."""
+    matrix = standard_matrix(b.m, b.n)
+    return AffineMap(matrix, matrix.apply(weyl_vector(b.sequence()).coords()))
+
+
 def test_very_even_map():
     b = BorelDescriptor(2, 1, (2, 2))
-    tau = eigenvalue_map_very_even(b)
+    tau = family_map(b, "veryeven")
     want = standard_matrix(2, 1).apply(weyl_vector(b.sequence()).coords())
     assert tau.offset == want
-    # at the all-d-first Borel this is exactly the standard map
+    # at the all-d-first Borel this is exactly the standard matrix and offset
     op = BorelDescriptor.opposite(2, 1)
-    assert eigenvalue_map_very_even(op).offset == standard_map(2, 1).offset
-    assert eigenvalue_map_very_even(op).matrix == standard_map(2, 1).matrix
-    with pytest.raises(ValueError):
-        eigenvalue_map_very_even(BorelDescriptor(2, 1, (1, 1)))
+    assert family_map(op, "veryeven").offset == standard_offset(2, 1)
+    assert family_map(op, "veryeven").matrix == standard_matrix(2, 1)
+    with pytest.raises(ValueError, match="not very even"):
+        family_map(BorelDescriptor(2, 1, (1, 1)), "veryeven")
 
 
 def test_full_extends_very_even():
-    for m, n in [(1, 1), (2, 1), (2, 2)]:
+    # On a very even Borel the full map is the standard matrix with the
+    # Weyl-vector offset, so the veryeven family needs no constructor of its own.
+    count = 0
+    for m, n in [(1, 1), (2, 1), (2, 2), (3, 2)]:
         for b in BorelDescriptor.enumerate(m, n):
             if not b.is_very_even():
                 continue
-            # on a very even Borel the full-family member is the standard matrix
-            full = eigenvalue_map_full(b)
-            even = eigenvalue_map_very_even(b)
-            assert full.matrix == even.matrix
-            assert full.offset == even.offset
+            assert eigenvalue_map_full(b) == weyl_vector_map(b), b.ell
+            assert family_map(b, "veryeven") == weyl_vector_map(b)
+            count += 1
+    assert count == 2 + 3 + 6 + 10
 
 
 def test_rel_even_map_domain():
-    with pytest.raises(ValueError):
-        eigenvalue_map_rel_even(BorelDescriptor(2, 1, (1, 1)))
+    with pytest.raises(ValueError, match="not relatively even"):
+        family_map(BorelDescriptor(2, 1, (1, 1)), "releven")
     b = BorelDescriptor(2, 1, (0, 1))
-    tau = eigenvalue_map_rel_even(b)
+    tau = family_map(b, "releven")
     core_rho = weyl_vector(b.even_core().sequence())
     assert tau.offset == standard_matrix(2, 1).apply(core_rho.coords())
     # forcing the construction on a non-relatively-even Borel still yields a map
-    forced = forced_kernel_map(BorelDescriptor(2, 1, (1, 1)))
+    forced = family_map(BorelDescriptor(2, 1, (1, 1)), "cb-forced")
     assert forced.matrix == kernel_member(BorelDescriptor(2, 1, (1, 1)))
+    assert forced == eigenvalue_map_kernel(BorelDescriptor(2, 1, (1, 1)))
 
 
 def test_root_sum_offset_identity():
@@ -183,9 +190,9 @@ def test_root_sum_offset_identity():
             r = b.root_sum().coords()
             taus = [eigenvalue_map_full(b)]
             if b.is_relatively_even():
-                taus.append(eigenvalue_map_rel_even(b))
+                taus.append(eigenvalue_map_kernel(b))
             if b.is_very_even():
-                taus.append(eigenvalue_map_very_even(b))
+                taus.append(weyl_vector_map(b))
             for tau in taus:
                 lhs = tau.matrix.apply(r)
                 rhs = tuple(a - c for a, c in zip(tau.offset, x0))
@@ -196,63 +203,77 @@ def test_generic_vector_identity():
     # for generic shapes the full map applied to the Borel highest weight
     # reproduces the standard map on the standard highest weight, as vectors
     for m, n in [(2, 1), (2, 2)]:
-        sm = standard_map(m, n)
+        opposite = BorelDescriptor.opposite(m, n)
+        sm = family_map(opposite, "full")
         for b in BorelDescriptor.enumerate(m, n):
             tau = eigenvalue_map_full(b)
             for lam in enumerate_hooks(m, n, 4):
                 if not is_generic(lam, b):
                     continue
                 assert tau.apply(highest_weight(lam, b)) == sm.apply(
-                    hw_standard_doubled(lam, m, n)
+                    highest_weight(lam, opposite)
                 )
 
 
 def test_affine_map_validation_and_json():
     with pytest.raises(ValueError):
         AffineMap(RationalMatrix.identity(2), (1,))
-    tau = standard_map(2, 1)
+    tau = family_map(BorelDescriptor.opposite(2, 1), "full")
     blob = tau.to_json_dict()
     assert blob["matrix"][0] == ["-1/2", "0", "0", "0"]
     assert blob["offset"] == ["-1/4", "-3/4", "1"]
 
 
-def test_diag_maps():
-    rho = WeightVector.make([1], [2])
-    first = diag_map_first(rho)
-    second = diag_map_second(rho)
-    w = WeightVector.make([5], [7])
-    assert first.apply(w) == (-6, -9)
-    assert second.apply(w) == (6, 9)
-    std = diag_map_second(weyl_vector(standard_sequence(1, 1)))
-    assert std.apply(w) == (5 - HALF, 7 + HALF)
-
-
+# Each family is served by one of the two constructions.
 CONSTRUCTORS = {
     "full": eigenvalue_map_full,
-    "releven": eigenvalue_map_rel_even,
-    "veryeven": eigenvalue_map_very_even,
-    "cb-forced": forced_kernel_map,
+    "releven": eigenvalue_map_kernel,
+    "veryeven": eigenvalue_map_full,
+    "cb-forced": eigenvalue_map_kernel,
+}
+
+
+def pair_gaps(b):
+    """Per d-pair k, the number of e-symbols between d_{2k} and d_{2k-1} in
+    the Borel's ordering."""
+    seen, before = 0, {}
+    for kind, index in b.sequence():
+        if kind == "e":
+            seen += 1
+        else:
+            before[index] = seen
+    return [before[2 * k - 1] - before[2 * k] for k in range(1, b.n + 1)]
+
+
+# The paper's domains, read off the levels and the ordering rather than the
+# descriptor's own predicates.
+DOMAINS = {
+    "full": lambda b: True,
+    "releven": lambda b: all(gap <= 1 for gap in pair_gaps(b)),
+    "veryeven": lambda b: all(v % 2 == 0 for v in b.ell),
+    "cb-forced": lambda b: True,
 }
 
 
 def test_registry_names_every_family_constructor():
-    assert sorted(MAP_FAMILIES) == sorted(CONSTRUCTORS)
+    assert sorted(MAP_FAMILIES) == sorted(CONSTRUCTORS) == sorted(DOMAINS)
 
 
 @pytest.mark.parametrize("family", MAP_FAMILIES)
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 2)])
 def test_family_domain_is_where_the_constructor_succeeds(family, m, n):
+    # family_map raises exactly off the one domain rule, and on it returns
+    # the family's construction
+    inside = 0
     for b in BorelDescriptor.enumerate(m, n):
-        try:
-            expected = CONSTRUCTORS[family](b)
-        except ValueError:
-            expected = None
-        assert in_family_domain(b, family) == (expected is not None)
-        if expected is None:
-            with pytest.raises(ValueError):
-                family_map(b, family)
+        assert in_family_domain(b, family) == DOMAINS[family](b), b.ell
+        if in_family_domain(b, family):
+            assert family_map(b, family) == CONSTRUCTORS[family](b)
+            inside += 1
         else:
-            assert family_map(b, family) == expected
+            with pytest.raises(ValueError, match=re.escape(str(b.ell))):
+                family_map(b, family)
+    assert 0 < inside
 
 
 def test_unknown_family_has_empty_domain():

@@ -7,25 +7,26 @@ from fractions import Fraction
 import pytest
 
 from capelli import verify
-from capelli.borel import BorelDescriptor, format_symbol, standard_sequence, weyl_vector
+from capelli.borel import (
+    BorelDescriptor,
+    WeightVector,
+    format_symbol,
+    standard_sequence,
+    weyl_vector,
+)
 from capelli.exact_linalg import format_rational
 from capelli.isjp import interpolation_polynomial
 from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
 from capelli.sympoly import SparsePolynomial
-from capelli.tau import (
-    AffineMap,
-    diag_map_first,
-    diag_map_second,
-    family_map,
-    standard_map,
-)
-from capelli.weights import (
-    diag_highest_weight,
-    highest_weight,
-    hw_standard_doubled,
-    is_generic,
-)
+from capelli.tau import AffineMap, family_map
+from capelli.weights import diag_highest_weight, highest_weight, is_generic
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
+
+
+def offset_weight(w: WeightVector, step: int) -> WeightVector:
+    """w with step added to every coordinate."""
+    m, n = w.shape()
+    return w + WeightVector.make([step] * m, [step] * n)
 
 
 class TestSweepConfig:
@@ -153,6 +154,7 @@ class TestOneSidedSweep:
         report = run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2))
         lams = enumerate_hooks(m, n, 3)
         mus = enumerate_hooks(m, n, 2)
+        opposite = BorelDescriptor.opposite(m, n)
         expected = []
         cases = 0
         for borel in BorelDescriptor.enumerate(m, n):
@@ -160,7 +162,8 @@ class TestOneSidedSweep:
                 point = shifted(borel, "full").apply(highest_weight(lam, borel))
                 if is_generic(lam, borel):
                     cases += 1
-                    vector = standard_map(m, n).apply(hw_standard_doubled(lam, m, n))
+                    standard = highest_weight(lam, opposite)
+                    vector = family_map(opposite, "full").apply(standard)
                     if point != vector:
                         expected.append(
                             {
@@ -246,17 +249,16 @@ class TestPairSweep:
         assert report.cases == 36 * 4 * 4
 
     def test_failure_records_name_the_orderings(self, monkeypatch):
-        # Break the first-factor map of the ordering d1,e1 only: every failure
-        # must name that ordering as seq1, in the form `capelli hw --seq` takes.
-        broken = weyl_vector((("d", 1), ("e", 1)))
+        # Break the first-factor weight of the ordering d1,e1 only: every
+        # failure must name that ordering as seq1, in the form `capelli hw
+        # --seq` takes.
+        broken = (("d", 1), ("e", 1))
 
-        def first(rho):
-            affine = diag_map_first(rho)
-            if rho != broken:
-                return affine
-            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+        def first(seq, lam, m, n, dual):
+            w = diag_highest_weight(seq, lam, m, n, dual)
+            return offset_weight(w, -1) if dual and seq == broken else w
 
-        monkeypatch.setattr(verify, "diag_map_first", first)
+        monkeypatch.setattr(verify, "diag_highest_weight", first)
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=2, mu_max=1)
         failures = run_sweep(cfg).failures
         assert failures
@@ -265,18 +267,16 @@ class TestPairSweep:
 
 
     def test_forced_failures_match_a_per_case_loop(self, monkeypatch):
-        # Break the second-factor map of the ordering e2,d1,e1 only, then
-        # recompute every case the direct way: walk, map and evaluate anew for
-        # each (seq1, seq2, lambda, mu).
-        broken = weyl_vector((("e", 2), ("d", 1), ("e", 1)))
+        # Break the second-factor weight of the ordering e2,d1,e1 only, then
+        # recompute every case the direct way: cut, shift and evaluate anew
+        # for each (seq1, seq2, lambda, mu).
+        broken = (("e", 2), ("d", 1), ("e", 1))
 
-        def second(rho):
-            affine = diag_map_second(rho)
-            if rho != broken:
-                return affine
-            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+        def second(seq, lam, m, n, dual):
+            w = diag_highest_weight(seq, lam, m, n, dual)
+            return offset_weight(w, 1) if not dual and seq == broken else w
 
-        monkeypatch.setattr(verify, "diag_map_second", second)
+        monkeypatch.setattr(verify, "diag_highest_weight", second)
         m, n = 2, 1
         report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
         lams = enumerate_hooks(m, n, 2)
@@ -289,11 +289,11 @@ class TestPairSweep:
                     for mu in mus:
                         poly = interpolation_polynomial(m, n, Fraction(1), mu)
                         w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
-                        w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
-                        first_map = diag_map_first(weyl_vector(seq1))
-                        second_map = second(weyl_vector(seq2))
-                        first = poly.evaluate(first_map.apply(w1))
-                        second_value = poly.evaluate(second_map.apply(w2))
+                        w2 = second(seq2, lam, m, n, dual=False)
+                        first_point = -(w1 + weyl_vector(seq1))
+                        second_point = w2 + weyl_vector(seq2)
+                        first = poly.evaluate(first_point.coords())
+                        second_value = poly.evaluate(second_point.coords())
                         node = poly.evaluate(frobenius_coords(lam, m, n, 1))
                         if first != node or second_value != node:
                             expected.append(
@@ -325,8 +325,8 @@ class TestPairSweep:
                 rho = weyl_vector(seq)
                 w1 = diag_highest_weight(seq, lam, m, n, dual=True)
                 w2 = diag_highest_weight(seq, lam, m, n, dual=False)
-                points.add(diag_map_first(rho).apply(w1))
-                points.add(diag_map_second(rho).apply(w2))
+                points.add((-(w1 + rho)).coords())
+                points.add((w2 + rho).coords())
         calls = []
         evaluate = SparsePolynomial.evaluate
 

@@ -14,7 +14,6 @@ from capelli.weights import (
     diag_highest_weight,
     diagram_cut,
     highest_weight,
-    hw_standard_doubled,
     is_generic,
 )
 from reference import (
@@ -45,14 +44,16 @@ def test_hw_standard_diag():
 
 
 def test_hw_standard_doubled_table_forms():
+    # the standard weight is the highest weight of the opposite Borel
+    opposite = BorelDescriptor.opposite(2, 1)
     # hook shapes (r, s, 1^t) at (m,n) = (2,1): -(2r, 2s | t, t)
     for r, s, t in [(1, 1, 0), (3, 2, 2), (5, 5, 5), (2, 1, 4)]:
         lam = (r, s) + (1,) * t
-        assert hw_standard_doubled(lam, 2, 1) == wv([-2 * r, -2 * s], [-t, -t])
+        assert highest_weight(lam, opposite) == wv([-2 * r, -2 * s], [-t, -t])
     # single row (r): -(2r, 0 | 0, 0)
     for r in range(1, 6):
-        assert hw_standard_doubled((r,), 2, 1) == wv([-2 * r, 0], [0, 0])
-    assert hw_standard_doubled((), 2, 1) == wv([0, 0], [0, 0])
+        assert highest_weight((r,), opposite) == wv([-2 * r, 0], [0, 0])
+    assert highest_weight((), opposite) == wv([0, 0], [0, 0])
 
 
 def test_odd_reflection_step():
@@ -111,7 +112,7 @@ def test_every_shape_is_generic_without_e_symbols():
         for b in BorelDescriptor.enumerate(0, n):
             for lam in enumerate_hooks(0, n, 4):
                 assert is_generic(lam, b)
-                standard = hw_standard_doubled(lam, 0, n)
+                standard = highest_weight(lam, BorelDescriptor.opposite(0, n))
                 assert highest_weight(lam, b) == standard - b.root_sum()
 
 
@@ -171,8 +172,9 @@ def test_diagram_cut_matches_decreasing_borel_closed_form():
     for m in range(1, 4):
         for n in range(4):
             hooks = enumerate_hooks(m, n, 6)
+            opposite = BorelDescriptor.opposite(m, n)
             for lam in hooks:
-                assert hw_standard_doubled(lam, m, n) == closed_form_standard(
+                assert highest_weight(lam, opposite) == closed_form_standard(
                     lam, m, n
                 ), lam
             for b in BorelDescriptor.enumerate(m, n):
