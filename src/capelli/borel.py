@@ -219,10 +219,6 @@ class BorelDescriptor:
             self.j_of(2 * k - 1) - self.j_of(2 * k) <= 1 for k in range(1, self.n + 1)
         )
 
-    def even_core(self) -> "BorelDescriptor":
-        """Round every right-count down to an even number."""
-        return BorelDescriptor(self.m, self.n, tuple(2 * (v // 2) for v in self.ell))
-
 
 def parse_symbol(token: str) -> Symbol:
     """Parse "e2" or "d1" into a symbol."""

@@ -97,7 +97,21 @@ def _cmd_isjp(args) -> int:
 
 
 def _cmd_hw(args) -> int:
+    # Each mode reads its own flags; a flag the chosen mode would ignore is an error.
+    given = {
+        "--borel": args.borel is not None,
+        "--seq": args.seq is not None,
+        "--table": args.table,
+    }
+    modes = [flag for flag, on in given.items() if on]
+    if len(modes) > 1:
+        raise ValueError(f"hw: {' and '.join(modes)} select different modes; give one")
+    if args.dual and args.seq is None:
+        raise ValueError("hw: --dual applies only with --seq")
     if args.table:
+        if args.lam or args.out:
+            unread = "--lambda" if args.lam else "--out"
+            raise ValueError(f"hw: --table does not read {unread}")
         sys.stdout.write(_closed_form_csv(args.max))
         return 0
     lam = _parsed("--lambda", parse_partition, args.lam)
@@ -226,6 +240,12 @@ def _cmd_example(args) -> int:
     return 0
 
 
+def _usage_error(message: str):
+    """Stands in for each parser's `error`, so that a usage error reaches
+    `main`'s one-line writer instead of printing the usage block."""
+    raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capelli",
@@ -316,12 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_example)
 
+    for each in (parser, *sub.choices.values()):
+        each.error = _usage_error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError) as error:
         sys.stderr.write(f"error: {error}\n")

@@ -109,10 +109,6 @@ class RationalMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries])
-
     def apply(self, vec) -> Vector:
         """Matrix-vector product."""
         vec = as_vector(vec)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Rational, Vector
+from .exact_linalg import Rational, Vector, format_rational
 
 Partition = tuple[int, ...]
 
@@ -129,7 +129,7 @@ def require_theta(theta) -> Fraction:
     """theta as a Fraction; raises ValueError outside the domain theta > 0."""
     theta = Fraction(theta)
     if theta <= 0:
-        raise ValueError("theta outside allowed domain")
+        raise ValueError(f"theta must be positive, got {format_rational(theta)}")
     return theta
 
 

@@ -1,9 +1,11 @@
 """Affine maps carrying Borel highest weights to interpolation-polynomial
 arguments: the standard halve-and-pair matrix and offset, its compatible
-perturbation families and their canonical members, and the two per-Borel
-constructions, full and kernel, behind the one map-family registry. The
-standard map is the full map of the opposite Borel. The (m|n)+(m|n) pair
-needs no matrix: its two factors send w to -(w + rho) and to w + rho."""
+perturbation families and their canonical members, and the map-family
+registry. Two matrices, one offset rule: each family's map is its canonical
+full or kernel matrix with offset matrix * (Borel root sum) + standard
+offset. The standard map is the full map of the opposite Borel. The
+(m|n)+(m|n) pair needs no matrix: its two factors send w to -(w + rho) and
+to w + rho."""
 
 from __future__ import annotations
 
@@ -52,26 +54,21 @@ class AffineMap:
 # -- the standard matrix and offset -------------------------------------------------
 
 
-def restrict_matrix(m: int, n: int) -> RationalMatrix:
-    """Halve-and-pair projection from (m|2n) weight coordinates to m+n
-    interpolation variables: a_i -> a_i/2 and (b_{2k-1}, b_{2k}) -> their
-    half-sum."""
+def standard_matrix(m: int, n: int) -> RationalMatrix:
+    """Negated halve-and-pair projection from (m|2n) weight coordinates to
+    m+n interpolation variables, the linear part of the standard map:
+    a_i -> -a_i/2 and (b_{2k-1}, b_{2k}) -> minus their half-sum."""
     rows = []
     for i in range(m):
         row = [Fraction(0)] * (m + 2 * n)
-        row[i] = Fraction(1, 2)
+        row[i] = Fraction(-1, 2)
         rows.append(row)
     for k in range(n):
         row = [Fraction(0)] * (m + 2 * n)
-        row[m + 2 * k] = Fraction(1, 2)
-        row[m + 2 * k + 1] = Fraction(1, 2)
+        row[m + 2 * k] = Fraction(-1, 2)
+        row[m + 2 * k + 1] = Fraction(-1, 2)
         rows.append(row)
     return RationalMatrix(rows)
-
-
-def standard_matrix(m: int, n: int) -> RationalMatrix:
-    """Negated halve-and-pair projection: the linear part of the standard map."""
-    return restrict_matrix(m, n).scale(-1)
 
 
 def standard_offset(m: int, n: int) -> Vector:
@@ -137,33 +134,24 @@ def full_member(borel: BorelDescriptor) -> RationalMatrix:
 
 # -- per-Borel maps -----------------------------------------------------------------
 #
-# Two constructions cover every family. The full map is defined on every
-# decreasing Borel; on a very even one its matrix is the standard matrix and
-# its offset the standard matrix applied to the Borel's Weyl vector, and on
-# the opposite Borel it is the standard map. The kernel map is the paper's
-# map for a relatively even Borel, and applied elsewhere it is the negative
-# control, which provably fails on some Borels.
+# Two matrices, one offset rule: every map is a family matrix M with offset
+# M * (Borel root sum) + standard offset, which within the full family does
+# not depend on the member. The full matrix serves every decreasing Borel;
+# on a very even one it is the standard matrix and the offset the standard
+# matrix applied to the Borel's Weyl vector, and on the opposite Borel the
+# map is the standard map. The kernel matrix gives the paper's map for a
+# relatively even Borel, with offset the standard matrix applied to the Weyl
+# vector of the even core; applied elsewhere it is the negative control,
+# which provably fails on some Borels.
 
 
-def eigenvalue_map_full(borel: BorelDescriptor) -> AffineMap:
-    """The canonical full-family matrix with offset (matrix applied to the
-    Borel root sum) + standard offset; the offset does not depend on the
-    choice within the family."""
-    matrix = full_member(borel)
+def eigenvalue_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
+    """The map with the given matrix and offset matrix * (Borel root sum) +
+    standard offset."""
     offset = vec_add(
         matrix.apply(borel.root_sum().coords()), standard_offset(borel.m, borel.n)
     )
     return AffineMap(matrix, offset)
-
-
-def eigenvalue_map_kernel(borel: BorelDescriptor) -> AffineMap:
-    """The canonical kernel-family matrix with offset the standard matrix
-    applied to the Weyl vector of the Borel's even core."""
-    core = borel.even_core()
-    offset = standard_matrix(borel.m, borel.n).apply(
-        weyl_vector(core.sequence()).coords()
-    )
-    return AffineMap(kernel_member(borel), offset)
 
 
 # -- the map-family registry ---------------------------------------------------------
@@ -195,5 +183,5 @@ def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
     if not in_family_domain(borel, family):
         raise ValueError(f"Borel ell={borel.ell} is not {_PARTIAL_DOMAINS[family]}")
     if family in ("full", "veryeven"):
-        return eigenvalue_map_full(borel)
-    return eigenvalue_map_kernel(borel)
+        return eigenvalue_map(borel, full_member(borel))
+    return eigenvalue_map(borel, kernel_member(borel))

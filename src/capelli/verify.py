@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
-from .exact_linalg import format_rational, vec_add
+from .exact_linalg import format_rational
 from .isjp import interpolation_polynomial
 from .partitions import (
     enumerate_hooks,
@@ -309,7 +309,7 @@ def _example_uniqueness() -> dict:
     one-row shapes forces two offset candidates, the closure criterion
     eliminates one, and the survivor is the canonical full-family map."""
     from .equivalence import OrbitResult, closure_member, orbit
-    from .tau import matrix_from_pair_columns, standard_offset
+    from .tau import eigenvalue_map, matrix_from_pair_columns, standard_offset
 
     m, n = 2, 1
     theta = Fraction(1, 2)
@@ -318,8 +318,7 @@ def _example_uniqueness() -> dict:
     x0 = standard_offset(m, n)
 
     def candidate(a: Fraction, b: Fraction, c: Fraction) -> AffineMap:
-        matrix = matrix_from_pair_columns(m, n, [(a, b, c)])
-        return AffineMap(matrix, vec_add(matrix.apply(r_b.coords()), x0))
+        return eigenvalue_map(borel, matrix_from_pair_columns(m, n, [(a, b, c)]))
 
     # Orbit matching: for a one-row shape the mapped highest weight must land
     # in the shape's equivalence orbit. For each orbit point the three image

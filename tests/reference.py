@@ -102,6 +102,12 @@ def generic_roots(borel: BorelDescriptor) -> list[WeightVector]:
     ]
 
 
+def even_core(borel: BorelDescriptor) -> BorelDescriptor:
+    """The paper's even core: every right-count rounded down to an even
+    number."""
+    return BorelDescriptor(borel.m, borel.n, tuple(2 * (v // 2) for v in borel.ell))
+
+
 def core_reflection_roots(borel: BorelDescriptor) -> list[WeightVector]:
     """Roots d_{2k-1} - e_i over pairs with ell_i = 2k-1, ordered by k then
     i descending: the reflections leading from the even core to the Borel."""

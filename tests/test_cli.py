@@ -371,6 +371,35 @@ class TestBadInput:
                 ["eig", "--theta", "1", "--mu", "1", "--lambda", "1", "--borel", "1,1"],
                 ["eig: --borel requires theta 1/2"],
             ),
+            # argparse's own usage errors
+            (["verify", "--pair", "foo"], ["--pair", "'foo'"]),
+            (["isjp", "--lambda", "1"], ["required", "--theta"]),
+            (["isjp", "--m", "x", "--theta", "1", "--lambda", "1"], ["--m", "'x'"]),
+            (["tau", "--family", "nope"], ["--family", "'nope'"]),
+            ([], ["required", "command"]),
+            (["bogus"], ["command", "'bogus'"]),
+            (
+                ["isjp", "--theta", "0", "--lambda", "1"],
+                ["theta must be positive, got 0"],
+            ),
+            (
+                ["isjp", "--theta", "-1", "--lambda", "1"],
+                ["theta must be positive, got -1"],
+            ),
+            # hw flags that the chosen mode would not read
+            (
+                ["hw", "--borel", "1,1", "--seq", "e1,e2,d1", "--lambda", "1"],
+                ["--borel and --seq"],
+            ),
+            (["hw", "--table", "--borel", "1,1"], ["--borel and --table"]),
+            (["hw", "--table", "--seq", "e2,e1,d1"], ["--seq and --table"]),
+            (
+                ["hw", "--borel", "1,1", "--dual", "--lambda", "1"],
+                ["--dual applies only with --seq"],
+            ),
+            (["hw", "--table", "--dual"], ["--dual applies only with --seq"]),
+            (["hw", "--table", "--lambda", "1"], ["--table does not read --lambda"]),
+            (["hw", "--table", "--out", "t.csv"], ["--table does not read --out"]),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

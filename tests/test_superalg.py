@@ -185,7 +185,7 @@ class TestInvariantOperator:
         dual = [v.power(d)]
         assert dual_basis_matrix(subspace, dual, d) == RationalMatrix.identity(1)
         matrix = invariant_operator_matrix(subspace, dual, d)
-        assert matrix == RationalMatrix.identity(1).scale(factorial(d))
+        assert matrix == RationalMatrix([[factorial(d)]])
 
     def test_rank_one_odd_operator_in_degree_one(self):
         space = SuperSpace(0, 1)

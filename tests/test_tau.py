@@ -4,24 +4,23 @@ from fractions import Fraction
 import pytest
 
 from capelli.borel import BorelDescriptor, weyl_vector
-from capelli.exact_linalg import RationalMatrix, vec_add
+from capelli.exact_linalg import RationalMatrix
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
     MAP_FAMILIES,
     AffineMap,
-    eigenvalue_map_full,
-    eigenvalue_map_kernel,
+    eigenvalue_map,
     family_map,
     full_member,
     in_family_domain,
     kernel_member,
     matrix_from_pair_columns,
-    restrict_matrix,
     standard_matrix,
     standard_offset,
 )
 from capelli.weights import highest_weight, is_generic
 from reference import (
+    even_core,
     in_full_family,
     in_kernel_family,
     in_plain_family,
@@ -33,11 +32,13 @@ from reference import (
 HALF = Fraction(1, 2)
 
 
-def test_restrict_matrix():
-    g = restrict_matrix(2, 1)
-    assert g.apply((2, 4, 6, 8)) == (1, 2, 7)
-    g = restrict_matrix(1, 2)
-    assert g.apply((2, 1, 3, 5, 7)) == (1, 2, 6)
+def test_standard_matrix():
+    # negated halve-and-pair: a_i -> -a_i/2, each d-pair -> minus its half-sum
+    g = standard_matrix(2, 1)
+    assert g.apply((2, 4, 6, 8)) == (-1, -2, -7)
+    g = standard_matrix(1, 2)
+    assert g.apply((2, 1, 3, 5, 7)) == (-1, -2, -6)
+    assert standard_matrix(0, 0) == RationalMatrix([])
 
 
 def test_standard_map_gl22_anchor():
@@ -114,7 +115,7 @@ def test_full_member_gl22_is_papers_final_map():
         ]
     )
     assert in_full_family(mat, b)
-    tau = eigenvalue_map_full(b)
+    tau = family_map(b, "full")
     assert tau.offset == (Fraction(1, 4), Fraction(3, 4), Fraction(-1))
 
 
@@ -129,10 +130,7 @@ def test_full_family_offset_choice_independent():
     other = matrix_from_pair_columns(2, 2, cols2)
     assert in_full_family(other, b)
     assert other != base
-    other_offset = vec_add(
-        other.apply(b.root_sum().coords()), standard_offset(2, 2)
-    )
-    assert other_offset == eigenvalue_map_full(b).offset
+    assert eigenvalue_map(b, other).offset == family_map(b, "full").offset
 
 
 def weyl_vector_map(b):
@@ -163,7 +161,7 @@ def test_full_extends_very_even():
         for b in BorelDescriptor.enumerate(m, n):
             if not b.is_very_even():
                 continue
-            assert eigenvalue_map_full(b) == weyl_vector_map(b), b.ell
+            assert family_map(b, "full") == weyl_vector_map(b), b.ell
             assert family_map(b, "veryeven") == weyl_vector_map(b)
             count += 1
     assert count == 2 + 3 + 6 + 10
@@ -174,23 +172,46 @@ def test_rel_even_map_domain():
         family_map(BorelDescriptor(2, 1, (1, 1)), "releven")
     b = BorelDescriptor(2, 1, (0, 1))
     tau = family_map(b, "releven")
-    core_rho = weyl_vector(b.even_core().sequence())
+    core_rho = weyl_vector(even_core(b).sequence())
     assert tau.offset == standard_matrix(2, 1).apply(core_rho.coords())
     # forcing the construction on a non-relatively-even Borel still yields a map
-    forced = family_map(BorelDescriptor(2, 1, (1, 1)), "cb-forced")
-    assert forced.matrix == kernel_member(BorelDescriptor(2, 1, (1, 1)))
-    assert forced == eigenvalue_map_kernel(BorelDescriptor(2, 1, (1, 1)))
+    b = BorelDescriptor(2, 1, (1, 1))
+    forced = family_map(b, "cb-forced")
+    assert forced.matrix == kernel_member(b)
+    assert forced == eigenvalue_map(b, kernel_member(b))
+
+
+# Every rank with m, n <= 3, either of them 0 included.
+SMALL_RANKS = [(m, n) for m in range(4) for n in range(4)]
+
+
+def test_rel_even_offset_is_core_weyl_vector():
+    # The paper's relatively even offset, the standard matrix applied to the
+    # Weyl vector of the even core, is what the one offset rule gives there.
+    count = 0
+    for m, n in SMALL_RANKS:
+        for b in BorelDescriptor.enumerate(m, n):
+            if not b.is_relatively_even():
+                continue
+            rho = weyl_vector(even_core(b).sequence())
+            want = standard_matrix(m, n).apply(rho.coords())
+            assert family_map(b, "releven").offset == want, (m, n, b.ell)
+            count += 1
+    assert count == 160
 
 
 def test_root_sum_offset_identity():
-    # every construction satisfies matrix*(root sum) = offset - standard offset
-    for m, n in [(2, 1), (2, 2)]:
+    # every map satisfies matrix*(root sum) = offset - standard offset
+    for m, n in SMALL_RANKS:
         x0 = standard_offset(m, n)
         for b in BorelDescriptor.enumerate(m, n):
             r = b.root_sum().coords()
-            taus = [eigenvalue_map_full(b)]
-            if b.is_relatively_even():
-                taus.append(eigenvalue_map_kernel(b))
+            taus = [
+                family_map(b, family)
+                for family in MAP_FAMILIES
+                if in_family_domain(b, family)
+            ]
+            assert len(taus) >= 2
             if b.is_very_even():
                 taus.append(weyl_vector_map(b))
             for tau in taus:
@@ -206,7 +227,7 @@ def test_generic_vector_identity():
         opposite = BorelDescriptor.opposite(m, n)
         sm = family_map(opposite, "full")
         for b in BorelDescriptor.enumerate(m, n):
-            tau = eigenvalue_map_full(b)
+            tau = family_map(b, "full")
             for lam in enumerate_hooks(m, n, 4):
                 if not is_generic(lam, b):
                     continue
@@ -224,12 +245,12 @@ def test_affine_map_validation_and_json():
     assert blob["offset"] == ["-1/4", "-3/4", "1"]
 
 
-# Each family is served by one of the two constructions.
+# Each family is served by one of the two matrices under the one offset rule.
 CONSTRUCTORS = {
-    "full": eigenvalue_map_full,
-    "releven": eigenvalue_map_kernel,
-    "veryeven": eigenvalue_map_full,
-    "cb-forced": eigenvalue_map_kernel,
+    "full": lambda b: eigenvalue_map(b, full_member(b)),
+    "releven": lambda b: eigenvalue_map(b, kernel_member(b)),
+    "veryeven": lambda b: eigenvalue_map(b, full_member(b)),
+    "cb-forced": lambda b: eigenvalue_map(b, kernel_member(b)),
 }
 
 
