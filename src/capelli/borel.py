@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import Rational, format_rational
+from .exact_linalg import Rational, as_vector, format_vector
 from .partitions import require_rank
 
 # A symbol is ("e", i) or ("d", k) with 1-based index: a functional on the
@@ -27,9 +27,7 @@ class WeightVector:
 
     @classmethod
     def make(cls, eps, delta) -> "WeightVector":
-        return cls(
-            tuple(Fraction(v) for v in eps), tuple(Fraction(v) for v in delta)
-        )
+        return cls(as_vector(eps), as_vector(delta))
 
     def shape(self) -> tuple[int, int]:
         return (len(self.eps), len(self.delta))
@@ -61,8 +59,8 @@ class WeightVector:
 
     def to_json_dict(self) -> dict:
         return {
-            "eps": [format_rational(v) for v in self.eps],
-            "delta": [format_rational(v) for v in self.delta],
+            "eps": format_vector(self.eps),
+            "delta": format_vector(self.delta),
         }
 
 

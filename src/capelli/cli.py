@@ -29,13 +29,14 @@ from .borel import (
     weyl_vector,
 )
 from .equivalence import DEFAULT_BUDGET, orbit
-from .exact_linalg import format_rational, parse_rational
+from .exact_linalg import format_rational, format_vector, parse_rational
 from .isjp import eigenvalue, interpolation_polynomial
 from .partitions import (
     format_partition,
     frobenius_coords,
     parse_int_list,
     parse_partition,
+    require_rank,
 )
 from .tau import MAP_FAMILIES, family_map
 from .verify import PAIR_CHOICES, SweepConfig, reproduce_example, run_sweep
@@ -60,8 +61,13 @@ def _parse_sequence(text: str, num_eps: int, num_delta: int):
 
 
 def _borel(args) -> BorelDescriptor:
-    ell = _parsed("--borel", parse_int_list, args.borel)
-    return BorelDescriptor(args.m, args.n, ell)
+    # A bad rank is the rank's error, not the Borel's.
+    require_rank(args.m, args.n)
+    return _parsed(
+        "--borel",
+        lambda text: BorelDescriptor(args.m, args.n, parse_int_list(text)),
+        args.borel,
+    )
 
 
 @contextlib.contextmanager
@@ -108,11 +114,13 @@ def _cmd_hw(args) -> int:
         raise ValueError(f"hw: {' and '.join(modes)} select different modes; give one")
     if args.dual and args.seq is None:
         raise ValueError("hw: --dual applies only with --seq")
+    if args.max is not None and not args.table:
+        raise ValueError("hw: --max applies only with --table")
     if args.table:
         if args.lam or args.out:
             unread = "--lambda" if args.lam else "--out"
             raise ValueError(f"hw: --table does not read {unread}")
-        sys.stdout.write(_closed_form_csv(args.max))
+        sys.stdout.write(_closed_form_csv(_table_max(args)))
         return 0
     lam = _parsed("--lambda", parse_partition, args.lam)
     if args.seq is not None:
@@ -180,6 +188,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_eig(args) -> int:
+    if args.map is not None and args.borel is None:
+        raise ValueError("eig: --map applies only with --borel")
     theta = _parsed("--theta", parse_rational, args.theta)
     mu = _parsed("--mu", parse_partition, args.mu)
     lam = _parsed("--lambda", parse_partition, args.lam)
@@ -187,7 +197,8 @@ def _cmd_eig(args) -> int:
         if theta != Fraction(1, 2):
             raise ValueError("eig: --borel requires theta 1/2")
         borel = _borel(args)
-        point = family_map(borel, args.map).apply(highest_weight(lam, borel))
+        family = args.map or "full"
+        point = family_map(borel, family).apply(highest_weight(lam, borel))
         value = interpolation_polynomial(args.m, args.n, theta, mu).evaluate(point)
     else:
         value = eigenvalue(mu, lam, args.m, args.n, theta)
@@ -199,10 +210,8 @@ def _cmd_eig(args) -> int:
     }
     if args.borel is not None:
         payload["ell"] = list(borel.ell)
-        payload["map"] = args.map
-        payload["node"] = [
-            format_rational(v) for v in frobenius_coords(lam, args.m, args.n, theta)
-        ]
+        payload["map"] = family
+        payload["node"] = format_vector(frobenius_coords(lam, args.m, args.n, theta))
     _emit(payload, args.out)
     return 0
 
@@ -235,9 +244,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    payload = reproduce_example(args.name, args.max)
+    if args.max is not None and args.name != "gl22_table":
+        raise ValueError("example: --max applies only to gl22_table")
+    payload = reproduce_example(args.name, _table_max(args))
     _emit(payload, args.out)
     return 0
+
+
+def _table_max(args) -> int:
+    """--max, or the closed-form table's default bound of 5."""
+    return 5 if args.max is None else args.max
 
 
 def _usage_error(message: str):
@@ -279,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--table", action="store_true", help="print the closed-form table as CSV"
     )
-    p.add_argument("--max", type=int, default=5, help="table parameter bound")
+    p.add_argument("--max", type=int, default=None, help="table parameter bound")
     add_out(p)
     p.set_defaults(func=_cmd_hw)
 
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--borel", default=None, help="evaluate through this Borel's map")
     p.add_argument(
         "--map",
-        default="full",
+        default=None,
         choices=list(MAP_FAMILIES),
         help="map family used with --borel",
     )
@@ -332,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--name", required=True, choices=["gl22_table", "gl22_uniqueness"]
     )
-    p.add_argument("--max", type=int, default=5, help="table parameter bound")
+    p.add_argument("--max", type=int, default=None, help="table parameter bound")
     add_out(p)
     p.set_defaults(func=_cmd_example)
 

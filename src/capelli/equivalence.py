@@ -9,7 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import Vector, format_rational
+from .exact_linalg import Vector, as_vector, format_vector
 from .partitions import require_rank, require_theta
 
 DEFAULT_BUDGET = 10**4
@@ -18,7 +18,7 @@ HALF = Fraction(1, 2)
 
 def _check_point(point, m: int, n: int) -> Vector:
     require_rank(m, n)
-    point = tuple(Fraction(v) for v in point)
+    point = as_vector(point)
     if len(point) != m + n:
         raise ValueError(f"point has length {len(point)}, expected {m + n}")
     return point
@@ -94,9 +94,7 @@ class OrbitResult:
     def to_json_dict(self) -> dict:
         blob: dict = {"status": self.status, "explored": self.explored}
         if self.points is not None:
-            blob["points"] = [
-                [format_rational(v) for v in p] for p in self.points
-            ]
+            blob["points"] = [format_vector(p) for p in self.points]
         if self.witness is not None:
             blob["witness"] = self.witness
         return blob
@@ -121,7 +119,7 @@ def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitRe
                 OrbitResult.INFINITE,
                 None,
                 {
-                    "point": [format_rational(v) for v in current],
+                    "point": format_vector(current),
                     "i": i,
                     "i0": i0,
                     "j": j,

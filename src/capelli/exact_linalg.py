@@ -51,8 +51,14 @@ def format_rational(value: Rational) -> str:
 
 
 def as_vector(values) -> Vector:
-    """Coerce an iterable of numbers into a tuple of Rationals."""
-    return tuple(Fraction(v) for v in values)
+    """Coerce an iterable of numbers into a tuple of Rationals. Fractions
+    are immutable, so one is kept rather than copied."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def format_vector(values) -> list[str]:
+    """Render each entry of a vector with `format_rational`."""
+    return [format_rational(v) for v in values]
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -73,7 +79,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(as_vector(row) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):
@@ -87,11 +93,6 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
 
@@ -103,11 +104,6 @@ class RationalMatrix:
             " ".join(format_rational(x) for x in row) for row in self.entries
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def apply(self, vec) -> Vector:
         """Matrix-vector product."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Rational, Vector, format_rational
+from .exact_linalg import Vector, as_vector, format_rational
 
 Partition = tuple[int, ...]
 
@@ -157,7 +157,7 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
         cols[j - 1] - Fraction(2 * j - 1, 2) / theta + (n / theta + m) / 2
         for j in range(1, n + 1)
     ]
-    return tuple(Fraction(v) for v in xs + ys)
+    return as_vector(xs + ys)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact_linalg import as_vector
 from .partitions import require_theta
 
 
@@ -119,8 +120,7 @@ class SparsePolynomial:
         denominator, the point over the LCM of its denominators, and one
         table of integer powers. Terms of degree k carry the factor
         scale^(top - k), so only the result is a Fraction."""
-        # Fractions are immutable, so one is kept rather than copied.
-        point = tuple(v if type(v) is Fraction else Fraction(v) for v in point)
+        point = as_vector(point)
         if len(point) != self.num_x + self.num_y:
             raise ValueError(
                 f"point has length {len(point)}, expected {self.num_x + self.num_y}"

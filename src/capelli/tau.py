@@ -16,7 +16,8 @@ from .borel import BorelDescriptor, WeightVector, weyl_vector
 from .exact_linalg import (
     RationalMatrix,
     Vector,
-    format_rational,
+    as_vector,
+    format_vector,
     vec_add,
 )
 
@@ -33,9 +34,7 @@ class AffineMap:
     def __post_init__(self):
         if self.matrix.rows != len(self.offset):
             raise ValueError("offset length must match matrix rows")
-        object.__setattr__(
-            self, "offset", tuple(Fraction(v) for v in self.offset)
-        )
+        object.__setattr__(self, "offset", as_vector(self.offset))
 
     def apply(self, point) -> Vector:
         if isinstance(point, WeightVector):
@@ -44,10 +43,8 @@ class AffineMap:
 
     def to_json_dict(self) -> dict:
         return {
-            "matrix": [
-                [format_rational(v) for v in row] for row in self.matrix.entries
-            ],
-            "offset": [format_rational(v) for v in self.offset],
+            "matrix": [format_vector(row) for row in self.matrix.entries],
+            "offset": format_vector(self.offset),
         }
 
 
@@ -93,7 +90,7 @@ def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
     base = standard_matrix(m, n)
     entries = [list(row) for row in base.entries]
     for k, col in enumerate(columns, start=1):
-        col = tuple(Fraction(v) for v in col)
+        col = as_vector(col)
         if len(col) != m + n:
             raise ValueError("perturbation column has wrong length")
         for r in range(m + n):

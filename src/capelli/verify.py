@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
-from .exact_linalg import format_rational
+from .exact_linalg import format_rational, format_vector
 from .isjp import interpolation_polynomial
 from .partitions import (
     enumerate_hooks,
@@ -102,10 +102,6 @@ class SweepReport:
         )
 
 
-def _format_point(point) -> list[str]:
-    return [format_rational(Fraction(v)) for v in point]
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     start = time.monotonic()
     report = (_run_diag if config.pair == "diag" else _run_glm2n)(config)
@@ -160,8 +156,8 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                             "kind": "generic_vector",
                             "ell": list(borel.ell),
                             "lambda": format_partition(lam),
-                            "lhs": _format_point(point),
-                            "rhs": _format_point(node),
+                            "lhs": format_vector(point),
+                            "rhs": format_vector(node),
                         }
                     )
             for mu, lhs, rhs in zip(mus, row(point), node_row):
@@ -286,10 +282,10 @@ def _example_table(max_entry: int) -> dict:
         rows.append(
             {
                 "lambda": format_partition(lam),
-                "hw_standard": _format_point(hw0),
-                "hw_borel": _format_point(hw),
-                "closed_standard": _format_point(closed0),
-                "closed_borel": _format_point(closedb),
+                "hw_standard": format_vector(hw0),
+                "hw_borel": format_vector(hw),
+                "closed_standard": format_vector(closed0),
+                "closed_borel": format_vector(closedb),
                 "matches": matches,
             }
         )
@@ -349,9 +345,7 @@ def _example_uniqueness() -> dict:
         steps.append(
             {
                 "r": r,
-                "fitting": sorted(
-                    [format_rational(v) for v in abc] for abc in sorted(fitting)
-                ),
+                "fitting": sorted(format_vector(abc) for abc in sorted(fitting)),
             }
         )
     survivors = sorted(set.intersection(*fittings))
@@ -370,12 +364,10 @@ def _example_uniqueness() -> dict:
         "m": m,
         "n": n,
         "ell": [1, 1],
-        "standard_offset": _format_point(x0),
+        "standard_offset": format_vector(x0),
         "orbit_matching": steps,
-        "surviving_parameters": [
-            [format_rational(v) for v in abc] for abc in survivors
-        ],
-        "offset_candidates": [_format_point(f.offset) for f in offset_candidates],
-        "after_closure": [_format_point(f.offset) for f in kept],
+        "surviving_parameters": [format_vector(abc) for abc in survivors],
+        "offset_candidates": [format_vector(f.offset) for f in offset_candidates],
+        "after_closure": [format_vector(f.offset) for f in kept],
         "final": final,
     }

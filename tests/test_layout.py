@@ -1,18 +1,19 @@
 """The library holds the library: every module-level function and class in
 `src/capelli`, and every non-dunder method of its classes, has a caller
-there, or is public API. References that only the tests need live in
-`tests/reference.py`. Nothing in the library is an `assert`."""
+there, or is public API. No module is exempt. References that only the
+tests need live in `tests/reference.py`. Nothing in the library is an
+`assert`, and the README's "Library layout" table names exactly the
+library's modules."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import capelli
 
 SRC = Path(capelli.__file__).parent
-# `superalg` has no caller in the library yet: ROADMAP item 3 either makes it
-# the first-principles Capelli-operator oracle or deletes it.
-EXEMPT_MODULES = {"superalg"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _names_used(node) -> Counter:
@@ -38,8 +39,6 @@ def test_every_definition_has_a_library_caller():
     public = set(capelli.__all__) | {"main"}
     uncalled = []
     for stem, tree in trees.items():
-        if stem in EXEMPT_MODULES:
-            continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -66,8 +65,6 @@ def test_every_method_has_a_library_caller():
     total = sum((_attributes_used(tree) for tree in trees.values()), Counter())
     uncalled = []
     for stem, tree in trees.items():
-        if stem in EXEMPT_MODULES:
-            continue
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -89,3 +86,11 @@ def test_package_has_no_assert_statements():
             node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
         assert not asserts, f"{stem}.py: assert at lines {asserts}"
+
+
+def test_readme_layout_table_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `capelli\.(\w+)` \|", section, flags=re.MULTILINE)
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(listed) == sorted(modules)

@@ -1,21 +1,21 @@
-"""Tests for the supercommutative algebra, the two pairings, and the
-dual-basis invariant operator."""
+"""Tests for the graded-algebra reference in `tests/reference.py`: the
+supercommutative algebra, the two pairings, and the dual-basis invariant
+operator."""
 
 from fractions import Fraction
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli.exact_linalg import RationalMatrix
-from capelli.superalg import (
+from reference import (
     SuperPolynomial,
     SuperSpace,
-    apply_derivation,
     derivation_pairing,
     dual_basis_matrix,
     invariant_operator_matrix,
+    monomials_of_degree,
     symmetrization_pairing,
     symmetrize_to_tensor,
     tensor_pairing_reversed,
@@ -30,29 +30,6 @@ def factorial(d):
     out = 1
     for t in range(2, d + 1):
         out *= t
-    return out
-
-
-def monomials_of_degree(space, d):
-    """All monomial basis elements of total degree d."""
-    out = []
-    for odd_count in range(min(d, space.odd) + 1):
-        even_total = d - odd_count
-        for evens in _compositions(even_total, space.even):
-            for odds in itertools.combinations(range(1, space.odd + 1), odd_count):
-                out.append(
-                    SuperPolynomial(space, {(evens, odds): Fraction(1)})
-                )
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
     return out
 
 
@@ -183,7 +160,7 @@ class TestInvariantOperator:
         v = gen(space, 1)
         subspace = [v.power(d)]
         dual = [v.power(d)]
-        assert dual_basis_matrix(subspace, dual, d) == RationalMatrix.identity(1)
+        assert dual_basis_matrix(subspace, dual, d) == RationalMatrix([[1]])
         matrix = invariant_operator_matrix(subspace, dual, d)
         assert matrix == RationalMatrix([[factorial(d)]])
 
@@ -191,7 +168,7 @@ class TestInvariantOperator:
         space = SuperSpace(0, 1)
         xi = gen(space, 1)
         matrix = invariant_operator_matrix([xi], [xi], 1)
-        assert matrix == RationalMatrix.identity(1)
+        assert matrix == RationalMatrix([[1]])
 
     def test_degree_one_full_space_operator_is_identity(self):
         # In degree 1 the dual bases are the generators themselves and the
@@ -199,7 +176,7 @@ class TestInvariantOperator:
         space = SuperSpace(2, 1)
         subspace = [gen(space, k) for k in (1, 2, 3)]
         matrix = invariant_operator_matrix(subspace, subspace, 1)
-        assert matrix == RationalMatrix.identity(3)
+        assert matrix == RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_mismatched_dual_basis_rejected(self):
         space = SuperSpace(1, 0)

@@ -238,7 +238,7 @@ def test_generic_vector_identity():
 
 def test_affine_map_validation_and_json():
     with pytest.raises(ValueError):
-        AffineMap(RationalMatrix.identity(2), (1,))
+        AffineMap(RationalMatrix([[1, 0], [0, 1]]), (1,))
     tau = family_map(BorelDescriptor.opposite(2, 1), "full")
     blob = tau.to_json_dict()
     assert blob["matrix"][0] == ["-1/2", "0", "0", "0"]
