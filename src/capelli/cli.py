@@ -36,6 +36,7 @@ from .partitions import (
     frobenius_coords,
     parse_int_list,
     parse_partition,
+    require_hook,
     require_rank,
 )
 from .tau import MAP_FAMILIES, family_map
@@ -49,6 +50,15 @@ def _parsed(flag: str, parse, text: str):
         return parse(text)
     except ValueError as error:
         raise ValueError(f"{flag}: {error}") from None
+
+
+def _hook_partition(args, flag: str, text: str):
+    """The partition given by flag, which must lie in the (m|n) hook. A bad
+    rank is the rank's error, not the partition's."""
+    require_rank(args.m, args.n)
+    return _parsed(
+        flag, lambda t: require_hook(parse_partition(t), args.m, args.n), text
+    )
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
@@ -93,7 +103,7 @@ def _emit(payload, out_path: str | None) -> None:
 
 def _cmd_isjp(args) -> int:
     theta = _parsed("--theta", parse_rational, args.theta)
-    lam = _parsed("--lambda", parse_partition, args.lam)
+    lam = _hook_partition(args, "--lambda", args.lam)
     poly = interpolation_polynomial(args.m, args.n, theta, lam)
     payload = poly.to_json_dict()
     payload["lambda"] = format_partition(lam)
@@ -122,7 +132,7 @@ def _cmd_hw(args) -> int:
             raise ValueError(f"hw: --table does not read {unread}")
         sys.stdout.write(_closed_form_csv(_table_max(args)))
         return 0
-    lam = _parsed("--lambda", parse_partition, args.lam)
+    lam = _hook_partition(args, "--lambda", args.lam)
     if args.seq is not None:
         seq = _parsed(
             "--seq", lambda text: _parse_sequence(text, args.m, args.n), args.seq
@@ -191,8 +201,8 @@ def _cmd_eig(args) -> int:
     if args.map is not None and args.borel is None:
         raise ValueError("eig: --map applies only with --borel")
     theta = _parsed("--theta", parse_rational, args.theta)
-    mu = _parsed("--mu", parse_partition, args.mu)
-    lam = _parsed("--lambda", parse_partition, args.lam)
+    mu = _hook_partition(args, "--mu", args.mu)
+    lam = _hook_partition(args, "--lambda", args.lam)
     if args.borel is not None:
         if theta != Fraction(1, 2):
             raise ValueError("eig: --borel requires theta 1/2")

@@ -1,9 +1,14 @@
 """Interpolation polynomials: for each hook partition, the unique element of
 the filtered compatible-polynomial space taking value |shape|! at the shape's
 own shifted coordinates and vanishing at those of every other hook partition
-of size up to |shape|. The space of degree <= d is spanned by the products of
-deformed power sums p_nu with |nu| <= d, so each size takes one elimination
-over the node values of those products."""
+of size up to |shape|.
+
+The space of degree <= d is spanned by the products of deformed power sums
+p_nu with |nu| <= d, and the polynomials of size below d span its part of
+degree < d. So each size is built on the smaller ones (Newton
+interpolation, as in the binomial formula): each top product p_nu, |nu| = d,
+less its interpolant on the smaller nodes vanishes on them, and one small
+solve at the nodes of size d combines these residuals."""
 
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .partitions import (
 from .sympoly import SparsePolynomial, deformed_power_sum
 
 # Sizes whose polynomials stay cached; each entry holds every polynomial of
-# one size for one (m, n, theta).
+# one size for one (m, n, theta), with the smaller ones' values at its nodes.
 CACHED_SIZES = 64
 
 
@@ -35,32 +40,58 @@ def characteristic_value(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=CACHED_SIZES)
-def _polynomials_of_size(m: int, n: int, theta, d: int) -> dict:
-    """The interpolation polynomial of every hook partition of size d, from
-    one solve over the nodes of size <= d with one right-hand side per shape.
+def _polynomials_of_size(m: int, n: int, theta, d: int):
+    """(polys, values): polys maps each hook partition of size d to its
+    interpolation polynomial, and values maps each hook rho of size d to
+    {kappa: P_kappa(rho)} over the hooks kappa with |kappa| < d. The smaller
+    sizes come from this cache.
 
-    The unknowns are the coefficients of the power-sum products p_nu, |nu| <= d,
-    in graded order. The solve picks pivot products from left to right and
-    leaves the others at 0, so only pivots with a nonzero coefficient are
+    P_kappa vanishes at every other node of size <= |kappa| and takes |kappa|!
+    at its own, so walking the smaller nodes by size, each top product p_nu,
+    |nu| = d, gets coefficients a_nu with r_nu = p_nu - sum a_nu,kappa P_kappa
+    zero on them. One solve at the nodes of size d picks the combination
+    sum c_nu r_nu of each shape; its pivot products are taken from left to
+    right and the others left at 0, so only products with c_nu != 0 are
     expanded into monomials."""
-    sums = [deformed_power_sum(m, n, theta, r) for r in range(1, d + 1)]
-    products = list(enumerate_partitions(d, d))
+    lower = [_polynomials_of_size(m, n, theta, s) for s in range(d)]
+    below = {kappa: poly for polys, _ in lower for kappa, poly in polys.items()}
     nodes = enumerate_hooks(m, n, d)
-    rows = []
-    for mu in nodes:
-        point = frobenius_coords(mu, m, n, theta)
-        powers = [None] + [p.evaluate(point) for p in sums]
-        value = {(): Fraction(1)}
-        for nu in products[1:]:
-            value[nu] = value[nu[:-1]] * powers[nu[-1]]
-        rows.append([value[nu] for nu in products])
-    shapes = [lam for lam in nodes if size(lam) == d]
+    shapes = nodes[len(below):]
+    points = {rho: frobenius_coords(rho, m, n, theta) for rho in nodes}
+    values = {
+        rho: {kappa: poly.evaluate(points[rho]) for kappa, poly in below.items()}
+        for rho in shapes
+    }
+    sums = [deformed_power_sum(m, n, theta, r) for r in range(1, d + 1)]
+    powers = {rho: [p.evaluate(points[rho]) for p in sums] for rho in nodes}
+    products = [nu for nu in enumerate_partitions(d, d) if size(nu) == d]
+
+    # The nonzero values of the smaller polynomials at every node.
+    known = {
+        rho: [(kappa, v) for kappa, v in table[rho].items() if v]
+        for table in [entry[1] for entry in lower] + [values]
+        for rho in table
+    }
+
+    def residual_row(nu):
+        """a_nu over the smaller nodes, then r_nu at each node of size d."""
+        top = {rho: math.prod(powers[rho][r - 1] for r in nu) for rho in nodes}
+        a = {}
+
+        def residual(rho):
+            return top[rho] - sum(a[kappa] * v for kappa, v in known[rho])
+
+        for rho in below:
+            a[rho] = residual(rho) / characteristic_value(rho)
+        return a, [residual(rho) for rho in shapes]
+
+    coefficients, columns = zip(*map(residual_row, products))
     rhs = [
-        [characteristic_value(lam) if mu == lam else 0 for mu in nodes]
+        [characteristic_value(lam) if rho == lam else 0 for rho in shapes]
         for lam in shapes
     ]
     try:
-        solutions = solve_linear(RationalMatrix(rows), rhs)
+        solutions = solve_linear(RationalMatrix(zip(*columns)), rhs)
     except ValueError as error:
         raise ValueError(
             f"power-sum products do not reach the hook count {len(nodes)} "
@@ -76,11 +107,15 @@ def _polynomials_of_size(m: int, n: int, theta, d: int) -> dict:
 
     polys = {}
     for lam, coefs in zip(shapes, solutions):
-        used = [(c, nu) for c, nu in zip(coefs, products) if c]
+        used = [(c, nu, a) for c, nu, a in zip(coefs, products, coefficients) if c]
+        lowered = [-sum(c * a[kappa] for c, _, a in used) for kappa in below]
         polys[lam] = SparsePolynomial.combination(
-            m, n, [c for c, _ in used], [expand(nu) for _, nu in used]
+            m,
+            n,
+            [c for c, _, _ in used] + lowered,
+            [expand(nu) for _, nu, _ in used] + list(below.values()),
         )
-    return polys
+    return polys, values
 
 
 def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
@@ -93,7 +128,7 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     """
     theta = require_theta(theta)
     lam = require_hook(lam, m, n)
-    return _polynomials_of_size(m, n, theta, size(lam))[lam]
+    return _polynomials_of_size(m, n, theta, size(lam))[0][lam]
 
 
 def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:

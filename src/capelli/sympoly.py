@@ -51,12 +51,27 @@ class SparsePolynomial:
 
     @classmethod
     def combination(cls, num_x: int, num_y: int, coefs, polys) -> "SparsePolynomial":
-        """The linear combination sum of c * p over paired coefs and polys."""
-        terms: dict[tuple[int, ...], Fraction] = {}
+        """The linear combination sum of c * p over paired coefs and polys;
+        pairs with c = 0 are skipped.
+
+        The sum runs in integers over one common denominator, the LCM of
+        each c's denominator times its polynomial's; only the result's
+        coefficients are Fractions."""
+        scaled = []
         for c, poly in zip(coefs, polys):
+            c = Fraction(c)
+            if not c:
+                continue
+            den = math.lcm(*(coef.denominator for coef in poly.terms.values()))
+            scaled.append((c, den, poly))
+        common = math.lcm(*(c.denominator * den for c, den, _ in scaled))
+        sums: dict[tuple[int, ...], int] = {}
+        for c, den, poly in scaled:
+            factor = c.numerator * (common // (c.denominator * den))
             for exp, coef in poly.terms.items():
-                terms[exp] = terms.get(exp, 0) + c * coef
-        return cls(num_x, num_y, terms)
+                term = coef.numerator * (den // coef.denominator) * factor
+                sums[exp] = sums.get(exp, 0) + term
+        return cls(num_x, num_y, {exp: Fraction(v, common) for exp, v in sums.items()})
 
     # -- basics ------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from math import comb, perm
 
 import pytest
 
+from capelli import isjp
 from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
 from capelli.equivalence import orbit
 from capelli.exact_linalg import RationalMatrix
@@ -21,6 +22,7 @@ from reference import (
     SuperSpace,
     closed_form_highest_weight,
     defect_nullspace_basis,
+    degree,
     derivation_pairing,
     even_core,
     hw_standard_diag,
@@ -66,6 +68,21 @@ class TestDefiningProperties:
                 if mu != lam and sum(mu) <= sum(lam):
                     assert poly.evaluate(nodes[mu]) == 0, (lam, mu, theta)
             assert satisfies_monoidal_symmetry(poly, theta, all_pairs=True)
+
+    def test_cold_build_to_size_eight(self):
+        # The frontier: every (2|2) polynomial up to size 8 at theta = 1/2,
+        # built from an empty cache and checked at the nodes.
+        m, n, theta = 2, 2, HALF
+        isjp._polynomials_of_size.cache_clear()
+        shapes = enumerate_hooks(m, n, 8)
+        nodes = {mu: frobenius_coords(mu, m, n, theta) for mu in shapes}
+        for lam in shapes:
+            poly = interpolation_polynomial(m, n, theta, lam)
+            assert degree(poly) <= size(lam), lam
+            assert poly.evaluate(nodes[lam]) == factorial(size(lam)), lam
+            for mu in shapes:
+                if mu != lam and size(mu) <= size(lam):
+                    assert poly.evaluate(nodes[mu]) == 0, (lam, mu)
 
 
 class TestNodeIdentities:

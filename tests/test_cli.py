@@ -431,6 +431,34 @@ class TestBadInput:
                 ["tau", "--m", "-1", "--n", "1", "--borel", "1"],
                 ["error: m and n must be nonnegative", "(-1, 1)"],
             ),
+            # partitions outside the (m|n) hook
+            (
+                ["hw", "--m", "2", "--n", "1", "--borel", "0,0", "--lambda", "2,2,2,1"],
+                ["error: --lambda: partition (2, 2, 2, 1) not in the (2|1) hook"],
+            ),
+            (
+                ["hw", "--m", "1", "--n", "1", "--seq", "e1,d1", "--lambda", "2,2"],
+                ["error: --lambda: partition (2, 2) not in the (1|1) hook"],
+            ),
+            (
+                ["isjp", "--m", "1", "--n", "1", "--theta", "1", "--lambda", "2,2"],
+                ["error: --lambda: partition (2, 2) not in the (1|1) hook"],
+            ),
+            (
+                ["eig", "--m", "1", "--n", "1", "--theta", "1", "--mu", "2,2,2",
+                 "--lambda", "1"],
+                ["error: --mu: partition (2, 2, 2) not in the (1|1) hook"],
+            ),
+            (
+                ["eig", "--m", "2", "--n", "1", "--theta", "1/2", "--mu", "1",
+                 "--lambda", "2,2,2,1", "--borel", "0,0"],
+                ["error: --lambda: partition (2, 2, 2, 1) not in the (2|1) hook"],
+            ),
+            (
+                ["eig", "--m", "-1", "--n", "1", "--theta", "1", "--mu", "1",
+                 "--lambda", "1"],
+                ["error: m and n must be nonnegative", "(-1, 1)"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

@@ -3,8 +3,14 @@ from fractions import Fraction
 import pytest
 
 from capelli import isjp
+from capelli.exact_linalg import solve_linear
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
-from capelli.partitions import enumerate_hooks, frobenius_coords, size
+from capelli.partitions import (
+    enumerate_hooks,
+    enumerate_partitions,
+    frobenius_coords,
+    size,
+)
 from capelli.sympoly import SparsePolynomial, deformed_power_sum
 from reference import degree, interpolant_on_basis
 
@@ -151,3 +157,75 @@ def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch):
             interpolation_polynomial(2, 1, HALF, (2,))
     finally:
         isjp._polynomials_of_size.cache_clear()
+
+
+def test_dimension_guard_names_the_first_degenerate_size(monkeypatch):
+    # Negative control above size 2: with p_3 replaced by p_1, sizes <= 2 are
+    # untouched and must build as before, and size 3 must be refused.
+    small = enumerate_hooks(2, 1, 2)
+    unpatched = {lam: interpolation_polynomial(2, 1, HALF, lam) for lam in small}
+
+    def third_is_first(m, n, theta, r):
+        return deformed_power_sum(m, n, theta, 1 if r == 3 else r)
+
+    monkeypatch.setattr(isjp, "deformed_power_sum", third_is_first)
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        for lam in small:
+            assert interpolation_polynomial(2, 1, HALF, lam) == unpatched[lam], lam
+        with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,3\)"):
+            interpolation_polynomial(2, 1, HALF, (2, 1))
+    finally:
+        isjp._polynomials_of_size.cache_clear()
+
+
+def test_request_order_and_cache_state_do_not_matter():
+    # Sizes reached through the cache's own recursion, or rebuilt after a
+    # clear, give the same polynomials as an ascending build.
+    m, n, theta = 2, 2, HALF
+    hooks = enumerate_hooks(m, n, 6)
+    clear = isjp._polynomials_of_size.cache_clear
+
+    def build(shapes):
+        return {lam: interpolation_polynomial(m, n, theta, lam) for lam in shapes}
+
+    try:
+        clear()
+        ascending = build(hooks)
+        clear()
+        assert build(reversed(hooks)) == ascending
+        clear()
+        split = build(lam for lam in hooks if size(lam) < 4)
+        clear()
+        split.update(build(lam for lam in hooks if size(lam) >= 4))
+        assert split == ascending
+    finally:
+        clear()
+
+
+def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
+    # Each size is one solve: a row per hook of that size and a column per
+    # power-sum product of that size; no elimination runs over smaller nodes.
+    m, n, theta, top = 2, 1, HALF, 6
+    shapes = []
+
+    def recording_solve(matrix, rhs):
+        shapes.append((matrix.rows, matrix.cols))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(isjp, "solve_linear", recording_solve)
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        interpolation_polynomial(m, n, theta, (3, 2, 1))
+    finally:
+        isjp._polynomials_of_size.cache_clear()
+    hooks = enumerate_hooks(m, n, top)
+    expected = [
+        (
+            sum(1 for lam in hooks if size(lam) == d),
+            sum(1 for nu in enumerate_partitions(d, d) if size(nu) == d),
+        )
+        for d in range(top + 1)
+    ]
+    assert expected[top] == (10, 11)
+    assert shapes == expected

@@ -3,7 +3,7 @@
 there, or is public API. No module is exempt. References that only the
 tests need live in `tests/reference.py`. Nothing in the library is an
 `assert`, and the README's "Library layout" table names exactly the
-library's modules."""
+library's modules. The library has one cache, and it is bounded."""
 
 import ast
 import re
@@ -94,3 +94,46 @@ def test_readme_layout_table_names_every_module():
     listed = re.findall(r"^\| `capelli\.(\w+)` \|", section, flags=re.MULTILINE)
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(listed) == sorted(modules)
+
+
+CACHE_FACTORIES = {"lru_cache", "cache"}
+
+
+def _is_cache_factory(node, imported) -> bool:
+    """True for a reference to functools.lru_cache or functools.cache, by
+    attribute or by a name imported from functools."""
+    if isinstance(node, ast.Attribute):
+        return (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+            and node.attr in CACHE_FACTORIES
+        )
+    return isinstance(node, ast.Name) and node.id in imported
+
+
+def test_one_bounded_cache():
+    references, decorated = 0, []
+    for stem, tree in _trees().items():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+            if alias.name in CACHE_FACTORIES
+        }
+        references += sum(_is_cache_factory(node, imported) for node in ast.walk(tree))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in func.decorator_list:
+                factory = dec.func if isinstance(dec, ast.Call) else dec
+                if _is_cache_factory(factory, imported):
+                    decorated.append((f"{stem}.{func.name}", dec))
+    assert [name for name, _ in decorated] == ["isjp._polynomials_of_size"]
+    # every reference is that one decorator: no cache is made by a call
+    assert references == 1
+    dec = decorated[0][1]
+    bounds = [kw.value for kw in getattr(dec, "keywords", []) if kw.arg == "maxsize"]
+    assert bounds and not (
+        isinstance(bounds[0], ast.Constant) and bounds[0].value is None
+    ), "the cache needs a maxsize"

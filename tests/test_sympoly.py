@@ -256,3 +256,19 @@ def test_evaluate_matches_fraction_arithmetic(case):
         poly.evaluate(wrong_length)
     assert poly == SparsePolynomial(poly.num_x, poly.num_y, poly.terms)
     assert hash(poly) == hash(SparsePolynomial(poly.num_x, poly.num_y, poly.terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(rationals, small_polys()), max_size=4))
+def test_combination_matches_fraction_arithmetic(pairs):
+    # The integer sum over one common denominator against scale-and-add in
+    # Fractions; zero coefficients, zero polynomials and int coefficients
+    # are all drawn.
+    expected = SparsePolynomial(2, 1)
+    for c, p in pairs:
+        expected = expected + p.scale(c)
+    coefs = [c for c, _ in pairs]
+    polys = [p for _, p in pairs]
+    combined = SparsePolynomial.combination(2, 1, coefs, polys)
+    assert combined == expected
+    assert all(type(coef) is Fraction for coef in combined.terms.values())
