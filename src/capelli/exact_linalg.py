@@ -6,6 +6,7 @@ ever introduced, so every comparison downstream is an exact equality.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -67,16 +68,10 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_dot(u: Vector, v: Vector) -> Rational:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 class RationalMatrix:
     """Immutable dense matrix of Rationals."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_scaled")
 
     def __init__(self, entries):
         rows = tuple(as_vector(row) for row in entries)
@@ -89,6 +84,7 @@ class RationalMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -106,11 +102,31 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product."""
+        """Matrix-vector product, summed in integers.
+
+        On the first call the matrix keeps, for each row, its nonzero entries
+        as (column, integer numerator) over one common denominator. A call
+        scales the vector to integers over the LCM of its denominators, so
+        only the returned coordinates are Fractions."""
         vec = as_vector(vec)
         if self.cols != len(vec):
             raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")
-        return tuple(vec_dot(row, vec) for row in self.entries)
+        if self._scaled is None:
+            den = math.lcm(*(x.denominator for row in self.entries for x in row if x))
+            rows = [
+                [
+                    (j, x.numerator * (den // x.denominator))
+                    for j, x in enumerate(row)
+                    if x
+                ]
+                for row in self.entries
+            ]
+            object.__setattr__(self, "_scaled", (den, rows))
+        den, rows = self._scaled
+        scale = math.lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        den *= scale
+        return tuple(Fraction(sum(c * ints[j] for j, c in row), den) for row in rows)
 
 
 def _rref(entries):

@@ -27,7 +27,7 @@ from .partitions import (
     size,
     validate_partition,
 )
-from .sympoly import SparsePolynomial, deformed_power_sum
+from .sympoly import Evaluator, SparsePolynomial, deformed_power_sum
 
 # Sizes whose polynomials stay cached; each entry holds every polynomial of
 # one size for one (m, n, theta), with the smaller ones' values at its nodes.
@@ -58,12 +58,11 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
     nodes = enumerate_hooks(m, n, d)
     shapes = nodes[len(below):]
     points = {rho: frobenius_coords(rho, m, n, theta) for rho in nodes}
-    values = {
-        rho: {kappa: poly.evaluate(points[rho]) for kappa, poly in below.items()}
-        for rho in shapes
-    }
+    at_below = Evaluator(m, n, below.values())
+    values = {rho: dict(zip(below, at_below(points[rho]))) for rho in shapes}
     sums = [deformed_power_sum(m, n, theta, r) for r in range(1, d + 1)]
-    powers = {rho: [p.evaluate(points[rho]) for p in sums] for rho in nodes}
+    at_sums = Evaluator(m, n, sums)
+    powers = {rho: at_sums(points[rho]) for rho in nodes}
     products = [nu for nu in enumerate_partitions(d, d) if size(nu) == d]
 
     # The nonzero values of the smaller polynomials at every node.

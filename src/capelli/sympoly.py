@@ -5,6 +5,7 @@ polynomials that are shift-compatible on every hyperplane x_i = -theta*y_j."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .exact_linalg import as_vector
@@ -15,7 +16,7 @@ class SparsePolynomial:
     """Polynomial stored as {exponent tuple: nonzero Rational coefficient}.
 
     Exponent tuples have length num_x + num_y: the x-block first, then the
-    y-block. Instances are treated as immutable, so the integer form that
+    y-block. Instances are treated as immutable, so the evaluator that
     `evaluate` builds on its first call is never invalidated.
     """
 
@@ -43,6 +44,18 @@ class SparsePolynomial:
         self.terms = clean
         self._scaled = None
 
+    @classmethod
+    def _built(cls, num_x: int, num_y: int, terms) -> "SparsePolynomial":
+        """A polynomial from terms the library has built itself: tuple
+        exponents of the right length and Fraction coefficients, so only the
+        terms that cancelled to 0 are dropped."""
+        poly = cls.__new__(cls)
+        poly.num_x = num_x
+        poly.num_y = num_y
+        poly.terms = {exp: coef for exp, coef in terms.items() if coef}
+        poly._scaled = None
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -59,6 +72,8 @@ class SparsePolynomial:
         coefficients are Fractions."""
         scaled = []
         for c, poly in zip(coefs, polys):
+            if (poly.num_x, poly.num_y) != (num_x, num_y):
+                raise ValueError("mixing polynomials over different variable blocks")
             c = Fraction(c)
             if not c:
                 continue
@@ -71,7 +86,9 @@ class SparsePolynomial:
             for exp, coef in poly.terms.items():
                 term = coef.numerator * (den // coef.denominator) * factor
                 sums[exp] = sums.get(exp, 0) + term
-        return cls(num_x, num_y, {exp: Fraction(v, common) for exp, v in sums.items()})
+        return cls._built(
+            num_x, num_y, {exp: Fraction(v, common) for exp, v in sums.items()}
+        )
 
     # -- basics ------------------------------------------------------------
 
@@ -124,51 +141,16 @@ class SparsePolynomial:
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return SparsePolynomial(self.num_x, self.num_y, terms)
+        return SparsePolynomial._built(self.num_x, self.num_y, terms)
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point of length num_x + num_y.
-
-        The sum runs in integers: the coefficients over their common
-        denominator, the point over the LCM of its denominators, and one
-        table of integer powers. Terms of degree k carry the factor
-        scale^(top - k), so only the result is a Fraction."""
-        point = as_vector(point)
-        if len(point) != self.num_x + self.num_y:
-            raise ValueError(
-                f"point has length {len(point)}, expected {self.num_x + self.num_y}"
-            )
+        """Exact value at a point of length num_x + num_y, through an
+        `Evaluator` over this polynomial alone, built on the first call."""
         if self._scaled is None:
-            self._scaled = self._integer_form()
-        den, top, groups = self._scaled
-        scale = math.lcm(*(v.denominator for v in point))
-        powers = []
-        for v in point:
-            a = v.numerator * (scale // v.denominator)
-            powers.extend(a**e for e in range(top + 1))
-        lookup = powers.__getitem__
-        total = 0
-        for group in groups:
-            total = total * scale + sum(
-                math.prod(map(lookup, slots), start=coef) for coef, slots in group
-            )
-        return Fraction(total, den * scale**top)
-
-    def _integer_form(self):
-        """(den, top, groups): den is the LCM of the coefficient denominators,
-        top the total degree (0 for the zero polynomial), and groups[k] lists,
-        for each term of degree k, its integer numerator coef * den and the
-        positions of its variable powers in a table of top + 1 powers per
-        variable."""
-        den = math.lcm(*(coef.denominator for coef in self.terms.values()))
-        top = max((sum(exp) for exp in self.terms), default=0)
-        groups = [[] for _ in range(top + 1)]
-        for exp, coef in self.terms.items():
-            slots = tuple(i * (top + 1) + e for i, e in enumerate(exp) if e)
-            groups[sum(exp)].append((coef.numerator * (den // coef.denominator), slots))
-        return den, top, groups
+            self._scaled = Evaluator(self.num_x, self.num_y, [self])
+        return self._scaled(point)[0]
 
     def to_json_dict(self) -> dict:
         from .exact_linalg import format_rational
@@ -181,6 +163,69 @@ class SparsePolynomial:
                 for exp, coef in self.sorted_terms()
             ],
         }
+
+
+class Evaluator:
+    """The values of several polynomials over the same variable blocks at
+    one point, in integer arithmetic.
+
+    It holds the union of their monomials, the top degree, and each
+    polynomial's coefficients as integers over its own common denominator.
+    A call scales the point to integers over the LCM of its denominators and
+    computes each monomial's integer value once, times scale^(top - degree),
+    so only the returned values are Fractions."""
+
+    __slots__ = ("width", "top", "monomials", "forms")
+
+    def __init__(self, num_x: int, num_y: int, polys):
+        polys = list(polys)
+        if any((p.num_x, p.num_y) != (num_x, num_y) for p in polys):
+            raise ValueError("mixing polynomials over different variable blocks")
+        self.width = num_x + num_y
+        index: dict[tuple[int, ...], int] = {}
+        for poly in polys:
+            for exp in poly.terms:
+                index.setdefault(exp, len(index))
+        self.top = top = max((sum(exp) for exp in index), default=0)
+        # Per monomial: its degree's scale exponent and the positions of its
+        # variable powers in a table of top + 1 powers per variable.
+        self.monomials = [
+            (top - sum(exp), tuple(i * (top + 1) + e for i, e in enumerate(exp) if e))
+            for exp in index
+        ]
+        self.forms = []
+        for poly in polys:
+            den = math.lcm(*(coef.denominator for coef in poly.terms.values()))
+            self.forms.append(
+                (
+                    den,
+                    [index[exp] for exp in poly.terms],
+                    [c.numerator * (den // c.denominator) for c in poly.terms.values()],
+                )
+            )
+
+    def __call__(self, point) -> tuple[Fraction, ...]:
+        point = as_vector(point)
+        if len(point) != self.width:
+            raise ValueError(f"point has length {len(point)}, expected {self.width}")
+        top = self.top
+        scale = math.lcm(*(v.denominator for v in point))
+        powers = []
+        for v in point:
+            a = v.numerator * (scale // v.denominator)
+            powers.extend(a**e for e in range(top + 1))
+        lookup = powers.__getitem__
+        scales = [scale**e for e in range(top + 1)]
+        values = [
+            math.prod(map(lookup, slots), start=scales[shift])
+            for shift, slots in self.monomials
+        ]
+        lookup = values.__getitem__
+        out = []
+        for den, positions, coefs in self.forms:
+            total = sum(map(operator.mul, coefs, map(lookup, positions)))
+            out.append(Fraction(total, den * scales[top]))
+        return tuple(out)
 
 
 def deformed_power_sum(m: int, n: int, theta, r: int) -> SparsePolynomial:

@@ -30,6 +30,7 @@ from .partitions import (
     frobenius_coords,
     parse_int_list,
 )
+from .sympoly import Evaluator
 from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
 from .weights import diag_highest_weight, highest_weight, is_generic
 
@@ -118,11 +119,12 @@ def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
 def _value_table(config: SweepConfig, theta: Fraction):
     """The shapes mu and lambda, the lambda nodes, their value rows, and a
     reader row(point) of the values of every P_mu at a point. Each distinct
-    point of the sweep is evaluated once, and a node point gives its node row
-    object itself."""
+    point of the sweep is evaluated once, by one `Evaluator` call for all the
+    polynomials, and a node point gives its node row object itself."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     polys = [interpolation_polynomial(m, n, theta, mu) for mu in mus]
+    values_at = Evaluator(m, n, polys)
     lams = enumerate_hooks(m, n, config.lambda_max)
     nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
     rows = {}
@@ -130,7 +132,7 @@ def _value_table(config: SweepConfig, theta: Fraction):
     def row(point) -> tuple:
         values = rows.get(point)
         if values is None:
-            values = rows[point] = tuple(poly.evaluate(point) for poly in polys)
+            values = rows[point] = values_at(point)
         return values
 
     return mus, lams, nodes, [row(node) for node in nodes], row

@@ -244,6 +244,15 @@ class TestOneSidedSweeps:
         ) * len(enumerate_hooks(m, n, 4))
         assert generic_cases > 0
 
+    def test_full_family_all_borels_rank_three_three(self):
+        # 84 Borels of gl(3|6); the cold build of every (3,3,1/2) polynomial
+        # with |mu| <= 5 is part of it.
+        report = run_sweep(
+            SweepConfig(pair="glm2n", m=3, n=3, lambda_max=5, mu_max=5)
+        )
+        assert report.ok, report.failures[:3]
+        assert report.cases == 30_406
+
     @pytest.mark.parametrize("m,n", RANKS)
     def test_kernel_family_on_relatively_even_borels(self, m, n):
         report = run_sweep(

@@ -9,7 +9,6 @@ from capelli.exact_linalg import (
     format_rational,
     parse_rational,
     solve_linear,
-    vec_dot,
 )
 from reference import nullspace_basis
 
@@ -142,7 +141,48 @@ def test_solve_consistent_system(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_dot_symmetry(data):
+    # A one-row matrix applied to a vector is their dot product.
     k = data.draw(st.integers(min_value=1, max_value=5))
     u = tuple(data.draw(small_fractions) for _ in range(k))
     v = tuple(data.draw(small_fractions) for _ in range(k))
-    assert vec_dot(u, v) == vec_dot(v, u)
+    assert RationalMatrix([u]).apply(v) == RationalMatrix([v]).apply(u)
+
+
+def apply_by_fractions(matrix: RationalMatrix, vec) -> tuple:
+    """Row by row in Fraction arithmetic: the oracle for the integer sums
+    of `RationalMatrix.apply`."""
+    return tuple(
+        sum((a * Fraction(b) for a, b in zip(row, vec)), Fraction(0))
+        for row in matrix.entries
+    )
+
+
+# Entries and coordinates mix denominators, signs and zeros (a zero row or
+# a zero matrix has no nonzero entry to take a denominator from).
+mixed_rationals = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_matches_fraction_arithmetic(data):
+    rows = data.draw(st.integers(min_value=1, max_value=4))
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = RationalMatrix(
+        [[data.draw(mixed_rationals) for _ in range(cols)] for _ in range(rows)]
+    )
+    vec = tuple(data.draw(mixed_rationals) for _ in range(cols))
+    expected = apply_by_fractions(matrix, vec)
+    # the first call builds the integer form, the second reuses it
+    first = matrix.apply(vec)
+    second = matrix.apply(vec)
+    assert first == second == expected
+    assert all(type(x) is Fraction for x in first)
+    for wrong in (vec + (1,), vec[1:]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix.apply(wrong)
+    assert matrix == RationalMatrix(matrix.entries)
+    assert hash(matrix) == hash(RationalMatrix(matrix.entries))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli.partitions import enumerate_hooks
-from capelli.sympoly import SparsePolynomial, deformed_power_sum
+from capelli.sympoly import Evaluator, SparsePolynomial, deformed_power_sum
 from reference import (
     collapse_variable,
     defect_nullspace_basis,
@@ -216,27 +216,48 @@ rationals = st.one_of(
 )
 
 
+def draw_poly(draw, num_x, num_y):
+    """A zero, constant or general polynomial; a general one has up to six
+    terms of degree up to 8."""
+    width = num_x + num_y
+    kind = draw(st.sampled_from(["zero", "constant", "general"]))
+    if kind == "zero":
+        return SparsePolynomial(num_x, num_y)
+    if kind == "constant":
+        return SparsePolynomial.constant(num_x, num_y, draw(rationals))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.integers(0, 8))
+        exp = [0] * width
+        for _ in range(top if width else 0):
+            exp[draw(st.integers(0, width - 1))] += 1
+        terms[tuple(exp)] = draw(rationals)
+    return SparsePolynomial(num_x, num_y, terms)
+
+
 @st.composite
 def polys_and_points(draw):
     num_x = draw(st.integers(0, 3))
     num_y = draw(st.integers(0, 3))
-    width = num_x + num_y
-    kind = draw(st.sampled_from(["zero", "constant", "general"]))
-    if kind == "zero":
-        poly = SparsePolynomial(num_x, num_y)
-    elif kind == "constant":
-        poly = SparsePolynomial.constant(num_x, num_y, draw(rationals))
-    else:
-        terms = {}
-        for _ in range(draw(st.integers(1, 6))):
-            top = draw(st.integers(0, 8))
-            exp = [0] * width
-            for _ in range(top if width else 0):
-                exp[draw(st.integers(0, width - 1))] += 1
-            terms[tuple(exp)] = draw(rationals)
-        poly = SparsePolynomial(num_x, num_y, terms)
-    point = tuple(draw(rationals) for _ in range(width))
+    poly = draw_poly(draw, num_x, num_y)
+    point = tuple(draw(rationals) for _ in range(num_x + num_y))
     return poly, point
+
+
+# Node coordinates at theta = 1/2 and 1/3 are halves and thirds.
+halves_and_thirds = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6])
+)
+
+
+@st.composite
+def poly_lists_and_points(draw):
+    num_x = draw(st.integers(0, 3))
+    num_y = draw(st.integers(0, 3))
+    polys = [draw_poly(draw, num_x, num_y) for _ in range(draw(st.integers(0, 5)))]
+    coords = st.one_of(rationals, halves_and_thirds)
+    point = tuple(draw(coords) for _ in range(num_x + num_y))
+    return num_x, num_y, polys, point
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,6 +277,42 @@ def test_evaluate_matches_fraction_arithmetic(case):
         poly.evaluate(wrong_length)
     assert poly == SparsePolynomial(poly.num_x, poly.num_y, poly.terms)
     assert hash(poly) == hash(SparsePolynomial(poly.num_x, poly.num_y, poly.terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_lists_and_points())
+def test_evaluator_matches_fraction_arithmetic(case):
+    # One call gives every polynomial's value, whatever mix of top degrees,
+    # zero and constant polynomials and denominators the list holds.
+    num_x, num_y, polys, point = case
+    values_at = Evaluator(num_x, num_y, polys)
+    values = values_at(point)
+    assert values == tuple(evaluate_by_fractions(p, point) for p in polys)
+    assert all(type(v) is Fraction for v in values)
+    assert values_at(point) == values
+    for wrong in (point + (1,), point[1:]):
+        if len(wrong) != len(point):
+            with pytest.raises(ValueError, match="point has length"):
+                values_at(wrong)
+
+
+def test_mixed_blocks_are_rejected():
+    x = variable(2, 1, 0)
+    with pytest.raises(ValueError, match="different variable blocks"):
+        Evaluator(2, 1, [x, variable(1, 2, 0)])
+    # the same width split differently is a different block
+    with pytest.raises(ValueError, match="different variable blocks"):
+        Evaluator(1, 2, [x])
+    with pytest.raises(ValueError, match="different variable blocks"):
+        SparsePolynomial.combination(1, 2, [1], [x])
+    assert Evaluator(2, 1, [x])((1, 2, 3)) == (1,)
+    assert Evaluator(2, 1, [])((1, 2, 3)) == ()
+
+
+def test_combination_drops_cancelled_terms():
+    x, y = variable(2, 1, 0), variable(2, 1, 2)
+    assert SparsePolynomial.combination(2, 1, [1, -1], [x + y, x]).terms == y.terms
+    assert SparsePolynomial.combination(2, 1, [2, -2], [x, x]).terms == {}
 
 
 @settings(max_examples=40, deadline=None)

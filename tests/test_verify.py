@@ -17,10 +17,27 @@ from capelli.borel import (
 from capelli.exact_linalg import format_rational
 from capelli.isjp import interpolation_polynomial
 from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
-from capelli.sympoly import SparsePolynomial
+from capelli.sympoly import Evaluator
 from capelli.tau import AffineMap, family_map
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
+
+
+def count_evaluator_calls(monkeypatch):
+    """Record every call of the sweep's evaluator: the points it was called
+    on and the value rows it returned, in call order."""
+    calls, rows = [], []
+
+    class CountedEvaluator(Evaluator):
+        __slots__ = ()
+
+        def __call__(self, point):
+            calls.append(point)
+            rows.append(super().__call__(point))
+            return rows[-1]
+
+    monkeypatch.setattr(verify, "Evaluator", CountedEvaluator)
+    return calls, rows
 
 
 def offset_weight(w: WeightVector, step: int) -> WeightVector:
@@ -206,18 +223,12 @@ class TestOneSidedSweep:
         for borel in BorelDescriptor.enumerate(m, n):
             for lam in lams:
                 points.add(family_map(borel, "full").apply(highest_weight(lam, borel)))
-        calls = []
-        evaluate = SparsePolynomial.evaluate
-
-        def counted(poly, point):
-            calls.append(point)
-            return evaluate(poly, point)
-
-        monkeypatch.setattr(SparsePolynomial, "evaluate", counted)
+        calls, rows = count_evaluator_calls(monkeypatch)
         assert run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2)).ok
         assert points - nodes
-        assert len(calls) == len(mus) * len(points)
+        assert len(calls) == len(points)
         assert set(calls) == points
+        assert all(len(row) == len(mus) for row in rows)
 
     def test_forced_kernel_control_clean_on_even_levels(self):
         # On very even Borels the forced matrix is the true one, so the
@@ -327,18 +338,12 @@ class TestPairSweep:
                 w2 = diag_highest_weight(seq, lam, m, n, dual=False)
                 points.add((-(w1 + rho)).coords())
                 points.add((w2 + rho).coords())
-        calls = []
-        evaluate = SparsePolynomial.evaluate
-
-        def counted(poly, point):
-            calls.append(point)
-            return evaluate(poly, point)
-
-        monkeypatch.setattr(SparsePolynomial, "evaluate", counted)
+        calls, rows = count_evaluator_calls(monkeypatch)
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
         assert len(points) < 2 * 6 * len(lams)
-        assert len(calls) == len(mus) * len(points)
+        assert len(calls) == len(points)
         assert set(calls) == points
+        assert all(len(row) == len(mus) for row in rows)
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
         calls = []
