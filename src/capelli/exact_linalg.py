@@ -1,7 +1,8 @@
 """Exact linear algebra over the rational numbers.
 
-Everything in this package computes with `fractions.Fraction`; no floats are
-ever introduced, so every comparison downstream is an exact equality.
+Values in this package are `fractions.Fraction`s, and sums run in integers
+over common denominators (`integer_form`); no floats are ever introduced, so
+every comparison downstream is an exact equality.
 """
 
 from __future__ import annotations
@@ -55,6 +56,21 @@ def as_vector(values) -> Vector:
     """Coerce an iterable of numbers into a tuple of Rationals. Fractions
     are immutable, so one is kept rather than copied."""
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def integer_form(values) -> tuple[int, list[int]]:
+    """(den, nums): den is the LCM of the denominators of values, a sequence
+    of Fractions or integers that is read twice, and nums[i] is values[i]
+    times den, an integer.
+
+    Examples
+    ========
+
+    >>> integer_form([Fraction(1, 2), Fraction(-2, 3), 5])
+    (6, [3, -4, 30])
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def format_vector(values) -> list[str]:
@@ -112,49 +128,17 @@ class RationalMatrix:
         if self.cols != len(vec):
             raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")
         if self._scaled is None:
-            den = math.lcm(*(x.denominator for row in self.entries for x in row if x))
+            den, nums = integer_form([x for row in self.entries for x in row])
+            cols = self.cols
             rows = [
-                [
-                    (j, x.numerator * (den // x.denominator))
-                    for j, x in enumerate(row)
-                    if x
-                ]
-                for row in self.entries
+                [(j, c) for j, c in enumerate(nums[i * cols : (i + 1) * cols]) if c]
+                for i in range(self.rows)
             ]
             object.__setattr__(self, "_scaled", (den, rows))
         den, rows = self._scaled
-        scale = math.lcm(*(v.denominator for v in vec))
-        ints = [v.numerator * (scale // v.denominator) for v in vec]
+        scale, ints = integer_form(vec)
         den *= scale
         return tuple(Fraction(sum(c * ints[j] for j, c in row), den) for row in rows)
-
-
-def _rref(entries):
-    """Row-reduce in place; return pivot columns.
-
-    Pivots are chosen as the first row with a nonzero entry in the current
-    column, so the reduction is deterministic.
-    """
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if entries[i][c] != 0), None)
-        if pivot is None:
-            continue
-        entries[r], entries[pivot] = entries[pivot], entries[r]
-        inv = 1 / entries[r][c]
-        entries[r] = [inv * x for x in entries[r]]
-        for i in range(rows):
-            if i != r and entries[i][c] != 0:
-                factor = entries[i][c]
-                entries[i] = [x - factor * y for x, y in zip(entries[i], entries[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
 
 
 def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
@@ -178,8 +162,33 @@ def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
     columns = [as_vector(b) for b in rhs_columns]
     if any(len(b) != rows for b in columns):
         raise ValueError(f"right-hand side length differs from {rows} rows")
-    work = [list(row) + [b[i] for b in columns] for i, row in enumerate(matrix.entries)]
-    pivots = [c for c in _rref(work) if c < cols]
+    # Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    # on the augmented rows, each scaled to integers. Every entry stays a
+    # minor of the augmented matrix, so each division by the previous pivot
+    # is exact, and at the end every pivot row holds the last pivot on its
+    # own pivot column and 0 on the others.
+    work = [
+        integer_form(row + tuple(b[i] for b in columns))[1]
+        for i, row in enumerate(matrix.entries)
+    ]
+    pivots: list[int] = []
+    last = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                work[i] = [(p * x - f * y) // last for x, y in zip(row, top)]
+        pivots.append(c)
+        last = p
     if len(pivots) < rows:
         raise ValueError(
             f"singular matrix in solve_linear: rank {len(pivots)} < {rows} rows"
@@ -188,6 +197,6 @@ def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
     for k in range(cols, cols + len(columns)):
         x = [Fraction(0)] * cols
         for row, c in zip(work, pivots):
-            x[c] = row[k]
+            x[c] = Fraction(row[k], last)
         solutions.append(tuple(x))
     return solutions

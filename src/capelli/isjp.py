@@ -13,10 +13,11 @@ solve at the nodes of size d combines these residuals."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import RationalMatrix, solve_linear
+from .exact_linalg import RationalMatrix, integer_form, solve_linear
 from .partitions import (
     Partition,
     enumerate_hooks,
@@ -41,48 +42,69 @@ def characteristic_value(lam: Partition) -> int:
 
 @lru_cache(maxsize=CACHED_SIZES)
 def _polynomials_of_size(m: int, n: int, theta, d: int):
-    """(polys, values): polys maps each hook partition of size d to its
-    interpolation polynomial, and values maps each hook rho of size d to
-    {kappa: P_kappa(rho)} over the hooks kappa with |kappa| < d. The smaller
-    sizes come from this cache.
+    """(polys, nodes): polys maps each hook partition of size d to its
+    interpolation polynomial, and nodes maps each hook rho of size <= d to
+    (point, powers, row): its shifted coordinates, the values of p_1..p_d
+    there as a tuple of numerators and one of denominators, and the values
+    P_kappa(rho) over the hooks kappa with |kappa| < |rho| as integers over
+    one denominator. The smaller sizes come from this cache, so each size
+    computes the point and p_1..p_d only at its own nodes, and p_d at the
+    smaller ones.
 
     P_kappa vanishes at every other node of size <= |kappa| and takes |kappa|!
     at its own, so walking the smaller nodes by size, each top product p_nu,
     |nu| = d, gets coefficients a_nu with r_nu = p_nu - sum a_nu,kappa P_kappa
-    zero on them. One solve at the nodes of size d picks the combination
-    sum c_nu r_nu of each shape; its pivot products are taken from left to
-    right and the others left at 0, so only products with c_nu != 0 are
-    expanded into monomials."""
+    zero on them; a_nu is kept as integers over one denominator, so each
+    residual is one integer dot product. One solve at the nodes of size d
+    picks the combination sum c_nu r_nu of each shape; its pivot products
+    are taken from left to right and the others left at 0, so only products
+    with c_nu != 0 are expanded into monomials."""
     lower = [_polynomials_of_size(m, n, theta, s) for s in range(d)]
     below = {kappa: poly for polys, _ in lower for kappa, poly in polys.items()}
-    nodes = enumerate_hooks(m, n, d)
-    shapes = nodes[len(below):]
-    points = {rho: frobenius_coords(rho, m, n, theta) for rho in nodes}
-    at_below = Evaluator(m, n, below.values())
-    values = {rho: dict(zip(below, at_below(points[rho]))) for rho in shapes}
+    shapes = enumerate_hooks(m, n, d)[len(below):]
     sums = [deformed_power_sum(m, n, theta, r) for r in range(1, d + 1)]
+    at_top = Evaluator(m, n, sums[-1:])
+    nodes = {}
+    for rho, (point, (nums, dens), row) in (lower[-1][1] if lower else {}).items():
+        (p_d,) = at_top(point)
+        nodes[rho] = (point, (nums + (p_d.numerator,), dens + (p_d.denominator,)), row)
     at_sums = Evaluator(m, n, sums)
-    powers = {rho: at_sums(points[rho]) for rho in nodes}
+    at_below = Evaluator(m, n, below.values())
+    for rho in shapes:
+        point = frobenius_coords(rho, m, n, theta)
+        values = at_sums(point)
+        powers = (
+            tuple(v.numerator for v in values),
+            tuple(v.denominator for v in values),
+        )
+        nodes[rho] = (point, powers, integer_form(at_below(point)))
     products = [nu for nu in enumerate_partitions(d, d) if size(nu) == d]
 
-    # The nonzero values of the smaller polynomials at every node.
-    known = {
-        rho: [(kappa, v) for kappa, v in table[rho].items() if v]
-        for table in [entry[1] for entry in lower] + [values]
-        for rho in table
-    }
-
     def residual_row(nu):
-        """a_nu over the smaller nodes, then r_nu at each node of size d."""
-        top = {rho: math.prod(powers[rho][r - 1] for r in nu) for rho in nodes}
-        a = {}
+        """a_nu over the smaller nodes as (denominator, numerators), then
+        r_nu at each node of size d."""
+        parts = [r - 1 for r in nu]
+        den, a = 1, []
 
-        def residual(rho):
-            return top[rho] - sum(a[kappa] * v for kappa, v in known[rho])
+        def residual(rho, divisor=1):
+            """(p_nu - sum a_nu,kappa P_kappa)(rho) / divisor: the sum is one
+            integer dot product over den times the row's denominator."""
+            _, (nums, dens), (row_den, row) = nodes[rho]
+            top = math.prod(map(nums.__getitem__, parts))
+            bottom = math.prod(map(dens.__getitem__, parts))
+            row_den *= den
+            dot = sum(map(operator.mul, a, row))
+            return Fraction(top * row_den - dot * bottom, bottom * row_den * divisor)
 
-        for rho in below:
-            a[rho] = residual(rho) / characteristic_value(rho)
-        return a, [residual(rho) for rho in shapes]
+        for polys, _ in lower:
+            scale, layer = integer_form(
+                [residual(rho, characteristic_value(rho)) for rho in polys]
+            )
+            common = math.lcm(den, scale)
+            a = [v * (common // den) for v in a]
+            a += [v * (common // scale) for v in layer]
+            den = common
+        return (den, a), [residual(rho) for rho in shapes]
 
     coefficients, columns = zip(*map(residual_row, products))
     rhs = [
@@ -107,14 +129,23 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
     polys = {}
     for lam, coefs in zip(shapes, solutions):
         used = [(c, nu, a) for c, nu, a in zip(coefs, products, coefficients) if c]
-        lowered = [-sum(c * a[kappa] for c, _, a in used) for kappa in below]
+        # -sum_nu c_nu a_nu in integers: the c over their common denominator
+        # times the LCM of the a_nu denominators.
+        scale, factors = integer_form([c for c, _, _ in used])
+        common = math.lcm(*(den for _, _, (den, _) in used))
+        factors = [f * (common // den) for f, (_, _, (den, _)) in zip(factors, used)]
+        scale *= common
+        lowered = [
+            Fraction(-sum(map(operator.mul, factors, column)), scale)
+            for column in zip(*(a for _, _, (_, a) in used))
+        ]
         polys[lam] = SparsePolynomial.combination(
             m,
             n,
             [c for c, _, _ in used] + lowered,
             [expand(nu) for _, nu, _ in used] + list(below.values()),
         )
-    return polys, values
+    return polys, nodes
 
 
 def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:

@@ -8,7 +8,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .exact_linalg import as_vector
+from .exact_linalg import as_vector, integer_form
 from .partitions import require_theta
 
 
@@ -45,14 +45,14 @@ class SparsePolynomial:
         self._scaled = None
 
     @classmethod
-    def _built(cls, num_x: int, num_y: int, terms) -> "SparsePolynomial":
-        """A polynomial from terms the library has built itself: tuple
-        exponents of the right length and Fraction coefficients, so only the
-        terms that cancelled to 0 are dropped."""
+    def _from_sums(cls, num_x: int, num_y: int, sums, den: int) -> "SparsePolynomial":
+        """The polynomial with coefficients v / den over the integer sums
+        {exp: v} that the library has built itself, with tuple exponents of
+        the right length, so only the sums that cancelled to 0 are dropped."""
         poly = cls.__new__(cls)
         poly.num_x = num_x
         poly.num_y = num_y
-        poly.terms = {exp: coef for exp, coef in terms.items() if coef}
+        poly.terms = {exp: Fraction(v, den) for exp, v in sums.items() if v}
         poly._scaled = None
         return poly
 
@@ -67,28 +67,23 @@ class SparsePolynomial:
         """The linear combination sum of c * p over paired coefs and polys;
         pairs with c = 0 are skipped.
 
-        The sum runs in integers over one common denominator, the LCM of
-        each c's denominator times its polynomial's; only the result's
-        coefficients are Fractions."""
-        scaled = []
-        for c, poly in zip(coefs, polys):
+        The sum runs in integers over the coefficients' common denominator
+        times that of the polynomials; only the result's coefficients are
+        Fractions."""
+        pairs = []
+        for c, poly in zip(as_vector(coefs), polys):
             if (poly.num_x, poly.num_y) != (num_x, num_y):
                 raise ValueError("mixing polynomials over different variable blocks")
-            c = Fraction(c)
-            if not c:
-                continue
-            den = math.lcm(*(coef.denominator for coef in poly.terms.values()))
-            scaled.append((c, den, poly))
-        common = math.lcm(*(c.denominator * den for c, den, _ in scaled))
+            if c:
+                pairs.append((c, poly, *integer_form(poly.terms.values())))
+        scale, factors = integer_form([c for c, _, _, _ in pairs])
+        common = math.lcm(*(den for _, _, den, _ in pairs))
         sums: dict[tuple[int, ...], int] = {}
-        for c, den, poly in scaled:
-            factor = c.numerator * (common // (c.denominator * den))
-            for exp, coef in poly.terms.items():
-                term = coef.numerator * (den // coef.denominator) * factor
-                sums[exp] = sums.get(exp, 0) + term
-        return cls._built(
-            num_x, num_y, {exp: Fraction(v, common) for exp, v in sums.items()}
-        )
+        for factor, (_, poly, den, nums) in zip(factors, pairs):
+            factor *= common // den
+            for exp, num in zip(poly.terms, nums):
+                sums[exp] = sums.get(exp, 0) + num * factor
+        return cls._from_sums(num_x, num_y, sums, scale * common)
 
     # -- basics ------------------------------------------------------------
 
@@ -136,12 +131,14 @@ class SparsePolynomial:
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         self._check_shape(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return SparsePolynomial._built(self.num_x, self.num_y, terms)
+        den1, nums1 = integer_form(self.terms.values())
+        den2, nums2 = integer_form(other.terms.values())
+        sums: dict[tuple[int, ...], int] = {}
+        for e1, a in zip(self.terms, nums1):
+            for e2, b in zip(other.terms, nums2):
+                exp = tuple(map(operator.add, e1, e2))
+                sums[exp] = sums.get(exp, 0) + a * b
+        return SparsePolynomial._from_sums(self.num_x, self.num_y, sums, den1 * den2)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -195,24 +192,17 @@ class Evaluator:
         ]
         self.forms = []
         for poly in polys:
-            den = math.lcm(*(coef.denominator for coef in poly.terms.values()))
-            self.forms.append(
-                (
-                    den,
-                    [index[exp] for exp in poly.terms],
-                    [c.numerator * (den // c.denominator) for c in poly.terms.values()],
-                )
-            )
+            den, nums = integer_form(poly.terms.values())
+            self.forms.append((den, [index[exp] for exp in poly.terms], nums))
 
     def __call__(self, point) -> tuple[Fraction, ...]:
         point = as_vector(point)
         if len(point) != self.width:
             raise ValueError(f"point has length {len(point)}, expected {self.width}")
         top = self.top
-        scale = math.lcm(*(v.denominator for v in point))
+        scale, ints = integer_form(point)
         powers = []
-        for v in point:
-            a = v.numerator * (scale // v.denominator)
+        for a in ints:
             powers.extend(a**e for e in range(top + 1))
         lookup = powers.__getitem__
         scales = [scale**e for e in range(top + 1)]

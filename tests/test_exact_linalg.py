@@ -10,7 +10,7 @@ from capelli.exact_linalg import (
     parse_rational,
     solve_linear,
 )
-from reference import nullspace_basis
+from reference import _reduce, nullspace_basis
 
 
 def test_parse_rational():
@@ -186,3 +186,79 @@ def test_apply_matches_fraction_arithmetic(data):
             matrix.apply(wrong)
     assert matrix == RationalMatrix(matrix.entries)
     assert hash(matrix) == hash(RationalMatrix(matrix.entries))
+
+
+def solve_by_reduction(matrix: RationalMatrix, rhs_columns) -> list[tuple]:
+    """Gauss-Jordan in Fractions on each augmented matrix, the pivot
+    coordinates read off and the others left at 0: the oracle for the
+    fraction-free `solve_linear` on full-row-rank matrices."""
+    solutions = []
+    for b in rhs_columns:
+        rows = [list(row) + [Fraction(v)] for row, v in zip(matrix.entries, b)]
+        x = [Fraction(0)] * matrix.cols
+        for row, c in zip(rows, _reduce(rows)):
+            x[c] = row[-1]
+        solutions.append(tuple(x))
+    return solutions
+
+
+def rank(matrix: RationalMatrix) -> int:
+    return len(_reduce([list(row) for row in matrix.entries]))
+
+
+@st.composite
+def full_row_rank_systems(draw):
+    # Square or wide, with zero columns and non-integer entries, and up to
+    # four right-hand sides.
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=rows, max_value=7))
+    zero = draw(st.sets(st.integers(0, cols - 1), max_size=cols - rows))
+    matrix = RationalMatrix(
+        [
+            [0 if j in zero else draw(mixed_rationals) for j in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+    assume(rank(matrix) == rows)
+    rhs = [
+        tuple(draw(mixed_rationals) for _ in range(rows))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return matrix, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_row_rank_systems())
+def test_solve_matches_fraction_reduction(system):
+    matrix, rhs = system
+    solutions = solve_linear(matrix, rhs)
+    assert solutions == solve_by_reduction(matrix, rhs)
+    assert all(type(x) is Fraction for solution in solutions for x in solution)
+    for solution, b in zip(solutions, rhs):
+        assert matrix.apply(solution) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_rejects_dependent_rows_and_bad_lengths(data):
+    # One row is a combination of the others: wide or tall, the error names
+    # the rank that the Fraction reduction finds.
+    rows = data.draw(st.integers(min_value=2, max_value=5))
+    cols = data.draw(st.integers(min_value=1, max_value=7))
+    free = [
+        [data.draw(mixed_rationals) for _ in range(cols)] for _ in range(rows - 1)
+    ]
+    weights = [data.draw(mixed_rationals) for _ in free]
+    combined = [sum(w * row[j] for w, row in zip(weights, free)) for j in range(cols)]
+    entries = list(free)
+    entries.insert(data.draw(st.integers(0, rows - 1)), combined)
+    matrix = RationalMatrix(entries)
+    b = tuple(data.draw(mixed_rationals) for _ in range(rows))
+    message = f"singular matrix in solve_linear: rank {rank(matrix)} < {rows} rows"
+    with pytest.raises(ValueError) as error:
+        solve_linear(matrix, [b])
+    assert str(error.value) == message
+    for wrong in (b + (1,), b[1:]):
+        with pytest.raises(ValueError) as error:
+            solve_linear(matrix, [b, wrong])
+        assert str(error.value) == f"right-hand side length differs from {rows} rows"

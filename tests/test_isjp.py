@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -229,3 +231,68 @@ def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
     ]
     assert expected[top] == (10, 11)
     assert shapes == expected
+
+
+def test_each_node_point_is_computed_once(monkeypatch):
+    # Each size computes the shifted coordinates only at its own nodes and
+    # reads the smaller nodes' points from the cache: one call per hook.
+    m, n, theta, top = 2, 1, HALF, 6
+    calls = []
+
+    def counting_coords(lam, *args):
+        calls.append(lam)
+        return frobenius_coords(lam, *args)
+
+    monkeypatch.setattr(isjp, "frobenius_coords", counting_coords)
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        for lam in enumerate_hooks(m, n, top):
+            interpolation_polynomial(m, n, theta, lam)
+    finally:
+        isjp._polynomials_of_size.cache_clear()
+    assert len(calls) == 29
+    assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
+
+
+# sha256 over the sorted-key JSON of every polynomial's `to_json_dict()`, in
+# `enumerate_hooks` order, taken from the Fraction build of the polynomials
+# before the build ran in integers.
+GOLDEN_DIGESTS = [
+    (
+        2, 2, HALF, 6,
+        "1a075dd83af5506a26c21f59efd922de0257089f60a52c467b794a184982ab38",
+    ),
+    (
+        3, 2, Fraction(1, 3), 5,
+        "72d8180ac9f5d49758bcf75795a7af3002bf3d4ca7ff95e7435407f6ff95c085",
+    ),
+    (
+        1, 2, HALF, 6,
+        "6c8391ea1b7b3c764bfc0fdd715f36c1a17bc945109eb61f92cec0aa00bcf417",
+    ),
+    (
+        3, 3, Fraction(2), 4,
+        "b83c30228361850ec868b015d23de3d10c1484e86933fcdae768b4435e36feb3",
+    ),
+    (
+        0, 2, HALF, 5,
+        "86ad359b823403bf84dc5f7b83bea9d3423e38237ecb9030c120d7a8fcde920f",
+    ),
+    (
+        2, 0, ONE, 5,
+        "00e4e2a7f369139cd34f3eeba9061533ee1e3a63224ed0fcbc9cef718d398d03",
+    ),
+]
+
+
+@pytest.mark.parametrize("m,n,theta,top,digest", GOLDEN_DIGESTS)
+def test_polynomials_match_golden_digests(m, n, theta, top, digest):
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        hasher = hashlib.sha256()
+        for lam in enumerate_hooks(m, n, top):
+            poly = interpolation_polynomial(m, n, theta, lam)
+            hasher.update(json.dumps(poly.to_json_dict(), sort_keys=True).encode())
+    finally:
+        isjp._polynomials_of_size.cache_clear()
+    assert hasher.hexdigest() == digest

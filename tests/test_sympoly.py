@@ -329,3 +329,60 @@ def test_combination_matches_fraction_arithmetic(pairs):
     combined = SparsePolynomial.combination(2, 1, coefs, polys)
     assert combined == expected
     assert all(type(coef) is Fraction for coef in combined.terms.values())
+
+
+def product_by_fractions(p: SparsePolynomial, q: SparsePolynomial) -> dict:
+    """Term by term in Fraction arithmetic, cancelled terms removed: the
+    oracle for the integer sums of `SparsePolynomial.__mul__`."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+    return {exp: c for exp, c in terms.items() if c}
+
+
+@st.composite
+def poly_pairs(draw):
+    num_x = draw(st.integers(0, 3))
+    num_y = draw(st.integers(0, 3))
+    p = draw_poly(draw, num_x, num_y)
+    # Sometimes the second factor is the first with some signs flipped, so
+    # that cross terms cancel as in (x + y)(x - y).
+    if draw(st.booleans()):
+        signs = st.sampled_from([1, -1])
+        q = SparsePolynomial(
+            num_x, num_y, {e: c * draw(signs) for e, c in p.terms.items()}
+        )
+    else:
+        q = draw_poly(draw, num_x, num_y)
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_product_matches_fraction_arithmetic(pair):
+    # Zero, constant and general factors with non-integer coefficients.
+    p, q = pair
+    product = p * q
+    assert product.terms == product_by_fractions(p, q)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    assert product == SparsePolynomial(p.num_x, p.num_y, product.terms)
+
+
+def test_product_drops_cancelled_cross_terms():
+    x, y = variable(2, 1, 0), variable(2, 1, 2)
+    # (x + y)(x - y) = x^2 - y^2: the xy terms cancel and leave no 0 entry.
+    assert (x + y) * (x - y) == poly_from(2, 1, {(2, 0, 0): 1, (0, 0, 2): -1})
+    assert ((x + y) * (x - y)).terms.keys() == {(2, 0, 0), (0, 0, 2)}
+    # (x/2 + y/3)(x/2 - y/3) = x^2/4 - y^2/9 over denominators 2 and 3.
+    half, third = x.scale(Fraction(1, 2)), y.scale(Fraction(1, 3))
+    assert ((half + third) * (half - third)).terms == {
+        (2, 0, 0): Fraction(1, 4),
+        (0, 0, 2): Fraction(-1, 9),
+    }
+    zero = SparsePolynomial(2, 1)
+    assert (zero * (x + y)).terms == {} and ((x + y) * zero).terms == {}
+    assert (SparsePolynomial.constant(2, 1, Fraction(3, 2)) * x).terms == {
+        (1, 0, 0): Fraction(3, 2)
+    }
