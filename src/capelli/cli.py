@@ -30,7 +30,7 @@ from .borel import (
 )
 from .equivalence import DEFAULT_BUDGET, orbit
 from .exact_linalg import format_rational, format_vector, parse_rational
-from .isjp import eigenvalue, interpolation_polynomial
+from .isjp import eigenvalue, evaluator, interpolation_polynomial
 from .partitions import (
     format_partition,
     frobenius_coords,
@@ -209,7 +209,7 @@ def _cmd_eig(args) -> int:
         borel = _borel(args)
         family = args.map or "full"
         point = family_map(borel, family).apply(highest_weight(lam, borel))
-        value = interpolation_polynomial(args.m, args.n, theta, mu).evaluate(point)
+        (value,) = evaluator(args.m, args.n, theta, [mu])(point)
     else:
         value = eigenvalue(mu, lam, args.m, args.n, theta)
     payload = {

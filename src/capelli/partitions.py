@@ -69,8 +69,8 @@ def require_hook(lam: Partition, m: int, n: int) -> Partition:
 
 
 def arm_columns(lam: Partition, m: int, n: int) -> tuple[int, ...]:
-    """Column lengths below row m: the vector (max(0, lam'_j - m)) for j = 1..n."""
-    lam = require_hook(lam, m, n)
+    """Column lengths below row m: the vector (max(0, lam'_j - m)) for j = 1..n,
+    of a hook partition that the caller has checked with `require_hook`."""
     tr = transpose(lam)
     return tuple(max(0, part(tr, j) - m) for j in range(1, n + 1))
 

@@ -23,14 +23,13 @@ from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
 from .exact_linalg import format_rational, format_vector
-from .isjp import interpolation_polynomial
+from .isjp import evaluator
 from .partitions import (
     enumerate_hooks,
     format_partition,
     frobenius_coords,
     parse_int_list,
 )
-from .sympoly import Evaluator
 from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
 from .weights import diag_highest_weight, highest_weight, is_generic
 
@@ -119,12 +118,11 @@ def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
 def _value_table(config: SweepConfig, theta: Fraction):
     """The shapes mu and lambda, the lambda nodes, their value rows, and a
     reader row(point) of the values of every P_mu at a point. Each distinct
-    point of the sweep is evaluated once, by one `Evaluator` call for all the
+    point of the sweep is evaluated once, by one `evaluator` call for all the
     polynomials, and a node point gives its node row object itself."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
-    polys = [interpolation_polynomial(m, n, theta, mu) for mu in mus]
-    values_at = Evaluator(m, n, polys)
+    values_at = evaluator(m, n, theta, mus)
     lams = enumerate_hooks(m, n, config.lambda_max)
     nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
     rows = {}

@@ -5,8 +5,10 @@ computes every highest weight with one rule, `weights.diagram_cut`, and every
 interpolation polynomial from deformed power sums; the tests compare both
 with these derivations. The highest-weight oracles never call the rule, and
 the polynomial oracle never calls the power sums or the library's
-elimination. The graded polynomial algebras at the end are the starting
-material of a Capelli-operator oracle; the library builds no operator."""
+elimination. The library takes every value from a polynomial's power-sum
+coordinates; the monomial evaluator here checks its expanded output. The
+graded polynomial algebras at the end are the starting material of a
+Capelli-operator oracle; the library builds no operator."""
 
 import itertools
 import math
@@ -20,8 +22,12 @@ from capelli.borel import (
     validate_sequence,
     weyl_vector,
 )
-from capelli.exact_linalg import RationalMatrix
-from capelli.isjp import characteristic_value, interpolation_polynomial
+from capelli.exact_linalg import RationalMatrix, as_vector, integer_form
+from capelli.isjp import (
+    characteristic_value,
+    interpolation_polynomial,
+    power_sum_coefficients,
+)
 from capelli.partitions import (
     arm_columns,
     enumerate_hooks,
@@ -301,7 +307,7 @@ def equivalent_up_to_degree(u, v, m: int, n: int, theta, max_degree: int = 4) ->
     """Whether every interpolation polynomial of size <= max_degree takes the
     same value at u and v."""
     return all(
-        poly.evaluate(u) == poly.evaluate(v)
+        evaluate(poly, u) == evaluate(poly, v)
         for poly in (
             interpolation_polynomial(m, n, theta, mu)
             for mu in enumerate_hooks(m, n, max_degree)
@@ -311,7 +317,8 @@ def equivalent_up_to_degree(u, v, m: int, n: int, theta, max_degree: int = 4) ->
 
 def evaluate_by_fractions(poly: SparsePolynomial, point) -> Fraction:
     """The value of poly at point, term by term in Fraction arithmetic: the
-    oracle for the integer arithmetic of `SparsePolynomial.evaluate`."""
+    oracle for the integer arithmetic of `evaluate` and of the library's
+    evaluator."""
     point = tuple(Fraction(v) for v in point)
     if len(point) != poly.num_x + poly.num_y:
         raise ValueError(
@@ -325,6 +332,72 @@ def evaluate_by_fractions(poly: SparsePolynomial, point) -> Fraction:
                 value *= base**e
         total += value
     return total
+
+
+def evaluate(poly: SparsePolynomial, point) -> Fraction:
+    """The monomial oracle: the value of poly at point from its monomials,
+    in integers over the common denominators of the point and of the
+    coefficients."""
+    point = as_vector(point)
+    width = poly.num_x + poly.num_y
+    if len(point) != width:
+        raise ValueError(f"point has length {len(point)}, expected {width}")
+    scale, ints = integer_form(point)
+    den, nums = integer_form(poly.terms.values())
+    top = max(map(sum, poly.terms), default=0)
+    total = sum(
+        c * math.prod(map(pow, ints, exp)) * scale ** (top - sum(exp))
+        for c, exp in zip(nums, poly.terms)
+    )
+    return Fraction(total, den * scale**top)
+
+
+def _check_blocks(polys, num_x: int, num_y: int):
+    if any((p.num_x, p.num_y) != (num_x, num_y) for p in polys):
+        raise ValueError("mixing polynomials over different variable blocks")
+
+
+def combination(num_x: int, num_y: int, coefs, polys) -> SparsePolynomial:
+    """The linear combination sum of c * p over paired coefs and polys."""
+    polys = list(polys)
+    _check_blocks(polys, num_x, num_y)
+    terms = {}
+    for c, poly in zip(coefs, polys):
+        for exp, coef in poly.terms.items():
+            terms[exp] = terms.get(exp, 0) + Fraction(c) * coef
+    return SparsePolynomial(num_x, num_y, terms)
+
+
+def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
+    """p + q, term by term in Fractions."""
+    _check_blocks([q], p.num_x, p.num_y)
+    terms = dict(p.terms)
+    for exp, coef in q.terms.items():
+        terms[exp] = terms.get(exp, Fraction(0)) + coef
+    return SparsePolynomial(p.num_x, p.num_y, terms)
+
+
+def sub(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
+    return add(p, scale(q, -1))
+
+
+def scale(p: SparsePolynomial, value) -> SparsePolynomial:
+    value = Fraction(value)
+    return SparsePolynomial(
+        p.num_x, p.num_y, {exp: value * coef for exp, coef in p.terms.items()}
+    )
+
+
+def deformed_power_sum(m: int, n: int, theta, r: int) -> SparsePolynomial:
+    """The deformed shifted power sum p_r = sum_i x_i^r + sum_j psi_r(y_j)
+    as a polynomial, from the library's coefficients."""
+    xs, ys = power_sum_coefficients(theta, r)
+    terms = {}
+    for v in range(m + n):
+        for k, coef in enumerate(xs if v < m else ys):
+            exp = tuple(k if u == v else 0 for u in range(m + n))
+            terms[exp] = terms.get(exp, 0) + coef
+    return SparsePolynomial(m, n, terms)
 
 
 # -- polynomials and the defect-nullspace basis -----------------------------------
@@ -416,7 +489,7 @@ def monoidal_defect(
     half = Fraction(1, 2)
     plus = shift_variable(shift_variable(poly, xi, half), yj, -half)
     minus = shift_variable(shift_variable(poly, xi, -half), yj, half)
-    return collapse_variable(plus - minus, xi, -theta, yj)
+    return collapse_variable(sub(plus, minus), xi, -theta, yj)
 
 
 def satisfies_monoidal_symmetry(
@@ -491,7 +564,7 @@ def defect_nullspace_basis(m: int, n: int, theta, max_degree: int):
             or [[0] * len(defects)]
         )
         basis = [
-            SparsePolynomial.combination(m, n, vec, generators)
+            combination(m, n, vec, generators)
             for vec in nullspace_basis(matrix)
         ]
     expected = len(enumerate_hooks(m, n, max_degree))
@@ -508,13 +581,13 @@ def interpolant_on_basis(m: int, n: int, theta, lam) -> SparsePolynomial:
     basis = defect_nullspace_basis(m, n, theta, d)
     nodes = enumerate_hooks(m, n, d)
     rows = [
-        [poly.evaluate(frobenius_coords(mu, m, n, theta)) for poly in basis]
+        [evaluate(poly, frobenius_coords(mu, m, n, theta)) for poly in basis]
         + [characteristic_value(lam) if mu == lam else 0]
         for mu in nodes
     ]
     if _reduce(rows) != list(range(len(basis))):
         raise ValueError("the basis does not separate the nodes")
-    return SparsePolynomial.combination(m, n, [row[-1] for row in rows], basis)
+    return combination(m, n, [row[-1] for row in rows], basis)
 
 
 # -- graded polynomial algebras ---------------------------------------------------

@@ -24,6 +24,7 @@ from reference import (
     defect_nullspace_basis,
     degree,
     derivation_pairing,
+    evaluate,
     even_core,
     hw_standard_diag,
     invariant_operator_matrix,
@@ -62,11 +63,11 @@ class TestDefiningProperties:
         nodes = {mu: frobenius_coords(mu, m, n, theta) for mu in shapes}
         for lam in shapes:
             poly = interpolation_polynomial(m, n, theta, lam)
-            assert poly.evaluate(nodes[lam]) == characteristic_value(lam)
+            assert evaluate(poly, nodes[lam]) == characteristic_value(lam)
             assert characteristic_value(lam) == factorial(sum(lam))
             for mu in shapes:
                 if mu != lam and sum(mu) <= sum(lam):
-                    assert poly.evaluate(nodes[mu]) == 0, (lam, mu, theta)
+                    assert evaluate(poly, nodes[mu]) == 0, (lam, mu, theta)
             assert satisfies_monoidal_symmetry(poly, theta, all_pairs=True)
 
     def test_cold_build_to_size_eight(self):
@@ -79,10 +80,25 @@ class TestDefiningProperties:
         for lam in shapes:
             poly = interpolation_polynomial(m, n, theta, lam)
             assert degree(poly) <= size(lam), lam
-            assert poly.evaluate(nodes[lam]) == factorial(size(lam)), lam
+            assert evaluate(poly, nodes[lam]) == factorial(size(lam)), lam
             for mu in shapes:
                 if mu != lam and size(mu) <= size(lam):
-                    assert poly.evaluate(nodes[mu]) == 0, (lam, mu)
+                    assert evaluate(poly, nodes[mu]) == 0, (lam, mu)
+
+    def test_cold_build_to_size_ten(self):
+        # The frontier without monomials: every (2|2) polynomial up to size 10
+        # at theta = 1/2, built from an empty cache and checked at every node
+        # through the library's evaluator.
+        m, n, theta = 2, 2, HALF
+        isjp._polynomials_of_size.cache_clear()
+        shapes = enumerate_hooks(m, n, 10)
+        values_at = isjp.evaluator(m, n, theta, shapes)
+        for mu in shapes:
+            values = values_at(frobenius_coords(mu, m, n, theta))
+            for lam, value in zip(shapes, values):
+                if size(mu) <= size(lam):
+                    expected = factorial(size(lam)) if mu == lam else 0
+                    assert value == expected, (lam, mu)
 
 
 class TestNodeIdentities:

@@ -3,18 +3,26 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capelli import isjp
 from capelli.exact_linalg import solve_linear
-from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
+from capelli.isjp import (
+    characteristic_value,
+    eigenvalue,
+    evaluator,
+    interpolation_polynomial,
+    power_sum_coefficients,
+)
 from capelli.partitions import (
     enumerate_hooks,
     enumerate_partitions,
     frobenius_coords,
     size,
 )
-from capelli.sympoly import SparsePolynomial, deformed_power_sum
-from reference import degree, interpolant_on_basis
+from capelli.sympoly import SparsePolynomial
+from reference import degree, evaluate, evaluate_by_fractions, interpolant_on_basis
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -61,7 +69,7 @@ def test_extra_vanishing_hand_oracle():
     p = interpolation_polynomial(1, 1, ONE, (2,))
     node = frobenius_coords((1, 1, 1), 1, 1, ONE)
     assert node == (HALF, Fraction(5, 2))
-    assert p.evaluate(node) == 0
+    assert evaluate(p, node) == 0
 
 
 @pytest.mark.parametrize(
@@ -83,7 +91,7 @@ def test_defining_property(m, n, theta, max_size):
             if size(mu) > size(lam):
                 continue
             expected = characteristic_value(lam) if mu == lam else 0
-            assert p.evaluate(nodes[mu]) == expected, (lam, mu)
+            assert evaluate(p, nodes[mu]) == expected, (lam, mu)
 
 
 def test_extra_vanishing_beyond_defining_size():
@@ -98,7 +106,7 @@ def test_extra_vanishing_beyond_defining_size():
                 for i, part in enumerate(lam)
             )
             if not contains:
-                assert p.evaluate(frobenius_coords(mu, m, n, theta)) == 0, mu
+                assert evaluate(p, frobenius_coords(mu, m, n, theta)) == 0, mu
 
 
 def test_eigenvalue_of_box_counts_size():
@@ -149,10 +157,10 @@ def test_matches_interpolant_on_defect_nullspace_basis(m, n, theta):
 def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch):
     # Negative control: if every power sum were p_1, the products would span
     # too little, and the build must refuse rather than return a polynomial.
-    def first_power_sum(m, n, theta, r):
-        return deformed_power_sum(m, n, theta, 1)
+    def first_power_sum(theta, r):
+        return power_sum_coefficients(theta, 1)
 
-    monkeypatch.setattr(isjp, "deformed_power_sum", first_power_sum)
+    monkeypatch.setattr(isjp, "power_sum_coefficients", first_power_sum)
     isjp._polynomials_of_size.cache_clear()
     try:
         with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,2\)"):
@@ -167,10 +175,10 @@ def test_dimension_guard_names_the_first_degenerate_size(monkeypatch):
     small = enumerate_hooks(2, 1, 2)
     unpatched = {lam: interpolation_polynomial(2, 1, HALF, lam) for lam in small}
 
-    def third_is_first(m, n, theta, r):
-        return deformed_power_sum(m, n, theta, 1 if r == 3 else r)
+    def third_is_first(theta, r):
+        return power_sum_coefficients(theta, 1 if r == 3 else r)
 
-    monkeypatch.setattr(isjp, "deformed_power_sum", third_is_first)
+    monkeypatch.setattr(isjp, "power_sum_coefficients", third_is_first)
     isjp._polynomials_of_size.cache_clear()
     try:
         for lam in small:
@@ -179,6 +187,49 @@ def test_dimension_guard_names_the_first_degenerate_size(monkeypatch):
             interpolation_polynomial(2, 1, HALF, (2, 1))
     finally:
         isjp._polynomials_of_size.cache_clear()
+
+
+# Ranks with an empty block included; sizes stay small so that the expanded
+# polynomials are cheap to evaluate term by term.
+EVALUATOR_CASES = [
+    (2, 1, HALF, 4),
+    (1, 2, Fraction(1, 3), 4),
+    (2, 2, ONE, 3),
+    (0, 2, HALF, 4),
+    (2, 0, ONE, 4),
+    (3, 1, Fraction(2), 3),
+]
+rationals = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def shapes_and_points(draw):
+    m, n, theta, top = draw(st.sampled_from(EVALUATOR_CASES))
+    shapes = draw(st.lists(st.sampled_from(enumerate_hooks(m, n, top)), max_size=6))
+    point = tuple(draw(rationals) for _ in range(m + n))
+    return m, n, theta, shapes, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes_and_points())
+def test_evaluator_matches_fraction_arithmetic_on_the_expansion(case):
+    # The coordinate evaluator against the expanded polynomials, term by term
+    # in Fractions, for any list of shapes: mixed sizes, repeats or none.
+    m, n, theta, shapes, point = case
+    values_at = evaluator(m, n, theta, shapes)
+    values = values_at(point)
+    assert values == tuple(
+        evaluate_by_fractions(interpolation_polynomial(m, n, theta, lam), point)
+        for lam in shapes
+    )
+    assert all(type(v) is Fraction for v in values)
+    for wrong in (point + (1,), point[1:]):
+        if len(wrong) != len(point):
+            with pytest.raises(ValueError, match="point has length"):
+                values_at(wrong)
 
 
 def test_request_order_and_cache_state_do_not_matter():

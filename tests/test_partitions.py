@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capelli import partitions
 from capelli.partitions import (
     arm_columns,
     double_partition,
@@ -101,6 +102,22 @@ def test_frobenius_coords_anchors():
             s - Fraction(3, 4),
             Fraction(t + 1),
         )
+
+
+def test_frobenius_coords_validates_once(monkeypatch):
+    # One hook check (two validations) and the transpose's own validation:
+    # the arm columns reuse the checked partition.
+    calls = []
+
+    def counting(parts):
+        calls.append(parts)
+        return validate_partition(parts)
+
+    monkeypatch.setattr(partitions, "validate_partition", counting)
+    for lam in [(), (1,), (4, 3, 1, 1)]:
+        calls.clear()
+        frobenius_coords(lam, 2, 2, Fraction(1, 2))
+        assert len(calls) == 3, lam
 
 
 def test_frobenius_coords_errors():
