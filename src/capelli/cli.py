@@ -183,6 +183,8 @@ def _closed_form_csv(max_entry: int) -> str:
 
 def _cmd_tau(args) -> int:
     if args.family == "std":
+        if args.borel is not None:
+            raise ValueError("tau: --family std does not read --borel")
         # The standard map is the full map of the opposite Borel.
         affine = family_map(BorelDescriptor.opposite(args.m, args.n), "full")
         payload = affine.to_json_dict()
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family",
         default="full",
         choices=[*MAP_FAMILIES, "std"],
-        help="which map family (std ignores --borel)",
+        help="which map family (std takes no --borel)",
     )
     add_out(p)
     p.set_defaults(func=_cmd_tau)

@@ -186,9 +186,9 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
                 values[j] * row_den - dot * bottom, bottom * row_den * divisor
             )
 
-        for smaller in lower:
+        for s, smaller in enumerate(lower):  # each P_kappa of size s is s! at kappa
             scale, layer = integer_form(
-                [residual(rho, characteristic_value(rho)) for rho in smaller.coords]
+                [residual(rho, math.factorial(s)) for rho in smaller.coords]
             )
             lcm = math.lcm(den, scale)
             a = [v * (lcm // den) for v in a]

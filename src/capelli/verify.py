@@ -4,7 +4,10 @@ Two sweeps are provided. The pair sweep ("diag") checks, for every ordered
 pair of Borel orderings of a doubled hook module, that the two Weyl-vector
 shifts, w -> -(w + rho) for the dual module and w -> w + rho for the module,
 send the two highest weights to points where every interpolation polynomial
-takes the same value as at the standard node. The one-sided sweep ("glm2n")
+takes the same value as at the standard node. The dual side's point for an
+ordering is the module side's point for the reversed ordering, so the sweep
+evaluates one row list per ordering, counts the pairs as a product, and
+walks only the pairs with a row off the node. The one-sided sweep ("glm2n")
 checks, for every decreasing Borel of the half-parameter family, that the
 selected affine map sends every Borel highest weight to a point spectrally
 equal to the standard node, and that on generic weights it reaches the node
@@ -177,41 +180,34 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 
 
 def _run_diag(config: SweepConfig) -> SweepReport:
-    report = SweepReport(config)
     m, n = config.m, config.n
     mus, lams, _, node_rows, row = _value_table(config, Fraction(1))
     sequences = list(all_sequences(m, n))
-
-    def side_rows(seq, dual: bool) -> list:
-        """Per lambda, the values at the mapped highest weight of one side:
-        the first (dual) factor maps w to -(w + rho), the second to w + rho.
-        A row equal to the node row is stored as the node row itself."""
+    report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
+    # Per ordering, the values at w + rho for each lambda. The dual's w* and
+    # rho for seq are minus the module's for seq reversed, so the first
+    # factor's rows for seq1 are the second factor's rows for seq1[::-1].
+    rows = {}
+    for seq in sequences:
         rho = weyl_vector(seq)
-        rows = []
-        for lam, node_row in zip(lams, node_rows):
-            shifted = diag_highest_weight(seq, lam, m, n, dual) + rho
-            values = row((-shifted if dual else shifted).coords())
-            rows.append(node_row if values == node_row else values)
-        return rows
-
-    # Each value row depends on one ordering, never on the pair, so the pair
-    # loop below only compares rows computed once per ordering.
-    first_rows = [side_rows(seq, True) for seq in sequences]
-    second_rows = [side_rows(seq, False) for seq in sequences]
-    names = [",".join(map(format_symbol, seq)) for seq in sequences]
-    for name1, rows1 in zip(names, first_rows):
-        for name2, rows2 in zip(names, second_rows):
-            for lam, node_row, row1, row2 in zip(lams, node_rows, rows1, rows2):
-                report.cases += len(mus)
-                if row1 is node_row and row2 is node_row:
-                    continue
+        rows[seq] = [
+            row((diag_highest_weight(seq, lam, m, n, False) + rho).coords())
+            for lam in lams
+        ]
+    # A failure needs a row off the node on one side, so seq1 meets every
+    # seq2 only when its own rows are off the node.
+    off_node = [seq for seq in sequences if rows[seq] != node_rows]
+    for seq1 in sequences:
+        rows1 = rows[seq1[::-1]]
+        for seq2 in sequences if rows1 != node_rows else off_node:
+            for lam, node_row, row1, row2 in zip(lams, node_rows, rows1, rows[seq2]):
                 for mu, value, first, second in zip(mus, node_row, row1, row2):
                     if first != value or second != value:
                         report.failures.append(
                             {
                                 "kind": "pair_eigenvalue",
-                                "seq1": name1,
-                                "seq2": name2,
+                                "seq1": ",".join(map(format_symbol, seq1)),
+                                "seq2": ",".join(map(format_symbol, seq2)),
                                 "lambda": format_partition(lam),
                                 "mu": format_partition(mu),
                                 "first": format_rational(first),

@@ -226,11 +226,11 @@ class TestPairSweeps:
 
     @pytest.mark.parametrize(
         "m,n,bound,cases",
-        [(3, 1, 3, 28_224), (3, 2, 2, 230_400)],
+        [(3, 1, 3, 28_224), (3, 2, 2, 230_400), (3, 3, 3, 25_401_600)],
     )
     def test_every_pair_of_many_orderings(self, m, n, bound, cases):
-        # 24 and 120 orderings: the sweep works once per ordering, so the
-        # pair loop only compares rows.
+        # 24, 120 and 720 orderings: the sweep works once per ordering and
+        # counts the pairs as a product; on a clean sweep no pair is visited.
         report = run_sweep(
             SweepConfig(pair="diag", m=m, n=n, lambda_max=bound, mu_max=bound)
         )

@@ -414,6 +414,14 @@ class TestBadInput:
                  "--map", "releven"],
                 ["eig: --map applies only with --borel"],
             ),
+            (
+                ["tau", "--family", "std", "--borel", "1,1"],
+                ["tau: --family std does not read --borel"],
+            ),
+            (
+                ["tau", "--family", "std", "--borel", "x"],
+                ["tau: --family std does not read --borel"],
+            ),
             # --borel values that no decreasing Borel has
             (
                 ["tau", "--m", "2", "--n", "1", "--borel", "1,1,1"],

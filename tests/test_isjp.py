@@ -305,6 +305,26 @@ def test_each_node_point_is_computed_once(monkeypatch):
     assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
 
 
+def test_each_normalization_value_is_taken_once_per_shape(monkeypatch):
+    # The residuals divide by |kappa|! once per size of the smaller nodes, so
+    # the only characteristic values a cold build takes are its right-hand
+    # sides: one per shape.
+    m, n, theta, top = 2, 1, HALF, 6
+    calls = []
+
+    def counting_value(lam):
+        calls.append(lam)
+        return characteristic_value(lam)
+
+    monkeypatch.setattr(isjp, "characteristic_value", counting_value)
+    isjp._polynomials_of_size.cache_clear()
+    try:
+        evaluator(m, n, theta, enumerate_hooks(m, n, top))
+    finally:
+        isjp._polynomials_of_size.cache_clear()
+    assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
+
+
 # sha256 over the sorted-key JSON of every polynomial's `to_json_dict()`, in
 # `enumerate_hooks` order, taken from the Fraction build of the polynomials
 # before the build ran in integers.

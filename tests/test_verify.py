@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from capelli import verify
+from capelli import verify, weights
 from capelli.borel import (
     BorelDescriptor,
     WeightVector,
@@ -46,6 +46,20 @@ def offset_weight(w: WeightVector, step: int) -> WeightVector:
     """w with step added to every coordinate."""
     m, n = w.shape()
     return w + WeightVector.make([step] * m, [step] * n)
+
+
+def break_diagram_cut(monkeypatch, broken, step: int):
+    """Offset the diagram cut of the ordering broken by step in every
+    coordinate. Both diag factors read their highest weights through this
+    one rule: the module's for broken, and the dual's for its reverse."""
+    cut = weights.diagram_cut
+
+    def broken_cut(seq, lam, m, n):
+        seq = tuple(seq)
+        w = cut(seq, lam, m, n)
+        return offset_weight(w, step) if seq == broken else w
+
+    monkeypatch.setattr(weights, "diagram_cut", broken_cut)
 
 
 class TestSweepConfig:
@@ -260,34 +274,25 @@ class TestPairSweep:
         assert report.cases == 36 * 4 * 4
 
     def test_failure_records_name_the_orderings(self, monkeypatch):
-        # Break the first-factor weight of the ordering d1,e1 only: every
-        # failure must name that ordering as seq1, in the form `capelli hw
-        # --seq` takes.
-        broken = (("d", 1), ("e", 1))
-
-        def first(seq, lam, m, n, dual):
-            w = diag_highest_weight(seq, lam, m, n, dual)
-            return offset_weight(w, -1) if dual and seq == broken else w
-
-        monkeypatch.setattr(verify, "diag_highest_weight", first)
+        # Break the cut of the ordering d1,e1 only. That breaks the second
+        # factor of every pair with seq2 = d1,e1 and the first (dual) factor
+        # of every pair with seq1 = e1,d1, its reverse. Each failure names
+        # its pair in the form `capelli hw --seq` takes.
+        break_diagram_cut(monkeypatch, (("d", 1), ("e", 1)), -1)
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=2, mu_max=1)
         failures = run_sweep(cfg).failures
-        assert failures
-        assert {f["seq1"] for f in failures} == {"d1,e1"}
-        assert {f["seq2"] for f in failures} == {"e1,d1", "d1,e1"}
+        assert {(f["seq1"], f["seq2"]) for f in failures} == {
+            ("e1,d1", "e1,d1"),
+            ("e1,d1", "d1,e1"),
+            ("d1,e1", "d1,e1"),
+        }
 
 
     def test_forced_failures_match_a_per_case_loop(self, monkeypatch):
-        # Break the second-factor weight of the ordering e2,d1,e1 only, then
-        # recompute every case the direct way: cut, shift and evaluate anew
-        # for each (seq1, seq2, lambda, mu).
-        broken = (("e", 2), ("d", 1), ("e", 1))
-
-        def second(seq, lam, m, n, dual):
-            w = diag_highest_weight(seq, lam, m, n, dual)
-            return offset_weight(w, 1) if not dual and seq == broken else w
-
-        monkeypatch.setattr(verify, "diag_highest_weight", second)
+        # Break the cut of the ordering e2,d1,e1 only, which both factors
+        # read, then recompute every case the direct way: cut, shift and
+        # evaluate anew for each (seq1, seq2, lambda, mu).
+        break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1)
         m, n = 2, 1
         report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
         lams = enumerate_hooks(m, n, 2)
@@ -300,7 +305,7 @@ class TestPairSweep:
                     for mu in mus:
                         poly = interpolation_polynomial(m, n, Fraction(1), mu)
                         w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
-                        w2 = second(seq2, lam, m, n, dual=False)
+                        w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
                         first_point = -(w1 + weyl_vector(seq1))
                         second_point = w2 + weyl_vector(seq2)
                         first = evaluate(poly, first_point.coords())
@@ -353,7 +358,10 @@ class TestPairSweep:
         monkeypatch.setattr(verify, "diag_highest_weight", counted)
         m, n = 2, 1
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
-        assert len(calls) == 2 * 6 * len(enumerate_hooks(m, n, 2))
+        # Both factors read one row list per ordering: one module weight per
+        # (ordering, lambda), and no dual weight.
+        assert len(calls) == 6 * len(enumerate_hooks(m, n, 2))
+        assert {args[4] for args in calls} == {False}
 
 
 class TestReportSerialization:

@@ -240,3 +240,22 @@ def test_diag_highest_weight_is_weight_of_module():
         diff = w - hw_standard_diag((3, 1), 2, 1)
         assert all(v.denominator == 1 for v in diff.coords())
         assert sum(diff.coords()) == 0
+
+
+def test_dual_point_is_the_reversed_orderings_module_point():
+    # The diag sweep reads both factors from one row list per ordering: the
+    # dual factor's point -(w* + rho) for seq is the module factor's point
+    # w + rho of the reversed ordering.
+    count = 0
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]:
+        hooks = enumerate_hooks(m, n, 3)
+        for seq in all_sequences(m, n):
+            rev = tuple(reversed(seq))
+            rho, rho_rev = weyl_vector(seq), weyl_vector(rev)
+            assert rho_rev == -rho, seq
+            for lam in hooks:
+                dual_point = -(diag_highest_weight(seq, lam, m, n, True) + rho)
+                module_point = diag_highest_weight(rev, lam, m, n, False) + rho_rev
+                assert dual_point == module_point, (seq, lam)
+                count += 1
+    assert count == 1946  # 7 shapes times (2 + 6 + 6 + 24 + 120 + 120) orderings
