@@ -78,12 +78,6 @@ def format_vector(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 class RationalMatrix:
     """Immutable dense matrix of Rationals."""
 
@@ -118,12 +112,18 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product, summed in integers.
+        """Matrix-vector product, summed in integers (`integer_apply`)."""
+        den, sums = self.integer_apply(vec)
+        return tuple(Fraction(v, den) for v in sums)
+
+    def integer_apply(self, vec) -> tuple[int, list[int]]:
+        """(den, sums): the matrix-vector product as integers over one
+        denominator.
 
         On the first call the matrix keeps, for each row, its nonzero entries
         as (column, integer numerator) over one common denominator. A call
         scales the vector to integers over the LCM of its denominators, so
-        only the returned coordinates are Fractions."""
+        each row is one integer sum."""
         vec = as_vector(vec)
         if self.cols != len(vec):
             raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")
@@ -137,8 +137,7 @@ class RationalMatrix:
             object.__setattr__(self, "_scaled", (den, rows))
         den, rows = self._scaled
         scale, ints = integer_form(vec)
-        den *= scale
-        return tuple(Fraction(sum(c * ints[j] for j, c in row), den) for row in rows)
+        return den * scale, [sum(c * ints[j] for j, c in row) for row in rows]
 
 
 def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:

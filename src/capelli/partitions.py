@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Vector, as_vector, format_rational
+from .exact_linalg import Vector, format_rational
 
 Partition = tuple[int, ...]
 
@@ -62,22 +62,19 @@ def is_hook(lam: Partition, m: int, n: int) -> bool:
 
 
 def require_hook(lam: Partition, m: int, n: int) -> Partition:
+    """lam validated once, raising ValueError unless it fits the (m|n) hook."""
+    require_rank(m, n)
     lam = validate_partition(lam)
-    if not is_hook(lam, m, n):
+    if part(lam, m + 1) > n:
         raise ValueError(f"partition {lam} not in the ({m}|{n}) hook")
     return lam
 
 
-def arm_columns(lam: Partition, m: int, n: int) -> tuple[int, ...]:
-    """Column lengths below row m: the vector (max(0, lam'_j - m)) for j = 1..n,
-    of a hook partition that the caller has checked with `require_hook`."""
-    tr = transpose(lam)
-    return tuple(max(0, part(tr, j) - m) for j in range(1, n + 1))
-
-
 def double_partition(lam: Partition, m: int, n: int) -> Partition:
     """Double a ((m|n)-hook) partition into the (m|2n) hook: rows 1..m are
-    doubled and each column length below row m is repeated twice.
+    doubled and each column length below row m is repeated twice. Row m+r
+    then meets both copies of the lam_{m+r} <= n columns it met, so every
+    row doubles.
 
     Examples
     ========
@@ -85,14 +82,7 @@ def double_partition(lam: Partition, m: int, n: int) -> Partition:
     >>> double_partition((2, 1, 1, 1), 2, 1)
     (4, 2, 2, 2)
     """
-    lam = require_hook(lam, m, n)
-    cols = arm_columns(lam, m, n)
-    doubled_cols = []
-    for c in cols:
-        doubled_cols.extend((c, c))
-    tail = transpose(validate_partition(doubled_cols))
-    head = tuple(2 * part(lam, i) for i in range(1, m + 1))
-    return validate_partition(head + tail)
+    return tuple(2 * p for p in require_hook(lam, m, n))
 
 
 def enumerate_partitions(max_size: int, max_parts: int):
@@ -120,8 +110,9 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     >>> enumerate_hooks(1, 1, 3)
     [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,)]
     """
+    require_rank(m, n)
     return [
-        lam for lam in enumerate_partitions(max_size, max_size) if is_hook(lam, m, n)
+        lam for lam in enumerate_partitions(max_size, max_size) if part(lam, m + 1) <= n
     ]
 
 
@@ -148,16 +139,22 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
     """
     theta = require_theta(theta)
     lam = require_hook(lam, m, n)
-    cols = arm_columns(lam, m, n)
+    p, q = theta.numerator, theta.denominator
+    # Over 2q and 2p: x_i = (2q lam_i - p(2i - 1) - nq + pm) / 2q and
+    # y_j = (2p c_j - q(2j - 1) + nq + mp) / 2p, where c_j, the column depth
+    # below row m, counts the rows past m of length >= j.
     xs = [
-        part(lam, i) - theta * Fraction(2 * i - 1, 2) - Fraction(n - theta * m, 2)
+        Fraction(2 * q * part(lam, i) - p * (2 * i - 1) - n * q + p * m, 2 * q)
         for i in range(1, m + 1)
     ]
     ys = [
-        cols[j - 1] - Fraction(2 * j - 1, 2) / theta + (n / theta + m) / 2
+        Fraction(
+            2 * p * sum(1 for r in lam[m:] if r >= j) - q * (2 * j - 1) + n * q + m * p,
+            2 * p,
+        )
         for j in range(1, n + 1)
     ]
-    return as_vector(xs + ys)
+    return tuple(xs + ys)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -9,7 +9,8 @@ to w + rho."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, WeightVector, weyl_vector
@@ -18,7 +19,7 @@ from .exact_linalg import (
     Vector,
     as_vector,
     format_vector,
-    vec_add,
+    integer_form,
 )
 
 # -- affine maps ----------------------------------------------------------------
@@ -30,16 +31,27 @@ class AffineMap:
 
     matrix: RationalMatrix
     offset: Vector
+    # The offset as integers over one denominator, added into each row's sum.
+    _offset_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix.rows != len(self.offset):
             raise ValueError("offset length must match matrix rows")
         object.__setattr__(self, "offset", as_vector(self.offset))
+        object.__setattr__(self, "_offset_form", integer_form(self.offset))
 
     def apply(self, point) -> Vector:
+        """matrix * point + offset, one integer sum and one Fraction per row."""
         if isinstance(point, WeightVector):
             point = point.coords()
-        return vec_add(self.matrix.apply(point), self.offset)
+        den, sums = self.matrix.integer_apply(point)
+        offset_den, offsets = self._offset_form
+        total = math.lcm(den, offset_den)
+        scale, offset_scale = total // den, total // offset_den
+        return tuple(
+            Fraction(v * scale + c * offset_scale, total)
+            for v, c in zip(sums, offsets)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,10 +157,9 @@ def full_member(borel: BorelDescriptor) -> RationalMatrix:
 def eigenvalue_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
     """The map with the given matrix and offset matrix * (Borel root sum) +
     standard offset."""
-    offset = vec_add(
-        matrix.apply(borel.root_sum().coords()), standard_offset(borel.m, borel.n)
-    )
-    return AffineMap(matrix, offset)
+    image = matrix.apply(borel.root_sum().coords())
+    shift = standard_offset(borel.m, borel.n)
+    return AffineMap(matrix, tuple(a + b for a, b in zip(image, shift)))
 
 
 # -- the map-family registry ---------------------------------------------------------

@@ -12,7 +12,7 @@ checks, for every decreasing Borel of the half-parameter family, that the
 selected affine map sends every Borel highest weight to a point spectrally
 equal to the standard node, and that on generic weights it reaches the node
 as a vector. Both sweeps read their values from one table that evaluates
-each distinct point once.
+each distinct point once and keys it by integer numerators.
 
 Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 """
@@ -20,9 +20,12 @@ Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 from __future__ import annotations
 
 import json
+import math
+import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
 from .exact_linalg import format_rational, format_vector
@@ -90,7 +93,14 @@ class SweepReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report as JSON data. The failure records are the report's own
+        dicts, not copies."""
+        return {
+            "config": dict(vars(self.config)),
+            "cases": self.cases,
+            "failures": self.failures,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -118,42 +128,61 @@ def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
     return [BorelDescriptor(config.m, config.n, parse_int_list(config.borels))]
 
 
-def _value_table(config: SweepConfig, theta: Fraction):
-    """The shapes mu and lambda, the lambda nodes, their value rows, and a
-    reader row(point) of the values of every P_mu at a point. Each distinct
-    point of the sweep is evaluated once, by one `evaluator` call for all the
-    polynomials, and a node point gives its node row object itself."""
+def _numerators(point, den: int) -> tuple[int, ...]:
+    """The coordinates of a point times den, a multiple of their
+    denominators: the point's key in the value table."""
+    return tuple(x.numerator * (den // x.denominator) for x in point)
+
+
+def _value_table(config: SweepConfig, theta: Fraction, den: int):
+    """The shapes mu and lambda, the lambda nodes, their keys and value rows,
+    and a reader row(key) of the values of every P_mu at the point key / den.
+    A key is a point's integer numerators over den, a multiple of the
+    denominator of every point the sweep reads. Each distinct point is
+    evaluated once, by one `evaluator` call for all the polynomials, and only
+    then made of Fractions; a node key gives its node row object itself."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     values_at = evaluator(m, n, theta, mus)
     lams = enumerate_hooks(m, n, config.lambda_max)
     nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
-    rows = {}
+    node_keys = [_numerators(node, den) for node in nodes]
+    node_rows = [values_at(node) for node in nodes]
+    rows = dict(zip(node_keys, node_rows))
 
-    def row(point) -> tuple:
-        values = rows.get(point)
+    def row(key) -> tuple:
+        values = rows.get(key)
         if values is None:
-            values = rows[point] = values_at(point)
+            values = rows[key] = values_at(tuple(Fraction(v, den) for v in key))
         return values
 
-    return mus, lams, nodes, [row(node) for node in nodes], row
+    return mus, lams, nodes, node_keys, node_rows, row
 
 
 def _run_glm2n(config: SweepConfig) -> SweepReport:
     report = SweepReport(config)
-    mus, lams, nodes, node_rows, row = _value_table(config, Fraction(1, 2))
-    for borel in _selected_borels(config):
-        # Under borels "all", a Borel outside the family's domain is skipped,
-        # not failed; SweepConfig rejects an explicit one.
-        if not in_family_domain(borel, config.map_choice):
-            continue
-        tau = family_map(borel, config.map_choice)
-        for lam, node, node_row in zip(lams, nodes, node_rows):
+    # Under borels "all", a Borel outside the family's domain is skipped, not
+    # failed; SweepConfig rejects an explicit one.
+    maps = [
+        (borel, family_map(borel, config.map_choice))
+        for borel in _selected_borels(config)
+        if in_family_domain(borel, config.map_choice)
+    ]
+    # The nodes at theta = 1/2 are over 4, and a map's image of an integer
+    # weight is over the LCM of the denominators of the map's entries.
+    entries = (x for _, tau in maps for x in chain(tau.offset, *tau.matrix.entries))
+    den = math.lcm(4, *(x.denominator for x in entries))
+    mus, lams, nodes, node_keys, node_rows, row = _value_table(
+        config, Fraction(1, 2), den
+    )
+    for borel, tau in maps:
+        for lam, node, node_key, node_row in zip(lams, nodes, node_keys, node_rows):
             point = tau.apply(highest_weight(lam, borel))
+            key = _numerators(point, den)
             # On a generic weight the map must reach the node as a vector.
             if is_generic(lam, borel):
                 report.cases += 1
-                if point != node:
+                if key != node_key:
                     report.failures.append(
                         {
                             "kind": "generic_vector",
@@ -163,8 +192,11 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                             "rhs": format_vector(node),
                         }
                     )
-            for mu, lhs, rhs in zip(mus, row(point), node_row):
-                report.cases += 1
+            values = row(key)
+            report.cases += len(mus)
+            if values == node_row:
+                continue
+            for mu, lhs, rhs in zip(mus, values, node_row):
                 if lhs != rhs:
                     report.failures.append(
                         {
@@ -181,19 +213,21 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
-    mus, lams, _, node_rows, row = _value_table(config, Fraction(1))
+    # The nodes at theta = 1 and the points w + rho are over 2.
+    mus, lams, _, _, node_rows, row = _value_table(config, Fraction(1), 2)
     sequences = list(all_sequences(m, n))
     report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
-    # Per ordering, the values at w + rho for each lambda. The dual's w* and
-    # rho for seq are minus the module's for seq reversed, so the first
-    # factor's rows for seq1 are the second factor's rows for seq1[::-1].
+    # Per ordering, the values at w + rho for each lambda, keyed by 2(w + rho).
+    # The dual's w* and rho for seq are minus the module's for seq reversed,
+    # so the first factor's rows for seq1 are the second factor's rows for
+    # seq1[::-1].
     rows = {}
     for seq in sequences:
-        rho = weyl_vector(seq)
-        rows[seq] = [
-            row((diag_highest_weight(seq, lam, m, n, False) + rho).coords())
-            for lam in lams
-        ]
+        twice_rho = _numerators(weyl_vector(seq).coords(), 2)
+        rows[seq] = []
+        for lam in lams:
+            w = _numerators(diag_highest_weight(seq, lam, m, n, False).coords(), 2)
+            rows[seq].append(row(tuple(map(operator.add, w, twice_rho))))
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node.
     off_node = [seq for seq in sequences if rows[seq] != node_rows]

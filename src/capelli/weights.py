@@ -10,7 +10,7 @@ from .borel import (
     WeightVector,
     validate_sequence,
 )
-from .partitions import double_partition, part, require_hook, transpose
+from .partitions import double_partition, part, require_hook
 
 
 def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
@@ -30,16 +30,17 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
     """
     seq = validate_sequence(seq, m, n)
     lam = require_hook(lam, m, n)
-    columns = transpose(lam)
     coeffs = {"e": [0] * m, "d": [0] * n}
-    taken = {"e": 0, "d": 0}
+    rows = cols = 0
     for kind, index in seq:
         if kind == "e":
-            boxes = part(lam, taken["e"] + 1) - taken["d"]
+            boxes = max(0, part(lam, rows + 1) - cols)
+            rows += 1
         else:
-            boxes = part(columns, taken["d"] + 1) - taken["e"]
-        coeffs[kind][index - 1] = max(0, boxes)
-        taken[kind] += 1
+            # the depth of column cols + 1 below row rows
+            boxes = sum(1 for p in lam[rows:] if p > cols)
+            cols += 1
+        coeffs[kind][index - 1] = boxes
     return WeightVector.make(coeffs["e"], coeffs["d"])
 
 

@@ -29,7 +29,6 @@ from capelli.isjp import (
     power_sum_coefficients,
 )
 from capelli.partitions import (
-    arm_columns,
     enumerate_hooks,
     enumerate_partitions,
     frobenius_coords,
@@ -37,6 +36,8 @@ from capelli.partitions import (
     require_hook,
     require_theta,
     size,
+    transpose,
+    validate_partition,
 )
 from capelli.sympoly import SparsePolynomial
 from capelli.tau import standard_matrix
@@ -179,6 +180,69 @@ def nongeneric_index(lam, borel: BorelDescriptor) -> int | None:
         if borel.ell_of(i) > 2 * part(lam, i):
             return i
     return None
+
+
+# -- the point side by transposes and Fraction sums -----------------------------
+#
+# Oracles for the library's integer forms of the shifted coordinates, the
+# doubling and the diagram cut: each reads the diagram through its transpose
+# and sums in Fractions.
+
+
+def arm_columns(lam, m: int, n: int) -> tuple[int, ...]:
+    """Column lengths below row m: the vector (max(0, lam'_j - m)) for j = 1..n,
+    of a hook partition that the caller has checked with `require_hook`."""
+    tr = transpose(lam)
+    return tuple(max(0, part(tr, j) - m) for j in range(1, n + 1))
+
+
+def double_partition_by_columns(lam, m: int, n: int):
+    """The doubled partition: rows 1..m doubled and each column length below
+    row m repeated twice."""
+    lam = require_hook(lam, m, n)
+    cols = arm_columns(lam, m, n)
+    doubled_cols = []
+    for c in cols:
+        doubled_cols.extend((c, c))
+    tail = transpose(validate_partition(doubled_cols))
+    head = tuple(2 * part(lam, i) for i in range(1, m + 1))
+    return validate_partition(head + tail)
+
+
+def frobenius_coords_by_fractions(lam, m: int, n: int, theta) -> tuple:
+    """Entry i <= m is lam_i - theta*(i - 1/2) - (n - theta*m)/2; entry m+j is
+    max(0, lam'_j - m) - (j - 1/2)/theta + (n/theta + m)/2."""
+    theta = require_theta(theta)
+    lam = require_hook(lam, m, n)
+    cols = arm_columns(lam, m, n)
+    xs = [
+        part(lam, i) - theta * Fraction(2 * i - 1, 2) - Fraction(n - theta * m, 2)
+        for i in range(1, m + 1)
+    ]
+    ys = [
+        cols[j - 1] - Fraction(2 * j - 1, 2) / theta + (n / theta + m) / 2
+        for j in range(1, n + 1)
+    ]
+    return as_vector(xs + ys)
+
+
+def diagram_cut_by_columns(seq, lam, m: int, n: int) -> WeightVector:
+    """The diagram cut read off the transpose: the j-th e-symbol met takes
+    the boxes of row j right of the columns already taken, and the j-th
+    d-symbol met the boxes of column j below the rows already taken."""
+    seq = validate_sequence(seq, m, n)
+    lam = require_hook(lam, m, n)
+    columns = transpose(lam)
+    coeffs = {"e": [0] * m, "d": [0] * n}
+    taken = {"e": 0, "d": 0}
+    for kind, index in seq:
+        if kind == "e":
+            boxes = part(lam, taken["e"] + 1) - taken["d"]
+        else:
+            boxes = part(columns, taken["d"] + 1) - taken["e"]
+        coeffs[kind][index - 1] = max(0, boxes)
+        taken[kind] += 1
+    return WeightVector.make(coeffs["e"], coeffs["d"])
 
 
 # -- odd reflections ------------------------------------------------------------

@@ -1,12 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capelli import partitions
 from capelli.partitions import (
-    arm_columns,
     double_partition,
     enumerate_hooks,
     enumerate_partitions,
@@ -17,6 +15,11 @@ from capelli.partitions import (
     size,
     transpose,
     validate_partition,
+)
+from reference import (
+    arm_columns,
+    double_partition_by_columns,
+    frobenius_coords_by_fractions,
 )
 
 
@@ -104,20 +107,18 @@ def test_frobenius_coords_anchors():
         )
 
 
-def test_frobenius_coords_validates_once(monkeypatch):
-    # One hook check (two validations) and the transpose's own validation:
-    # the arm columns reuse the checked partition.
-    calls = []
-
-    def counting(parts):
-        calls.append(parts)
-        return validate_partition(parts)
-
-    monkeypatch.setattr(partitions, "validate_partition", counting)
+def test_frobenius_coords_validates_once(validations):
+    # One hook check of lam; the column depths read the checked tuple.
     for lam in [(), (1,), (4, 3, 1, 1)]:
-        calls.clear()
+        validations.clear()
         frobenius_coords(lam, 2, 2, Fraction(1, 2))
-        assert len(calls) == 3, lam
+        assert validations == [lam]
+
+
+def test_enumerate_hooks_validates_nothing(validations):
+    # The parts it generates are partitions already.
+    assert len(enumerate_hooks(2, 2, 6)) == 30
+    assert validations == []
 
 
 def test_frobenius_coords_errors():
@@ -181,3 +182,38 @@ def test_enumerate_partitions_complete(max_size, max_parts):
         assert validate_partition(lam) == lam
         assert len(lam) <= max_parts
         assert size(lam) <= max_size
+
+
+THETAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+def hooks_strategy(max_rank=3, max_size=10):
+    """(lam, m, n): a hook partition of a rank with m, n <= max_rank."""
+    ranks = st.tuples(st.integers(0, max_rank), st.integers(0, max_rank))
+    return ranks.flatmap(
+        lambda mn: st.tuples(
+            st.sampled_from(enumerate_hooks(*mn, max_size)), *map(st.just, mn)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hooks_strategy(), st.sampled_from(THETAS))
+@example(((3, 1, 1), 0, 3), Fraction(1, 3))
+@example(((4, 2), 2, 0), Fraction(3, 2))
+@example(((), 0, 0), Fraction(2))
+def test_frobenius_coords_matches_fraction_sums(hook, theta):
+    lam, m, n = hook
+    assert frobenius_coords(lam, m, n, theta) == frobenius_coords_by_fractions(
+        lam, m, n, theta
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hooks_strategy())
+@example(((3, 1, 1), 0, 3))
+@example(((4, 2), 2, 0))
+@example(((), 0, 0))
+def test_double_partition_matches_doubled_columns(hook):
+    lam, m, n = hook
+    assert double_partition(lam, m, n) == double_partition_by_columns(lam, m, n)

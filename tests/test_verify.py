@@ -1,5 +1,6 @@
 """Tests for the sweep engine and the frozen worked examples."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -378,6 +379,14 @@ class TestReportSerialization:
         data = json.loads(run_sweep(cfg).to_json_text())
         assert set(data) == {"config", "cases", "failures", "elapsed_ms"}
         assert data["config"]["pair"] == "diag"
+
+    def test_json_text_is_the_dataclass_form(self, monkeypatch):
+        # A forced-failure report serializes as `dataclasses.asdict` gives it.
+        break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1)
+        report = run_sweep(SweepConfig(pair="diag", m=2, n=1, lambda_max=2, mu_max=2))
+        assert report.failures
+        expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
+        assert report.to_json_text() == expected + "\n"
 
     def test_summary_mentions_verdict(self):
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=1, mu_max=1)

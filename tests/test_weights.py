@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capelli.borel import (
     BorelDescriptor,
@@ -9,7 +11,7 @@ from capelli.borel import (
     standard_sequence,
     weyl_vector,
 )
-from capelli.partitions import enumerate_hooks, part
+from capelli.partitions import double_partition, enumerate_hooks, part
 from capelli.weights import (
     diag_highest_weight,
     diagram_cut,
@@ -20,6 +22,7 @@ from reference import (
     closed_form_highest_weight,
     closed_form_standard,
     coeff,
+    diagram_cut_by_columns,
     hw_standard_diag,
     nongeneric_index,
     odd_reflection_step,
@@ -259,3 +262,43 @@ def test_dual_point_is_the_reversed_orderings_module_point():
                 assert dual_point == module_point, (seq, lam)
                 count += 1
     assert count == 1946  # 7 shapes times (2 + 6 + 6 + 24 + 120 + 120) orderings
+
+
+def test_highest_weight_validates_lambda_once(validations):
+    # The doubling checks lam, and the diagram cut checks the doubled shape.
+    lams = [(), (1,), (3, 1, 1), (5, 4, 2, 2, 1)]
+    doubled = [double_partition(lam, 2, 2) for lam in lams]
+    for lam, lam2 in zip(lams, doubled):
+        for borel in BorelDescriptor.enumerate(2, 2):
+            validations.clear()
+            highest_weight(lam, borel)
+            assert validations == [lam, lam2]
+
+
+def test_diag_highest_weight_validates_lambda_once(validations):
+    for lam in [(), (1,), (3, 1, 1), (5, 4, 2, 2, 1)]:
+        for seq in all_sequences(2, 2):
+            for dual in (False, True):
+                validations.clear()
+                diag_highest_weight(seq, lam, 2, 2, dual)
+                assert validations == [lam]
+
+
+@st.composite
+def cuts_strategy(draw, max_rank=3, max_size=10):
+    """(seq, lam, m, n): an ordering and a hook partition of a rank with
+    m, n <= max_rank."""
+    m = draw(st.integers(0, max_rank))
+    n = draw(st.integers(0, max_rank))
+    seq = draw(st.permutations(standard_sequence(m, n)))
+    lam = draw(st.sampled_from(enumerate_hooks(m, n, max_size)))
+    return tuple(seq), lam, m, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts_strategy())
+@example(((("d", 2), ("d", 1), ("d", 3)), (3, 2, 1, 1), 0, 3))
+@example(((("e", 2), ("e", 1)), (4, 2), 2, 0))
+@example(((), (), 0, 0))
+def test_diagram_cut_matches_the_transpose_reading(cut):
+    assert diagram_cut(*cut) == diagram_cut_by_columns(*cut)
