@@ -78,8 +78,9 @@ def all_sequences(num_eps: int, num_delta: int):
 
 def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
     seq = tuple((str(kind), int(index)) for kind, index in seq)
-    expected = sorted(standard_sequence(num_eps, num_delta))
-    if sorted(seq) != expected:
+    sizes = {"e": num_eps, "d": num_delta}
+    distinct = len(set(seq)) == len(seq) == num_eps + num_delta
+    if not distinct or any(not 1 <= i <= sizes.get(kind, 0) for kind, i in seq):
         raise ValueError(
             f"sequence {seq} is not an ordering of {num_eps} e/{num_delta} d symbols"
         )

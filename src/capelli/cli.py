@@ -28,9 +28,9 @@ from .borel import (
     validate_sequence,
     weyl_vector,
 )
-from .equivalence import DEFAULT_BUDGET, orbit
-from .exact_linalg import format_rational, format_vector, parse_rational
-from .isjp import eigenvalue, evaluator, interpolation_polynomial
+from .equivalence import DEFAULT_BUDGET, orbit, require_budget
+from .exact_linalg import format_rational, format_vector, integer_form, parse_rational
+from .isjp import evaluator, interpolation_polynomial
 from .partitions import (
     format_partition,
     frobenius_coords,
@@ -38,6 +38,7 @@ from .partitions import (
     parse_partition,
     require_hook,
     require_rank,
+    require_theta,
 )
 from .tau import MAP_FAMILIES, family_map
 from .verify import PAIR_CHOICES, SweepConfig, reproduce_example, run_sweep
@@ -102,7 +103,7 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def _cmd_isjp(args) -> int:
-    theta = _parsed("--theta", parse_rational, args.theta)
+    theta = _parsed("--theta", require_theta, args.theta)
     lam = _hook_partition(args, "--lambda", args.lam)
     poly = interpolation_polynomial(args.m, args.n, theta, lam)
     payload = poly.to_json_dict()
@@ -130,7 +131,7 @@ def _cmd_hw(args) -> int:
         if args.lam or args.out:
             unread = "--lambda" if args.lam else "--out"
             raise ValueError(f"hw: --table does not read {unread}")
-        sys.stdout.write(_closed_form_csv(_table_max(args)))
+        sys.stdout.write(_closed_form_csv(_table(args)))
         return 0
     lam = _hook_partition(args, "--lambda", args.lam)
     if args.seq is not None:
@@ -164,8 +165,7 @@ def _cmd_hw(args) -> int:
     return 0
 
 
-def _closed_form_csv(max_entry: int) -> str:
-    table = reproduce_example("gl22_table", max_entry)
+def _closed_form_csv(table: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["lambda", "hw_standard", "hw_borel", "matches"])
@@ -202,36 +202,38 @@ def _cmd_tau(args) -> int:
 def _cmd_eig(args) -> int:
     if args.map is not None and args.borel is None:
         raise ValueError("eig: --map applies only with --borel")
-    theta = _parsed("--theta", parse_rational, args.theta)
+    theta = _parsed("--theta", require_theta, args.theta)
     mu = _hook_partition(args, "--mu", args.mu)
     lam = _hook_partition(args, "--lambda", args.lam)
+    node = frobenius_coords(lam, args.m, args.n, theta)
+    point = integer_form(node)
     if args.borel is not None:
         if theta != Fraction(1, 2):
             raise ValueError("eig: --borel requires theta 1/2")
         borel = _borel(args)
         family = args.map or "full"
-        point = family_map(borel, family).apply(highest_weight(lam, borel))
-        (value,) = evaluator(args.m, args.n, theta, [mu])(point)
-    else:
-        value = eigenvalue(mu, lam, args.m, args.n, theta)
+        weight = integer_form(highest_weight(lam, borel).coords())
+        point = family_map(borel, family).integer_apply(*weight)
+    den, (value,) = evaluator(args.m, args.n, theta, [mu])(*point)
     payload = {
         "mu": format_partition(mu),
         "lambda": format_partition(lam),
         "theta": format_rational(theta),
-        "eigenvalue": format_rational(value),
+        "eigenvalue": format_rational(Fraction(value, den)),
     }
     if args.borel is not None:
         payload["ell"] = list(borel.ell)
         payload["map"] = family
-        payload["node"] = format_vector(frobenius_coords(lam, args.m, args.n, theta))
+        payload["node"] = format_vector(node)
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_orbit(args) -> int:
-    theta = _parsed("--theta", parse_rational, args.theta)
+    theta = _parsed("--theta", require_theta, args.theta)
     point = _parsed("--point", _parse_point, args.point)
-    result = orbit(point, args.m, args.n, theta, budget=args.budget)
+    budget = _parsed("--budget", require_budget, args.budget)
+    result = orbit(point, args.m, args.n, theta, budget=budget)
     _emit(result.to_json_dict(), args.out)
     return 0
 
@@ -258,14 +260,15 @@ def _cmd_verify(args) -> int:
 def _cmd_example(args) -> int:
     if args.max is not None and args.name != "gl22_table":
         raise ValueError("example: --max applies only to gl22_table")
-    payload = reproduce_example(args.name, _table_max(args))
-    _emit(payload, args.out)
+    table = args.name == "gl22_table"
+    _emit(_table(args) if table else reproduce_example(args.name), args.out)
     return 0
 
 
-def _table_max(args) -> int:
-    """--max, or the closed-form table's default bound of 5."""
-    return 5 if args.max is None else args.max
+def _table(args) -> dict:
+    """The closed-form table up to --max (default 5), its only input."""
+    bound = 5 if args.max is None else args.max
+    return _parsed("--max", lambda b: reproduce_example("gl22_table", b), bound)
 
 
 def _usage_error(message: str):

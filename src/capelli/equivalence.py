@@ -100,12 +100,18 @@ class OrbitResult:
         return blob
 
 
+def require_budget(budget: int) -> int:
+    """budget, raising ValueError unless it is nonnegative."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    return budget
+
+
 def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitResult:
     """Breadth-first closure under the moves. Stops early with a witness when
     the infinite-orbit criterion fires, or with budget_exhausted when more
     than `budget` distinct points appear."""
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    budget = require_budget(budget)
     theta = require_theta(theta)
     start = _check_point(point, m, n)
     seen = {start}

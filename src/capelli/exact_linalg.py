@@ -1,13 +1,14 @@
 """Exact linear algebra over the rational numbers.
 
-Values in this package are `fractions.Fraction`s, and sums run in integers
-over common denominators (`integer_form`); no floats are ever introduced, so
-every comparison downstream is an exact equality.
+Values are `fractions.Fraction`s, or integers over one denominator in lowest
+terms (`integer_form`, `lowest_terms`); sums run in integers and no floats
+are ever introduced, so every comparison downstream is an exact equality.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -58,19 +59,33 @@ def as_vector(values) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def integer_form(values) -> tuple[int, list[int]]:
+def integer_form(values) -> tuple[int, tuple[int, ...]]:
     """(den, nums): den is the LCM of the denominators of values, a sequence
     of Fractions or integers that is read twice, and nums[i] is values[i]
-    times den, an integer.
+    times den, an integer: the form is in lowest terms.
 
     Examples
     ========
 
     >>> integer_form([Fraction(1, 2), Fraction(-2, 3), 5])
-    (6, [3, -4, 30])
+    (6, (3, -4, 30))
     """
     den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
+    """The vector nums / den, den > 0, as (den, nums) divided by their gcd,
+    so two forms are equal exactly when the vectors are.
+
+    Examples
+    ========
+
+    >>> lowest_terms(12, [6, -4, 0])
+    (6, (3, -2, 0))
+    """
+    gcd = math.gcd(den, *nums)
+    return den // gcd, tuple(v // gcd for v in nums)
 
 
 def format_vector(values) -> list[str]:
@@ -81,7 +96,7 @@ def format_vector(values) -> list[str]:
 class RationalMatrix:
     """Immutable dense matrix of Rationals."""
 
-    __slots__ = ("rows", "cols", "entries", "_scaled")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
         rows = tuple(as_vector(row) for row in entries)
@@ -94,7 +109,6 @@ class RationalMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -112,32 +126,11 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product, summed in integers (`integer_apply`)."""
-        den, sums = self.integer_apply(vec)
-        return tuple(Fraction(v, den) for v in sums)
-
-    def integer_apply(self, vec) -> tuple[int, list[int]]:
-        """(den, sums): the matrix-vector product as integers over one
-        denominator.
-
-        On the first call the matrix keeps, for each row, its nonzero entries
-        as (column, integer numerator) over one common denominator. A call
-        scales the vector to integers over the LCM of its denominators, so
-        each row is one integer sum."""
+        """Matrix-vector product, used while maps are built."""
         vec = as_vector(vec)
         if self.cols != len(vec):
             raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")
-        if self._scaled is None:
-            den, nums = integer_form([x for row in self.entries for x in row])
-            cols = self.cols
-            rows = [
-                [(j, c) for j, c in enumerate(nums[i * cols : (i + 1) * cols]) if c]
-                for i in range(self.rows)
-            ]
-            object.__setattr__(self, "_scaled", (den, rows))
-        den, rows = self._scaled
-        scale, ints = integer_form(vec)
-        return den * scale, [sum(c * ints[j] for j, c in row) for row in rows]
+        return tuple(sum(map(operator.mul, row, vec)) for row in self.entries)
 
 
 def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:

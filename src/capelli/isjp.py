@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from types import SimpleNamespace
 
-from .exact_linalg import RationalMatrix, as_vector, integer_form, solve_linear
+from .exact_linalg import RationalMatrix, integer_form, lowest_terms, solve_linear
 from .partitions import (
     Partition,
     enumerate_hooks,
@@ -72,15 +72,13 @@ def power_sum_coefficients(theta, r: int):
     return (0,) * r + (1,), tuple(psi)
 
 
-def _product_values(entry, point, m: int) -> tuple[int, list[int]]:
+def _product_values(entry, scale: int, ints, m: int) -> tuple[int, list[int]]:
     """(scale^d, values): values[i] is the i-th product Q_nu, |nu| <= d, at
-    point times scale^d, where d is the entry's size and scale the LCM of
-    the point's denominators.
+    the point ints / scale times scale^d, where d is the entry's size.
 
     With X, Y the point's integer blocks, scale^r Q_r is
     sum_k (a_k sum_i X_i^k + b_k sum_j Y_j^k) scale^(r - k), and each
     product is a smaller one times one of these, divided by scale^r."""
-    scale, ints = integer_form(point)
     d = len(entry.sums)
     powers = [scale**k for k in range(d + 1)]
     xs, ys = (
@@ -98,23 +96,23 @@ def _product_values(entry, point, m: int) -> tuple[int, list[int]]:
 
 
 def evaluator(m: int, n: int, theta, shapes):
-    """values_at(point): the values of the interpolation polynomials of
-    shapes at a point of length m + n, as a tuple of Fractions. A call takes
-    every product once, and each value as one integer dot product with the
-    polynomial's coordinates."""
+    """values_at(den, nums): the values of the interpolation polynomials of
+    shapes at the point nums / den of length m + n, as a row (den, nums) in
+    lowest terms. A call takes every product once, and each value as one
+    integer dot product with the polynomial's coordinates over one den."""
     theta = require_theta(theta)
     shapes = [require_hook(lam, m, n) for lam in shapes]
     entry = _polynomials_of_size(m, n, theta, max(map(size, shapes), default=0))
     forms = [_polynomials_of_size(m, n, theta, size(lam)).coords[lam] for lam in shapes]
+    common = math.lcm(*(den for den, _ in forms))
+    forms = [[x * (common // den) for x in nums] for den, nums in forms]
 
-    def values_at(point) -> tuple[Fraction, ...]:
-        point = as_vector(point)
-        if len(point) != m + n:
-            raise ValueError(f"point has length {len(point)}, expected {m + n}")
-        scale, values = _product_values(entry, point, m)
-        return tuple(
-            Fraction(sum(map(operator.mul, nums, values)), den * scale)
-            for den, nums in forms
+    def values_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
+        if len(nums) != m + n:
+            raise ValueError(f"point has length {len(nums)}, expected {m + n}")
+        scale, values = _product_values(entry, den, nums, m)
+        return lowest_terms(
+            common * scale, [sum(map(operator.mul, c, values)) for c in forms]
         )
 
     return values_at
@@ -124,8 +122,8 @@ def evaluator(m: int, n: int, theta, shapes):
 def _polynomials_of_size(m: int, n: int, theta, d: int):
     """The entry of size d. coords maps each hook partition of size d to its
     coordinates (den, nums); nodes maps each hook rho of size <= d to its
-    shifted coordinates and the values P_kappa(rho), |kappa| < |rho|, as
-    integers over one denominator; sums holds Q_1..Q_d as pairs (a_k, b_k) of
+    shifted coordinates and the values P_kappa(rho), |kappa| < |rho|, each as
+    (den, nums) in lowest terms; sums holds Q_1..Q_d as pairs (a_k, b_k) of
     the coefficients of x^k and y^k; layout holds (parent, last part) of each
     nonempty product; polys and products keep `interpolation_polynomial`'s
     expansions. The smaller sizes come from this cache, so each size
@@ -156,18 +154,18 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
             (index[nu[:-1]], nu[-1]) for nu in products[first:]
         ]
     for rho in shapes:
-        entry.nodes[rho] = (frobenius_coords(rho, m, n, theta), None)
+        entry.nodes[rho] = (integer_form(frobenius_coords(rho, m, n, theta)), None)
     # The smaller polynomials' coordinates over one denominator, once per size.
     common = math.lcm(*(den for den, _ in below))
     scaled = [[x * (common // den) for x in nums] for den, nums in below]
     # Per node: the top products' values over bottom, and the node's row.
     at = {}
     for rho, (point, row) in entry.nodes.items():
-        bottom, values = _product_values(entry, point, m)
+        bottom, values = _product_values(entry, *point, m)
         if row is None:
-            row = [sum(map(operator.mul, nums, values)) for nums in scaled]
-            gcd = math.gcd(common * bottom, *row)
-            row = (common * bottom // gcd, [v // gcd for v in row])
+            row = lowest_terms(
+                common * bottom, [sum(map(operator.mul, c, values)) for c in scaled]
+            )
             entry.nodes[rho] = (point, row)
         at[rho] = (values[first:], bottom, row)
 
@@ -227,8 +225,7 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         nums += [0] * (len(products) - first)
         for f, (_, j, _) in zip(factors, used):
             nums[first + j] = f * lcm * common
-        gcd = math.gcd(scale * lcm * common, *nums)
-        entry.coords[lam] = (scale * lcm * common // gcd, [v // gcd for v in nums])
+        entry.coords[lam] = lowest_terms(scale * lcm * common, nums)
     return entry
 
 
@@ -287,5 +284,6 @@ def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:
     """Value of the interpolation polynomial of mu at the shifted coordinates
     of lam; the scalar through which the operator indexed by mu acts on the
     component indexed by lam."""
-    (value,) = evaluator(m, n, theta, [mu])(frobenius_coords(lam, m, n, theta))
-    return value
+    point = integer_form(frobenius_coords(lam, m, n, theta))
+    den, (value,) = evaluator(m, n, theta, [mu])(*point)
+    return Fraction(value, den)

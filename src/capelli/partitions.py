@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Vector, format_rational
+from .exact_linalg import Vector, format_rational, parse_rational
 
 Partition = tuple[int, ...]
 
@@ -117,8 +117,8 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
 
 
 def require_theta(theta) -> Fraction:
-    """theta as a Fraction; raises ValueError outside the domain theta > 0."""
-    theta = Fraction(theta)
+    """theta, or its text, as a Fraction; raises ValueError unless theta > 0."""
+    theta = parse_rational(theta) if isinstance(theta, str) else Fraction(theta)
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {format_rational(theta)}")
     return theta

@@ -9,7 +9,7 @@ to w + rho."""
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +20,7 @@ from .exact_linalg import (
     as_vector,
     format_vector,
     integer_form,
+    lowest_terms,
 )
 
 # -- affine maps ----------------------------------------------------------------
@@ -31,27 +32,35 @@ class AffineMap:
 
     matrix: RationalMatrix
     offset: Vector
-    # The offset as integers over one denominator, added into each row's sum.
-    _offset_form: tuple = field(init=False, repr=False, compare=False)
+    # The rows of [matrix | offset] as integers over one denominator.
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix.rows != len(self.offset):
             raise ValueError("offset length must match matrix rows")
         object.__setattr__(self, "offset", as_vector(self.offset))
-        object.__setattr__(self, "_offset_form", integer_form(self.offset))
+        rows = [(*row, c) for row, c in zip(self.matrix.entries, self.offset)]
+        den, nums = integer_form([x for row in rows for x in row])
+        width = self.matrix.cols + 1
+        rows = [nums[i : i + width] for i in range(0, len(nums), width)]
+        object.__setattr__(self, "_rows", (den, rows))
+
+    def integer_apply(self, den: int, nums) -> tuple[int, tuple[int, ...]]:
+        """matrix * (nums / den) + offset in lowest terms: each row of
+        [matrix | offset] times (nums, den) is one integer sum."""
+        cols = self.matrix.cols
+        if cols != len(nums):
+            raise ValueError(f"dimension mismatch in apply: {cols} vs {len(nums)}")
+        scale, rows = self._rows
+        x = (*nums, den)
+        return lowest_terms(scale * den, [sum(map(operator.mul, r, x)) for r in rows])
 
     def apply(self, point) -> Vector:
-        """matrix * point + offset, one integer sum and one Fraction per row."""
+        """matrix * point + offset as Fractions, through `integer_apply`."""
         if isinstance(point, WeightVector):
             point = point.coords()
-        den, sums = self.matrix.integer_apply(point)
-        offset_den, offsets = self._offset_form
-        total = math.lcm(den, offset_den)
-        scale, offset_scale = total // den, total // offset_den
-        return tuple(
-            Fraction(v * scale + c * offset_scale, total)
-            for v, c in zip(sums, offsets)
-        )
+        den, nums = self.integer_apply(*integer_form(as_vector(point)))
+        return tuple(Fraction(v, den) for v in nums)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,8 @@ checks, for every decreasing Borel of the half-parameter family, that the
 selected affine map sends every Borel highest weight to a point spectrally
 equal to the standard node, and that on generic weights it reaches the node
 as a vector. Both sweeps read their values from one table that evaluates
-each distinct point once and keys it by integer numerators.
+each distinct point once. Points and rows are integers in lowest terms;
+only the failure records are made of Fractions.
 
 Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 """
@@ -20,15 +21,12 @@ Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 from __future__ import annotations
 
 import json
-import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
-from .exact_linalg import format_rational, format_vector
+from .exact_linalg import format_rational, format_vector, integer_form, lowest_terms
 from .isjp import evaluator
 from .partitions import (
     enumerate_hooks,
@@ -128,35 +126,31 @@ def _selected_borels(config: SweepConfig) -> list[BorelDescriptor]:
     return [BorelDescriptor(config.m, config.n, parse_int_list(config.borels))]
 
 
-def _numerators(point, den: int) -> tuple[int, ...]:
-    """The coordinates of a point times den, a multiple of their
-    denominators: the point's key in the value table."""
-    return tuple(x.numerator * (den // x.denominator) for x in point)
+def _fractions(den: int, nums) -> tuple[Fraction, ...]:
+    """The vector nums / den, for a failure record."""
+    return tuple(Fraction(v, den) for v in nums)
 
 
-def _value_table(config: SweepConfig, theta: Fraction, den: int):
-    """The shapes mu and lambda, the lambda nodes, their keys and value rows,
-    and a reader row(key) of the values of every P_mu at the point key / den.
-    A key is a point's integer numerators over den, a multiple of the
-    denominator of every point the sweep reads. Each distinct point is
-    evaluated once, by one `evaluator` call for all the polynomials, and only
-    then made of Fractions; a node key gives its node row object itself."""
+def _value_table(config: SweepConfig, theta: Fraction):
+    """The shapes mu and lambda, the lambda nodes and their value rows, and a
+    reader row(point) of the values of every P_mu at a point. Points and rows
+    are (den, nums) in lowest terms, so a point is its own key. Each distinct
+    point is evaluated once, by one `evaluator` call for all the polynomials;
+    a node gives its node row object itself."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     values_at = evaluator(m, n, theta, mus)
     lams = enumerate_hooks(m, n, config.lambda_max)
-    nodes = [frobenius_coords(lam, m, n, theta) for lam in lams]
-    node_keys = [_numerators(node, den) for node in nodes]
-    node_rows = [values_at(node) for node in nodes]
-    rows = dict(zip(node_keys, node_rows))
+    nodes = [integer_form(frobenius_coords(lam, m, n, theta)) for lam in lams]
+    rows = {}
 
-    def row(key) -> tuple:
-        values = rows.get(key)
+    def row(point) -> tuple:
+        values = rows.get(point)
         if values is None:
-            values = rows[key] = values_at(tuple(Fraction(v, den) for v in key))
+            values = rows[point] = values_at(*point)
         return values
 
-    return mus, lams, nodes, node_keys, node_rows, row
+    return mus, lams, nodes, [row(node) for node in nodes], row
 
 
 def _run_glm2n(config: SweepConfig) -> SweepReport:
@@ -168,35 +162,29 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
         for borel in _selected_borels(config)
         if in_family_domain(borel, config.map_choice)
     ]
-    # The nodes at theta = 1/2 are over 4, and a map's image of an integer
-    # weight is over the LCM of the denominators of the map's entries.
-    entries = (x for _, tau in maps for x in chain(tau.offset, *tau.matrix.entries))
-    den = math.lcm(4, *(x.denominator for x in entries))
-    mus, lams, nodes, node_keys, node_rows, row = _value_table(
-        config, Fraction(1, 2), den
-    )
+    mus, lams, nodes, node_rows, row = _value_table(config, Fraction(1, 2))
     for borel, tau in maps:
-        for lam, node, node_key, node_row in zip(lams, nodes, node_keys, node_rows):
-            point = tau.apply(highest_weight(lam, borel))
-            key = _numerators(point, den)
+        for lam, node, node_row in zip(lams, nodes, node_rows):
+            weight = integer_form(highest_weight(lam, borel).coords())
+            point = tau.integer_apply(*weight)
             # On a generic weight the map must reach the node as a vector.
             if is_generic(lam, borel):
                 report.cases += 1
-                if key != node_key:
+                if point != node:
                     report.failures.append(
                         {
                             "kind": "generic_vector",
                             "ell": list(borel.ell),
                             "lambda": format_partition(lam),
-                            "lhs": format_vector(point),
-                            "rhs": format_vector(node),
+                            "lhs": format_vector(_fractions(*point)),
+                            "rhs": format_vector(_fractions(*node)),
                         }
                     )
-            values = row(key)
+            values = row(point)
             report.cases += len(mus)
             if values == node_row:
                 continue
-            for mu, lhs, rhs in zip(mus, values, node_row):
+            for mu, lhs, rhs in zip(mus, _fractions(*values), _fractions(*node_row)):
                 if lhs != rhs:
                     report.failures.append(
                         {
@@ -213,21 +201,20 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
-    # The nodes at theta = 1 and the points w + rho are over 2.
-    mus, lams, _, _, node_rows, row = _value_table(config, Fraction(1), 2)
+    mus, lams, _, node_rows, row = _value_table(config, Fraction(1))
     sequences = list(all_sequences(m, n))
     report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
-    # Per ordering, the values at w + rho for each lambda, keyed by 2(w + rho).
+    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.
     # The dual's w* and rho for seq are minus the module's for seq reversed,
-    # so the first factor's rows for seq1 are the second factor's rows for
-    # seq1[::-1].
+    # so the first factor's rows for seq1 are the second's for seq1[::-1].
     rows = {}
     for seq in sequences:
-        twice_rho = _numerators(weyl_vector(seq).coords(), 2)
+        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq).coords()]
         rows[seq] = []
         for lam in lams:
-            w = _numerators(diag_highest_weight(seq, lam, m, n, False).coords(), 2)
-            rows[seq].append(row(tuple(map(operator.add, w, twice_rho))))
+            w = diag_highest_weight(seq, lam, m, n, False).coords()
+            twice = [2 * a.numerator + b for a, b in zip(w, rho2)]
+            rows[seq].append(row(lowest_terms(2, twice)))
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node.
     off_node = [seq for seq in sequences if rows[seq] != node_rows]
@@ -235,7 +222,10 @@ def _run_diag(config: SweepConfig) -> SweepReport:
         rows1 = rows[seq1[::-1]]
         for seq2 in sequences if rows1 != node_rows else off_node:
             for lam, node_row, row1, row2 in zip(lams, node_rows, rows1, rows[seq2]):
-                for mu, value, first, second in zip(mus, node_row, row1, row2):
+                if row1 == node_row == row2:
+                    continue
+                values = zip(mus, *(_fractions(*r) for r in (node_row, row1, row2)))
+                for mu, value, first, second in values:
                     if first != value or second != value:
                         report.failures.append(
                             {
@@ -274,10 +264,10 @@ def _table_shapes(max_entry: int):
 
 
 def _closed_form_table_row(lam) -> tuple[tuple, tuple]:
-    """Frozen closed forms for the rank-(2,1) table with ell = (1, 1): the
-    doubled standard weight, and the Borel weight obtained from it by adding
-    one unit to each body row and subtracting two from the first tail entry
-    (one unit and one entry for one-row shapes)."""
+    """Frozen closed forms for the gl(2|2) table, library rank (m, n) = (2, 1),
+    ell = (1, 1): the doubled standard weight, and the Borel weight: one unit
+    added to each body row and two subtracted from the first tail entry (one
+    unit and one entry for one-row shapes)."""
     if not lam:
         return (0, 0, 0, 0), (0, 0, 0, 0)
     r = lam[0]
@@ -292,8 +282,8 @@ def _closed_form_table_row(lam) -> tuple[tuple, tuple]:
 
 
 def _example_table(max_entry: int) -> dict:
-    """Highest-weight table of the rank-(2,1) half-parameter case with both
-    levels equal to one, checked against its frozen closed forms."""
+    """Highest-weight table of gl(2|2), library rank (m, n) = (2, 1), theta
+    1/2 and both levels one, checked against its frozen closed forms."""
     if max_entry < 0:
         raise ValueError(f"table bound must be nonnegative, got {max_entry}")
     m, n = 2, 1
@@ -331,9 +321,9 @@ def _example_table(max_entry: int) -> dict:
 
 def _example_uniqueness() -> dict:
     """Replay the chain that pins down the unique correct affine map for the
-    rank-(2,2) Borel with both levels equal to one: orbit matching over
-    one-row shapes forces two offset candidates, the closure criterion
-    eliminates one, and the survivor is the canonical full-family map."""
+    gl(2|2) Borel, library rank (m, n) = (2, 1), with both levels one: orbit
+    matching over one-row shapes forces two offset candidates, the closure
+    criterion eliminates one, and the survivor is the canonical full map."""
     from .equivalence import OrbitResult, closure_member, orbit
     from .tau import eigenvalue_map, matrix_from_pair_columns, standard_offset
 

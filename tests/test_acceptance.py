@@ -11,7 +11,7 @@ import pytest
 from capelli import isjp
 from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
 from capelli.equivalence import orbit
-from capelli.exact_linalg import RationalMatrix
+from capelli.exact_linalg import RationalMatrix, integer_form
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
 from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
 from capelli.tau import family_map
@@ -94,7 +94,8 @@ class TestDefiningProperties:
         shapes = enumerate_hooks(m, n, 10)
         values_at = isjp.evaluator(m, n, theta, shapes)
         for mu in shapes:
-            values = values_at(frobenius_coords(mu, m, n, theta))
+            den, nums = values_at(*integer_form(frobenius_coords(mu, m, n, theta)))
+            values = [Fraction(v, den) for v in nums]
             for lam, value in zip(shapes, values):
                 if size(mu) <= size(lam):
                     expected = factorial(size(lam)) if mu == lam else 0

@@ -12,6 +12,7 @@ from capelli.borel import (
     format_symbol,
     parse_symbol,
     standard_sequence,
+    validate_sequence,
     weyl_vector,
 )
 from reference import (
@@ -265,6 +266,28 @@ def test_parse_format_symbol():
     assert format_symbol(("d", 2)) == "d2"
     with pytest.raises(ValueError):
         parse_symbol("x1")
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        (("e", 1), ("e", 1), ("d", 1)),  # a duplicate
+        (("e", 1), ("d", 1)),  # a missing symbol
+        (("e", 0), ("e", 1), ("d", 1)),  # index 0
+        (("e", 1), ("e", 2), ("d", 2)),  # an index past the family size
+        (("e", 1), ("e", 2), ("x", 1)),  # an unknown kind
+        (("e", 1), ("e", 2), ("d", 1), ("d", 2)),  # too long
+    ],
+)
+def test_validate_sequence_rejects_non_orderings(seq):
+    # (2|1): exactly e1, e2 and d1, each once, in any order
+    assert validate_sequence(reversed(standard_sequence(2, 1)), 2, 1) == (
+        ("d", 1),
+        ("e", 2),
+        ("e", 1),
+    )
+    with pytest.raises(ValueError, match=r"is not an ordering of 2 e/1 d symbols$"):
+        validate_sequence(seq, 2, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -305,7 +305,7 @@ class TestBadInput:
             ),
             (
                 ["orbit", "--theta", "1/2", "--point", "0,0,0", "--budget", "-1"],
-                ["budget", "-1"],
+                ["--budget: budget must be nonnegative, got -1"],
             ),
             (
                 ["isjp", "--m", "-1", "--theta", "1", "--lambda", "1"],
@@ -348,11 +348,11 @@ class TestBadInput:
             ),
             (
                 ["example", "--name", "gl22_table", "--max", "-1"],
-                ["table bound must be nonnegative", "-1"],
+                ["--max: table bound must be nonnegative", "-1"],
             ),
             (
                 ["hw", "--table", "--max", "-3"],
-                ["table bound must be nonnegative", "-3"],
+                ["--max: table bound must be nonnegative", "-3"],
             ),
             (
                 ["orbit", "--m", "2", "--n", "-1", "--theta", "1", "--point", "0"],
@@ -380,11 +380,11 @@ class TestBadInput:
             (["bogus"], ["command", "'bogus'"]),
             (
                 ["isjp", "--theta", "0", "--lambda", "1"],
-                ["theta must be positive, got 0"],
+                ["--theta: theta must be positive, got 0"],
             ),
             (
                 ["isjp", "--theta", "-1", "--lambda", "1"],
-                ["theta must be positive, got -1"],
+                ["--theta: theta must be positive, got -1"],
             ),
             # hw flags that the chosen mode would not read
             (
@@ -466,6 +466,14 @@ class TestBadInput:
                 ["eig", "--m", "-1", "--n", "1", "--theta", "1", "--mu", "1",
                  "--lambda", "1"],
                 ["error: m and n must be nonnegative", "(-1, 1)"],
+            ),
+            (
+                ["eig", "--theta", "0", "--mu", "1", "--lambda", "1"],
+                ["--theta: theta must be positive, got 0"],
+            ),
+            (
+                ["orbit", "--theta", "0", "--point", "0,0,0"],
+                ["--theta: theta must be positive, got 0"],
             ),
         ],
     )

@@ -176,7 +176,7 @@ def test_apply_matches_fraction_arithmetic(data):
     )
     vec = tuple(data.draw(mixed_rationals) for _ in range(cols))
     expected = apply_by_fractions(matrix, vec)
-    # the first call builds the integer form, the second reuses it
+    # a second call gives the same vector
     first = matrix.apply(vec)
     second = matrix.apply(vec)
     assert first == second == expected

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli import isjp
-from capelli.exact_linalg import solve_linear
+from capelli.exact_linalg import integer_form, solve_linear
 from capelli.isjp import (
     characteristic_value,
     eigenvalue,
@@ -220,7 +220,8 @@ def test_evaluator_matches_fraction_arithmetic_on_the_expansion(case):
     # in Fractions, for any list of shapes: mixed sizes, repeats or none.
     m, n, theta, shapes, point = case
     values_at = evaluator(m, n, theta, shapes)
-    values = values_at(point)
+    den, nums = values_at(*integer_form(point))
+    values = tuple(Fraction(v, den) for v in nums)
     assert values == tuple(
         evaluate_by_fractions(interpolation_polynomial(m, n, theta, lam), point)
         for lam in shapes
@@ -229,7 +230,7 @@ def test_evaluator_matches_fraction_arithmetic_on_the_expansion(case):
     for wrong in (point + (1,), point[1:]):
         if len(wrong) != len(point):
             with pytest.raises(ValueError, match="point has length"):
-                values_at(wrong)
+                values_at(*integer_form(wrong))
 
 
 def test_request_order_and_cache_state_do_not_matter():

@@ -3,7 +3,8 @@
 there, or is public API. No module is exempt. References that only the
 tests need live in `tests/reference.py`. Nothing in the library is an
 `assert`, and the README's "Library layout" table names exactly the
-library's modules. The library has one cache, and it is bounded."""
+library's modules. The library has one cache, and it is bounded: objects are
+set up in their constructors, so no lazy memo hides beside it."""
 
 import ast
 import re
@@ -86,6 +87,29 @@ def test_package_has_no_assert_statements():
             node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
         assert not asserts, f"{stem}.py: assert at lines {asserts}"
+
+
+def _object_setattr_calls(node) -> int:
+    return sum(
+        isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr == "__setattr__"
+        and isinstance(sub.func.value, ast.Name)
+        and sub.func.value.id == "object"
+        for sub in ast.walk(node)
+    )
+
+
+def test_object_setattr_only_in_constructors():
+    # A frozen object that sets an attribute after construction is a cache.
+    for stem, tree in _trees().items():
+        constructors = sum(
+            _object_setattr_calls(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("__init__", "__post_init__")
+        )
+        assert _object_setattr_calls(tree) == constructors, stem
 
 
 def test_readme_layout_table_names_every_module():

@@ -1,10 +1,13 @@
+import math
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capelli.borel import BorelDescriptor, weyl_vector
-from capelli.exact_linalg import RationalMatrix
+from capelli.exact_linalg import RationalMatrix, integer_form
 from capelli.partitions import enumerate_hooks, frobenius_coords
 from capelli.tau import (
     MAP_FAMILIES,
@@ -243,6 +246,38 @@ def test_affine_map_validation_and_json():
     blob = tau.to_json_dict()
     assert blob["matrix"][0] == ["-1/2", "0", "0", "0"]
     assert blob["offset"] == ["-1/4", "-3/4", "1"]
+
+
+# Entries over 3 and 5 and their products, so a map's denominator is not a
+# power of 2, at points that are not integral.
+map_entries = st.fractions(min_value=-3, max_value=3).map(
+    lambda x: x.limit_denominator(15)
+)
+points = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_apply_matches_fraction_arithmetic(data):
+    rows = data.draw(st.integers(min_value=1, max_value=4))
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    matrix = RationalMatrix(
+        [[data.draw(map_entries) for _ in range(cols)] for _ in range(rows)]
+    )
+    offset = tuple(data.draw(map_entries) for _ in range(rows))
+    point = tuple(data.draw(points) for _ in range(cols))
+    tau = AffineMap(matrix, offset)
+    den, nums = tau.integer_apply(*integer_form(point))
+    expected = tuple(
+        sum((a * x for a, x in zip(row, point)), Fraction(0)) + c
+        for row, c in zip(matrix.entries, offset)
+    )
+    assert tuple(Fraction(v, den) for v in nums) == expected == tau.apply(point)
+    # lowest terms: the least common denominator of the image
+    assert den == math.lcm(*(x.denominator for x in expected))
+    assert math.gcd(den, *nums) == 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tau.integer_apply(*integer_form(point + (1,)))
 
 
 # Each family is served by one of the two matrices under the one offset rule.

@@ -26,16 +26,17 @@ from reference import evaluate
 
 def count_evaluator_calls(monkeypatch):
     """Record every call of the sweep's evaluator: the points it was called
-    on and the value rows it returned, in call order."""
+    on and the value rows it returned, as Fractions, in call order."""
     calls, rows = [], []
 
     def counted_evaluator(*args):
         values_at = evaluator(*args)
 
-        def counted(point):
-            calls.append(point)
-            rows.append(values_at(point))
-            return rows[-1]
+        def counted(den, nums):
+            calls.append(tuple(Fraction(v, den) for v in nums))
+            row = values_at(den, nums)
+            rows.append(tuple(Fraction(v, row[0]) for v in row[1]))
+            return row
 
         return counted
 
