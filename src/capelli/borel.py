@@ -6,10 +6,9 @@ classification used by the eigenvalue maps."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import Rational, as_vector, format_vector
+from .exact_linalg import Frozen, Rational, as_vector, format_vector
 from .partitions import require_rank
 
 # A symbol is ("e", i) or ("d", k) with 1-based index: a functional on the
@@ -18,12 +17,14 @@ Symbol = tuple[str, int]
 Sequence = tuple[Symbol, ...]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Coefficients of a weight in the two coordinate families."""
 
-    eps: tuple[Rational, ...]
-    delta: tuple[Rational, ...]
+    __slots__ = ("eps", "delta")
+
+    def __init__(self, eps: tuple[Rational, ...], delta: tuple[Rational, ...]):
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "delta", delta)
 
     @classmethod
     def make(cls, eps, delta) -> "WeightVector":
@@ -108,27 +109,26 @@ def weyl_vector(seq: Sequence) -> WeightVector:
     return WeightVector(tuple(coeffs["e"]), tuple(coeffs["d"]))
 
 
-@dataclass(frozen=True)
-class BorelDescriptor:
+class BorelDescriptor(Frozen):
     """A decreasing Borel of the (m | 2n) family: both symbol families occur
     in descending index order, so the ordering is determined by the weakly
     increasing vector ell, where ell[i-1] counts d-symbols to the right of
     e_i."""
 
-    m: int
-    n: int
-    ell: tuple[int, ...]
+    __slots__ = ("m", "n", "ell")
 
-    def __post_init__(self):
-        require_rank(self.m, self.n)
-        ell = tuple(int(v) for v in self.ell)
-        object.__setattr__(self, "ell", ell)
-        if len(ell) != self.m:
-            raise ValueError(f"ell must have length m={self.m}")
-        if any(not 0 <= v <= 2 * self.n for v in ell):
-            raise ValueError(f"ell entries must lie in [0, {2 * self.n}]")
+    def __init__(self, m: int, n: int, ell):
+        require_rank(m, n)
+        ell = tuple(int(v) for v in ell)
+        if len(ell) != m:
+            raise ValueError(f"ell must have length m={m}")
+        if any(not 0 <= v <= 2 * n for v in ell):
+            raise ValueError(f"ell entries must lie in [0, {2 * n}]")
         if any(ell[i] > ell[i + 1] for i in range(len(ell) - 1)):
             raise ValueError(f"ell must be weakly increasing: {ell}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
 
     @property
     def num_delta(self) -> int:

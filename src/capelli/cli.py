@@ -28,7 +28,7 @@ from .borel import (
     validate_sequence,
     weyl_vector,
 )
-from .equivalence import DEFAULT_BUDGET, orbit, require_budget
+from .equivalence import DEFAULT_BUDGET, orbit, require_budget, require_point
 from .exact_linalg import format_rational, format_vector, integer_form, parse_rational
 from .isjp import evaluator, interpolation_polynomial
 from .partitions import (
@@ -231,7 +231,13 @@ def _cmd_eig(args) -> int:
 
 def _cmd_orbit(args) -> int:
     theta = _parsed("--theta", require_theta, args.theta)
-    point = _parsed("--point", _parse_point, args.point)
+    # A bad rank is the rank's error, not the point's.
+    require_rank(args.m, args.n)
+    point = _parsed(
+        "--point",
+        lambda text: require_point(_parse_point(text), args.m, args.n),
+        args.point,
+    )
     budget = _parsed("--budget", require_budget, args.budget)
     result = orbit(point, args.m, args.n, theta, budget=budget)
     _emit(result.to_json_dict(), args.out)

@@ -6,17 +6,18 @@ detection at theta = 1/2, and the closure criterion."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import Vector, as_vector, format_vector
+from .exact_linalg import Frozen, Vector, as_vector, format_vector
 from .partitions import require_rank, require_theta
 
 DEFAULT_BUDGET = 10**4
 HALF = Fraction(1, 2)
 
 
-def _check_point(point, m: int, n: int) -> Vector:
+def require_point(point, m: int, n: int) -> Vector:
+    """point as a vector of Rationals, raising ValueError unless the rank is
+    valid and the point has m + n coordinates."""
     require_rank(m, n)
     point = as_vector(point)
     if len(point) != m + n:
@@ -29,7 +30,7 @@ def monoidal_moves(point, m: int, n: int, theta) -> list[Vector]:
     shifts -e_i + e_{m+j} (resp. +e_i - e_{m+j}) available when x_i +
     theta*y_j equals (1-theta)/2 (resp. its negative)."""
     theta = require_theta(theta)
-    point = _check_point(point, m, n)
+    point = require_point(point, m, n)
     level = (1 - theta) / 2
     out = set()
     for i in range(m):
@@ -74,22 +75,34 @@ def infinite_witness(point, m: int, n: int, theta) -> tuple[int, int, int] | Non
     a point has an infinite orbit. Returns None when theta != 1/2 or no
     triple fires."""
     theta = require_theta(theta)
-    point = _check_point(point, m, n)
+    point = require_point(point, m, n)
     if theta != HALF:
         return None
     return next(_witness_triples(point, m, n), None)
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    status: str  # "finite" | "infinite" | "budget_exhausted"
-    points: tuple[Vector, ...] | None
-    witness: dict | None
-    explored: int
+class OrbitResult(Frozen):
+    """How an orbit search ended (one of the three statuses below), the
+    orbit's points when it is finite, the witness when it is infinite, and
+    how many distinct points the search met."""
+
+    __slots__ = ("status", "points", "witness", "explored")
 
     FINITE = "finite"
     INFINITE = "infinite"
     BUDGET_EXHAUSTED = "budget_exhausted"
+
+    def __init__(
+        self,
+        status: str,
+        points: tuple[Vector, ...] | None,
+        witness: dict | None,
+        explored: int,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "explored", explored)
 
     def to_json_dict(self) -> dict:
         blob: dict = {"status": self.status, "explored": self.explored}
@@ -113,7 +126,7 @@ def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitRe
     than `budget` distinct points appear."""
     budget = require_budget(budget)
     theta = require_theta(theta)
-    start = _check_point(point, m, n)
+    start = require_point(point, m, n)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -151,8 +164,8 @@ def closure_member(u, v, m: int, n: int, theta) -> bool:
     theta = require_theta(theta)
     if theta != HALF:
         raise ValueError("closure criterion requires theta = 1/2")
-    u = _check_point(u, m, n)
-    v = _check_point(v, m, n)
+    u = require_point(u, m, n)
+    v = require_point(v, m, n)
     for i, i0, j in _witness_triples(u, m, n):
         inside = {i - 1, i0 - 1, m + j - 1}
         if any(v[s] != u[s] for s in range(m + n) if s not in inside):

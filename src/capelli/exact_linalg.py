@@ -93,7 +93,28 @@ def format_vector(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
-class RationalMatrix:
+class Frozen:
+    """Base of the library's immutable values. A subclass names its fields in
+    `__slots__` and sets them with `object.__setattr__` in `__init__`; two
+    values are equal when their types and fields are, and hash by their
+    fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class RationalMatrix(Frozen):
     """Immutable dense matrix of Rationals."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -109,15 +130,6 @@ class RationalMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(

@@ -10,11 +10,11 @@ to w + rho."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, WeightVector, weyl_vector
 from .exact_linalg import (
+    Frozen,
     RationalMatrix,
     Vector,
     as_vector,
@@ -26,23 +26,23 @@ from .exact_linalg import (
 # -- affine maps ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> matrix * x + offset on flattened weight coordinates."""
+class AffineMap(Frozen):
+    """x -> matrix * x + offset on flattened weight coordinates. Its third
+    field holds the rows of [matrix | offset] as integers over one
+    denominator, which matrix and offset determine."""
 
-    matrix: RationalMatrix
-    offset: Vector
-    # The rows of [matrix | offset] as integers over one denominator.
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("matrix", "offset", "_rows")
 
-    def __post_init__(self):
-        if self.matrix.rows != len(self.offset):
+    def __init__(self, matrix: RationalMatrix, offset):
+        if matrix.rows != len(offset):
             raise ValueError("offset length must match matrix rows")
-        object.__setattr__(self, "offset", as_vector(self.offset))
-        rows = [(*row, c) for row, c in zip(self.matrix.entries, self.offset)]
+        offset = as_vector(offset)
+        rows = [(*row, c) for row, c in zip(matrix.entries, offset)]
         den, nums = integer_form([x for row in rows for x in row])
-        width = self.matrix.cols + 1
-        rows = [nums[i : i + width] for i in range(0, len(nums), width)]
+        width = matrix.cols + 1
+        rows = tuple(nums[i : i + width] for i in range(0, len(nums), width))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_rows", (den, rows))
 
     def integer_apply(self, den: int, nums) -> tuple[int, tuple[int, ...]]:

@@ -22,11 +22,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
-from .exact_linalg import format_rational, format_vector, integer_form, lowest_terms
+from .exact_linalg import (
+    Frozen,
+    format_rational,
+    format_vector,
+    integer_form,
+    lowest_terms,
+)
 from .isjp import evaluator
 from .partitions import (
     enumerate_hooks,
@@ -35,56 +40,72 @@ from .partitions import (
     parse_int_list,
 )
 from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
-from .weights import diag_highest_weight, highest_weight, is_generic
+from .weights import highest_weight, integer_cut, is_generic
 
 PAIR_CHOICES = ("diag", "glm2n")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Frozen):
     """Parameters of one verification sweep."""
 
-    pair: str
-    m: int
-    n: int
-    lambda_max: int
-    mu_max: int
-    borels: str = "all"
-    map_choice: str = "full"
+    __slots__ = ("pair", "m", "n", "lambda_max", "mu_max", "borels", "map_choice")
 
-    def __post_init__(self):
-        if self.pair not in PAIR_CHOICES:
+    def __init__(
+        self,
+        pair: str,
+        m: int,
+        n: int,
+        lambda_max: int,
+        mu_max: int,
+        borels: str = "all",
+        map_choice: str = "full",
+    ):
+        if pair not in PAIR_CHOICES:
             raise ValueError(f"pair must be one of {PAIR_CHOICES}")
-        if self.map_choice not in MAP_FAMILIES:
+        if map_choice not in MAP_FAMILIES:
             raise ValueError(f"map choice must be one of {MAP_FAMILIES}")
-        if self.m < 1 or self.n < 1:
+        if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        if self.lambda_max < 0 or self.mu_max < 0:
+        if lambda_max < 0 or mu_max < 0:
             raise ValueError("degree bounds must be nonnegative")
-        if self.pair == "diag" and (self.borels, self.map_choice) != ("all", "full"):
+        if pair == "diag" and (borels, map_choice) != ("all", "full"):
             raise ValueError(
                 'the diag sweep runs every ordering with the diag maps: it takes '
-                f'borels "all" and map full, not {self.borels} and {self.map_choice}'
+                f'borels "all" and map full, not {borels} and {map_choice}'
             )
-        if self.borels != "all":
+        if borels != "all":
             try:
-                borel = BorelDescriptor(self.m, self.n, parse_int_list(self.borels))
+                borel = BorelDescriptor(m, n, parse_int_list(borels))
             except ValueError as error:
                 raise ValueError(f'borels must be "all" or levels: {error}') from None
-            if self.pair == "glm2n" and not in_family_domain(borel, self.map_choice):
-                raise ValueError(
-                    f"map {self.map_choice} is not defined on borels {self.borels}"
-                )
+            if pair == "glm2n" and not in_family_domain(borel, map_choice):
+                raise ValueError(f"map {map_choice} is not defined on borels {borels}")
+        values = (pair, m, n, lambda_max, mu_max, borels, map_choice)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def to_json_dict(self) -> dict:
+        """The seven parameters by name."""
+        return dict(zip(self.__slots__, self._fields()))
 
 
-@dataclass
 class SweepReport:
     """Result of a sweep: how many cases ran and which ones failed."""
 
-    config: SweepConfig
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("config", "cases", "failures", "elapsed_ms")
+
+    def __init__(
+        self, config: SweepConfig, cases: int = 0, failures=None, elapsed_ms: int = 0
+    ):
+        self.config = config
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms = elapsed_ms
+
+    def __eq__(self, other):
+        return type(other) is SweepReport and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
     @property
     def ok(self) -> bool:
@@ -94,7 +115,7 @@ class SweepReport:
         """The report as JSON data. The failure records are the report's own
         dicts, not copies."""
         return {
-            "config": dict(vars(self.config)),
+            "config": self.config.to_json_dict(),
             "cases": self.cases,
             "failures": self.failures,
             "elapsed_ms": self.elapsed_ms,
@@ -207,13 +228,14 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.
     # The dual's w* and rho for seq are minus the module's for seq reversed,
     # so the first factor's rows for seq1 are the second's for seq1[::-1].
+    # The orderings and the shapes are generated valid, so the cut runs
+    # unchecked, in integers.
     rows = {}
     for seq in sequences:
         rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq).coords()]
         rows[seq] = []
         for lam in lams:
-            w = diag_highest_weight(seq, lam, m, n, False).coords()
-            twice = [2 * a.numerator + b for a, b in zip(w, rho2)]
+            twice = [2 * a + b for a, b in zip(integer_cut(seq, lam, m, n), rho2)]
             rows[seq].append(row(lowest_terms(2, twice)))
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node.

@@ -29,19 +29,25 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
     (Fraction(2, 1), Fraction(0, 1), Fraction(3, 1))
     """
     seq = validate_sequence(seq, m, n)
-    lam = require_hook(lam, m, n)
-    coeffs = {"e": [0] * m, "d": [0] * n}
+    cut = integer_cut(seq, require_hook(lam, m, n), m, n)
+    return WeightVector.make(cut[:m], cut[m:])
+
+
+def integer_cut(seq: Sequence, lam: tuple[int, ...], m: int, n: int) -> list[int]:
+    """The coordinates of `diagram_cut`, e-block then d-block, as integers,
+    with no check of its input: seq must be an ordering of the m e- and n
+    d-symbols and lam an (m|n)-hook partition."""
+    cut = [0] * (m + n)
     rows = cols = 0
     for kind, index in seq:
         if kind == "e":
-            boxes = max(0, part(lam, rows + 1) - cols)
+            cut[index - 1] = max(0, part(lam, rows + 1) - cols)
             rows += 1
         else:
             # the depth of column cols + 1 below row rows
-            boxes = sum(1 for p in lam[rows:] if p > cols)
+            cut[m + index - 1] = sum(1 for p in lam[rows:] if p > cols)
             cols += 1
-        coeffs[kind][index - 1] = boxes
-    return WeightVector.make(coeffs["e"], coeffs["d"])
+    return cut
 
 
 # -- the (m|2n) family: duals of doubled hook modules ----------------------------

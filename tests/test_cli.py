@@ -475,6 +475,10 @@ class TestBadInput:
                 ["orbit", "--theta", "0", "--point", "0,0,0"],
                 ["--theta: theta must be positive, got 0"],
             ),
+            (
+                ["orbit", "--m", "1", "--n", "1", "--theta", "1", "--point", "1,2,3"],
+                ["error: --point: point has length 3, expected 2"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

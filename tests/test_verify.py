@@ -1,6 +1,6 @@
 """Tests for the sweep engine and the frozen worked examples."""
 
-import dataclasses
+import copy
 import itertools
 import json
 from fractions import Fraction
@@ -10,7 +10,6 @@ import pytest
 from capelli import verify, weights
 from capelli.borel import (
     BorelDescriptor,
-    WeightVector,
     format_symbol,
     standard_sequence,
     weyl_vector,
@@ -44,24 +43,21 @@ def count_evaluator_calls(monkeypatch):
     return calls, rows
 
 
-def offset_weight(w: WeightVector, step: int) -> WeightVector:
-    """w with step added to every coordinate."""
-    m, n = w.shape()
-    return w + WeightVector.make([step] * m, [step] * n)
-
-
 def break_diagram_cut(monkeypatch, broken, step: int):
     """Offset the diagram cut of the ordering broken by step in every
-    coordinate. Both diag factors read their highest weights through this
-    one rule: the module's for broken, and the dual's for its reverse."""
-    cut = weights.diagram_cut
+    coordinate, under both names it is read by: the sweep's integer cut and
+    the one inside `diagram_cut`. Both diag factors read their highest
+    weights through this one rule: the module's for broken, and the dual's
+    for its reverse."""
+    cut = weights.integer_cut
 
     def broken_cut(seq, lam, m, n):
         seq = tuple(seq)
         w = cut(seq, lam, m, n)
-        return offset_weight(w, step) if seq == broken else w
+        return [v + step for v in w] if seq == broken else w
 
-    monkeypatch.setattr(weights, "diagram_cut", broken_cut)
+    monkeypatch.setattr(weights, "integer_cut", broken_cut)
+    monkeypatch.setattr(verify, "integer_cut", broken_cut)
 
 
 class TestSweepConfig:
@@ -353,17 +349,22 @@ class TestPairSweep:
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return diag_highest_weight(*args, **kwargs)
+            return weights.integer_cut(*args)
 
-        monkeypatch.setattr(verify, "diag_highest_weight", counted)
+        monkeypatch.setattr(verify, "integer_cut", counted)
         m, n = 2, 1
+        lams = enumerate_hooks(m, n, 2)
+        orderings = list(itertools.permutations(standard_sequence(m, n)))
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
         # Both factors read one row list per ordering: one module weight per
-        # (ordering, lambda), and no dual weight.
-        assert len(calls) == 6 * len(enumerate_hooks(m, n, 2))
-        assert {args[4] for args in calls} == {False}
+        # (ordering, lambda), and no dual weight, which would cut an ordering
+        # for some lambda a second time.
+        assert len(calls) == 6 * len(lams)
+        assert sorted(args[:2] for args in calls) == sorted(
+            itertools.product(orderings, lams)
+        )
 
 
 class TestReportSerialization:
@@ -382,11 +383,27 @@ class TestReportSerialization:
         assert data["config"]["pair"] == "diag"
 
     def test_json_text_is_the_dataclass_form(self, monkeypatch):
-        # A forced-failure report serializes as `dataclasses.asdict` gives it.
+        # A forced-failure report serializes as its fields spelled out: the
+        # seven sweep parameters, the case count, the failure records and
+        # the elapsed time.
         break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1)
         report = run_sweep(SweepConfig(pair="diag", m=2, n=1, lambda_max=2, mu_max=2))
         assert report.failures
-        expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
+        form = {
+            "config": {
+                "pair": "diag",
+                "m": 2,
+                "n": 1,
+                "lambda_max": 2,
+                "mu_max": 2,
+                "borels": "all",
+                "map_choice": "full",
+            },
+            "cases": report.cases,
+            "failures": copy.deepcopy(report.failures),
+            "elapsed_ms": report.elapsed_ms,
+        }
+        expected = json.dumps(form, sort_keys=True, indent=2)
         assert report.to_json_text() == expected + "\n"
 
     def test_summary_mentions_verdict(self):
