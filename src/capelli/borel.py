@@ -1,68 +1,21 @@
 """Borel subalgebras containing the diagonal Cartan, encoded as orderings of
 the two families of coordinate functionals, plus the combinatorics attached
 to the "decreasing" ones: right-count vectors, root sums, and the even/odd
-classification used by the eigenvalue maps."""
+classification used by the eigenvalue maps. A weight is a flat tuple of its
+coefficients, the e-block then the d-block."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
-from .exact_linalg import Frozen, Rational, as_vector, format_vector
+from .exact_linalg import Frozen, Vector
 from .partitions import require_rank
 
 # A symbol is ("e", i) or ("d", k) with 1-based index: a functional on the
 # even (e) or odd (d) part of the diagonal Cartan.
 Symbol = tuple[str, int]
 Sequence = tuple[Symbol, ...]
-
-
-class WeightVector(Frozen):
-    """Coefficients of a weight in the two coordinate families."""
-
-    __slots__ = ("eps", "delta")
-
-    def __init__(self, eps: tuple[Rational, ...], delta: tuple[Rational, ...]):
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "delta", delta)
-
-    @classmethod
-    def make(cls, eps, delta) -> "WeightVector":
-        return cls(as_vector(eps), as_vector(delta))
-
-    def shape(self) -> tuple[int, int]:
-        return (len(self.eps), len(self.delta))
-
-    def _check(self, other: "WeightVector"):
-        if self.shape() != other.shape():
-            raise ValueError("weight shape mismatch")
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        self._check(other)
-        return WeightVector(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
-        )
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        self._check(other)
-        return WeightVector(
-            tuple(a - b for a, b in zip(self.eps, other.eps)),
-            tuple(a - b for a, b in zip(self.delta, other.delta)),
-        )
-
-    def __neg__(self) -> "WeightVector":
-        return WeightVector(tuple(-a for a in self.eps), tuple(-a for a in self.delta))
-
-    def coords(self) -> tuple[Rational, ...]:
-        """Flatten to a plain point: e-block then d-block."""
-        return self.eps + self.delta
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": format_vector(self.eps),
-            "delta": format_vector(self.delta),
-        }
 
 
 def standard_sequence(num_eps: int, num_delta: int) -> Sequence:
@@ -88,25 +41,33 @@ def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
     return seq
 
 
-def weyl_vector(seq: Sequence) -> WeightVector:
+def weyl_vector(seq: Sequence) -> Vector:
     """Half-sum over ordered pairs of (earlier - later), signed +1 for a
     same-family pair and -1 for a mixed pair. In closed form, the symbol at
     position p has coefficient half of (same-family after - mixed after) -
-    (same-family before - mixed before)."""
+    (same-family before - mixed before).
+
+    Examples
+    ========
+
+    >>> weyl_vector((("d", 1), ("e", 1)))
+    (Fraction(1, 2), Fraction(-1, 2))
+    """
     num_eps = sum(1 for kind, _ in seq if kind == "e")
     family_size = {"e": num_eps, "d": len(seq) - num_eps}
-    coeffs = {kind: [Fraction(0)] * size for kind, size in family_size.items()}
+    block_start = {"e": 0, "d": num_eps}
+    coeffs = [Fraction(0)] * len(seq)
     same_seen = {"e": 0, "d": 0}
     for p, (kind, index) in enumerate(seq):
         same_before = same_seen[kind]
         same_after = family_size[kind] - same_before - 1
         mixed_before = p - same_before
         mixed_after = len(seq) - p - 1 - same_after
-        coeffs[kind][index - 1] = Fraction(
+        coeffs[block_start[kind] + index - 1] = Fraction(
             (same_after - mixed_after) - (same_before - mixed_before), 2
         )
         same_seen[kind] += 1
-    return WeightVector(tuple(coeffs["e"]), tuple(coeffs["d"]))
+    return tuple(coeffs)
 
 
 class BorelDescriptor(Frozen):
@@ -179,26 +140,30 @@ class BorelDescriptor(Frozen):
 
     # -- roots and root sums ------------------------------------------------
 
-    def root_sum(self) -> WeightVector:
+    def root_sum(self) -> tuple[int, ...]:
         """Sum of the generic roots d_k - e_i over k <= ell_i:
-        -sum ell_i e_i + sum j_k d_k."""
-        eps = [-Fraction(v) for v in self.ell]
-        delta = [Fraction(j) for j in self.j_vector()]
-        return WeightVector.make(eps, delta)
+        -sum ell_i e_i + sum j_k d_k.
 
-    def odd_root_sum(self, k: int) -> WeightVector:
+        Examples
+        ========
+
+        >>> BorelDescriptor(2, 1, (1, 1)).root_sum()
+        (-1, -1, 2, 0)
+        """
+        return tuple(-v for v in self.ell) + self.j_vector()
+
+    def odd_root_sum(self, k: int) -> tuple[int, ...]:
         """Contribution of the k-th d-pair beyond the even core:
         (j_{2k-1} - j_{2k}) d_{2k-1} - (e_{m-j_{2k-1}+1} + ... + e_{m-j_{2k}})."""
         if not 1 <= k <= self.n:
             raise ValueError(f"k={k} out of range")
         j_hi = self.j_of(2 * k - 1)
         j_lo = self.j_of(2 * k)
-        eps = [Fraction(0)] * self.m
-        for i in range(self.m - j_hi + 1, self.m - j_lo + 1):
-            eps[i - 1] = Fraction(-1)
-        delta = [Fraction(0)] * self.num_delta
-        delta[2 * k - 2] = Fraction(j_hi - j_lo)
-        return WeightVector.make(eps, delta)
+        weight = [0] * (self.m + self.num_delta)
+        for i in range(self.m - j_hi, self.m - j_lo):
+            weight[i] = -1
+        weight[self.m + 2 * k - 2] = j_hi - j_lo
+        return tuple(weight)
 
     # -- parity classification ----------------------------------------------
 

@@ -92,6 +92,11 @@ def _out_file(out_path: str):
         raise ValueError(f"--out: {error}") from None
 
 
+def _weight_json(weight, m: int) -> dict:
+    """A flat weight as its e-block and its d-block."""
+    return {"eps": format_vector(weight[:m]), "delta": format_vector(weight[m:])}
+
+
 def _emit(payload, out_path: str | None) -> None:
     """Write payload as JSON to out_path, or to stdout when no path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -143,8 +148,8 @@ def _cmd_hw(args) -> int:
             "lambda": format_partition(lam),
             "seq": [format_symbol(symbol) for symbol in seq],
             "dual": args.dual,
-            "hw": w.to_json_dict(),
-            "rho": weyl_vector(seq).to_json_dict(),
+            "hw": _weight_json(w, args.m),
+            "rho": _weight_json(weyl_vector(seq), args.m),
         }
         _emit(payload, args.out)
         return 0
@@ -156,9 +161,11 @@ def _cmd_hw(args) -> int:
     payload = {
         "lambda": format_partition(lam),
         "ell": list(borel.ell),
-        "hw_standard": hw_standard.to_json_dict(),
-        "truncated_root_sum": (hw_standard - hw_borel).to_json_dict(),
-        "hw_borel": hw_borel.to_json_dict(),
+        "hw_standard": _weight_json(hw_standard, args.m),
+        "truncated_root_sum": _weight_json(
+            [a - b for a, b in zip(hw_standard, hw_borel)], args.m
+        ),
+        "hw_borel": _weight_json(hw_borel, args.m),
         "generic": is_generic(lam, borel),
     }
     _emit(payload, args.out)
@@ -212,8 +219,7 @@ def _cmd_eig(args) -> int:
             raise ValueError("eig: --borel requires theta 1/2")
         borel = _borel(args)
         family = args.map or "full"
-        weight = integer_form(highest_weight(lam, borel).coords())
-        point = family_map(borel, family).integer_apply(*weight)
+        point = family_map(borel, family).integer_apply(1, highest_weight(lam, borel))
     den, (value,) = evaluator(args.m, args.n, theta, [mu])(*point)
     payload = {
         "mu": format_partition(mu),

@@ -138,7 +138,7 @@ class RationalMatrix(Frozen):
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product, used while maps are built."""
+        """Matrix-vector product, used while the kernel matrix is built."""
         vec = as_vector(vec)
         if self.cols != len(vec):
             raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .borel import BorelDescriptor, WeightVector, weyl_vector
+from .borel import BorelDescriptor
 from .exact_linalg import (
     Frozen,
     RationalMatrix,
@@ -56,10 +56,9 @@ class AffineMap(Frozen):
         return lowest_terms(scale * den, [sum(map(operator.mul, r, x)) for r in rows])
 
     def apply(self, point) -> Vector:
-        """matrix * point + offset as Fractions, through `integer_apply`."""
-        if isinstance(point, WeightVector):
-            point = point.coords()
-        den, nums = self.integer_apply(*integer_form(as_vector(point)))
+        """matrix * point + offset as Fractions, through `integer_apply`;
+        point is a sequence of integers or Fractions."""
+        den, nums = self.integer_apply(*integer_form(point))
         return tuple(Fraction(v, den) for v in nums)
 
     def to_json_dict(self) -> dict:
@@ -91,10 +90,11 @@ def standard_matrix(m: int, n: int) -> RationalMatrix:
 
 def standard_offset(m: int, n: int) -> Vector:
     """Offset of the standard map: the negated projection of the all-d-first
-    Weyl vector. Entry i is (m + 1 - 2n - 2i)/4; entry m+k is
-    (m + 2 + 2n - 4k)/2."""
-    rho = weyl_vector(BorelDescriptor.opposite(m, n).sequence())
-    return standard_matrix(m, n).apply(rho.coords())
+    Weyl vector, in closed form. Entry i is (m + 1 - 2n - 2i)/4; entry m+k
+    is (m + 2 + 2n - 4k)/2."""
+    eps = [Fraction(m + 1 - 2 * n - 2 * i, 4) for i in range(1, m + 1)]
+    delta = [Fraction(m + 2 + 2 * n - 4 * k, 2) for k in range(1, n + 1)]
+    return tuple(eps + delta)
 
 
 # -- perturbation families ---------------------------------------------------------
@@ -131,7 +131,7 @@ def kernel_member(borel: BorelDescriptor) -> RationalMatrix:
         if gap == 0:
             columns.append((Fraction(0),) * (m + n))
         else:
-            image = base.apply(borel.odd_root_sum(k).coords())
+            image = base.apply(borel.odd_root_sum(k))
             columns.append(tuple(-v / gap for v in image))
     return matrix_from_pair_columns(m, n, columns)
 
@@ -166,9 +166,8 @@ def full_member(borel: BorelDescriptor) -> RationalMatrix:
 def eigenvalue_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
     """The map with the given matrix and offset matrix * (Borel root sum) +
     standard offset."""
-    image = matrix.apply(borel.root_sum().coords())
-    shift = standard_offset(borel.m, borel.n)
-    return AffineMap(matrix, tuple(a + b for a, b in zip(image, shift)))
+    shift = AffineMap(matrix, standard_offset(borel.m, borel.n))
+    return AffineMap(matrix, shift.apply(borel.root_sum()))
 
 
 # -- the map-family registry ---------------------------------------------------------

@@ -34,6 +34,7 @@ from .exact_linalg import (
 )
 from .isjp import evaluator
 from .partitions import (
+    double_partition,
     enumerate_hooks,
     format_partition,
     frobenius_coords,
@@ -183,11 +184,17 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
         for borel in _selected_borels(config)
         if in_family_domain(borel, config.map_choice)
     ]
+    m, n = config.m, config.n
     mus, lams, nodes, node_rows, row = _value_table(config, Fraction(1, 2))
+    # The highest weight is minus the cut of the reversed ordering on the
+    # doubled shape (`weights.highest_weight`). The orderings and the shapes
+    # are generated valid, so the cut runs unchecked, in integers.
+    doubled = [double_partition(lam, m, n) for lam in lams]
     for borel, tau in maps:
-        for lam, node, node_row in zip(lams, nodes, node_rows):
-            weight = integer_form(highest_weight(lam, borel).coords())
-            point = tau.integer_apply(*weight)
+        reverse = borel.sequence()[::-1]
+        for lam, lam2, node, node_row in zip(lams, doubled, nodes, node_rows):
+            weight = [-v for v in integer_cut(reverse, lam2, m, 2 * n)]
+            point = tau.integer_apply(1, weight)
             # On a generic weight the map must reach the node as a vector.
             if is_generic(lam, borel):
                 report.cases += 1
@@ -232,7 +239,7 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     # unchecked, in integers.
     rows = {}
     for seq in sequences:
-        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq).coords()]
+        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq)]
         rows[seq] = []
         for lam in lams:
             twice = [2 * a + b for a, b in zip(integer_cut(seq, lam, m, n), rho2)]
@@ -314,12 +321,10 @@ def _example_table(max_entry: int) -> dict:
     rows = []
     all_match = True
     for lam in _table_shapes(max_entry):
-        hw0 = highest_weight(lam, opposite).coords()
-        hw = highest_weight(lam, borel).coords()
+        hw0 = highest_weight(lam, opposite)
+        hw = highest_weight(lam, borel)
         closed0, closedb = _closed_form_table_row(lam)
-        matches = hw0 == tuple(map(Fraction, closed0)) and hw == tuple(
-            map(Fraction, closedb)
-        )
+        matches = hw0 == closed0 and hw == closedb
         all_match = all_match and matches
         rows.append(
             {
@@ -370,7 +375,7 @@ def _example_uniqueness() -> dict:
         if shape_orbit.status != OrbitResult.FINITE:
             raise AssertionError(f"one-row shape r={r}: orbit is {shape_orbit.status}")
         hw = highest_weight((r,), borel)
-        u = (hw + r_b).coords()
+        u = tuple(a + b for a, b in zip(hw, r_b))
         gap = u[2] - u[3]
         if gap == 0:
             raise AssertionError(f"one-row shape r={r}: zero parameter gap")

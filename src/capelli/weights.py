@@ -1,19 +1,15 @@
 """Highest weights of the modules attached to hook partitions, for every
 Borel containing the diagonal Cartan, all from one rule: the diagram cut,
-which reads the highest weight of any ordering off the Young diagram."""
+which reads the highest weight of any ordering off the Young diagram. A
+weight is a flat tuple of integers, the e-block then the d-block."""
 
 from __future__ import annotations
 
-from .borel import (
-    BorelDescriptor,
-    Sequence,
-    WeightVector,
-    validate_sequence,
-)
+from .borel import BorelDescriptor, Sequence, validate_sequence
 from .partitions import double_partition, part, require_hook
 
 
-def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
+def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
     """Highest weight, for the ordering seq of the m e- and n d-symbols, of
     the module indexed by an (m|n)-hook partition, read off its diagram: the
     j-th e-symbol met takes the boxes of row j right of the columns already
@@ -23,20 +19,19 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> WeightVector:
     Examples
     ========
 
-    >>> diagram_cut((("e", 1), ("e", 2), ("d", 1)), (3, 1, 1), 2, 1).coords()
-    (Fraction(3, 1), Fraction(1, 1), Fraction(1, 1))
-    >>> diagram_cut((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1).coords()
-    (Fraction(2, 1), Fraction(0, 1), Fraction(3, 1))
+    >>> diagram_cut((("e", 1), ("e", 2), ("d", 1)), (3, 1, 1), 2, 1)
+    (3, 1, 1)
+    >>> diagram_cut((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1)
+    (2, 0, 3)
     """
     seq = validate_sequence(seq, m, n)
-    cut = integer_cut(seq, require_hook(lam, m, n), m, n)
-    return WeightVector.make(cut[:m], cut[m:])
+    return tuple(integer_cut(seq, require_hook(lam, m, n), m, n))
 
 
 def integer_cut(seq: Sequence, lam: tuple[int, ...], m: int, n: int) -> list[int]:
-    """The coordinates of `diagram_cut`, e-block then d-block, as integers,
-    with no check of its input: seq must be an ordering of the m e- and n
-    d-symbols and lam an (m|n)-hook partition."""
+    """The coordinates of `diagram_cut` in a list, with no check of its
+    input: seq must be an ordering of the m e- and n d-symbols and lam an
+    (m|n)-hook partition."""
     cut = [0] * (m + n)
     rows = cols = 0
     for kind, index in seq:
@@ -57,14 +52,20 @@ def integer_cut(seq: Sequence, lam: tuple[int, ...], m: int, n: int) -> list[int
 # doubled module's lowest weight: minus the cut of the reversed ordering.
 
 
-def highest_weight(lam, borel: BorelDescriptor) -> WeightVector:
+def highest_weight(lam, borel: BorelDescriptor) -> tuple[int, ...]:
     """Highest weight for a decreasing Borel of the (m|2n) family. On the
     opposite Borel it is the standard weight: minus the doubled rows and
-    minus the duplicated clipped column depths."""
+    minus the duplicated clipped column depths.
+
+    Examples
+    ========
+
+    >>> highest_weight((2, 1), BorelDescriptor(2, 1, (1, 1)))
+    (-3, -1, -2, 0)
+    """
     doubled = double_partition(lam, borel.m, borel.n)
-    return -diagram_cut(
-        reversed(borel.sequence()), doubled, borel.m, borel.num_delta
-    )
+    cut = diagram_cut(reversed(borel.sequence()), doubled, borel.m, borel.num_delta)
+    return tuple(-v for v in cut)
 
 
 def is_generic(lam, borel: BorelDescriptor) -> bool:
@@ -79,7 +80,9 @@ def is_generic(lam, borel: BorelDescriptor) -> bool:
 # -- arbitrary orderings for the equal-family pair ------------------------------
 
 
-def diag_highest_weight(seq: Sequence, lam, m: int, n: int, dual: bool) -> WeightVector:
+def diag_highest_weight(
+    seq: Sequence, lam, m: int, n: int, dual: bool
+) -> tuple[int, ...]:
     """Highest weight of an arbitrary ordering for the (m|n)-hook module
     (dual=False) or its dual (dual=True).
 
@@ -87,5 +90,5 @@ def diag_highest_weight(seq: Sequence, lam, m: int, n: int, dual: bool) -> Weigh
     the module's highest weight for the reversed ordering.
     """
     if dual:
-        return -diagram_cut(reversed(seq), lam, m, n)
+        return tuple(-v for v in diagram_cut(reversed(seq), lam, m, n))
     return diagram_cut(seq, lam, m, n)

@@ -1,9 +1,11 @@
 """Independent references for the tests: the paper's closed forms, the
 odd-reflection walks, the defect-nullspace basis of compatible polynomials
-and the predicates that the library itself does not need. The library
-computes every highest weight with one rule, `weights.diagram_cut`, and every
-interpolation polynomial from deformed power sums; the tests compare both
-with these derivations. The highest-weight oracles never call the rule, and
+and the predicates that the library itself does not need. A weight is a flat
+tuple, the e-block then the d-block, as in the library; its arithmetic here
+is this module's own. The library computes every highest weight with one
+rule, the diagram cut of `weights.integer_cut`, and every interpolation
+polynomial from deformed power sums; the tests compare both with these
+derivations. The highest-weight oracles never call the rule, and
 the polynomial oracle never calls the power sums or the library's
 elimination. The library takes every value from a polynomial's power-sum
 coordinates; the monomial evaluator here checks its expanded output. The
@@ -17,7 +19,6 @@ from fractions import Fraction
 
 from capelli.borel import (
     BorelDescriptor,
-    WeightVector,
     standard_sequence,
     validate_sequence,
     weyl_vector,
@@ -67,42 +68,70 @@ def from_sequence(seq, m: int, n: int) -> BorelDescriptor:
     return BorelDescriptor(m, n, tuple(ell))
 
 
-def unit_weight(num_eps: int, num_delta: int, symbol) -> WeightVector:
+# -- weights --------------------------------------------------------------------
+#
+# A weight is a flat tuple of coefficients, the e-block then the d-block, as in
+# the library. Its arithmetic is spelled out here rather than borrowed from the
+# library, so the oracles stay independent of the code they check. On tuples
+# `+` concatenates and unary `-` raises, so every sum goes through these.
+
+
+def vec_add(u, v) -> tuple:
+    if len(u) != len(v):
+        raise ValueError("weight shape mismatch")
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_neg(u) -> tuple:
+    return tuple(-a for a in u)
+
+
+def vec_sub(u, v) -> tuple:
+    return vec_add(u, vec_neg(v))
+
+
+def split(w, m: int) -> tuple[tuple, tuple]:
+    """The e-block and the d-block of a weight with m e-coefficients."""
+    return tuple(w[:m]), tuple(w[m:])
+
+
+def unit_weight(num_eps: int, num_delta: int, symbol) -> tuple:
     """The coordinate functional of one symbol as a weight."""
     kind, index = symbol
-    eps = [0] * num_eps
-    delta = [0] * num_delta
-    if kind == "e":
-        eps[index - 1] = 1
-    elif kind == "d":
-        delta[index - 1] = 1
-    else:
+    sizes = {"e": num_eps, "d": num_delta}
+    if kind not in sizes or not 1 <= index <= sizes[kind]:
         raise ValueError(f"bad symbol {symbol}")
-    return WeightVector.make(eps, delta)
+    w = [0] * (num_eps + num_delta)
+    w[(0 if kind == "e" else num_eps) + index - 1] = 1
+    return tuple(w)
 
 
-def pairing(u: WeightVector, v: WeightVector) -> Fraction:
-    """Invariant form: +1 on each e-coordinate, -1 on each d-coordinate."""
-    if u.shape() != v.shape():
+def pairing(u, v, m: int) -> Fraction:
+    """Invariant form on weights with m e-coefficients: +1 on each
+    e-coordinate, -1 on each d-coordinate."""
+    if len(u) != len(v):
         raise ValueError("weight shape mismatch")
-    return sum(a * b for a, b in zip(u.eps, v.eps)) - sum(
-        a * b for a, b in zip(u.delta, v.delta)
+    (u_eps, u_delta), (v_eps, v_delta) = split(u, m), split(v, m)
+    return sum(a * b for a, b in zip(u_eps, v_eps)) - sum(
+        a * b for a, b in zip(u_delta, v_delta)
     )
 
 
-def coeff(w: WeightVector, symbol) -> Fraction:
-    """The coefficient of one symbol in a weight."""
+def coeff(w, symbol, m: int) -> Fraction:
+    """The coefficient of one symbol in a weight with m e-coefficients."""
     kind, index = symbol
-    return w.eps[index - 1] if kind == "e" else w.delta[index - 1]
+    return w[index - 1] if kind == "e" else w[m + index - 1]
 
 
-def root(borel: BorelDescriptor, i: int, k: int) -> WeightVector:
+def root(borel: BorelDescriptor, i: int, k: int) -> tuple:
     """The mixed root d_k - e_i."""
     m, num_delta = borel.m, borel.num_delta
-    return unit_weight(m, num_delta, ("d", k)) - unit_weight(m, num_delta, ("e", i))
+    return vec_sub(
+        unit_weight(m, num_delta, ("d", k)), unit_weight(m, num_delta, ("e", i))
+    )
 
 
-def generic_roots(borel: BorelDescriptor) -> list[WeightVector]:
+def generic_roots(borel: BorelDescriptor) -> list[tuple]:
     """d_k - e_i for i = m..1 and k = 1..ell_i, in reflection-walk order."""
     return [
         root(borel, i, k)
@@ -117,7 +146,7 @@ def even_core(borel: BorelDescriptor) -> BorelDescriptor:
     return BorelDescriptor(borel.m, borel.n, tuple(2 * (v // 2) for v in borel.ell))
 
 
-def core_reflection_roots(borel: BorelDescriptor) -> list[WeightVector]:
+def core_reflection_roots(borel: BorelDescriptor) -> list[tuple]:
     """Roots d_{2k-1} - e_i over pairs with ell_i = 2k-1, ordered by k then
     i descending: the reflections leading from the even core to the Borel."""
     return [
@@ -131,45 +160,45 @@ def core_reflection_roots(borel: BorelDescriptor) -> list[WeightVector]:
 # -- the paper's closed forms ---------------------------------------------------
 
 
-def hw_standard_diag(lam, m: int, n: int) -> WeightVector:
+def hw_standard_diag(lam, m: int, n: int) -> tuple:
     """Highest weight, for the standard ordering e_1..e_m d_1..d_n, of the
     module indexed by an (m|n)-hook partition: row lengths on the e-side and
     clipped column depths max(0, lam'_j - m) on the d-side."""
     lam = require_hook(lam, m, n)
-    eps = [part(lam, i) for i in range(1, m + 1)]
-    return WeightVector.make(eps, arm_columns(lam, m, n))
+    eps = tuple(part(lam, i) for i in range(1, m + 1))
+    return eps + arm_columns(lam, m, n)
 
 
-def closed_form_standard(lam, m: int, n: int) -> WeightVector:
+def closed_form_standard(lam, m: int, n: int) -> tuple:
     """Highest weight, for the all-d-first ordering of the (m|2n) family, of
     the dual module indexed by the doubled partition: minus the doubled rows
     and minus the duplicated clipped column depths."""
     lam = require_hook(lam, m, n)
     eps = [-2 * part(lam, i) for i in range(1, m + 1)]
     delta = [-c for c in arm_columns(lam, m, n) for _ in range(2)]
-    return WeightVector.make(eps, delta)
+    return tuple(eps + delta)
 
 
-def truncated_root_sum(lam, borel: BorelDescriptor) -> WeightVector:
+def truncated_root_sum(lam, borel: BorelDescriptor) -> tuple:
     """Sum over e-rows of (d_1 + ... + d_t - t*e_i) with the per-row count t
     clipped at twice the row length: the generic-root contribution that the
     module actually absorbs."""
     lam = require_hook(lam, borel.m, borel.n)
-    total = WeightVector.make([0] * borel.m, [0] * borel.num_delta)
+    total = (0,) * (borel.m + borel.num_delta)
     for i in range(1, borel.m + 1):
         t = min(borel.ell_of(i), 2 * part(lam, i))
         eps = [0] * borel.m
         eps[i - 1] = -t
         delta = [1 if k <= t else 0 for k in range(1, borel.num_delta + 1)]
-        total = total + WeightVector.make(eps, delta)
+        total = vec_add(total, eps + delta)
     return total
 
 
-def closed_form_highest_weight(lam, borel: BorelDescriptor) -> WeightVector:
+def closed_form_highest_weight(lam, borel: BorelDescriptor) -> tuple:
     """The paper's highest weight for a decreasing Borel: the standard one
     minus the truncated root sum."""
-    return closed_form_standard(lam, borel.m, borel.n) - truncated_root_sum(
-        lam, borel
+    return vec_sub(
+        closed_form_standard(lam, borel.m, borel.n), truncated_root_sum(lam, borel)
     )
 
 
@@ -226,7 +255,7 @@ def frobenius_coords_by_fractions(lam, m: int, n: int, theta) -> tuple:
     return as_vector(xs + ys)
 
 
-def diagram_cut_by_columns(seq, lam, m: int, n: int) -> WeightVector:
+def diagram_cut_by_columns(seq, lam, m: int, n: int) -> tuple:
     """The diagram cut read off the transpose: the j-th e-symbol met takes
     the boxes of row j right of the columns already taken, and the j-th
     d-symbol met the boxes of column j below the rows already taken."""
@@ -242,16 +271,18 @@ def diagram_cut_by_columns(seq, lam, m: int, n: int) -> WeightVector:
             boxes = part(columns, taken["d"] + 1) - taken["e"]
         coeffs[kind][index - 1] = max(0, boxes)
         taken[kind] += 1
-    return WeightVector.make(coeffs["e"], coeffs["d"])
+    return tuple(coeffs["e"] + coeffs["d"])
 
 
 # -- odd reflections ------------------------------------------------------------
 
 
-def _mixed_root_indices(alpha: WeightVector) -> tuple[int, int, int]:
-    """Decompose alpha as sign*(e_i - d_k); returns (sign, i, k)."""
-    eps_nz = [(i, v) for i, v in enumerate(alpha.eps, start=1) if v]
-    delta_nz = [(k, v) for k, v in enumerate(alpha.delta, start=1) if v]
+def _mixed_root_indices(alpha, m: int) -> tuple[int, int, int]:
+    """Decompose alpha, a weight with m e-coefficients, as sign*(e_i - d_k);
+    returns (sign, i, k)."""
+    eps, delta = split(alpha, m)
+    eps_nz = [(i, v) for i, v in enumerate(eps, start=1) if v]
+    delta_nz = [(k, v) for k, v in enumerate(delta, start=1) if v]
     if len(eps_nz) != 1 or len(delta_nz) != 1:
         raise ValueError("root must involve exactly one symbol of each family")
     (i, ev), (k, dv) = eps_nz[0], delta_nz[0]
@@ -260,16 +291,17 @@ def _mixed_root_indices(alpha: WeightVector) -> tuple[int, int, int]:
     return (1 if ev > 0 else -1, i, k)
 
 
-def odd_reflection_step(w: WeightVector, alpha: WeightVector) -> WeightVector:
-    """Highest-weight update across one odd reflection: subtract the root
-    when the invariant form pairs it nontrivially with w, else no change."""
-    _mixed_root_indices(alpha)
-    if pairing(w, alpha) != 0:
-        return w - alpha
+def odd_reflection_step(w, alpha, m: int) -> tuple:
+    """Highest-weight update across one odd reflection, for weights with m
+    e-coefficients: subtract the root when the invariant form pairs it
+    nontrivially with w, else no change."""
+    _mixed_root_indices(alpha, m)
+    if pairing(w, alpha, m) != 0:
+        return vec_sub(w, alpha)
     return w
 
 
-def reflection_walk(lam, borel: BorelDescriptor) -> tuple[WeightVector, WeightVector]:
+def reflection_walk(lam, borel: BorelDescriptor) -> tuple[tuple, tuple]:
     """Highest weight and Weyl vector of a decreasing Borel, by walking from
     the all-d-first ordering through the generic roots in their canonical
     order, checking adjacency at every step. The walk starts at the closed
@@ -279,7 +311,7 @@ def reflection_walk(lam, borel: BorelDescriptor) -> tuple[WeightVector, WeightVe
     w = closed_form_standard(lam, m, borel.n)
     rho = weyl_vector(opposite_sequence(m, num_delta))
     for alpha in generic_roots(borel):
-        sign, i, k = _mixed_root_indices(alpha)
+        sign, i, k = _mixed_root_indices(alpha, m)
         if sign != -1:
             raise AssertionError("generic roots must be d_k - e_i")
         pos_d = seq.index(("d", k))
@@ -288,8 +320,8 @@ def reflection_walk(lam, borel: BorelDescriptor) -> tuple[WeightVector, WeightVe
             raise AssertionError(
                 f"root d{k}-e{i} is not a simple adjacent pair in {seq}"
             )
-        w = odd_reflection_step(w, alpha)
-        rho = rho + alpha
+        w = odd_reflection_step(w, alpha, m)
+        rho = vec_add(rho, alpha)
         seq[pos_d], seq[pos_e] = seq[pos_e], seq[pos_d]
     if tuple(seq) != borel.sequence():
         raise AssertionError("walk did not land on the target ordering")
@@ -362,7 +394,7 @@ def in_kernel_family(matrix, borel: BorelDescriptor) -> bool:
         return False
     zero = (Fraction(0),) * (m + n)
     return all(
-        matrix.apply(borel.odd_root_sum(k).coords()) == zero
+        matrix.apply(borel.odd_root_sum(k)) == zero
         for k in borel.odd_pair_set()
     )
 

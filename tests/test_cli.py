@@ -56,20 +56,52 @@ class TestHw:
         data = json.loads(out)
         assert data["hw_standard"] == {"eps": ["-4", "-2"], "delta": ["0", "0"]}
         assert data["hw_borel"] == {"eps": ["-3", "-1"], "delta": ["-2", "0"]}
+        assert data["truncated_root_sum"] == {"eps": ["-1", "-1"], "delta": ["2", "0"]}
         assert data["generic"] is True
 
-    def test_sequence_mode(self, capsys):
+    def test_borel_mode_truncates_the_root_sum(self, capsys):
+        # (3): the second row is empty, so only d_1 - e_1 is absorbed
         code, out, _ = run_cli(
-            capsys,
-            "hw",
-            "--m", "1", "--n", "1",
-            "--seq", "d1,e1",
-            "--lambda", "1",
+            capsys, "hw", "--m", "2", "--n", "1", "--borel", "1,1", "--lambda", "3"
         )
         assert code == 0
-        data = json.loads(out)
-        assert data["seq"] == ["d1", "e1"]
-        assert "hw" in data and "rho" in data
+        assert json.loads(out) == {
+            "lambda": "3",
+            "ell": [1, 1],
+            "hw_standard": {"eps": ["-6", "0"], "delta": ["0", "0"]},
+            "truncated_root_sum": {"eps": ["-1", "0"], "delta": ["1", "0"]},
+            "hw_borel": {"eps": ["-5", "0"], "delta": ["-1", "0"]},
+            "generic": False,
+        }
+
+    def test_sequence_mode(self, capsys):
+        # (eps, delta) of hw and rho for each ordering, module and dual
+        cases = [
+            (1, 1, "d1,e1", "2,1", False, (["1"], ["2"]), (["1/2"], ["-1/2"])),
+            (1, 1, "d1,e1", "2,1", True, (["-2"], ["-1"]), (["1/2"], ["-1/2"])),
+            (
+                2, 2, "e2,d1,e1,d2", "3,2,1", False,
+                (["1", "3"], ["2", "0"]),
+                (["-1/2", "-1/2"], ["1/2", "1/2"]),
+            ),
+            (
+                2, 2, "e2,d1,e1,d2", "3,2,1", True,
+                (["-2", "0"], ["-1", "-3"]),
+                (["-1/2", "-1/2"], ["1/2", "1/2"]),
+            ),
+            (2, 1, "d1,e2,e1", "2,1", False, (["0", "1"], ["2"]), (["0", "1"], ["-1"])),
+        ]
+        for m, n, seq, lam, dual, hw, rho in cases:
+            argv = ["hw", "--m", str(m), "--n", str(n), "--seq", seq, "--lambda", lam]
+            code, out, _ = run_cli(capsys, *argv, *(["--dual"] if dual else []))
+            assert code == 0
+            assert json.loads(out) == {
+                "lambda": lam,
+                "seq": seq.split(","),
+                "dual": dual,
+                "hw": {"eps": hw[0], "delta": hw[1]},
+                "rho": {"eps": rho[0], "delta": rho[1]},
+            }
 
     def test_borel_mode_without_e_symbols(self, capsys):
         code, out, _ = run_cli(

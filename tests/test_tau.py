@@ -27,6 +27,7 @@ from reference import (
     in_full_family,
     in_kernel_family,
     in_plain_family,
+    opposite_sequence,
     pair_columns_of,
     x0_delta_entry,
     x0_eps_entry,
@@ -140,13 +141,13 @@ def weyl_vector_map(b):
     """The very even construction: the standard matrix with offset the
     standard matrix applied to the Borel's Weyl vector."""
     matrix = standard_matrix(b.m, b.n)
-    return AffineMap(matrix, matrix.apply(weyl_vector(b.sequence()).coords()))
+    return AffineMap(matrix, matrix.apply(weyl_vector(b.sequence())))
 
 
 def test_very_even_map():
     b = BorelDescriptor(2, 1, (2, 2))
     tau = family_map(b, "veryeven")
-    want = standard_matrix(2, 1).apply(weyl_vector(b.sequence()).coords())
+    want = standard_matrix(2, 1).apply(weyl_vector(b.sequence()))
     assert tau.offset == want
     # at the all-d-first Borel this is exactly the standard matrix and offset
     op = BorelDescriptor.opposite(2, 1)
@@ -176,7 +177,7 @@ def test_rel_even_map_domain():
     b = BorelDescriptor(2, 1, (0, 1))
     tau = family_map(b, "releven")
     core_rho = weyl_vector(even_core(b).sequence())
-    assert tau.offset == standard_matrix(2, 1).apply(core_rho.coords())
+    assert tau.offset == standard_matrix(2, 1).apply(core_rho)
     # forcing the construction on a non-relatively-even Borel still yields a map
     b = BorelDescriptor(2, 1, (1, 1))
     forced = family_map(b, "cb-forced")
@@ -197,10 +198,18 @@ def test_rel_even_offset_is_core_weyl_vector():
             if not b.is_relatively_even():
                 continue
             rho = weyl_vector(even_core(b).sequence())
-            want = standard_matrix(m, n).apply(rho.coords())
+            want = standard_matrix(m, n).apply(rho)
             assert family_map(b, "releven").offset == want, (m, n, b.ell)
             count += 1
     assert count == 160
+
+
+def test_standard_offset_is_the_projected_opposite_weyl_vector():
+    # The closed form against the construction it stands for: the standard
+    # matrix applied to the Weyl vector of the all-d-first ordering.
+    for m, n in SMALL_RANKS:
+        rho = weyl_vector(opposite_sequence(m, 2 * n))
+        assert standard_offset(m, n) == standard_matrix(m, n).apply(rho), (m, n)
 
 
 def test_root_sum_offset_identity():
@@ -208,7 +217,7 @@ def test_root_sum_offset_identity():
     for m, n in SMALL_RANKS:
         x0 = standard_offset(m, n)
         for b in BorelDescriptor.enumerate(m, n):
-            r = b.root_sum().coords()
+            r = b.root_sum()
             taus = [
                 family_map(b, family)
                 for family in MAP_FAMILIES

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import capelli
-from capelli.borel import BorelDescriptor, WeightVector
+from capelli.borel import BorelDescriptor
 from capelli.equivalence import OrbitResult, orbit
 from capelli.tau import family_map
 from capelli.verify import SweepConfig, SweepReport
@@ -26,13 +26,6 @@ def _config(**options):
 
 # name: (make, make something unequal, a field, hashable, frozen)
 VALUES = {
-    "WeightVector": (
-        lambda: WeightVector.make([1, HALF], [0]),
-        lambda: WeightVector.make([1, HALF], [1]),
-        "eps",
-        True,
-        True,
-    ),
     "BorelDescriptor": (
         lambda: BorelDescriptor(2, 1, [1, 1]),
         lambda: BorelDescriptor(2, 1, (0, 1)),

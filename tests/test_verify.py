@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from capelli import borel as borel_module
 from capelli import verify, weights
 from capelli.borel import (
     BorelDescriptor,
@@ -16,11 +17,16 @@ from capelli.borel import (
 )
 from capelli.exact_linalg import format_rational
 from capelli.isjp import evaluator, interpolation_polynomial
-from capelli.partitions import enumerate_hooks, format_partition, frobenius_coords
+from capelli.partitions import (
+    double_partition,
+    enumerate_hooks,
+    format_partition,
+    frobenius_coords,
+)
 from capelli.tau import AffineMap, family_map
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
-from reference import evaluate
+from reference import evaluate, vec_add, vec_neg
 
 
 def count_evaluator_calls(monkeypatch):
@@ -45,10 +51,12 @@ def count_evaluator_calls(monkeypatch):
 
 def break_diagram_cut(monkeypatch, broken, step: int):
     """Offset the diagram cut of the ordering broken by step in every
-    coordinate, under both names it is read by: the sweep's integer cut and
-    the one inside `diagram_cut`. Both diag factors read their highest
-    weights through this one rule: the module's for broken, and the dual's
-    for its reverse."""
+    coordinate, under both names it is read by: the sweeps' integer cut and
+    the one inside `diagram_cut`. Both sweeps read every highest weight
+    through this one rule. In the pair sweep both diag factors do: the
+    module's for broken, and the dual's for its reverse. In the glm2n sweep
+    a Borel's weights are minus the cuts of its reversed ordering, so
+    breaking that ordering breaks that Borel alone."""
     cut = weights.integer_cut
 
     def broken_cut(seq, lam, m, n):
@@ -242,6 +250,53 @@ class TestOneSidedSweep:
         assert set(calls) == points
         assert all(len(row) == len(mus) for row in rows)
 
+    def test_highest_weights_are_cut_once_per_borel_and_shape(self, monkeypatch):
+        # Each highest weight is minus one unchecked cut of the Borel's
+        # reversed ordering on the doubled shape: no validated
+        # `highest_weight` and no Weyl vector on the sweep path.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weights.integer_cut(*args)
+
+        def forbidden(*args):
+            raise AssertionError("not on the glm2n sweep path")
+
+        monkeypatch.setattr(verify, "integer_cut", counted)
+        for module in (verify, weights):
+            monkeypatch.setattr(module, "highest_weight", forbidden)
+        for module in (verify, borel_module):
+            monkeypatch.setattr(module, "weyl_vector", forbidden)
+        m, n = 2, 2
+        lams = enumerate_hooks(m, n, 3)
+        for family in ("full", "releven"):
+            calls.clear()
+            cfg = SweepConfig(
+                pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2, map_choice=family
+            )
+            assert run_sweep(cfg).ok
+            borels = [
+                b
+                for b in BorelDescriptor.enumerate(m, n)
+                if family == "full" or b.is_relatively_even()
+            ]
+            assert len(borels) == (15 if family == "full" else 13)
+            expected = [
+                (b.sequence()[::-1], double_partition(lam, m, n), m, 2 * n)
+                for b in borels
+                for lam in lams
+            ]
+            assert sorted(calls) == sorted(expected)
+
+    def test_failures_name_the_borel_whose_cut_is_broken(self, monkeypatch):
+        broken = BorelDescriptor(2, 1, (1, 1))
+        break_diagram_cut(monkeypatch, broken.sequence()[::-1], 1)
+        cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=2, mu_max=2)
+        failures = run_sweep(cfg).failures
+        assert failures
+        assert {tuple(f["ell"]) for f in failures} == {broken.ell}
+
     def test_forced_kernel_control_clean_on_even_levels(self):
         # On very even Borels the forced matrix is the true one, so the
         # control passes there; the failures come only from uneven pairs.
@@ -304,10 +359,10 @@ class TestPairSweep:
                         poly = interpolation_polynomial(m, n, Fraction(1), mu)
                         w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
                         w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
-                        first_point = -(w1 + weyl_vector(seq1))
-                        second_point = w2 + weyl_vector(seq2)
-                        first = evaluate(poly, first_point.coords())
-                        second_value = evaluate(poly, second_point.coords())
+                        first_point = vec_neg(vec_add(w1, weyl_vector(seq1)))
+                        second_point = vec_add(w2, weyl_vector(seq2))
+                        first = evaluate(poly, first_point)
+                        second_value = evaluate(poly, second_point)
                         node = evaluate(poly, frobenius_coords(lam, m, n, 1))
                         if first != node or second_value != node:
                             expected.append(
@@ -337,8 +392,8 @@ class TestPairSweep:
                 rho = weyl_vector(seq)
                 w1 = diag_highest_weight(seq, lam, m, n, dual=True)
                 w2 = diag_highest_weight(seq, lam, m, n, dual=False)
-                points.add((-(w1 + rho)).coords())
-                points.add((w2 + rho).coords())
+                points.add(vec_neg(vec_add(w1, rho)))
+                points.add(vec_add(w2, rho))
         calls, rows = count_evaluator_calls(monkeypatch)
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
         assert len(points) < 2 * 6 * len(lams)
