@@ -152,30 +152,11 @@ class BorelDescriptor(Frozen):
         """
         return tuple(-v for v in self.ell) + self.j_vector()
 
-    def odd_root_sum(self, k: int) -> tuple[int, ...]:
-        """Contribution of the k-th d-pair beyond the even core:
-        (j_{2k-1} - j_{2k}) d_{2k-1} - (e_{m-j_{2k-1}+1} + ... + e_{m-j_{2k}})."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"k={k} out of range")
-        j_hi = self.j_of(2 * k - 1)
-        j_lo = self.j_of(2 * k)
-        weight = [0] * (self.m + self.num_delta)
-        for i in range(self.m - j_hi, self.m - j_lo):
-            weight[i] = -1
-        weight[self.m + 2 * k - 2] = j_hi - j_lo
-        return tuple(weight)
-
     # -- parity classification ----------------------------------------------
 
     def is_very_even(self) -> bool:
         """Every right-count is even."""
         return all(v % 2 == 0 for v in self.ell)
-
-    def odd_pair_set(self) -> tuple[int, ...]:
-        """Pairs k whose two d-symbols see different e-counts."""
-        return tuple(
-            k for k in range(1, self.n + 1) if self.j_of(2 * k) < self.j_of(2 * k - 1)
-        )
 
     def is_relatively_even(self) -> bool:
         """Each d-pair's e-counts differ by at most one."""

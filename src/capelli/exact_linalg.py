@@ -8,7 +8,6 @@ are ever introduced, so every comparison downstream is an exact equality.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -136,13 +135,6 @@ class RationalMatrix(Frozen):
             " ".join(format_rational(x) for x in row) for row in self.entries
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def apply(self, vec) -> Vector:
-        """Matrix-vector product, used while the kernel matrix is built."""
-        vec = as_vector(vec)
-        if self.cols != len(vec):
-            raise ValueError(f"dimension mismatch in apply: {self.cols} vs {len(vec)}")
-        return tuple(sum(map(operator.mul, row, vec)) for row in self.entries)
 
 
 def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:

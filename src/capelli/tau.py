@@ -1,14 +1,15 @@
 """Affine maps carrying Borel highest weights to interpolation-polynomial
-arguments: the standard halve-and-pair matrix and offset, its compatible
-perturbation families and their canonical members, and the map-family
-registry. Two matrices, one offset rule: each family's map is its canonical
-full or kernel matrix with offset matrix * (Borel root sum) + standard
-offset. The standard map is the full map of the opposite Borel. The
-(m|n)+(m|n) pair needs no matrix: its two factors send w to -(w + rho) and
-to w + rho."""
+arguments, and the map-family registry. One builder, `eigenvalue_map`, makes
+every map from a Borel and one perturbation column per d-pair: the standard
+halve-and-pair matrix with the columns on its d-pairs, and offset
+matrix * (Borel root sum) + standard offset. `family_map` gives each family
+its columns in closed form. The standard map is the full map of the
+opposite Borel. The (m|n)+(m|n) pair needs no matrix: its two factors send
+w to -(w + rho) and to w + rho."""
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from .exact_linalg import (
     Frozen,
     RationalMatrix,
     Vector,
-    as_vector,
     format_vector,
     integer_form,
     lowest_terms,
@@ -27,33 +27,43 @@ from .exact_linalg import (
 
 
 class AffineMap(Frozen):
-    """x -> matrix * x + offset on flattened weight coordinates. Its third
-    field holds the rows of [matrix | offset] as integers over one
-    denominator, which matrix and offset determine."""
+    """x -> matrix * x + offset on flattened weight coordinates, held as the
+    rows of [matrix | offset]: integers over one denominator den, in lowest
+    terms, so two maps are equal exactly when their matrices and offsets
+    are. A map with no rows takes no coordinates."""
 
-    __slots__ = ("matrix", "offset", "_rows")
+    __slots__ = ("den", "rows")
 
-    def __init__(self, matrix: RationalMatrix, offset):
-        if matrix.rows != len(offset):
-            raise ValueError("offset length must match matrix rows")
-        offset = as_vector(offset)
-        rows = [(*row, c) for row, c in zip(matrix.entries, offset)]
-        den, nums = integer_form([x for row in rows for x in row])
-        width = matrix.cols + 1
-        rows = tuple(nums[i : i + width] for i in range(0, len(nums), width))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_rows", (den, rows))
+    def __init__(self, den: int, rows):
+        rows = [tuple(row) for row in rows]
+        den, nums = lowest_terms(den, [x for row in rows for x in row])
+        width = len(rows[0]) if rows else 0
+        rows = tuple(nums[i * width : (i + 1) * width] for i in range(len(rows)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def matrix(self) -> RationalMatrix:
+        """The linear part, as Fractions."""
+        return RationalMatrix(
+            [Fraction(v, self.den) for v in row[:-1]] for row in self.rows
+        )
+
+    @property
+    def offset(self) -> Vector:
+        """The constant part, as Fractions."""
+        return tuple(Fraction(row[-1], self.den) for row in self.rows)
 
     def integer_apply(self, den: int, nums) -> tuple[int, tuple[int, ...]]:
         """matrix * (nums / den) + offset in lowest terms: each row of
         [matrix | offset] times (nums, den) is one integer sum."""
-        cols = self.matrix.cols
+        cols = len(self.rows[0]) - 1 if self.rows else 0
         if cols != len(nums):
             raise ValueError(f"dimension mismatch in apply: {cols} vs {len(nums)}")
-        scale, rows = self._rows
         x = (*nums, den)
-        return lowest_terms(scale * den, [sum(map(operator.mul, r, x)) for r in rows])
+        return lowest_terms(
+            self.den * den, [sum(map(operator.mul, r, x)) for r in self.rows]
+        )
 
     def apply(self, point) -> Vector:
         """matrix * point + offset as Fractions, through `integer_apply`;
@@ -68,24 +78,7 @@ class AffineMap(Frozen):
         }
 
 
-# -- the standard matrix and offset -------------------------------------------------
-
-
-def standard_matrix(m: int, n: int) -> RationalMatrix:
-    """Negated halve-and-pair projection from (m|2n) weight coordinates to
-    m+n interpolation variables, the linear part of the standard map:
-    a_i -> -a_i/2 and (b_{2k-1}, b_{2k}) -> minus their half-sum."""
-    rows = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + 2 * n)
-        row[i] = Fraction(-1, 2)
-        rows.append(row)
-    for k in range(n):
-        row = [Fraction(0)] * (m + 2 * n)
-        row[m + 2 * k] = Fraction(-1, 2)
-        row[m + 2 * k + 1] = Fraction(-1, 2)
-        rows.append(row)
-    return RationalMatrix(rows)
+# -- the standard offset and the one builder ----------------------------------------
 
 
 def standard_offset(m: int, n: int) -> Vector:
@@ -97,77 +90,48 @@ def standard_offset(m: int, n: int) -> Vector:
     return tuple(eps + delta)
 
 
-# -- perturbation families ---------------------------------------------------------
-#
 # A compatible matrix differs from the standard one only in the d-columns,
-# with the two columns of each d-pair perturbed by opposite vectors. The
-# kernel family additionally annihilates the odd root sums of a Borel; the
-# full family pins the first column of each odd pair to a prescribed value.
-
-
-def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
-    """Compatible matrix with per-pair perturbation columns: columns[k-1] is
-    added to d-column 2k-1 and subtracted from d-column 2k."""
-    base = standard_matrix(m, n)
-    entries = [list(row) for row in base.entries]
-    for k, col in enumerate(columns, start=1):
-        col = as_vector(col)
-        if len(col) != m + n:
-            raise ValueError("perturbation column has wrong length")
-        for r in range(m + n):
-            entries[r][m + 2 * k - 2] += col[r]
-            entries[r][m + 2 * k - 1] -= col[r]
-    return RationalMatrix(entries)
-
-
-def kernel_member(borel: BorelDescriptor) -> RationalMatrix:
-    """Canonical kernel-family member: perturb each odd pair k by
-    -(standard matrix applied to its odd root sum)/(j_{2k-1} - j_{2k})."""
-    m, n = borel.m, borel.n
-    base = standard_matrix(m, n)
-    columns = []
-    for k in range(1, n + 1):
-        gap = borel.j_of(2 * k - 1) - borel.j_of(2 * k)
-        if gap == 0:
-            columns.append((Fraction(0),) * (m + n))
-        else:
-            image = base.apply(borel.odd_root_sum(k))
-            columns.append(tuple(-v / gap for v in image))
-    return matrix_from_pair_columns(m, n, columns)
-
-
-def full_member(borel: BorelDescriptor) -> RationalMatrix:
-    """Canonical full-family member: perturb each odd pair k by
-    (e_{m - j_{2k}} - e_{m+k})/2."""
-    m, n = borel.m, borel.n
-    columns = []
-    for k in range(1, n + 1):
-        col = [Fraction(0)] * (m + n)
-        if k in borel.odd_pair_set():
-            col[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
-            col[m + k - 1] = Fraction(-1, 2)
-        columns.append(tuple(col))
-    return matrix_from_pair_columns(m, n, columns)
-
-
-# -- per-Borel maps -----------------------------------------------------------------
-#
-# Two matrices, one offset rule: every map is a family matrix M with offset
-# M * (Borel root sum) + standard offset, which within the full family does
-# not depend on the member. The full matrix serves every decreasing Borel;
-# on a very even one it is the standard matrix and the offset the standard
+# the two columns of each d-pair perturbed by opposite vectors, so it is the
+# standard matrix and one column per pair. Every map has offset
+# M * (Borel root sum) + standard offset. The full family pins the first
+# column of each odd pair to a prescribed value, and within it the offset
+# does not depend on the member; it serves every decreasing Borel. On a very
+# even Borel its matrix is the standard one and its offset the standard
 # matrix applied to the Borel's Weyl vector, and on the opposite Borel the
-# map is the standard map. The kernel matrix gives the paper's map for a
-# relatively even Borel, with offset the standard matrix applied to the Weyl
-# vector of the even core; applied elsewhere it is the negative control,
-# which provably fails on some Borels.
+# map is the standard map. The kernel family annihilates the odd root sums of
+# the Borel. It gives the paper's map for a relatively even Borel, with
+# offset the standard matrix applied to the Weyl vector of the even core;
+# applied elsewhere it is the negative control, which provably fails on some
+# Borels.
 
 
-def eigenvalue_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
-    """The map with the given matrix and offset matrix * (Borel root sum) +
-    standard offset."""
-    shift = AffineMap(matrix, standard_offset(borel.m, borel.n))
-    return AffineMap(matrix, shift.apply(borel.root_sum()))
+def eigenvalue_map(borel: BorelDescriptor, columns) -> AffineMap:
+    """The map whose matrix is the standard one, a_i -> -a_i/2 and
+    (b_{2k-1}, b_{2k}) -> minus their half-sum, with columns[k-1] added to
+    d-column 2k-1 and subtracted from d-column 2k, and whose offset is
+    matrix * (Borel root sum) + standard offset. columns holds n columns of
+    length m + n, of integers or Fractions. The rows are written in integers
+    over the LCM of 4 and the columns' denominators."""
+    m, n = borel.m, borel.n
+    columns = [tuple(col) for col in columns]
+    if len(columns) != n or any(len(col) != m + n for col in columns):
+        raise ValueError(f"need {n} pair columns of length {m + n}")
+    den = math.lcm(4, *(x.denominator for col in columns for x in col))
+    root = borel.root_sum()
+    rows = []
+    for r, x0 in enumerate(standard_offset(m, n)):
+        # row r < m reads a_r; row m + k reads the d-pair in columns
+        # m + 2k and m + 2k + 1
+        row = [0] * (m + 2 * n)
+        for j in (r,) if r < m else (2 * r - m, 2 * r - m + 1):
+            row[j] = -(den // 2)
+        for k, col in enumerate(columns):
+            v = col[r].numerator * (den // col[r].denominator)
+            row[m + 2 * k] += v
+            row[m + 2 * k + 1] -= v
+        shift = x0.numerator * (den // x0.denominator)
+        rows.append((*row, sum(map(operator.mul, row, root)) + shift))
+    return AffineMap(den, rows)
 
 
 # -- the map-family registry ---------------------------------------------------------
@@ -198,6 +162,20 @@ def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
         raise ValueError(f"unknown map family {family!r}; use one of {MAP_FAMILIES}")
     if not in_family_domain(borel, family):
         raise ValueError(f"Borel ell={borel.ell} is not {_PARTIAL_DOMAINS[family]}")
-    if family in ("full", "veryeven"):
-        return eigenvalue_map(borel, full_member(borel))
-    return eigenvalue_map(borel, kernel_member(borel))
+    # Per d-pair with gap = j_{2k-1} - j_{2k} > 0, the full column is
+    # (e_{m - j_{2k}} - e_{m+k})/2, and the kernel column is -(standard
+    # matrix * odd root sum)/gap: -1/(2 gap) on e_{m - j_{2k-1} + 1} ..
+    # e_{m - j_{2k}}, and 1/2 on e_{m+k}. A pair with gap 0 gets 0.
+    m, n = borel.m, borel.n
+    columns = []
+    for k in range(1, n + 1):
+        j_hi, j_lo = borel.j_of(2 * k - 1), borel.j_of(2 * k)
+        gap = j_hi - j_lo
+        col = [0] * (m + n)
+        if gap and family in ("full", "veryeven"):
+            col[m - j_lo - 1], col[m + k - 1] = Fraction(1, 2), Fraction(-1, 2)
+        elif gap:
+            col[m - j_hi : m - j_lo] = [Fraction(-1, 2 * gap)] * gap
+            col[m + k - 1] = Fraction(1, 2)
+        columns.append(col)
+    return eigenvalue_map(borel, columns)

@@ -39,9 +39,10 @@ from .partitions import (
     format_partition,
     frobenius_coords,
     parse_int_list,
+    part,
 )
 from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
-from .weights import highest_weight, integer_cut, is_generic
+from .weights import highest_weight, integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
 
@@ -188,15 +189,21 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     mus, lams, nodes, node_rows, row = _value_table(config, Fraction(1, 2))
     # The highest weight is minus the cut of the reversed ordering on the
     # doubled shape (`weights.highest_weight`). The orderings and the shapes
-    # are generated valid, so the cut runs unchecked, in integers.
+    # are generated valid, so the cut runs unchecked, in integers. A weight
+    # is generic when 2 lam_m >= ell_m (`weights.is_generic`), and every
+    # weight is when there is no e-symbol.
     doubled = [double_partition(lam, m, n) for lam in lams]
+    last_rows = [part(lam2, m) for lam2 in doubled]
     for borel, tau in maps:
         reverse = borel.sequence()[::-1]
-        for lam, lam2, node, node_row in zip(lams, doubled, nodes, node_rows):
+        last_level = borel.ell[-1] if m else 0
+        for lam, lam2, last_row, node, node_row in zip(
+            lams, doubled, last_rows, nodes, node_rows
+        ):
             weight = [-v for v in integer_cut(reverse, lam2, m, 2 * n)]
             point = tau.integer_apply(1, weight)
             # On a generic weight the map must reach the node as a vector.
-            if is_generic(lam, borel):
+            if last_row >= last_level:
                 report.cases += 1
                 if point != node:
                     report.failures.append(
@@ -352,7 +359,7 @@ def _example_uniqueness() -> dict:
     matching over one-row shapes forces two offset candidates, the closure
     criterion eliminates one, and the survivor is the canonical full map."""
     from .equivalence import OrbitResult, closure_member, orbit
-    from .tau import eigenvalue_map, matrix_from_pair_columns, standard_offset
+    from .tau import eigenvalue_map, standard_offset
 
     m, n = 2, 1
     theta = Fraction(1, 2)
@@ -361,7 +368,7 @@ def _example_uniqueness() -> dict:
     x0 = standard_offset(m, n)
 
     def candidate(a: Fraction, b: Fraction, c: Fraction) -> AffineMap:
-        return eigenvalue_map(borel, matrix_from_pair_columns(m, n, [(a, b, c)]))
+        return eigenvalue_map(borel, [(a, b, c)])
 
     # Orbit matching: for a one-row shape the mapped highest weight must land
     # in the shape's equivalence orbit. For each orbit point the three image

@@ -1,6 +1,10 @@
 """Independent references for the tests: the paper's closed forms, the
 odd-reflection walks, the defect-nullspace basis of compatible polynomials
-and the predicates that the library itself does not need. A weight is a flat
+and the predicates that the library itself does not need. The eigenvalue
+maps are built here in Fractions, by matrix products: the standard matrix
+perturbed by pair columns, each kernel column from the image of an odd root
+sum, and the offset from the image of the root sum. The library writes each
+map's integer rows in closed form. A weight is a flat
 tuple, the e-block then the d-block, as in the library; its arithmetic here
 is this module's own. The library computes every highest weight with one
 rule, the diagram cut of `weights.integer_cut`, and every interpolation
@@ -41,7 +45,7 @@ from capelli.partitions import (
     validate_partition,
 )
 from capelli.sympoly import SparsePolynomial
-from capelli.tau import standard_matrix
+from capelli.tau import AffineMap
 
 # -- orderings and decreasing Borels --------------------------------------------
 
@@ -339,13 +343,121 @@ def x0_delta_entry(k: int, m: int, n: int) -> Fraction:
     return Fraction(m + 2 + 2 * n - 4 * k, 2)
 
 
+def odd_pair_set(borel: BorelDescriptor) -> tuple[int, ...]:
+    """Pairs k whose two d-symbols see different e-counts."""
+    return tuple(
+        k
+        for k in range(1, borel.n + 1)
+        if borel.j_of(2 * k) < borel.j_of(2 * k - 1)
+    )
+
+
+def odd_root_sum(borel: BorelDescriptor, k: int) -> tuple:
+    """Contribution of the k-th d-pair beyond the even core:
+    (j_{2k-1} - j_{2k}) d_{2k-1} - (e_{m-j_{2k-1}+1} + ... + e_{m-j_{2k}})."""
+    if not 1 <= k <= borel.n:
+        raise ValueError(f"k={k} out of range")
+    m = borel.m
+    j_hi, j_lo = borel.j_of(2 * k - 1), borel.j_of(2 * k)
+    weight = [0] * (m + borel.num_delta)
+    for i in range(m - j_hi, m - j_lo):
+        weight[i] = -1
+    weight[m + 2 * k - 2] = j_hi - j_lo
+    return tuple(weight)
+
+
+def matvec(matrix: RationalMatrix, vec) -> tuple:
+    """Matrix times vector, row by row in Fraction arithmetic."""
+    if matrix.cols != len(vec):
+        raise ValueError(f"dimension mismatch: {matrix.cols} vs {len(vec)}")
+    return tuple(
+        sum((a * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
+        for row in matrix.entries
+    )
+
+
+def standard_matrix(m: int, n: int) -> RationalMatrix:
+    """Negated halve-and-pair projection from (m|2n) weight coordinates to
+    m+n interpolation variables: a_i -> -a_i/2 and (b_{2k-1}, b_{2k}) ->
+    minus their half-sum."""
+    rows = [[Fraction(0)] * (m + 2 * n) for _ in range(m + n)]
+    for i in range(m):
+        rows[i][i] = Fraction(-1, 2)
+    for k in range(n):
+        rows[m + k][m + 2 * k] = rows[m + k][m + 2 * k + 1] = Fraction(-1, 2)
+    return RationalMatrix(rows)
+
+
+def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
+    """The standard matrix with columns[k-1] added to d-column 2k-1 and
+    subtracted from d-column 2k."""
+    entries = [list(row) for row in standard_matrix(m, n).entries]
+    for k, col in enumerate(columns, start=1):
+        col = as_vector(col)
+        if len(col) != m + n:
+            raise ValueError("perturbation column has wrong length")
+        for r in range(m + n):
+            entries[r][m + 2 * k - 2] += col[r]
+            entries[r][m + 2 * k - 1] -= col[r]
+    return RationalMatrix(entries)
+
+
+def full_matrix(borel: BorelDescriptor) -> RationalMatrix:
+    """Canonical full-family matrix: perturb each odd pair k by
+    (e_{m - j_{2k}} - e_{m+k})/2."""
+    m, n = borel.m, borel.n
+    columns = []
+    for k in range(1, n + 1):
+        col = [Fraction(0)] * (m + n)
+        if k in odd_pair_set(borel):
+            col[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
+            col[m + k - 1] = Fraction(-1, 2)
+        columns.append(col)
+    return matrix_from_pair_columns(m, n, columns)
+
+
+def kernel_matrix(borel: BorelDescriptor) -> RationalMatrix:
+    """Canonical kernel-family matrix: perturb each odd pair k by -(standard
+    matrix times its odd root sum)/(j_{2k-1} - j_{2k}), through a matrix
+    product."""
+    m, n = borel.m, borel.n
+    base = standard_matrix(m, n)
+    columns = []
+    for k in range(1, n + 1):
+        gap = borel.j_of(2 * k - 1) - borel.j_of(2 * k)
+        image = matvec(base, odd_root_sum(borel, k))
+        columns.append([-v / gap if gap else Fraction(0) for v in image])
+    return matrix_from_pair_columns(m, n, columns)
+
+
+def affine_map(matrix: RationalMatrix, offset) -> AffineMap:
+    """The map x -> matrix x + offset, its rows [matrix | offset] scaled to
+    integers over one denominator."""
+    if matrix.rows != len(offset):
+        raise ValueError("offset length must match matrix rows")
+    rows = [(*row, Fraction(c)) for row, c in zip(matrix.entries, offset)]
+    den, nums = integer_form([x for row in rows for x in row])
+    width = matrix.cols + 1
+    return AffineMap(den, [nums[i : i + width] for i in range(0, len(nums), width)])
+
+
+def offset_rule_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
+    """The map with the given matrix and offset matrix * (Borel root sum) +
+    standard offset, in Fraction arithmetic."""
+    m, n = borel.m, borel.n
+    x0 = [x0_eps_entry(i, m, n) for i in range(1, m + 1)]
+    x0 += [x0_delta_entry(k, m, n) for k in range(1, n + 1)]
+    image = matvec(matrix, borel.root_sum())
+    return affine_map(matrix, [a + c for a, c in zip(image, x0)])
+
+
 def column(matrix: RationalMatrix, j: int) -> tuple:
     return tuple(row[j] for row in matrix.entries)
 
 
 def pair_columns_of(matrix: RationalMatrix, m: int, n: int):
-    """Inverse of `tau.matrix_from_pair_columns`; raises if the matrix is not
-    in the compatible family."""
+    """Inverse of `matrix_from_pair_columns`; raises if the matrix is not in
+    the compatible family."""
     base = standard_matrix(m, n)
     if (matrix.rows, matrix.cols) != (m + n, m + 2 * n):
         raise ValueError("matrix has wrong shape")
@@ -378,7 +490,7 @@ def in_full_family(matrix: RationalMatrix, borel: BorelDescriptor) -> bool:
     m, n = borel.m, borel.n
     if not in_plain_family(matrix, m, n):
         return False
-    for k in borel.odd_pair_set():
+    for k in odd_pair_set(borel):
         want = [Fraction(0)] * (m + n)
         want[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
         want[m + k - 1] += Fraction(-1)
@@ -394,8 +506,7 @@ def in_kernel_family(matrix, borel: BorelDescriptor) -> bool:
         return False
     zero = (Fraction(0),) * (m + n)
     return all(
-        matrix.apply(borel.odd_root_sum(k)) == zero
-        for k in borel.odd_pair_set()
+        matvec(matrix, odd_root_sum(borel, k)) == zero for k in odd_pair_set(borel)
     )
 
 

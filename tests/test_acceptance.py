@@ -29,6 +29,8 @@ from reference import (
     hw_standard_diag,
     invariant_operator_matrix,
     monomials_of_degree,
+    odd_pair_set,
+    odd_root_sum,
     opposite_sequence,
     reflection_walk,
     satisfies_monoidal_symmetry,
@@ -431,8 +433,8 @@ class TestStructuralProperties:
             for n in range(1, 4):
                 for b in BorelDescriptor.enumerate(m, n):
                     total = even_core(b).root_sum()
-                    for k in b.odd_pair_set():
-                        total = vec_add(total, b.odd_root_sum(k))
+                    for k in odd_pair_set(b):
+                        total = vec_add(total, odd_root_sum(b, k))
                     assert total == b.root_sum(), (m, n, b.ell)
 
     @pytest.mark.parametrize("m,n", WALK_RANKS)

@@ -20,6 +20,8 @@ from reference import (
     even_core,
     from_sequence,
     generic_roots,
+    odd_pair_set,
+    odd_root_sum,
     opposite_sequence,
     pairing,
     root,
@@ -202,15 +204,15 @@ def test_classification():
     rel_even = BorelDescriptor(2, 1, (0, 1))
     assert rel_even.is_relatively_even() and not rel_even.is_very_even()
     assert not BorelDescriptor(2, 1, (1, 1)).is_relatively_even()
-    assert BorelDescriptor(2, 1, (1, 1)).odd_pair_set() == (1,)
+    assert odd_pair_set(BorelDescriptor(2, 1, (1, 1))) == (1,)
     assert BorelDescriptor(2, 2, (1, 3)).is_relatively_even()
     assert not BorelDescriptor(2, 2, (1, 3)).is_very_even()
-    assert BorelDescriptor(2, 2, (1, 3)).odd_pair_set() == (1, 2)
+    assert odd_pair_set(BorelDescriptor(2, 2, (1, 3))) == (1, 2)
     # very even implies relatively even
     for b in BorelDescriptor.enumerate(2, 2):
         if b.is_very_even():
             assert b.is_relatively_even()
-            assert b.odd_pair_set() == ()
+            assert odd_pair_set(b) == ()
 
 
 def test_even_core():
@@ -224,17 +226,17 @@ def test_even_core():
 
 def test_odd_root_sum():
     b = BorelDescriptor(2, 1, (1, 1))
-    assert b.odd_root_sum(1) == (-1, -1, 2, 0)
+    assert odd_root_sum(b, 1) == (-1, -1, 2, 0)
     even = BorelDescriptor(2, 1, (2, 2))
-    assert even.odd_root_sum(1) == (0, 0, 0, 0)
+    assert odd_root_sum(even, 1) == (0, 0, 0, 0)
 
 
 def test_root_sum_decomposition():
     for m, n in [(1, 1), (2, 1), (2, 2)]:
         for b in BorelDescriptor.enumerate(m, n):
             total = even_core(b).root_sum()
-            for k in b.odd_pair_set():
-                total = vec_add(total, b.odd_root_sum(k))
+            for k in odd_pair_set(b):
+                total = vec_add(total, odd_root_sum(b, k))
             assert total == b.root_sum()
 
 

@@ -144,6 +144,57 @@ class TestTau:
         assert data["offset"] == ["-1/4", "-3/4", "1"]
         assert "ell" not in data
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["--m", "2", "--n", "1", "--borel", "1,1", "--family", "cb-forced"],
+                {
+                    "ell": [1, 1],
+                    "matrix": [
+                        ["-1/2", "0", "-1/4", "1/4"],
+                        ["0", "-1/2", "-1/4", "1/4"],
+                        ["0", "0", "0", "-1"],
+                    ],
+                    "offset": ["-1/4", "-3/4", "1"],
+                },
+            ),
+            # a pair gap of 3 gives the entries -1/6 and 1/6
+            (
+                ["--m", "3", "--n", "1", "--borel", "1,1,1", "--family", "cb-forced"],
+                {
+                    "ell": [1, 1, 1],
+                    "matrix": [
+                        ["-1/2", "0", "0", "-1/6", "1/6"],
+                        ["0", "-1/2", "0", "-1/6", "1/6"],
+                        ["0", "0", "-1/2", "-1/6", "1/6"],
+                        ["0", "0", "0", "0", "-1"],
+                    ],
+                    "offset": ["0", "-1/2", "-1", "3/2"],
+                },
+            ),
+            (
+                ["--m", "3", "--n", "2", "--borel", "0,1,3", "--family", "releven"],
+                {
+                    "ell": [0, 1, 3],
+                    "matrix": [
+                        ["-1/2", "0", "0", "0", "0", "0", "0"],
+                        ["0", "-1/2", "0", "-1/2", "1/2", "0", "0"],
+                        ["0", "0", "-1/2", "0", "0", "-1/2", "1/2"],
+                        ["0", "0", "0", "0", "-1", "0", "0"],
+                        ["0", "0", "0", "0", "0", "0", "-1"],
+                    ],
+                    "offset": ["-1/2", "-1", "-1/2", "3/2", "1/2"],
+                },
+            ),
+            (["--m", "0", "--n", "0", "--family", "std"], {"matrix": [], "offset": []}),
+        ],
+    )
+    def test_kernel_and_empty_maps(self, capsys, args, expected):
+        code, out, _ = run_cli(capsys, "tau", *args)
+        assert code == 0
+        assert json.loads(out) == {**expected, "family": args[-1]}
+
     def test_releven_rejected_on_uneven_pair(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -10,7 +10,7 @@ from capelli.exact_linalg import (
     parse_rational,
     solve_linear,
 )
-from reference import _reduce, nullspace_basis
+from reference import _reduce, matvec, nullspace_basis
 
 
 def test_parse_rational():
@@ -39,13 +39,10 @@ def test_matrix_shape_and_immutability():
         m.rows = 5
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2], [3]])
-
-
-def test_matrix_products():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    assert a.apply((1, Fraction(1, 2))) == (Fraction(2), Fraction(5))
-    with pytest.raises(ValueError):
-        a.apply((1, 2, 3))
+    # equal entries, whether integers or Fractions, give equal matrices
+    same = RationalMatrix([[Fraction(1), Fraction(4, 2)], [3, 4]])
+    assert m == same and hash(m) == hash(same)
+    assert m != RationalMatrix([[1, 2], [3, 5]])
 
 
 def test_solve_unique():
@@ -120,7 +117,7 @@ def test_nullspace_vectors_are_kernel_elements(data):
     basis = nullspace_basis(a)
     zero = (Fraction(0),) * a.rows
     for vec in basis:
-        assert a.apply(vec) == zero
+        assert matvec(a, vec) == zero
     # rank-nullity: pivots + free columns account for every column
     assert len(basis) <= a.cols
 
@@ -135,26 +132,7 @@ def test_solve_consistent_system(data):
     )
     assume(not nullspace_basis(a))
     xs = [tuple(data.draw(small_fractions) for _ in range(n)) for _ in range(2)]
-    assert solve_linear(a, [a.apply(x) for x in xs]) == xs
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_dot_symmetry(data):
-    # A one-row matrix applied to a vector is their dot product.
-    k = data.draw(st.integers(min_value=1, max_value=5))
-    u = tuple(data.draw(small_fractions) for _ in range(k))
-    v = tuple(data.draw(small_fractions) for _ in range(k))
-    assert RationalMatrix([u]).apply(v) == RationalMatrix([v]).apply(u)
-
-
-def apply_by_fractions(matrix: RationalMatrix, vec) -> tuple:
-    """Row by row in Fraction arithmetic: the oracle for the integer sums
-    of `RationalMatrix.apply`."""
-    return tuple(
-        sum((a * Fraction(b) for a, b in zip(row, vec)), Fraction(0))
-        for row in matrix.entries
-    )
+    assert solve_linear(a, [matvec(a, x) for x in xs]) == xs
 
 
 # Entries and coordinates mix denominators, signs and zeros (a zero row or
@@ -164,28 +142,6 @@ mixed_rationals = st.one_of(
     st.integers(-5, 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=12),
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_apply_matches_fraction_arithmetic(data):
-    rows = data.draw(st.integers(min_value=1, max_value=4))
-    cols = data.draw(st.integers(min_value=1, max_value=5))
-    matrix = RationalMatrix(
-        [[data.draw(mixed_rationals) for _ in range(cols)] for _ in range(rows)]
-    )
-    vec = tuple(data.draw(mixed_rationals) for _ in range(cols))
-    expected = apply_by_fractions(matrix, vec)
-    # a second call gives the same vector
-    first = matrix.apply(vec)
-    second = matrix.apply(vec)
-    assert first == second == expected
-    assert all(type(x) is Fraction for x in first)
-    for wrong in (vec + (1,), vec[1:]):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matrix.apply(wrong)
-    assert matrix == RationalMatrix(matrix.entries)
-    assert hash(matrix) == hash(RationalMatrix(matrix.entries))
 
 
 def solve_by_reduction(matrix: RationalMatrix, rhs_columns) -> list[tuple]:
@@ -235,7 +191,7 @@ def test_solve_matches_fraction_reduction(system):
     assert solutions == solve_by_reduction(matrix, rhs)
     assert all(type(x) is Fraction for solution in solutions for x in solution)
     for solution, b in zip(solutions, rhs):
-        assert matrix.apply(solution) == b
+        assert matvec(matrix, solution) == b
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,21 +14,27 @@ from capelli.tau import (
     AffineMap,
     eigenvalue_map,
     family_map,
-    full_member,
     in_family_domain,
-    kernel_member,
-    matrix_from_pair_columns,
-    standard_matrix,
     standard_offset,
 )
 from capelli.weights import highest_weight, is_generic
 from reference import (
+    affine_map,
     even_core,
+    full_matrix,
     in_full_family,
     in_kernel_family,
     in_plain_family,
+    kernel_matrix,
+    matrix_from_pair_columns,
+    matvec,
+    odd_pair_set,
+    odd_root_sum,
+    offset_rule_map,
     opposite_sequence,
     pair_columns_of,
+    standard_matrix,
+    vec_add,
     x0_delta_entry,
     x0_eps_entry,
 )
@@ -38,11 +44,12 @@ HALF = Fraction(1, 2)
 
 def test_standard_matrix():
     # negated halve-and-pair: a_i -> -a_i/2, each d-pair -> minus its half-sum
-    g = standard_matrix(2, 1)
-    assert g.apply((2, 4, 6, 8)) == (-1, -2, -7)
-    g = standard_matrix(1, 2)
-    assert g.apply((2, 1, 3, 5, 7)) == (-1, -2, -6)
-    assert standard_matrix(0, 0) == RationalMatrix([])
+    g = family_map(BorelDescriptor.opposite(2, 1), "full").matrix
+    assert matvec(g, (2, 4, 6, 8)) == (-1, -2, -7)
+    g = family_map(BorelDescriptor.opposite(1, 2), "full").matrix
+    assert matvec(g, (2, 1, 3, 5, 7)) == (-1, -2, -6)
+    empty = family_map(BorelDescriptor.opposite(0, 0), "full")
+    assert empty.matrix == RationalMatrix([])
 
 
 def test_standard_map_gl22_anchor():
@@ -81,6 +88,9 @@ def test_pair_columns_round_trip():
     mat = matrix_from_pair_columns(2, 2, cols)
     assert in_plain_family(mat, 2, 2)
     assert pair_columns_of(mat, 2, 2) == [tuple(map(Fraction, c)) for c in cols]
+    # the one builder puts the same columns on the same standard matrix
+    for b in BorelDescriptor.enumerate(2, 2):
+        assert eigenvalue_map(b, cols).matrix == mat
     # a perturbation of an e-column is rejected
     bad = [list(row) for row in standard_matrix(2, 2).entries]
     bad[0][0] += 1
@@ -93,7 +103,7 @@ def test_pair_columns_round_trip():
 
 def test_kernel_member_gl22():
     b = BorelDescriptor(2, 1, (1, 1))
-    mat = kernel_member(b)
+    mat = family_map(b, "cb-forced").matrix
     assert mat == RationalMatrix(
         [
             [-HALF, 0, Fraction(-1, 4), Fraction(1, 4)],
@@ -110,7 +120,7 @@ def test_kernel_member_gl22():
 
 def test_full_member_gl22_is_papers_final_map():
     b = BorelDescriptor(2, 1, (1, 1))
-    mat = full_member(b)
+    mat = family_map(b, "full").matrix
     assert mat == RationalMatrix(
         [
             [-HALF, 0, 0, 0],
@@ -127,27 +137,28 @@ def test_full_family_offset_choice_independent():
     # (2|4): ell = (0,1) pins only pair 1; pair 2 stays free, and varying it
     # must not move the offset, matrix * root sum + standard offset
     b = BorelDescriptor(2, 2, (0, 1))
-    assert b.odd_pair_set() == (1,)
-    base = full_member(b)
+    assert odd_pair_set(b) == (1,)
+    base = family_map(b, "full").matrix
     cols = pair_columns_of(base, 2, 2)
     cols2 = [cols[0], (Fraction(1), Fraction(-2), 0, Fraction(1, 3))]
     other = matrix_from_pair_columns(2, 2, cols2)
     assert in_full_family(other, b)
     assert other != base
-    assert eigenvalue_map(b, other).offset == family_map(b, "full").offset
+    assert eigenvalue_map(b, cols2).matrix == other
+    assert eigenvalue_map(b, cols2).offset == family_map(b, "full").offset
 
 
 def weyl_vector_map(b):
     """The very even construction: the standard matrix with offset the
     standard matrix applied to the Borel's Weyl vector."""
     matrix = standard_matrix(b.m, b.n)
-    return AffineMap(matrix, matrix.apply(weyl_vector(b.sequence())))
+    return affine_map(matrix, matvec(matrix, weyl_vector(b.sequence())))
 
 
 def test_very_even_map():
     b = BorelDescriptor(2, 1, (2, 2))
     tau = family_map(b, "veryeven")
-    want = standard_matrix(2, 1).apply(weyl_vector(b.sequence()))
+    want = matvec(standard_matrix(2, 1), weyl_vector(b.sequence()))
     assert tau.offset == want
     # at the all-d-first Borel this is exactly the standard matrix and offset
     op = BorelDescriptor.opposite(2, 1)
@@ -177,16 +188,49 @@ def test_rel_even_map_domain():
     b = BorelDescriptor(2, 1, (0, 1))
     tau = family_map(b, "releven")
     core_rho = weyl_vector(even_core(b).sequence())
-    assert tau.offset == standard_matrix(2, 1).apply(core_rho)
+    assert tau.offset == matvec(standard_matrix(2, 1), core_rho)
     # forcing the construction on a non-relatively-even Borel still yields a map
     b = BorelDescriptor(2, 1, (1, 1))
     forced = family_map(b, "cb-forced")
-    assert forced.matrix == kernel_member(b)
-    assert forced == eigenvalue_map(b, kernel_member(b))
+    assert forced.matrix == kernel_matrix(b)
+    assert forced == eigenvalue_map(b, pair_columns_of(kernel_matrix(b), 2, 1))
 
 
 # Every rank with m, n <= 3, either of them 0 included.
 SMALL_RANKS = [(m, n) for m in range(4) for n in range(4)]
+
+# The family matrix each map is built on, by the matrix-product construction.
+REFERENCE_MATRICES = {
+    "full": full_matrix,
+    "releven": kernel_matrix,
+    "veryeven": full_matrix,
+    "cb-forced": kernel_matrix,
+}
+
+
+def test_maps_match_the_fraction_construction():
+    # Every map of every family against the construction in Fractions: the
+    # same matrix, and offset matrix * (root sum) + standard offset. A kernel
+    # matrix annihilates every odd root sum.
+    count = 0
+    for m, n in SMALL_RANKS:
+        x0 = tuple(x0_eps_entry(i, m, n) for i in range(1, m + 1)) + tuple(
+            x0_delta_entry(k, m, n) for k in range(1, n + 1)
+        )
+        for b in BorelDescriptor.enumerate(m, n):
+            for family in MAP_FAMILIES:
+                if not in_family_domain(b, family):
+                    continue
+                tau = family_map(b, family)
+                matrix = REFERENCE_MATRICES[family](b)
+                assert tau.matrix == matrix, (b.ell, family)
+                assert tau.offset == vec_add(matvec(matrix, b.root_sum()), x0)
+                if REFERENCE_MATRICES[family] is kernel_matrix:
+                    zero = (0,) * (m + n)
+                    for k in range(1, n + 1):
+                        assert matvec(tau.matrix, odd_root_sum(b, k)) == zero
+                count += 1
+    assert count == 629
 
 
 def test_rel_even_offset_is_core_weyl_vector():
@@ -198,7 +242,7 @@ def test_rel_even_offset_is_core_weyl_vector():
             if not b.is_relatively_even():
                 continue
             rho = weyl_vector(even_core(b).sequence())
-            want = standard_matrix(m, n).apply(rho)
+            want = matvec(standard_matrix(m, n), rho)
             assert family_map(b, "releven").offset == want, (m, n, b.ell)
             count += 1
     assert count == 160
@@ -209,7 +253,7 @@ def test_standard_offset_is_the_projected_opposite_weyl_vector():
     # matrix applied to the Weyl vector of the all-d-first ordering.
     for m, n in SMALL_RANKS:
         rho = weyl_vector(opposite_sequence(m, 2 * n))
-        assert standard_offset(m, n) == standard_matrix(m, n).apply(rho), (m, n)
+        assert standard_offset(m, n) == matvec(standard_matrix(m, n), rho), (m, n)
 
 
 def test_root_sum_offset_identity():
@@ -227,7 +271,7 @@ def test_root_sum_offset_identity():
             if b.is_very_even():
                 taus.append(weyl_vector_map(b))
             for tau in taus:
-                lhs = tau.matrix.apply(r)
+                lhs = matvec(tau.matrix, r)
                 rhs = tuple(a - c for a, c in zip(tau.offset, x0))
                 assert lhs == rhs, (b.ell, tau)
 
@@ -249,8 +293,19 @@ def test_generic_vector_identity():
 
 
 def test_affine_map_validation_and_json():
-    with pytest.raises(ValueError):
-        AffineMap(RationalMatrix([[1, 0], [0, 1]]), (1,))
+    # n pair columns of length m + n
+    b = BorelDescriptor(2, 1, (1, 1))
+    for columns in ([], [(1, 0)], [(1, 0, 0), (1, 0, 0)]):
+        with pytest.raises(ValueError, match="need 1 pair columns of length 3"):
+            eigenvalue_map(b, columns)
+    # the rows are kept in lowest terms
+    assert AffineMap(4, [(2, 0, -2)]) == AffineMap(2, [(1, 0, -1)])
+    assert AffineMap(4, [(2, 0, -2)]).den == 2
+    # with no rows the map takes no coordinates
+    empty = family_map(BorelDescriptor.opposite(0, 0), "full")
+    assert empty.integer_apply(1, ()) == (1, ())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        empty.integer_apply(1, (1,))
     tau = family_map(BorelDescriptor.opposite(2, 1), "full")
     blob = tau.to_json_dict()
     assert blob["matrix"][0] == ["-1/2", "0", "0", "0"]
@@ -275,7 +330,7 @@ def test_integer_apply_matches_fraction_arithmetic(data):
     )
     offset = tuple(data.draw(map_entries) for _ in range(rows))
     point = tuple(data.draw(points) for _ in range(cols))
-    tau = AffineMap(matrix, offset)
+    tau = affine_map(matrix, offset)
     den, nums = tau.integer_apply(*integer_form(point))
     expected = tuple(
         sum((a * x for a, x in zip(row, point)), Fraction(0)) + c
@@ -291,10 +346,8 @@ def test_integer_apply_matches_fraction_arithmetic(data):
 
 # Each family is served by one of the two matrices under the one offset rule.
 CONSTRUCTORS = {
-    "full": lambda b: eigenvalue_map(b, full_member(b)),
-    "releven": lambda b: eigenvalue_map(b, kernel_member(b)),
-    "veryeven": lambda b: eigenvalue_map(b, full_member(b)),
-    "cb-forced": lambda b: eigenvalue_map(b, kernel_member(b)),
+    family: lambda b, matrix=matrix: offset_rule_map(b, matrix(b))
+    for family, matrix in REFERENCE_MATRICES.items()
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 import capelli
 from capelli.borel import BorelDescriptor
 from capelli.equivalence import OrbitResult, orbit
-from capelli.tau import family_map
+from capelli.tau import AffineMap
 from capelli.verify import SweepConfig, SweepReport
 
 HALF = Fraction(1, 2)
@@ -34,9 +34,9 @@ VALUES = {
         True,
     ),
     "AffineMap": (
-        lambda: family_map(BorelDescriptor(2, 1, (1, 1)), "full"),
-        lambda: family_map(BorelDescriptor(2, 1, (0, 1)), "full"),
-        "offset",
+        lambda: AffineMap(4, [(2, 0, -2), (0, 2, 6)]),
+        lambda: AffineMap(4, [(2, 0, -2), (0, 2, 5)]),
+        "rows",
         True,
         True,
     ),

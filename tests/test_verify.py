@@ -3,19 +3,20 @@
 import copy
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from capelli import borel as borel_module
-from capelli import verify, weights
+from capelli import partitions, verify, weights
 from capelli.borel import (
     BorelDescriptor,
     format_symbol,
     standard_sequence,
     weyl_vector,
 )
-from capelli.exact_linalg import format_rational
+from capelli.exact_linalg import RationalMatrix, format_rational
 from capelli.isjp import evaluator, interpolation_polynomial
 from capelli.partitions import (
     double_partition,
@@ -23,10 +24,10 @@ from capelli.partitions import (
     format_partition,
     frobenius_coords,
 )
-from capelli.tau import AffineMap, family_map
+from capelli.tau import AffineMap, family_map, in_family_domain
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
 from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
-from reference import evaluate, vec_add, vec_neg
+from reference import affine_map, evaluate, vec_add, vec_neg
 
 
 def count_evaluator_calls(monkeypatch):
@@ -186,7 +187,7 @@ class TestOneSidedSweep:
             affine = family_map(borel, family)
             if borel.ell != (1, 1):
                 return affine
-            return AffineMap(affine.matrix, tuple(v + 1 for v in affine.offset))
+            return affine_map(affine.matrix, tuple(v + 1 for v in affine.offset))
 
         monkeypatch.setattr(verify, "family_map", shifted)
         m, n, theta = 2, 1, Fraction(1, 2)
@@ -288,6 +289,65 @@ class TestOneSidedSweep:
                 for lam in lams
             ]
             assert sorted(calls) == sorted(expected)
+
+    def test_maps_are_built_once_per_borel_in_integers(self, monkeypatch):
+        # Each map is built once, as integer rows, and applied in integers:
+        # no RationalMatrix and no Fraction `apply` on the sweep path.
+        m, n = 2, 2
+        built = []
+
+        def counted(borel, family):
+            built.append((borel, family))
+            return family_map(borel, family)
+
+        def forbidden(*args):
+            raise AssertionError("not on the glm2n sweep path")
+
+        for family in ("full", "releven", "cb-forced"):
+            cfg = SweepConfig(
+                pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2, map_choice=family
+            )
+            # the first run builds the polynomials, whose solve takes a matrix
+            run_sweep(cfg)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "family_map", counted)
+                patch.setattr(RationalMatrix, "__init__", forbidden)
+                patch.setattr(AffineMap, "apply", forbidden)
+                run_sweep(cfg)
+            domain = [
+                b
+                for b in BorelDescriptor.enumerate(m, n)
+                if in_family_domain(b, family)
+            ]
+            assert len(domain) == (15 if family != "releven" else 13)
+            assert built == [(b, family) for b in domain]
+
+    def test_shapes_are_validated_per_shape_not_per_borel(self, monkeypatch):
+        # Genericity is read once per shape, so a sweep over every Borel
+        # validates its shapes as often as a sweep over one Borel.
+        original = partitions.require_hook
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("capelli."):
+                continue
+            if getattr(module, "require_hook", None) is original:
+                monkeypatch.setattr(module, "require_hook", counted)
+        counts = []
+        for borels in ("all", "all", "1,3"):
+            calls.clear()
+            cfg = SweepConfig(
+                pair="glm2n", m=2, n=2, lambda_max=3, mu_max=2, borels=borels
+            )
+            run_sweep(cfg)
+            counts.append(len(calls))
+        # the first run also builds the polynomials
+        assert counts[1] == counts[2] > 0
 
     def test_failures_name_the_borel_whose_cut_is_broken(self, monkeypatch):
         broken = BorelDescriptor(2, 1, (1, 1))
