@@ -4,7 +4,7 @@ that relate them."""
 
 __version__ = "0.1.0"
 
-from .exact_linalg import Rational, RationalMatrix, format_rational, parse_rational
+from .exact_linalg import Rational, format_rational, parse_rational
 from .isjp import eigenvalue, interpolation_polynomial
 from .partitions import (
     double_partition,
@@ -17,7 +17,6 @@ from .sympoly import SparsePolynomial
 
 __all__ = [
     "Rational",
-    "RationalMatrix",
     "SparsePolynomial",
     "double_partition",
     "eigenvalue",

@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError) as error:
+    except ValueError as error:
         sys.stderr.write(f"error: {error}\n")
         return 2
 

@@ -128,6 +128,8 @@ def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitRe
     theta = require_theta(theta)
     start = require_point(point, m, n)
     seen = {start}
+    if len(seen) > budget:
+        return OrbitResult(OrbitResult.BUDGET_EXHAUSTED, None, None, len(seen))
     queue = deque([start])
     while queue:
         current = queue.popleft()

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rational numbers.
 
-Values are `fractions.Fraction`s, or integers over one denominator in lowest
-terms (`integer_form`, `lowest_terms`); sums run in integers and no floats
-are ever introduced, so every comparison downstream is an exact equality.
+A vector of rationals is kept as integers over one denominator in lowest
+terms (`integer_form`, `lowest_terms`), and the solve runs in integers; no
+floats are ever introduced, so every comparison downstream is an exact
+equality.
 """
 
 from __future__ import annotations
@@ -113,67 +114,45 @@ class Frozen:
         return hash(self._fields())
 
 
-class RationalMatrix(Frozen):
-    """Immutable dense matrix of Rationals."""
+def solve_linear(rows, rhs_columns) -> tuple[int, list[tuple[int, ...]]]:
+    """Solve rows * x = b exactly for each right-hand side b, with one
+    elimination for all of them. The rows and right-hand sides are integers.
 
-    __slots__ = ("rows", "cols", "entries")
+    The rows need full rank, so at least as many columns as rows. Pivot
+    columns are picked from left to right and every other coordinate of x is
+    0; a square invertible system gives its unique solution. Returns
+    (den, solutions): each solution is an integer tuple over den > 0, the
+    last pivot with its sign normalized.
 
-    def __init__(self, entries):
-        rows = tuple(as_vector(row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(format_rational(x) for x in row) for row in self.entries
-        )
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-
-def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
-    """Solve matrix * x = b exactly for each right-hand side b, with one
-    elimination for all of them.
-
-    The matrix needs full row rank, so at least as many columns as rows.
-    Pivot columns are picked from left to right and every other coordinate
-    of x is 0; a square invertible matrix gives its unique solution.
-
-    Raises ValueError if the rows are dependent or a right-hand side has the
-    wrong length.
+    Raises ValueError if the rows are ragged or dependent, or a right-hand
+    side has the wrong length.
 
     Examples
     ========
 
-    >>> solve_linear(RationalMatrix([[1, 1, 0], [0, 0, 2]]), [(3, 4)])
-    [(Fraction(3, 1), Fraction(0, 1), Fraction(2, 1))]
+    >>> solve_linear([[1, 1, 0], [0, 0, 2]], [(3, 4)])
+    (2, [(6, 0, 4)])
     """
-    rows, cols = matrix.rows, matrix.cols
-    columns = [as_vector(b) for b in rhs_columns]
-    if any(len(b) != rows for b in columns):
-        raise ValueError(f"right-hand side length differs from {rows} rows")
+    count = len(rows)
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    columns = list(rhs_columns)
+    if any(len(b) != count for b in columns):
+        raise ValueError(f"right-hand side length differs from {count} rows")
     # Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    # on the augmented rows, each scaled to integers. Every entry stays a
-    # minor of the augmented matrix, so each division by the previous pivot
-    # is exact, and at the end every pivot row holds the last pivot on its
-    # own pivot column and 0 on the others.
-    work = [
-        integer_form(row + tuple(b[i] for b in columns))[1]
-        for i, row in enumerate(matrix.entries)
-    ]
+    # on the augmented rows. Every entry stays a minor of the augmented
+    # matrix, so each division by the previous pivot is exact, and at the end
+    # every pivot row holds the last pivot on its own pivot column and 0 on
+    # the others.
+    work = [[*row, *(b[i] for b in columns)] for i, row in enumerate(rows)]
     pivots: list[int] = []
     last = 1
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
+        if r == count:
             break
-        pivot = next((i for i in range(r, rows) if work[i][c]), None)
+        pivot = next((i for i in range(r, count) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
@@ -185,14 +164,15 @@ def solve_linear(matrix: RationalMatrix, rhs_columns) -> list[Vector]:
                 work[i] = [(p * x - f * y) // last for x, y in zip(row, top)]
         pivots.append(c)
         last = p
-    if len(pivots) < rows:
+    if len(pivots) < count:
         raise ValueError(
-            f"singular matrix in solve_linear: rank {len(pivots)} < {rows} rows"
+            f"singular matrix in solve_linear: rank {len(pivots)} < {count} rows"
         )
+    sign = -1 if last < 0 else 1
     solutions = []
     for k in range(cols, cols + len(columns)):
-        x = [Fraction(0)] * cols
+        x = [0] * cols
         for row, c in zip(work, pivots):
-            x[c] = Fraction(row[k], last)
+            x[c] = sign * row[k]
         solutions.append(tuple(x))
-    return solutions
+    return sign * last, solutions

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from types import SimpleNamespace
 
-from .exact_linalg import RationalMatrix, integer_form, lowest_terms, solve_linear
+from .exact_linalg import integer_form, lowest_terms, solve_linear
 from .partitions import (
     Partition,
     enumerate_hooks,
@@ -195,12 +195,17 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         return (den, a), [residual(rho) for rho in shapes]
 
     coefficients, columns = zip(*map(residual_row, range(len(products) - first)))
+    # One integer row per node, its right-hand side scaled with it.
+    forms = [integer_form(row) for row in zip(*columns)]
     rhs = [
-        [characteristic_value(lam) if rho == lam else 0 for rho in shapes]
+        [
+            scale * characteristic_value(lam) if rho == lam else 0
+            for rho, (scale, _) in zip(shapes, forms)
+        ]
         for lam in shapes
     ]
     try:
-        solutions = solve_linear(RationalMatrix(zip(*columns)), rhs)
+        den, solutions = solve_linear([row for _, row in forms], rhs)
     except ValueError as error:
         raise ValueError(
             f"power-sum products do not reach the hook count {len(entry.nodes)} "
@@ -214,7 +219,7 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         # P_lam = sum_nu c_nu Q_nu - sum_kappa (sum_nu c_nu a_nu,kappa) P_kappa
         # in integers: the c over their common denominator, times the LCM of
         # the a_nu denominators, times common.
-        scale, factors = integer_form([c for c, _, _ in used])
+        scale, factors = lowest_terms(den, [c for c, _, _ in used])
         lcm = math.lcm(*(den for _, _, (den, _) in used))
         lowered = [f * (lcm // den) for f, (_, _, (den, _)) in zip(factors, used)]
         lowered = [

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .borel import BorelDescriptor
 from .exact_linalg import (
     Frozen,
-    RationalMatrix,
     Vector,
     format_vector,
     integer_form,
@@ -43,10 +42,10 @@ class AffineMap(Frozen):
         object.__setattr__(self, "rows", rows)
 
     @property
-    def matrix(self) -> RationalMatrix:
-        """The linear part, as Fractions."""
-        return RationalMatrix(
-            [Fraction(v, self.den) for v in row[:-1]] for row in self.rows
+    def matrix(self) -> tuple[Vector, ...]:
+        """The linear part, as rows of Fractions."""
+        return tuple(
+            tuple(Fraction(v, self.den) for v in row[:-1]) for row in self.rows
         )
 
     @property
@@ -73,7 +72,7 @@ class AffineMap(Frozen):
 
     def to_json_dict(self) -> dict:
         return {
-            "matrix": [format_vector(row) for row in self.matrix.entries],
+            "matrix": [format_vector(row) for row in self.matrix],
             "offset": format_vector(self.offset),
         }
 

@@ -3,16 +3,19 @@ odd-reflection walks, the defect-nullspace basis of compatible polynomials
 and the predicates that the library itself does not need. The eigenvalue
 maps are built here in Fractions, by matrix products: the standard matrix
 perturbed by pair columns, each kernel column from the image of an odd root
-sum, and the offset from the image of the root sum. The library writes each
-map's integer rows in closed form. A weight is a flat
+sum, and the offset from the image of the root sum; a matrix is the tuple of
+its rows, each a tuple of Fractions. The library writes each map's integer
+rows in closed form. A weight is a flat
 tuple, the e-block then the d-block, as in the library; its arithmetic here
 is this module's own. The library computes every highest weight with one
 rule, the diagram cut of `weights.integer_cut`, and every interpolation
 polynomial from deformed power sums; the tests compare both with these
 derivations. The highest-weight oracles never call the rule, and
 the polynomial oracle never calls the power sums or the library's
-elimination. The library takes every value from a polynomial's power-sum
-coordinates; the monomial evaluator here checks its expanded output. The
+elimination; its Fraction Gauss-Jordan, `_reduce`, is also the oracle for
+the library's integer solve. The library takes every value from a
+polynomial's power-sum coordinates; the monomial evaluator here checks its
+expanded output. The
 graded polynomial algebras at the end are the starting material of a
 Capelli-operator oracle; the library builds no operator."""
 
@@ -27,7 +30,7 @@ from capelli.borel import (
     validate_sequence,
     weyl_vector,
 )
-from capelli.exact_linalg import RationalMatrix, as_vector, integer_form
+from capelli.exact_linalg import as_vector, integer_form
 from capelli.isjp import (
     characteristic_value,
     interpolation_polynomial,
@@ -366,17 +369,27 @@ def odd_root_sum(borel: BorelDescriptor, k: int) -> tuple:
     return tuple(weight)
 
 
-def matvec(matrix: RationalMatrix, vec) -> tuple:
+def rational_matrix(entries) -> tuple:
+    """A matrix as the tuple of its rows, each a tuple of Fractions."""
+    return tuple(as_vector(row) for row in entries)
+
+
+def width(matrix) -> int:
+    """The number of columns of a matrix given by its rows; 0 with no rows."""
+    return len(matrix[0]) if matrix else 0
+
+
+def matvec(matrix, vec) -> tuple:
     """Matrix times vector, row by row in Fraction arithmetic."""
-    if matrix.cols != len(vec):
-        raise ValueError(f"dimension mismatch: {matrix.cols} vs {len(vec)}")
+    if width(matrix) != len(vec):
+        raise ValueError(f"dimension mismatch: {width(matrix)} vs {len(vec)}")
     return tuple(
         sum((a * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
-        for row in matrix.entries
+        for row in matrix
     )
 
 
-def standard_matrix(m: int, n: int) -> RationalMatrix:
+def standard_matrix(m: int, n: int) -> tuple:
     """Negated halve-and-pair projection from (m|2n) weight coordinates to
     m+n interpolation variables: a_i -> -a_i/2 and (b_{2k-1}, b_{2k}) ->
     minus their half-sum."""
@@ -385,13 +398,13 @@ def standard_matrix(m: int, n: int) -> RationalMatrix:
         rows[i][i] = Fraction(-1, 2)
     for k in range(n):
         rows[m + k][m + 2 * k] = rows[m + k][m + 2 * k + 1] = Fraction(-1, 2)
-    return RationalMatrix(rows)
+    return rational_matrix(rows)
 
 
-def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
+def matrix_from_pair_columns(m: int, n: int, columns) -> tuple:
     """The standard matrix with columns[k-1] added to d-column 2k-1 and
     subtracted from d-column 2k."""
-    entries = [list(row) for row in standard_matrix(m, n).entries]
+    entries = [list(row) for row in standard_matrix(m, n)]
     for k, col in enumerate(columns, start=1):
         col = as_vector(col)
         if len(col) != m + n:
@@ -399,10 +412,10 @@ def matrix_from_pair_columns(m: int, n: int, columns) -> RationalMatrix:
         for r in range(m + n):
             entries[r][m + 2 * k - 2] += col[r]
             entries[r][m + 2 * k - 1] -= col[r]
-    return RationalMatrix(entries)
+    return rational_matrix(entries)
 
 
-def full_matrix(borel: BorelDescriptor) -> RationalMatrix:
+def full_matrix(borel: BorelDescriptor) -> tuple:
     """Canonical full-family matrix: perturb each odd pair k by
     (e_{m - j_{2k}} - e_{m+k})/2."""
     m, n = borel.m, borel.n
@@ -416,7 +429,7 @@ def full_matrix(borel: BorelDescriptor) -> RationalMatrix:
     return matrix_from_pair_columns(m, n, columns)
 
 
-def kernel_matrix(borel: BorelDescriptor) -> RationalMatrix:
+def kernel_matrix(borel: BorelDescriptor) -> tuple:
     """Canonical kernel-family matrix: perturb each odd pair k by -(standard
     matrix times its odd root sum)/(j_{2k-1} - j_{2k}), through a matrix
     product."""
@@ -430,18 +443,18 @@ def kernel_matrix(borel: BorelDescriptor) -> RationalMatrix:
     return matrix_from_pair_columns(m, n, columns)
 
 
-def affine_map(matrix: RationalMatrix, offset) -> AffineMap:
+def affine_map(matrix, offset) -> AffineMap:
     """The map x -> matrix x + offset, its rows [matrix | offset] scaled to
     integers over one denominator."""
-    if matrix.rows != len(offset):
+    if len(matrix) != len(offset):
         raise ValueError("offset length must match matrix rows")
-    rows = [(*row, Fraction(c)) for row, c in zip(matrix.entries, offset)]
+    rows = [(*row, Fraction(c)) for row, c in zip(matrix, offset)]
     den, nums = integer_form([x for row in rows for x in row])
-    width = matrix.cols + 1
-    return AffineMap(den, [nums[i : i + width] for i in range(0, len(nums), width)])
+    step = width(matrix) + 1
+    return AffineMap(den, [nums[i : i + step] for i in range(0, len(nums), step)])
 
 
-def offset_rule_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap:
+def offset_rule_map(borel: BorelDescriptor, matrix) -> AffineMap:
     """The map with the given matrix and offset matrix * (Borel root sum) +
     standard offset, in Fraction arithmetic."""
     m, n = borel.m, borel.n
@@ -451,15 +464,15 @@ def offset_rule_map(borel: BorelDescriptor, matrix: RationalMatrix) -> AffineMap
     return affine_map(matrix, [a + c for a, c in zip(image, x0)])
 
 
-def column(matrix: RationalMatrix, j: int) -> tuple:
-    return tuple(row[j] for row in matrix.entries)
+def column(matrix, j: int) -> tuple:
+    return tuple(row[j] for row in matrix)
 
 
-def pair_columns_of(matrix: RationalMatrix, m: int, n: int):
+def pair_columns_of(matrix, m: int, n: int):
     """Inverse of `matrix_from_pair_columns`; raises if the matrix is not in
     the compatible family."""
     base = standard_matrix(m, n)
-    if (matrix.rows, matrix.cols) != (m + n, m + 2 * n):
+    if (len(matrix), width(matrix)) != (m + n, m + 2 * n):
         raise ValueError("matrix has wrong shape")
     for j in range(m):
         if column(matrix, j) != column(base, j):
@@ -476,7 +489,7 @@ def pair_columns_of(matrix: RationalMatrix, m: int, n: int):
     return columns
 
 
-def in_plain_family(matrix: RationalMatrix, m: int, n: int) -> bool:
+def in_plain_family(matrix, m: int, n: int) -> bool:
     try:
         pair_columns_of(matrix, m, n)
     except ValueError:
@@ -484,7 +497,7 @@ def in_plain_family(matrix: RationalMatrix, m: int, n: int) -> bool:
     return True
 
 
-def in_full_family(matrix: RationalMatrix, borel: BorelDescriptor) -> bool:
+def in_full_family(matrix, borel: BorelDescriptor) -> bool:
     """Compatible and sending d_{2k-1}, for each odd pair k, to the pinned
     value e_{m - j_{2k}}/2 - e_{m+k}."""
     m, n = borel.m, borel.n
@@ -719,8 +732,7 @@ def _reduce(rows):
     """Gauss-Jordan elimination of a list of Fraction rows, in place; returns
     the pivot columns. Independent of the library's elimination."""
     pivots = []
-    width = len(rows[0]) if rows else 0
-    for c in range(width):
+    for c in range(width(rows)):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
@@ -734,13 +746,14 @@ def _reduce(rows):
     return pivots
 
 
-def nullspace_basis(matrix: RationalMatrix) -> list[tuple]:
+def nullspace_basis(matrix) -> list[tuple]:
     """Deterministic basis of the kernel of matrix (free-column vectors)."""
-    work = [list(row) for row in matrix.entries]
+    work = [list(map(Fraction, row)) for row in matrix]
     pivots = _reduce(work)
     basis = []
-    for free in (c for c in range(matrix.cols) if c not in pivots):
-        vec = [Fraction(0)] * matrix.cols
+    cols = width(matrix)
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for row, col in zip(work, pivots):
             vec[col] = -row[free]
@@ -766,7 +779,7 @@ def defect_nullspace_basis(m: int, n: int, theta, max_degree: int):
     else:
         defects = [monoidal_defect(g, theta) for g in generators]
         exps = sorted({exp for d in defects for exp in d.terms})
-        matrix = RationalMatrix(
+        matrix = rational_matrix(
             [[d.terms.get(exp, 0) for d in defects] for exp in exps]
             or [[0] * len(defects)]
         )
@@ -1057,21 +1070,21 @@ def derivation_pairing(u: SuperPolynomial, p: SuperPolynomial) -> Fraction:
 
 def dual_basis_matrix(
     subspace: list[SuperPolynomial], dual: list[SuperPolynomial], d: int
-) -> RationalMatrix:
+) -> tuple:
     """Gram matrix of the symmetrization pairing between a claimed dual basis
     (in the symmetric side) and a subspace basis (in the function side)."""
-    return RationalMatrix(
+    return rational_matrix(
         [[symmetrization_pairing(w, pstar, d) for pstar in subspace] for w in dual]
     )
 
 
 def invariant_operator_matrix(
     subspace: list[SuperPolynomial], dual: list[SuperPolynomial], d: int
-) -> RationalMatrix:
+) -> tuple:
     """Matrix, on the given basis of the function-side subspace, of
     q -> sum_i subspace[i] * (derivation along dual[i] applied to q)."""
     count = len(subspace)
-    identity = RationalMatrix(
+    identity = rational_matrix(
         [[int(i == j) for j in range(count)] for i in range(count)]
     )
     if dual_basis_matrix(subspace, dual, d) != identity:
@@ -1082,7 +1095,7 @@ def invariant_operator_matrix(
         for w_star, w in zip(subspace, dual):
             image = image + w_star * apply_derivation(w, q)
         columns.append(_coordinates(image, subspace))
-    return RationalMatrix(list(zip(*columns)))
+    return rational_matrix(zip(*columns))
 
 
 def _coordinates(poly: SuperPolynomial, basis: list[SuperPolynomial]):

@@ -11,7 +11,7 @@ import pytest
 from capelli import isjp
 from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
 from capelli.equivalence import orbit
-from capelli.exact_linalg import RationalMatrix, integer_form
+from capelli.exact_linalg import integer_form
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
 from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
 from capelli.tau import family_map
@@ -32,6 +32,7 @@ from reference import (
     odd_pair_set,
     odd_root_sum,
     opposite_sequence,
+    rational_matrix,
     reflection_walk,
     satisfies_monoidal_symmetry,
     symmetrization_pairing,
@@ -409,7 +410,7 @@ class TestPairingNormalization:
         space = SuperSpace(1, 0)
         v = SuperPolynomial.generator(space, 1)
         matrix = invariant_operator_matrix([v.power(d)], [v.power(d)], d)
-        assert matrix == RationalMatrix([[factorial(d)]])
+        assert matrix == rational_matrix([[factorial(d)]])
 
 
 class TestStructuralProperties:

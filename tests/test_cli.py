@@ -287,6 +287,18 @@ class TestOrbit:
         assert data["status"] == "infinite"
         assert data["witness"] is not None
 
+    def test_budget_zero_is_exhausted_by_the_start_point(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "orbit",
+            "--m", "1", "--n", "0",
+            "--theta", "1",
+            "--point", "1",
+            "--budget", "0",
+        )
+        assert code == 0
+        assert json.loads(out) == {"status": "budget_exhausted", "explored": 1}
+
 
 class TestVerify:
     def test_clean_sweep_exits_zero_and_writes_report(self, capsys, tmp_path):
@@ -591,6 +603,16 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: --out: ") and err.count("\n") == 1
         assert not target.exists()
+
+    def test_a_library_key_error_is_not_a_usage_error(self, monkeypatch):
+        # Bad input raises ValueError; a KeyError inside a command is a bug
+        # and propagates with its traceback instead of exiting 2.
+        def broken_orbit(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "orbit", broken_orbit)
+        with pytest.raises(KeyError, match="internal"):
+            main(["orbit", "--m", "1", "--n", "0", "--theta", "1", "--point", "1"])
 
 
 def run_module(*argv, timeout):

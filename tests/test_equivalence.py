@@ -83,6 +83,18 @@ def test_orbit_budget_exhaustion():
     assert result.explored > 50
 
 
+def test_orbit_budget_counts_the_start_point():
+    # The start point is the first distinct point the search meets: budget 0
+    # is exhausted at once, and a budget holds an orbit of exactly its size.
+    exhausted = orbit((1,), 1, 0, 1, budget=0)
+    assert exhausted.status == OrbitResult.BUDGET_EXHAUSTED
+    assert (exhausted.explored, exhausted.points) == (1, None)
+    assert orbit((1,), 1, 0, 1, budget=1).points == ((1,),)
+    pair = (Q(1, 4), 0)
+    assert orbit(pair, 1, 1, HALF, budget=1).status == OrbitResult.BUDGET_EXHAUSTED
+    assert orbit(pair, 1, 1, HALF, budget=2).explored == 2
+
+
 def test_closure_member_uniqueness_anchors():
     x0 = (Q(-1, 4), Q(-3, 4), 1)
     assert closure_member(x0, (Q(1, 4), Q(3, 4), -1), 2, 1, HALF)

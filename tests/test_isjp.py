@@ -258,14 +258,16 @@ def test_request_order_and_cache_state_do_not_matter():
 
 
 def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
-    # Each size is one solve: a row per hook of that size and a column per
-    # power-sum product of that size; no elimination runs over smaller nodes.
+    # Each size is one solve of integer rows: a row per hook of that size and
+    # a column per power-sum product of that size; no elimination runs over
+    # smaller nodes.
     m, n, theta, top = 2, 1, HALF, 6
     shapes = []
 
-    def recording_solve(matrix, rhs):
-        shapes.append((matrix.rows, matrix.cols))
-        return solve_linear(matrix, rhs)
+    def recording_solve(rows, rhs):
+        assert all(type(x) is int for row in [*rows, *rhs] for x in row)
+        shapes.append((len(rows), len(rows[0])))
+        return solve_linear(rows, rhs)
 
     monkeypatch.setattr(isjp, "solve_linear", recording_solve)
     isjp._polynomials_of_size.cache_clear()

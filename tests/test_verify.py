@@ -16,7 +16,7 @@ from capelli.borel import (
     standard_sequence,
     weyl_vector,
 )
-from capelli.exact_linalg import RationalMatrix, format_rational
+from capelli.exact_linalg import format_rational
 from capelli.isjp import evaluator, interpolation_polynomial
 from capelli.partitions import (
     double_partition,
@@ -292,7 +292,8 @@ class TestOneSidedSweep:
 
     def test_maps_are_built_once_per_borel_in_integers(self, monkeypatch):
         # Each map is built once, as integer rows, and applied in integers:
-        # no RationalMatrix and no Fraction `apply` on the sweep path.
+        # no Fraction view of a matrix and no Fraction `apply` on the sweep
+        # path.
         m, n = 2, 2
         built = []
 
@@ -307,12 +308,12 @@ class TestOneSidedSweep:
             cfg = SweepConfig(
                 pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2, map_choice=family
             )
-            # the first run builds the polynomials, whose solve takes a matrix
+            # the first run builds the polynomials
             run_sweep(cfg)
             built.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(verify, "family_map", counted)
-                patch.setattr(RationalMatrix, "__init__", forbidden)
+                patch.setattr(AffineMap, "matrix", property(forbidden))
                 patch.setattr(AffineMap, "apply", forbidden)
                 run_sweep(cfg)
             domain = [
