@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact_linalg import Frozen, Vector
+from .exact_linalg import Frozen, Vector, as_integer
 from .partitions import require_rank
 
 # A symbol is ("e", i) or ("d", k) with 1-based index: a functional on the
@@ -31,7 +31,7 @@ def all_sequences(num_eps: int, num_delta: int):
 
 
 def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
-    seq = tuple((str(kind), int(index)) for kind, index in seq)
+    seq = tuple((str(kind), as_integer(index, "symbol index")) for kind, index in seq)
     sizes = {"e": num_eps, "d": num_delta}
     distinct = len(set(seq)) == len(seq) == num_eps + num_delta
     if not distinct or any(not 1 <= i <= sizes.get(kind, 0) for kind, i in seq):
@@ -80,7 +80,7 @@ class BorelDescriptor(Frozen):
 
     def __init__(self, m: int, n: int, ell):
         require_rank(m, n)
-        ell = tuple(int(v) for v in ell)
+        ell = tuple(as_integer(v, "ell entry") for v in ell)
         if len(ell) != m:
             raise ValueError(f"ell must have length m={m}")
         if any(not 0 <= v <= 2 * n for v in ell):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .exact_linalg import Frozen, Vector, as_vector, format_vector
+from .exact_linalg import Frozen, Vector, as_rational, format_vector
 from .partitions import require_rank, require_theta
 
 DEFAULT_BUDGET = 10**4
@@ -19,7 +19,7 @@ def require_point(point, m: int, n: int) -> Vector:
     """point as a vector of Rationals, raising ValueError unless the rank is
     valid and the point has m + n coordinates."""
     require_rank(m, n)
-    point = as_vector(point)
+    point = tuple(as_rational(v, "coordinate") for v in point)
     if len(point) != m + n:
         raise ValueError(f"point has length {len(point)}, expected {m + n}")
     return point

@@ -53,10 +53,23 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def as_vector(values) -> Vector:
-    """Coerce an iterable of numbers into a tuple of Rationals. Fractions
-    are immutable, so one is kept rather than copied."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+def as_rational(value, what: str) -> Rational:
+    """value, or its text, as a Rational, kept if it is a Fraction already;
+    raises ValueError naming a float, whose binary value is seldom the number
+    meant."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise ValueError(f"{what} {value!r} is a float, not an exact rational")
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
+def as_integer(value, what: str) -> int:
+    """value as an int, raising ValueError naming it unless it is whole."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return whole
 
 
 def integer_form(values) -> tuple[int, tuple[int, ...]]:

@@ -8,7 +8,7 @@ sums with |nu| <= d, and the polynomials of size below d span its part of
 degree < d. So each size is built on the smaller ones (Newton
 interpolation, as in the binomial formula): each top product p_nu, |nu| = d,
 less its interpolant on the smaller nodes vanishes on them, and one small
-solve at the nodes of size d combines these residuals.
+solve at the nodes of size d combines these residuals, kept as coordinates.
 
 A polynomial is kept as its coordinates over the products Q_nu of the power
 sums scaled to integer coefficients, Q_r = E_r p_r, ordered as
@@ -22,7 +22,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from types import SimpleNamespace
 
 from .exact_linalg import integer_form, lowest_terms, solve_linear
@@ -36,10 +35,10 @@ from .partitions import (
     size,
     validate_partition,
 )
-from .sympoly import SparsePolynomial
+from .sympoly import SparsePolynomial, integer_product
 
 # Sizes whose polynomials stay cached; each entry holds every polynomial of
-# one size for one (m, n, theta), with the smaller ones' values at its nodes.
+# one size for one (m, n, theta), with every node's point up to that size.
 CACHED_SIZES = 64
 
 
@@ -118,145 +117,127 @@ def evaluator(m: int, n: int, theta, shapes):
     return values_at
 
 
+def _combination(terms) -> tuple[int, tuple[int, ...]]:
+    """The sum of c * nums / den over the terms (c, den, nums), as (den, nums)
+    in lowest terms; a shorter nums is padded with 0.
+
+    Examples
+    ========
+
+    >>> _combination([(1, 2, (1, 1)), (-1, 3, (0, 1, 3)), (0, 5, (7,))])
+    (6, (3, 1, -6))
+    """
+    # Each coefficient in lowest terms first keeps the common denominator small.
+    terms = [(c, den, math.gcd(c, den), nums) for c, den, nums in terms if c]
+    common = math.lcm(*(den // g for _, den, g, _ in terms))
+    factors = [c // g * (common // (den // g)) for c, den, g, _ in terms]
+    width = max((len(nums) for *_, nums in terms), default=0)
+    columns = zip(*([*nums] + [0] * (width - len(nums)) for *_, nums in terms))
+    return lowest_terms(common, [sum(map(operator.mul, factors, c)) for c in columns])
+
+
 @lru_cache(maxsize=CACHED_SIZES)
 def _polynomials_of_size(m: int, n: int, theta, d: int):
-    """The entry of size d. coords maps each hook partition of size d to its
-    coordinates (den, nums); nodes maps each hook rho of size <= d to its
-    shifted coordinates and the values P_kappa(rho), |kappa| < |rho|, each as
-    (den, nums) in lowest terms; sums holds Q_1..Q_d as pairs (a_k, b_k) of
-    the coefficients of x^k and y^k; layout holds (parent, last part) of each
-    nonempty product; polys and products keep `interpolation_polynomial`'s
-    expansions. The smaller sizes come from this cache, so each size
-    computes only its own nodes and Q_d.
+    """The entry of size d: coords maps each hook of size d to its coordinates
+    (den, nums), and points each hook of size <= d to its shifted coordinates
+    (den, nums); sums holds Q_1..Q_d as pairs (a_k, b_k), the coefficients of
+    x^k and y^k, and layout each nonempty product's (parent, last part);
+    polys and products keep `interpolation_polynomial`'s expansions. Smaller
+    sizes come from this cache, so each size computes only its own points.
 
-    P_kappa vanishes at every other node of size <= |kappa| and takes |kappa|!
-    at its own, so walking the smaller nodes by size, each top product Q_nu,
-    |nu| = d, gets coefficients a_nu with r_nu = Q_nu - sum a_nu,kappa P_kappa
-    zero on them; a_nu is kept as integers over one denominator, so each
-    residual is one integer dot product. One solve at the nodes of size d
-    picks the combination sum c_nu r_nu of each shape; its pivot products
-    are taken from left to right and the others left at 0."""
+    Each top product Q_nu, |nu| = d, less its interpolant on the smaller
+    nodes is a residual r_nu, kept as coordinates: integers over one den on
+    the smaller products, and den on Q_nu. P_kappa vanishes at every other
+    node of size <= |kappa| and is |kappa|! at its own, so subtracting
+    r_nu(kappa) / s! P_kappa for each kappa of size s, for s = 0..d-1 in
+    turn, makes r_nu vanish on every smaller node. One solve at the nodes of
+    size d picks each shape's sum c_nu r_nu, its pivots from the left."""
     lower = [_polynomials_of_size(m, n, theta, s) for s in range(d)]
-    below = [form for entry in lower for form in entry.coords.values()]
-    shapes = enumerate_hooks(m, n, d)[len(below) :]
+    shapes = enumerate_hooks(m, n, d)[sum(len(entry.coords) for entry in lower) :]
     products = list(enumerate_partitions(d, d))
     first = sum(1 for nu in products if size(nu) < d)
     entry = SimpleNamespace(
-        coords={}, nodes={}, sums=[], layout=[], polys={}, products=None
+        coords={}, points={}, sums=[], layout=[], polys={}, products=None
     )
     if lower:
         xs, ys = power_sum_coefficients(theta, d)
         _, nums = integer_form(xs + ys)
         index = {nu: i for i, nu in enumerate(products)}
-        entry.nodes = dict(lower[-1].nodes)
+        entry.points = dict(lower[-1].points)
         entry.sums = lower[-1].sums + [list(zip(nums[: len(xs)], nums[len(xs) :]))]
         entry.layout = lower[-1].layout + [
             (index[nu[:-1]], nu[-1]) for nu in products[first:]
         ]
     for rho in shapes:
-        entry.nodes[rho] = (integer_form(frobenius_coords(rho, m, n, theta)), None)
-    # The smaller polynomials' coordinates over one denominator, once per size.
-    common = math.lcm(*(den for den, _ in below))
-    scaled = [[x * (common // den) for x in nums] for den, nums in below]
-    # Per node: the top products' values over bottom, and the node's row.
-    at = {}
-    for rho, (point, row) in entry.nodes.items():
-        bottom, values = _product_values(entry, *point, m)
-        if row is None:
-            row = lowest_terms(
-                common * bottom, [sum(map(operator.mul, c, values)) for c in scaled]
+        entry.points[rho] = integer_form(frobenius_coords(rho, m, n, theta))
+    at = {rho: _product_values(entry, *point, m) for rho, point in entry.points.items()}
+
+    def value(rho, j, den, low):
+        # r_nu(rho) * den * bottom for the j-th top product; low ends below s.
+        values = at[rho][1]
+        return sum(map(operator.mul, low, values)) + den * values[first + j]
+
+    residuals = []
+    for j in range(len(products) - first):
+        den, low = 1, ()
+        for s, smaller in enumerate(lower):
+            scale = math.factorial(s)
+            den, low = _combination(
+                [(1, den, low)]
+                + [
+                    (-value(kappa, j, den, low), den * at[kappa][0] * scale * p, nums)
+                    for kappa, (p, nums) in smaller.coords.items()
+                ]
             )
-            entry.nodes[rho] = (point, row)
-        at[rho] = (values[first:], bottom, row)
-
-    def residual_row(j):
-        """a_nu of the j-th top product over the smaller nodes as
-        (denominator, numerators), then r_nu at each node of size d."""
-        den, a = 1, []
-
-        def residual(rho, divisor=1):
-            """(Q_nu - sum a_nu,kappa P_kappa)(rho) / divisor: the sum is one
-            integer dot product over den times the row's denominator."""
-            values, bottom, (row_den, row) = at[rho]
-            row_den *= den
-            dot = sum(map(operator.mul, a, row))
-            return Fraction(
-                values[j] * row_den - dot * bottom, bottom * row_den * divisor
-            )
-
-        for s, smaller in enumerate(lower):  # each P_kappa of size s is s! at kappa
-            scale, layer = integer_form(
-                [residual(rho, math.factorial(s)) for rho in smaller.coords]
-            )
-            lcm = math.lcm(den, scale)
-            a = [v * (lcm // den) for v in a]
-            a += [v * (lcm // scale) for v in layer]
-            den = lcm
-        return (den, a), [residual(rho) for rho in shapes]
-
-    coefficients, columns = zip(*map(residual_row, range(len(products) - first)))
-    # One integer row per node, its right-hand side scaled with it.
-    forms = [integer_form(row) for row in zip(*columns)]
-    rhs = [
-        [
-            scale * characteristic_value(lam) if rho == lam else 0
-            for rho, (scale, _) in zip(shapes, forms)
-        ]
-        for lam in shapes
+        residuals.append((den, low))
+    # One integer row per node in lowest terms, its right-hand side scaled with it.
+    common = math.lcm(*(den for den, _ in residuals))
+    forms = [
+        lowest_terms(
+            common * at[rho][0],
+            [value(rho, j, *r) * (common // r[0]) for j, r in enumerate(residuals)],
+        )
+        for rho in shapes
     ]
+    rhs = [[0] * len(shapes) for _ in shapes]
+    for i, (lam, (scale, _)) in enumerate(zip(shapes, forms)):
+        rhs[i][i] = scale * characteristic_value(lam)
     try:
         den, solutions = solve_linear([row for _, row in forms], rhs)
     except ValueError as error:
         raise ValueError(
-            f"power-sum products do not reach the hook count {len(entry.nodes)} "
+            f"power-sum products do not reach the hook count {len(entry.points)} "
             f"for (m,n,theta,degree)=({m},{n},{theta},{d}): {error}"
         ) from None
-
-    # Per product of size < d, the smaller polynomials' coordinates on it.
-    on_product = list(zip_longest(*scaled, fillvalue=0))
+    # P_lam = sum c_nu r_nu: c_nu on Q_nu itself, and the residuals below.
     for lam, coefs in zip(shapes, solutions):
-        used = [(c, j, a) for j, (c, a) in enumerate(zip(coefs, coefficients)) if c]
-        # P_lam = sum_nu c_nu Q_nu - sum_kappa (sum_nu c_nu a_nu,kappa) P_kappa
-        # in integers: the c over their common denominator, times the LCM of
-        # the a_nu denominators, times common.
-        scale, factors = lowest_terms(den, [c for c, _, _ in used])
-        lcm = math.lcm(*(den for _, _, (den, _) in used))
-        lowered = [f * (lcm // den) for f, (_, _, (den, _)) in zip(factors, used)]
-        lowered = [
-            sum(map(operator.mul, lowered, column))
-            for column in zip(*(a for _, _, (_, a) in used))
-        ]
-        nums = [-sum(map(operator.mul, lowered, on)) for on in on_product]
-        nums += [0] * (len(products) - first)
-        for f, (_, j, _) in zip(factors, used):
-            nums[first + j] = f * lcm * common
-        entry.coords[lam] = lowest_terms(scale * lcm * common, nums)
+        entry.coords[lam] = _combination(
+            [(1, den, [0] * first + list(coefs))]
+            + [(c, den * r, low) for c, (r, low) in zip(coefs, residuals)]
+        )
     return entry
 
 
 def _expanded_products(m: int, n: int, theta, d: int) -> list:
-    """Every product Q_nu, |nu| <= d, in order, as (polynomial, exponents,
-    integer coefficients): made on the first call for size d, each as a
-    smaller product times one Q_r, and kept in the size's cache entry."""
+    """Every product Q_nu, |nu| <= d, in order, as {exponents: integer
+    coefficient}: made on the first call for size d, each as a smaller
+    product times one Q_r, and kept in the size's cache entry."""
     entry = _polynomials_of_size(m, n, theta, d)
     if entry.products is None and not d:
-        one = SparsePolynomial.constant(m, n, 1)
-        entry.products = [(one, list(one.terms), [1])]
+        entry.products = [{(0,) * (m + n): 1}]
     elif entry.products is None:
         made = list(_expanded_products(m, n, theta, d - 1))
-        terms = {}
+        power = {}
         for v in range(m + n):
             for k, pair in enumerate(entry.sums[-1]):
                 exp = tuple(k if u == v else 0 for u in range(m + n))
-                terms[exp] = terms.get(exp, 0) + pair[v >= m]
-        power = SparsePolynomial(m, n, terms)
+                power[exp] = power.get(exp, 0) + pair[v >= m]
+        power = {exp: c for exp, c in power.items() if c}
         # Q_(r) is the product laid out as (0, r).
         single = {r: i + 1 for i, (parent, r) in enumerate(entry.layout) if not parent}
         for parent, r in entry.layout[len(made) - 1 :]:
-            poly = made[parent][0] * (made[single[r]][0] if r < d else power)
-            # Products of the integer Q_r have integer coefficients.
-            nums = [c.numerator for c in poly.terms.values()]
-            made.append((poly, list(poly.terms), nums))
+            factor = made[single[r]] if r < d else power
+            made.append(integer_product(made[parent], factor))
         entry.products = made
     return entry.products
 
@@ -276,10 +257,9 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     if lam not in entry.polys:
         den, nums = entry.coords[lam]
         sums: dict[tuple[int, ...], int] = {}
-        products = _expanded_products(m, n, theta, size(lam))
-        for c, (_, exps, coefs) in zip(nums, products):
+        for c, product in zip(nums, _expanded_products(m, n, theta, size(lam))):
             if c:
-                for exp, v in zip(exps, coefs):
+                for exp, v in product.items():
                     sums[exp] = sums.get(exp, 0) + c * v
         entry.polys[lam] = SparsePolynomial._from_sums(m, n, sums, den)
     return entry.polys[lam]

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Vector, format_rational, parse_rational
+from .exact_linalg import Vector, as_integer, as_rational, format_rational
 
 Partition = tuple[int, ...]
 
 
 def validate_partition(parts) -> Partition:
     """Normalize to a tuple of weakly decreasing positive ints (no trailing zeros)."""
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(as_integer(p, "part") for p in parts)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(p < 0 for p in parts):
@@ -117,8 +117,9 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
 
 
 def require_theta(theta) -> Fraction:
-    """theta, or its text, as a Fraction; raises ValueError unless theta > 0."""
-    theta = parse_rational(theta) if isinstance(theta, str) else Fraction(theta)
+    """theta, or its text, as a Fraction; raises ValueError unless theta > 0,
+    and for a float."""
+    theta = as_rational(theta, "theta")
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {format_rational(theta)}")
     return theta

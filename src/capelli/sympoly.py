@@ -6,7 +6,18 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .exact_linalg import integer_form
+from .exact_linalg import as_integer, as_rational, format_rational, integer_form
+
+
+def integer_product(left: dict, right: dict) -> dict:
+    """The product of two polynomials given as {exponents: integer
+    coefficient}, with the coefficients that cancel to 0 left out."""
+    sums: dict[tuple[int, ...], int] = {}
+    for e1, a in left.items():
+        for e2, b in right.items():
+            exp = tuple(map(operator.add, e1, e2))
+            sums[exp] = sums.get(exp, 0) + a * b
+    return {exp: v for exp, v in sums.items() if v}
 
 
 class SparsePolynomial:
@@ -25,19 +36,15 @@ class SparsePolynomial:
         if terms:
             width = num_x + num_y
             for exp, coef in terms.items():
-                exp = tuple(int(e) for e in exp)
+                exp = tuple(as_integer(e, "exponent") for e in exp)
                 if len(exp) != width:
                     raise ValueError(
                         f"exponent {exp} has length {len(exp)}, expected {width}"
                     )
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                coef = Fraction(coef)
-                if coef:
-                    clean[exp] = clean.get(exp, Fraction(0)) + coef
-                    if not clean[exp]:
-                        del clean[exp]
-        self.terms = clean
+                clean[exp] = clean.get(exp, 0) + as_rational(coef, "coefficient")
+        self.terms = {exp: coef for exp, coef in clean.items() if coef}
 
     @classmethod
     def _from_sums(cls, num_x: int, num_y: int, sums, den: int) -> "SparsePolynomial":
@@ -49,12 +56,6 @@ class SparsePolynomial:
         poly.num_y = num_y
         poly.terms = {exp: Fraction(v, den) for exp, v in sums.items() if v}
         return poly
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, num_x: int, num_y: int, value) -> "SparsePolynomial":
-        return cls(num_x, num_y, {(0,) * (num_x + num_y): Fraction(value)})
 
     # -- basics ------------------------------------------------------------
 
@@ -83,16 +84,12 @@ class SparsePolynomial:
             raise ValueError("mixing polynomials over different variable blocks")
         den1, nums1 = integer_form(self.terms.values())
         den2, nums2 = integer_form(other.terms.values())
-        sums: dict[tuple[int, ...], int] = {}
-        for e1, a in zip(self.terms, nums1):
-            for e2, b in zip(other.terms, nums2):
-                exp = tuple(map(operator.add, e1, e2))
-                sums[exp] = sums.get(exp, 0) + a * b
+        sums = integer_product(
+            dict(zip(self.terms, nums1)), dict(zip(other.terms, nums2))
+        )
         return SparsePolynomial._from_sums(self.num_x, self.num_y, sums, den1 * den2)
 
     def to_json_dict(self) -> dict:
-        from .exact_linalg import format_rational
-
         return {
             "m": self.num_x,
             "n": self.num_y,

@@ -30,7 +30,7 @@ from capelli.borel import (
     validate_sequence,
     weyl_vector,
 )
-from capelli.exact_linalg import as_vector, integer_form
+from capelli.exact_linalg import as_rational, integer_form
 from capelli.isjp import (
     characteristic_value,
     interpolation_polynomial,
@@ -49,6 +49,12 @@ from capelli.partitions import (
 )
 from capelli.sympoly import SparsePolynomial
 from capelli.tau import AffineMap
+
+
+def as_vector(values) -> tuple[Fraction, ...]:
+    """A tuple of Fractions, each made by the library's one coercion."""
+    return tuple(as_rational(v, "coordinate") for v in values)
+
 
 # -- orderings and decreasing Borels --------------------------------------------
 

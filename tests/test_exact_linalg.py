@@ -1,15 +1,21 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from capelli.borel import BorelDescriptor, validate_sequence
+from capelli.equivalence import require_point
 from capelli.exact_linalg import (
     format_rational,
     integer_form,
     parse_rational,
     solve_linear,
 )
+from capelli.isjp import interpolation_polynomial
+from capelli.partitions import require_theta, validate_partition
+from capelli.sympoly import SparsePolynomial
 from reference import _reduce, matvec, nullspace_basis, rational_matrix, width
 
 
@@ -23,6 +29,50 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+# Each input that int() or Fraction() would round or convert silently, and
+# the start of the error naming it.
+INEXACT = {
+    "part": (lambda: validate_partition((2.5, 1)), "part 2.5 "),
+    "fraction part": (
+        lambda: validate_partition((Fraction(3, 2),)),
+        "part Fraction(3, 2) ",
+    ),
+    "shape part": (
+        lambda: interpolation_polynomial(1, 1, Fraction(1, 2), (1.7,)),
+        "part 1.7 ",
+    ),
+    "level": (lambda: BorelDescriptor(2, 1, (0.9, 1.5)), "ell entry 0.9 "),
+    "symbol index": (
+        lambda: validate_sequence((("e", 1.5),), 1, 0),
+        "symbol index 1.5 ",
+    ),
+    "exponent": (lambda: SparsePolynomial(1, 0, {(1.5,): 1}), "exponent 1.5 "),
+    "coefficient": (
+        lambda: SparsePolynomial(1, 0, {(1,): 0.1}),
+        "coefficient 0.1 ",
+    ),
+    "theta": (lambda: require_theta(0.5), "theta 0.5 "),
+    "build theta": (
+        lambda: interpolation_polynomial(1, 1, 0.5, (1,)),
+        "theta 0.5 ",
+    ),
+    "point": (
+        lambda: require_point((Fraction(1, 2), 0.25), 1, 1),
+        "coordinate 0.25 ",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", INEXACT.values(), ids=list(INEXACT))
+def test_no_float_reaches_the_exact_arithmetic(call, message):
+    # A non-integral integer or a float rational raises, naming the value;
+    # an exact value that is whole, or a rational's text, is still accepted.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+    assert validate_partition((2.0, Fraction(1))) == (2, 1)
+    assert require_theta("0.5") == Fraction(1, 2)
 
 
 def test_format_rational():

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +127,7 @@ def test_normalization_value():
 
 def test_empty_shape_polynomial_is_one():
     p = interpolation_polynomial(1, 1, HALF, ())
-    assert p == SparsePolynomial.constant(1, 1, 1)
+    assert p == SparsePolynomial(1, 1, {(0, 0): 1})
 
 
 def test_cache_returns_same_object():
@@ -326,6 +329,51 @@ def test_each_normalization_value_is_taken_once_per_shape(monkeypatch):
     finally:
         isjp._polynomials_of_size.cache_clear()
     assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
+
+
+# The library functions that may make a Fraction while polynomials are built
+# and expanded: psi_r's coefficients, the shifted coordinates, theta, and the
+# expansion's output terms.
+FRACTION_MAKERS = {
+    "power_sum_coefficients",
+    "frobenius_coords",
+    "require_theta",
+    "_from_sums",
+}
+
+
+def test_build_makes_no_fraction():
+    # Each Fraction made by a cold build and the expansion of every
+    # polynomial is charged to the innermost allowed library function on the
+    # stack, or else to the innermost library function.
+    m, n, theta, top = 2, 1, HALF, 6
+    library = str(Path(isjp.__file__).parent)
+    callers = Counter()
+    fraction_new = Fraction.__new__
+
+    def recording_new(*args, **kwargs):
+        names = []
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_filename.startswith(library):
+                names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        allowed = [name for name in names if name in FRACTION_MAKERS]
+        callers[(allowed or names or ["outside the library"])[0]] += 1
+        return fraction_new(*args, **kwargs)
+
+    hooks = enumerate_hooks(m, n, top)
+    isjp._polynomials_of_size.cache_clear()
+    Fraction.__new__ = staticmethod(recording_new)
+    try:
+        evaluator(m, n, theta, hooks)
+        for lam in hooks:
+            interpolation_polynomial(m, n, theta, lam)
+    finally:
+        Fraction.__new__ = staticmethod(fraction_new)
+        isjp._polynomials_of_size.cache_clear()
+    assert set(callers) <= FRACTION_MAKERS, callers
+    assert callers["_from_sums"] > 0
 
 
 # sha256 over the sorted-key JSON of every polynomial's `to_json_dict()`, in

@@ -2,9 +2,10 @@
 `src/capelli`, and every non-dunder method of its classes, has a caller
 there, or is public API. No module is exempt. References that only the
 tests need live in `tests/reference.py`. Nothing in the library is an
-`assert`, and the README's "Library layout" table names exactly the
-library's modules. The library has one cache, and it is bounded: objects are
-set up in their constructors, so no lazy memo hides beside it."""
+`assert`, every import is used, and the README's "Library layout" table
+names exactly the library's modules. The library has one cache, and it is
+bounded: objects are set up in their constructors, so no lazy memo hides
+beside it."""
 
 import ast
 import re
@@ -107,6 +108,35 @@ def test_package_has_no_assert_statements():
             node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
         assert not asserts, f"{stem}.py: assert at lines {asserts}"
+
+
+def _exported(tree) -> set:
+    """The names in a module's `__all__`, if it has one."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def test_every_import_is_used():
+    # A name a module imports is read somewhere in that module, or the
+    # module re-exports it through `__all__`; `from __future__` binds nothing.
+    unused = []
+    for stem, tree in _trees().items():
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{stem}.{name}")
+    assert unused == []
 
 
 def _object_setattr_calls(node) -> int:

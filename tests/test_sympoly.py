@@ -75,7 +75,7 @@ def test_monomial_symmetric():
     assert p == poly_from(2, 0, {(2, 1): 1, (1, 2): 1})
     q = monomial_symmetric(2, 1, (1,), (1,))
     assert q == poly_from(2, 1, {(1, 0, 1): 1, (0, 1, 1): 1})
-    assert monomial_symmetric(2, 1, (), ()) == SparsePolynomial.constant(2, 1, 1)
+    assert monomial_symmetric(2, 1, (), ()) == SparsePolynomial(2, 1, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
         monomial_symmetric(1, 1, (1, 1), ())
 
@@ -230,7 +230,7 @@ def draw_poly(draw, num_x, num_y):
     if kind == "zero":
         return SparsePolynomial(num_x, num_y)
     if kind == "constant":
-        return SparsePolynomial.constant(num_x, num_y, draw(rationals))
+        return SparsePolynomial(num_x, num_y, {(0,) * width: draw(rationals)})
     terms = {}
     for _ in range(draw(st.integers(1, 6))):
         top = draw(st.integers(0, 8))
@@ -386,6 +386,6 @@ def test_product_drops_cancelled_cross_terms():
     }
     zero = SparsePolynomial(2, 1)
     assert (zero * add(x, y)).terms == {} and (add(x, y) * zero).terms == {}
-    assert (SparsePolynomial.constant(2, 1, Fraction(3, 2)) * x).terms == {
+    assert (SparsePolynomial(2, 1, {(0, 0, 0): Fraction(3, 2)}) * x).terms == {
         (1, 0, 0): Fraction(3, 2)
     }
