@@ -29,11 +29,12 @@ from .borel import (
     weyl_vector,
 )
 from .equivalence import DEFAULT_BUDGET, orbit, require_budget, require_point
-from .exact_linalg import format_rational, format_vector, integer_form, parse_rational
+from .exact_linalg import format_rational, format_vector, parse_rational
 from .isjp import evaluator, interpolation_polynomial
 from .partitions import (
     format_partition,
     frobenius_coords,
+    node_point,
     parse_int_list,
     parse_partition,
     require_hook,
@@ -212,8 +213,7 @@ def _cmd_eig(args) -> int:
     theta = _parsed("--theta", require_theta, args.theta)
     mu = _hook_partition(args, "--mu", args.mu)
     lam = _hook_partition(args, "--lambda", args.lam)
-    node = frobenius_coords(lam, args.m, args.n, theta)
-    point = integer_form(node)
+    point = node_point(lam, args.m, args.n, theta)
     if args.borel is not None:
         if theta != Fraction(1, 2):
             raise ValueError("eig: --borel requires theta 1/2")
@@ -230,7 +230,7 @@ def _cmd_eig(args) -> int:
     if args.borel is not None:
         payload["ell"] = list(borel.ell)
         payload["map"] = family
-        payload["node"] = format_vector(node)
+        payload["node"] = format_vector(frobenius_coords(lam, args.m, args.n, theta))
     _emit(payload, args.out)
     return 0
 

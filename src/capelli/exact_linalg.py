@@ -98,6 +98,8 @@ def lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
     (6, (3, -2, 0))
     """
     gcd = math.gcd(den, *nums)
+    if gcd == 1:
+        return den, tuple(nums)
     return den // gcd, tuple(v // gcd for v in nums)
 
 

@@ -29,7 +29,7 @@ from .partitions import (
     Partition,
     enumerate_hooks,
     enumerate_partitions,
-    frobenius_coords,
+    node_point,
     require_hook,
     require_theta,
     size,
@@ -80,13 +80,16 @@ def _product_values(entry, scale: int, ints, m: int) -> tuple[int, list[int]]:
     product is a smaller one times one of these, divided by scale^r."""
     d = len(entry.sums)
     powers = [scale**k for k in range(d + 1)]
-    xs, ys = (
-        [sum(v**k for v in block) for k in range(d + 1)]
-        for block in (ints[:m], ints[m:])
-    )
+    # Column k of a block sums its k-th powers, each a running product.
+    xs, ys = [0] * (d + 1), [0] * (d + 1)
+    for i, v in enumerate(ints):
+        sums, power = xs if i < m else ys, 1
+        for k in range(d + 1):
+            sums[k] += power
+            power *= v
     q = [
-        sum((a * xs[k] + b * ys[k]) * powers[r - k] for k, (a, b) in enumerate(pairs))
-        for r, pairs in enumerate(entry.sums, 1)
+        sum((a * xs[k] + b * ys[k]) * powers[r - k] for k, a, b in terms)
+        for r, terms in enumerate(entry.sums, 1)
     ]
     values = [powers[d]]
     for parent, r in entry.layout:
@@ -140,10 +143,11 @@ def _combination(terms) -> tuple[int, tuple[int, ...]]:
 def _polynomials_of_size(m: int, n: int, theta, d: int):
     """The entry of size d: coords maps each hook of size d to its coordinates
     (den, nums), and points each hook of size <= d to its shifted coordinates
-    (den, nums); sums holds Q_1..Q_d as pairs (a_k, b_k), the coefficients of
-    x^k and y^k, and layout each nonempty product's (parent, last part);
-    polys and products keep `interpolation_polynomial`'s expansions. Smaller
-    sizes come from this cache, so each size computes only its own points.
+    (den, nums); sums holds Q_1..Q_d as triples (k, a_k, b_k), the nonzero
+    coefficients of x^k and y^k, and layout each nonempty product's (parent,
+    last part); polys and products keep `interpolation_polynomial`'s
+    expansions. Smaller sizes come from this cache, so each size computes
+    only its own points.
 
     Each top product Q_nu, |nu| = d, less its interpolant on the smaller
     nodes is a residual r_nu, kept as coordinates: integers over one den on
@@ -164,12 +168,12 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         _, nums = integer_form(xs + ys)
         index = {nu: i for i, nu in enumerate(products)}
         entry.points = dict(lower[-1].points)
-        entry.sums = lower[-1].sums + [list(zip(nums[: len(xs)], nums[len(xs) :]))]
+        pairs = enumerate(zip(nums[: len(xs)], nums[len(xs) :]))
+        entry.sums = lower[-1].sums + [[(k, a, b) for k, (a, b) in pairs if a or b]]
         entry.layout = lower[-1].layout + [
             (index[nu[:-1]], nu[-1]) for nu in products[first:]
         ]
-    for rho in shapes:
-        entry.points[rho] = integer_form(frobenius_coords(rho, m, n, theta))
+    entry.points.update({rho: node_point(rho, m, n, theta) for rho in shapes})
     at = {rho: _product_values(entry, *point, m) for rho, point in entry.points.items()}
 
     def value(rho, j, den, low):
@@ -229,7 +233,7 @@ def _expanded_products(m: int, n: int, theta, d: int) -> list:
         made = list(_expanded_products(m, n, theta, d - 1))
         power = {}
         for v in range(m + n):
-            for k, pair in enumerate(entry.sums[-1]):
+            for k, *pair in entry.sums[-1]:
                 exp = tuple(k if u == v else 0 for u in range(m + n))
                 power[exp] = power.get(exp, 0) + pair[v >= m]
         power = {exp: c for exp, c in power.items() if c}
@@ -269,6 +273,7 @@ def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:
     """Value of the interpolation polynomial of mu at the shifted coordinates
     of lam; the scalar through which the operator indexed by mu acts on the
     component indexed by lam."""
-    point = integer_form(frobenius_coords(lam, m, n, theta))
+    theta = require_theta(theta)
+    point = node_point(require_hook(lam, m, n), m, n, theta)
     den, (value,) = evaluator(m, n, theta, [mu])(*point)
     return Fraction(value, den)

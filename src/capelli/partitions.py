@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_linalg import Vector, as_integer, as_rational, format_rational
+from .exact_linalg import Vector, as_integer, as_rational, format_rational, lowest_terms
 
 Partition = tuple[int, ...]
 
@@ -49,8 +49,8 @@ def transpose(lam: Partition) -> Partition:
 
 
 def require_rank(m: int, n: int):
-    """Raise ValueError unless both ranks are nonnegative."""
-    if m < 0 or n < 0:
+    """Raise ValueError unless both ranks are nonnegative integers."""
+    if as_integer(m, "m") < 0 or as_integer(n, "n") < 0:
         raise ValueError(f"m and n must be nonnegative, got ({m}, {n})")
 
 
@@ -111,6 +111,7 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,)]
     """
     require_rank(m, n)
+    max_size = as_integer(max_size, "size bound")
     return [
         lam for lam in enumerate_partitions(max_size, max_size) if part(lam, m + 1) <= n
     ]
@@ -125,12 +126,35 @@ def require_theta(theta) -> Fraction:
     return theta
 
 
-def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
-    """Shifted coordinates of a hook partition: the point where interpolation
-    polynomials take their characteristic values.
+def node_point(lam: Partition, m: int, n: int, theta: Fraction):
+    """The shifted coordinates of the hook lam as (den, nums) in lowest terms:
+    entry i <= m is lam_i - theta*(i - 1/2) - (n - theta*m)/2, and entry m+j
+    is c_j - (j - 1/2)/theta + (n/theta + m)/2, where c_j = max(0, lam'_j - m)
+    counts the rows past m of length >= j. Over 2pq, for theta = p/q, every
+    entry is an integer. Unchecked: lam is a hook and theta a Fraction > 0.
 
-    Entry i <= m is lam_i - theta*(i - 1/2) - (n - theta*m)/2; entry m+j is
-    max(0, lam'_j - m) - (j - 1/2)/theta + (n/theta + m)/2.
+    Examples
+    ========
+
+    >>> node_point((1,), 1, 1, Fraction(1, 2))
+    (2, (1, 1))
+    """
+    p, q = theta.numerator, theta.denominator
+    xs = [
+        p * (2 * q * part(lam, i) + p * (m + 1 - 2 * i) - n * q)
+        for i in range(1, m + 1)
+    ]
+    ys = [
+        q * (2 * p * sum(r >= j for r in lam[m:]) + q * (n + 1 - 2 * j) + m * p)
+        for j in range(1, n + 1)
+    ]
+    return lowest_terms(2 * p * q, xs + ys)
+
+
+def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
+    """Shifted coordinates of a hook partition, the point where interpolation
+    polynomials take their characteristic values: `node_point` as Fractions,
+    after checking lam and theta.
 
     Examples
     ========
@@ -139,23 +163,8 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     theta = require_theta(theta)
-    lam = require_hook(lam, m, n)
-    p, q = theta.numerator, theta.denominator
-    # Over 2q and 2p: x_i = (2q lam_i - p(2i - 1) - nq + pm) / 2q and
-    # y_j = (2p c_j - q(2j - 1) + nq + mp) / 2p, where c_j, the column depth
-    # below row m, counts the rows past m of length >= j.
-    xs = [
-        Fraction(2 * q * part(lam, i) - p * (2 * i - 1) - n * q + p * m, 2 * q)
-        for i in range(1, m + 1)
-    ]
-    ys = [
-        Fraction(
-            2 * p * sum(1 for r in lam[m:] if r >= j) - q * (2 * j - 1) + n * q + m * p,
-            2 * p,
-        )
-        for j in range(1, n + 1)
-    ]
-    return tuple(xs + ys)
+    den, nums = node_point(require_hook(lam, m, n), m, n, theta)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ from .exact_linalg import (
     Frozen,
     format_rational,
     format_vector,
-    integer_form,
     lowest_terms,
 )
 from .isjp import evaluator
@@ -38,6 +37,7 @@ from .partitions import (
     enumerate_hooks,
     format_partition,
     frobenius_coords,
+    node_point,
     parse_int_list,
     part,
 )
@@ -155,16 +155,16 @@ def _fractions(den: int, nums) -> tuple[Fraction, ...]:
 
 
 def _value_table(config: SweepConfig, theta: Fraction):
-    """The shapes mu and lambda, the lambda nodes and their value rows, and a
-    reader row(point) of the values of every P_mu at a point. Points and rows
-    are (den, nums) in lowest terms, so a point is its own key. Each distinct
-    point is evaluated once, by one `evaluator` call for all the polynomials;
-    a node gives its node row object itself."""
+    """The shapes mu and lambda, the lambda nodes, and a reader row(point) of
+    the values of every P_mu at a point. Points and rows are (den, nums) in
+    lowest terms, so a point is its own key, and a point equal to a node has
+    the node's values by definition. Each distinct point is evaluated once,
+    on its first read, by one `evaluator` call for all the polynomials."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     values_at = evaluator(m, n, theta, mus)
     lams = enumerate_hooks(m, n, config.lambda_max)
-    nodes = [integer_form(frobenius_coords(lam, m, n, theta)) for lam in lams]
+    nodes = [node_point(lam, m, n, theta) for lam in lams]
     rows = {}
 
     def row(point) -> tuple:
@@ -173,7 +173,7 @@ def _value_table(config: SweepConfig, theta: Fraction):
             values = rows[point] = values_at(*point)
         return values
 
-    return mus, lams, nodes, [row(node) for node in nodes], row
+    return mus, lams, nodes, row
 
 
 def _run_glm2n(config: SweepConfig) -> SweepReport:
@@ -186,7 +186,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
         if in_family_domain(borel, config.map_choice)
     ]
     m, n = config.m, config.n
-    mus, lams, nodes, node_rows, row = _value_table(config, Fraction(1, 2))
+    mus, lams, nodes, row = _value_table(config, Fraction(1, 2))
     # The highest weight is minus the cut of the reversed ordering on the
     # doubled shape (`weights.highest_weight`). The orderings and the shapes
     # are generated valid, so the cut runs unchecked, in integers. A weight
@@ -197,9 +197,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     for borel, tau in maps:
         reverse = borel.sequence()[::-1]
         last_level = borel.ell[-1] if m else 0
-        for lam, lam2, last_row, node, node_row in zip(
-            lams, doubled, last_rows, nodes, node_rows
-        ):
+        for lam, lam2, last_row, node in zip(lams, doubled, last_rows, nodes):
             weight = [-v for v in integer_cut(reverse, lam2, m, 2 * n)]
             point = tau.integer_apply(1, weight)
             # On a generic weight the map must reach the node as a vector.
@@ -215,9 +213,9 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                             "rhs": format_vector(_fractions(*node)),
                         }
                     )
-            values = row(point)
             report.cases += len(mus)
-            if values == node_row:
+            # A point on its node has the node's values: only one off it is read.
+            if point == node or (values := row(point)) == (node_row := row(node)):
                 continue
             for mu, lhs, rhs in zip(mus, _fractions(*values), _fractions(*node_row)):
                 if lhs != rhs:
@@ -236,7 +234,8 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
-    mus, lams, _, node_rows, row = _value_table(config, Fraction(1))
+    mus, lams, nodes, row = _value_table(config, Fraction(1))
+    node_rows = [row(node) for node in nodes]
     sequences = list(all_sequences(m, n))
     report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
     # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.

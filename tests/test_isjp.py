@@ -22,6 +22,7 @@ from capelli.partitions import (
     enumerate_hooks,
     enumerate_partitions,
     frobenius_coords,
+    node_point,
     size,
 )
 from capelli.sympoly import SparsePolynomial
@@ -143,6 +144,12 @@ def test_rejects_bad_inputs():
         interpolation_polynomial(1, 1, 0, (1,))
     with pytest.raises(ValueError):
         eigenvalue((2, 2), (1,), 1, 1, ONE)
+
+
+def test_rejects_a_fractional_rank():
+    # The rank reaches `range` deep inside, which would raise a TypeError.
+    with pytest.raises(ValueError, match="m 1.5 is not an integer"):
+        interpolation_polynomial(1.5, 1, HALF, (1,))
 
 
 @pytest.mark.parametrize(
@@ -291,16 +298,16 @@ def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
 
 
 def test_each_node_point_is_computed_once(monkeypatch):
-    # Each size computes the shifted coordinates only at its own nodes and
+    # Each size computes the integer node points only at its own nodes and
     # reads the smaller nodes' points from the cache: one call per hook.
     m, n, theta, top = 2, 1, HALF, 6
     calls = []
 
-    def counting_coords(lam, *args):
+    def counting_point(lam, *args):
         calls.append(lam)
-        return frobenius_coords(lam, *args)
+        return node_point(lam, *args)
 
-    monkeypatch.setattr(isjp, "frobenius_coords", counting_coords)
+    monkeypatch.setattr(isjp, "node_point", counting_point)
     isjp._polynomials_of_size.cache_clear()
     try:
         for lam in enumerate_hooks(m, n, top):
@@ -332,11 +339,10 @@ def test_each_normalization_value_is_taken_once_per_shape(monkeypatch):
 
 
 # The library functions that may make a Fraction while polynomials are built
-# and expanded: psi_r's coefficients, the shifted coordinates, theta, and the
-# expansion's output terms.
+# and expanded: psi_r's coefficients, theta, and the expansion's output terms.
+# The node points are integers (`node_point`).
 FRACTION_MAKERS = {
     "power_sum_coefficients",
-    "frobenius_coords",
     "require_theta",
     "_from_sums",
 }

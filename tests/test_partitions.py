@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capelli.exact_linalg import integer_form
 from capelli.partitions import (
     double_partition,
     enumerate_hooks,
@@ -11,6 +12,7 @@ from capelli.partitions import (
     format_partition,
     frobenius_coords,
     is_hook,
+    node_point,
     parse_partition,
     size,
     transpose,
@@ -128,6 +130,23 @@ def test_frobenius_coords_errors():
         frobenius_coords((1,), 1, 1, 0)
     with pytest.raises(ValueError):
         frobenius_coords((1,), 1, 1, Fraction(-1, 2))
+
+
+def test_enumerate_hooks_rejects_a_fractional_bound():
+    # The bound reaches `range` deep inside, which would raise a TypeError.
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        enumerate_hooks(1, 1, 2.5)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 1), (3, 1), (1, 3), (0, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "theta", [Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(3)]
+)
+def test_node_point_is_the_integer_form_of_the_coordinates(m, n, theta):
+    for lam in enumerate_hooks(m, n, 9):
+        assert node_point(lam, m, n, theta) == integer_form(
+            frobenius_coords(lam, m, n, theta)
+        ), lam
 
 
 def test_parse_format_partition():

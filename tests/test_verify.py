@@ -84,6 +84,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(pair="diag", m=0, n=1, lambda_max=1, mu_max=1)
 
+    def test_rejects_a_fractional_degree_bound(self):
+        # The bound reaches `range` deep inside, which would raise a TypeError.
+        with pytest.raises(ValueError, match="2.5 is not an integer"):
+            run_sweep(SweepConfig("glm2n", 2, 1, 2.5, 2))
+
     def test_rejects_malformed_borels_on_construction(self):
         with pytest.raises(ValueError, match="borels.*'x'"):
             SweepConfig(pair="glm2n", m=2, n=1, lambda_max=1, mu_max=1, borels="1,x")
@@ -235,21 +240,43 @@ class TestOneSidedSweep:
         assert report.cases == cases
 
     def test_each_distinct_borel_point_is_evaluated_once(self, monkeypatch):
-        # the one-sided sweep reads the same value table
+        # The one-sided sweep evaluates two kinds of point, each once: a
+        # mapped point off its node, and that shape's node. A point on its
+        # node has the node's values, so a node every Borel reaches is never
+        # evaluated.
         m, n, theta = 2, 1, Fraction(1, 2)
         lams = enumerate_hooks(m, n, 3)
         mus = enumerate_hooks(m, n, 2)
-        nodes = {frobenius_coords(lam, m, n, theta) for lam in lams}
-        points = set(nodes)
+        nodes = {lam: frobenius_coords(lam, m, n, theta) for lam in lams}
+        off, left = set(), set()
         for borel in BorelDescriptor.enumerate(m, n):
             for lam in lams:
-                points.add(family_map(borel, "full").apply(highest_weight(lam, borel)))
+                point = family_map(borel, "full").apply(highest_weight(lam, borel))
+                if point != nodes[lam]:
+                    off.add(point)
+                    left.add(lam)
+        kept = {nodes[lam] for lam in lams if lam not in left}
         calls, rows = count_evaluator_calls(monkeypatch)
         assert run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2)).ok
-        assert points - nodes
-        assert len(calls) == len(points)
-        assert set(calls) == points
+        assert off and kept
+        assert len(calls) == len(set(calls))
+        assert set(calls) == off | {nodes[lam] for lam in left}
+        assert not kept & set(calls)
         assert all(len(row) == len(mus) for row in rows)
+
+    def test_borel_sweep_evaluates_only_off_node_points_and_their_nodes(
+        self, monkeypatch
+    ):
+        # The benchmark's one-Borel sweep: 67 mapped points leave their
+        # node, and those 67 shapes' nodes are read; the other 120 shapes
+        # cost no evaluation (254 calls when every node was evaluated).
+        calls, _ = count_evaluator_calls(monkeypatch)
+        cfg = SweepConfig(
+            pair="glm2n", m=2, n=2, lambda_max=11, mu_max=4, borels="4,4"
+        )
+        report = run_sweep(cfg)
+        assert (report.ok, report.cases) == (True, 2364)
+        assert len(calls) == len(set(calls)) == 134
 
     def test_highest_weights_are_cut_once_per_borel_and_shape(self, monkeypatch):
         # Each highest weight is minus one unchecked cut of the Borel's
