@@ -4,16 +4,19 @@ Two sweeps are provided. The pair sweep ("diag") checks, for every ordered
 pair of Borel orderings of a doubled hook module, that the two Weyl-vector
 shifts, w -> -(w + rho) for the dual module and w -> w + rho for the module,
 send the two highest weights to points where every interpolation polynomial
-takes the same value as at the standard node. The dual side's point for an
-ordering is the module side's point for the reversed ordering, so the sweep
-evaluates one row list per ordering, counts the pairs as a product, and
-walks only the pairs with a row off the node. The one-sided sweep ("glm2n")
-checks, for every decreasing Borel of the half-parameter family, that the
-selected affine map sends every Borel highest weight to a point spectrally
-equal to the standard node, and that on generic weights it reaches the node
-as a vector. Both sweeps read their values from one table that evaluates
-each distinct point once. Points and rows are integers in lowest terms;
-only the failure records are made of Fractions.
+takes the same value as at the standard node. It walks the orderings by
+adjacent swaps (`weights.diag_walk`), stepping each ordering's 2w + 2 rho
+from its neighbour's in integers, with no cut and no Weyl vector computed
+anew. The dual side's point for an ordering is the module side's point for
+the reversed ordering, so the sweep evaluates one row list per ordering,
+counts the pairs as a product, and walks only the pairs with a row off the
+node. The one-sided sweep ("glm2n") checks, for every decreasing Borel of
+the half-parameter family, that the selected affine map sends every Borel
+highest weight to a point spectrally equal to the standard node, and that on
+generic weights it reaches the node as a vector. Both sweeps read their
+values from one table that evaluates each distinct point once. Points and
+rows are integers in lowest terms; only the failure records are made of
+Fractions.
 
 Reports serialize to deterministic JSON (modulo the elapsed_ms field).
 """
@@ -24,9 +27,10 @@ import json
 import time
 from fractions import Fraction
 
-from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
+from .borel import BorelDescriptor, all_sequences, format_symbol
 from .exact_linalg import (
     Frozen,
+    as_integer,
     format_rational,
     format_vector,
     lowest_terms,
@@ -42,7 +46,7 @@ from .partitions import (
     part,
 )
 from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
-from .weights import highest_weight, integer_cut
+from .weights import diag_walk, highest_weight, integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
 
@@ -66,6 +70,9 @@ class SweepConfig(Frozen):
             raise ValueError(f"pair must be one of {PAIR_CHOICES}")
         if map_choice not in MAP_FAMILIES:
             raise ValueError(f"map choice must be one of {MAP_FAMILIES}")
+        m, n = as_integer(m, "m"), as_integer(n, "n")
+        lambda_max = as_integer(lambda_max, "lambda_max")
+        mu_max = as_integer(mu_max, "mu_max")
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
         if lambda_max < 0 or mu_max < 0:
@@ -238,21 +245,25 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     node_rows = [row(node) for node in nodes]
     sequences = list(all_sequences(m, n))
     report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
-    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.
-    # The dual's w* and rho for seq are minus the module's for seq reversed,
-    # so the first factor's rows for seq1 are the second's for seq1[::-1].
-    # The orderings and the shapes are generated valid, so the cut runs
-    # unchecked, in integers.
-    rows = {}
-    for seq in sequences:
-        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq)]
-        rows[seq] = []
-        for lam in lams:
-            twice = [2 * a + b for a, b in zip(integer_cut(seq, lam, m, n), rho2)]
-            rows[seq].append(row(lowest_terms(2, twice)))
+    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda,
+    # from the walk that steps each ordering's 2w + 2 rho from its
+    # neighbour's. The dual's w* and rho for seq are minus the module's for
+    # seq reversed, so the first factor's rows for seq1 are the second's for
+    # seq1[::-1]. Each distinct 2w + 2 rho is reduced and read once.
+    rows, seen = {}, {}
+    for seq, points in diag_walk(lams, m, n):
+        rows[seq] = seq_rows = []
+        for twice in points:
+            value_row = seen.get(twice)
+            if value_row is None:
+                value_row = seen[twice] = row(lowest_terms(2, twice))
+            seq_rows.append(value_row)
     # A failure needs a row off the node on one side, so seq1 meets every
-    # seq2 only when its own rows are off the node.
+    # seq2 only when its own rows are off the node, and no pair can fail
+    # when no ordering's rows are.
     off_node = [seq for seq in sequences if rows[seq] != node_rows]
+    if not off_node:
+        return report
     for seq1 in sequences:
         rows1 = rows[seq1[::-1]]
         for seq2 in sequences if rows1 != node_rows else off_node:

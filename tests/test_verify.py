@@ -52,21 +52,66 @@ def count_evaluator_calls(monkeypatch):
 
 def break_diagram_cut(monkeypatch, broken, step: int):
     """Offset the diagram cut of the ordering broken by step in every
-    coordinate, under both names it is read by: the sweeps' integer cut and
-    the one inside `diagram_cut`. Both sweeps read every highest weight
-    through this one rule. In the pair sweep both diag factors do: the
-    module's for broken, and the dual's for its reverse. In the glm2n sweep
-    a Borel's weights are minus the cuts of its reversed ordering, so
+    coordinate, under every name it is read by: the glm2n sweep's integer
+    cut, the one inside `diagram_cut`, and the pair sweep's walk, whose
+    2w + 2 rho for broken moves by 2 step. Both sweeps read every highest
+    weight through this one rule. In the pair sweep both diag factors do:
+    the module's for broken, and the dual's for its reverse. In the glm2n
+    sweep a Borel's weights are minus the cuts of its reversed ordering, so
     breaking that ordering breaks that Borel alone."""
-    cut = weights.integer_cut
+    broken = tuple(broken)
+    cut, walk = weights.integer_cut, weights.diag_walk
 
     def broken_cut(seq, lam, m, n):
         seq = tuple(seq)
         w = cut(seq, lam, m, n)
         return [v + step for v in w] if seq == broken else w
 
-    monkeypatch.setattr(weights, "integer_cut", broken_cut)
-    monkeypatch.setattr(verify, "integer_cut", broken_cut)
+    def broken_walk(lams, m, n):
+        for seq, points in walk(lams, m, n):
+            if seq == broken:
+                points = [tuple(v + 2 * step for v in p) for p in points]
+            yield seq, points
+
+    for module in (weights, verify):
+        monkeypatch.setattr(module, "integer_cut", broken_cut)
+        monkeypatch.setattr(module, "diag_walk", broken_walk)
+
+
+def per_case_pair_failures(m: int, n: int, lambda_max: int, mu_max: int) -> list:
+    """The pair sweep's failure records recomputed the direct way: cut,
+    shift and evaluate anew for each (seq1, seq2, lambda, mu), in the
+    sweep's order."""
+    lams = enumerate_hooks(m, n, lambda_max)
+    mus = enumerate_hooks(m, n, mu_max)
+    orderings = list(itertools.permutations(standard_sequence(m, n)))
+    expected = []
+    for seq1 in orderings:
+        for seq2 in orderings:
+            for lam in lams:
+                for mu in mus:
+                    poly = interpolation_polynomial(m, n, Fraction(1), mu)
+                    w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
+                    w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
+                    first_point = vec_neg(vec_add(w1, weyl_vector(seq1)))
+                    second_point = vec_add(w2, weyl_vector(seq2))
+                    first = evaluate(poly, first_point)
+                    second_value = evaluate(poly, second_point)
+                    node = evaluate(poly, frobenius_coords(lam, m, n, 1))
+                    if first != node or second_value != node:
+                        expected.append(
+                            {
+                                "kind": "pair_eigenvalue",
+                                "seq1": ",".join(map(format_symbol, seq1)),
+                                "seq2": ",".join(map(format_symbol, seq2)),
+                                "lambda": format_partition(lam),
+                                "mu": format_partition(mu),
+                                "first": format_rational(first),
+                                "second": format_rational(second_value),
+                                "node": format_rational(node),
+                            }
+                        )
+    return expected
 
 
 class TestSweepConfig:
@@ -88,6 +133,21 @@ class TestSweepConfig:
         # The bound reaches `range` deep inside, which would raise a TypeError.
         with pytest.raises(ValueError, match="2.5 is not an integer"):
             run_sweep(SweepConfig("glm2n", 2, 1, 2.5, 2))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("glm2n", 2, 1, 2.5, 2), "lambda_max 2.5 is not an integer"),
+            (("diag", 1.5, 1, 1, 1), "m 1.5 is not an integer"),
+            (("diag", 1, 1, 1, "2"), "mu_max '2' is not an integer"),
+        ],
+        ids=["fractional-bound", "fractional-rank", "string-bound"],
+    )
+    def test_rejects_a_non_integer_on_construction(self, args, message):
+        # each would construct and fail only inside run_sweep, or with a
+        # TypeError on comparing a string bound
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(*args)
 
     def test_rejects_malformed_borels_on_construction(self):
         with pytest.raises(ValueError, match="borels.*'x'"):
@@ -295,7 +355,7 @@ class TestOneSidedSweep:
         for module in (verify, weights):
             monkeypatch.setattr(module, "highest_weight", forbidden)
         for module in (verify, borel_module):
-            monkeypatch.setattr(module, "weyl_vector", forbidden)
+            monkeypatch.setattr(module, "weyl_vector", forbidden, raising=False)
         m, n = 2, 2
         lams = enumerate_hooks(m, n, 3)
         for family in ("full", "releven"):
@@ -439,35 +499,27 @@ class TestPairSweep:
         lams = enumerate_hooks(m, n, 2)
         mus = enumerate_hooks(m, n, 2)
         orderings = list(itertools.permutations(standard_sequence(m, n)))
-        expected = []
-        for seq1 in orderings:
-            for seq2 in orderings:
-                for lam in lams:
-                    for mu in mus:
-                        poly = interpolation_polynomial(m, n, Fraction(1), mu)
-                        w1 = diag_highest_weight(seq1, lam, m, n, dual=True)
-                        w2 = diag_highest_weight(seq2, lam, m, n, dual=False)
-                        first_point = vec_neg(vec_add(w1, weyl_vector(seq1)))
-                        second_point = vec_add(w2, weyl_vector(seq2))
-                        first = evaluate(poly, first_point)
-                        second_value = evaluate(poly, second_point)
-                        node = evaluate(poly, frobenius_coords(lam, m, n, 1))
-                        if first != node or second_value != node:
-                            expected.append(
-                                {
-                                    "kind": "pair_eigenvalue",
-                                    "seq1": ",".join(map(format_symbol, seq1)),
-                                    "seq2": ",".join(map(format_symbol, seq2)),
-                                    "lambda": format_partition(lam),
-                                    "mu": format_partition(mu),
-                                    "first": format_rational(first),
-                                    "second": format_rational(second_value),
-                                    "node": format_rational(node),
-                                }
-                            )
+        expected = per_case_pair_failures(m, n, 2, 2)
         assert expected
         assert report.failures == expected
         assert report.cases == len(orderings) ** 2 * len(lams) * len(mus)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_forced_failures_at_the_walk_ends_match_a_per_case_loop(
+        self, monkeypatch, end
+    ):
+        # The walk starts from the standard ordering's closed form and steps
+        # to its last ordering: a broken cut at either end is caught as in
+        # the middle.
+        m, n = 2, 1
+        walk = [seq for seq, _ in weights.diag_walk(enumerate_hooks(m, n, 2), m, n)]
+        assert walk[0] == standard_sequence(m, n)
+        assert walk[-1] == (("e", 2), ("e", 1), ("d", 1))
+        break_diagram_cut(monkeypatch, walk[end], 1)
+        report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
+        expected = per_case_pair_failures(m, n, 2, 2)
+        assert expected
+        assert report.failures == expected
 
     def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
         m, n = 2, 1
@@ -490,25 +542,36 @@ class TestPairSweep:
         assert all(len(row) == len(mus) for row in rows)
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
-        calls = []
+        # One walk yields every ordering once, each ordering's 2w + 2 rho
+        # stepped from its neighbour's: the sweep cuts no ordering and makes
+        # no Weyl vector.
+        calls, walked = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return weights.integer_cut(*args)
+        def counted(name):
+            return lambda *args: calls.append(name)
 
-        monkeypatch.setattr(verify, "integer_cut", counted)
+        def recorded_walk(*args):
+            for seq, points in weights.diag_walk(*args):
+                walked.append(seq)
+                yield seq, points
+
+        for module in (weights, verify):
+            monkeypatch.setattr(module, "integer_cut", counted("integer_cut"))
+        for module in (borel_module, verify):
+            monkeypatch.setattr(
+                module, "weyl_vector", counted("weyl_vector"), raising=False
+            )
+        monkeypatch.setattr(verify, "diag_walk", recorded_walk)
         m, n = 2, 1
-        lams = enumerate_hooks(m, n, 2)
         orderings = list(itertools.permutations(standard_sequence(m, n)))
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
-        # Both factors read one row list per ordering: one module weight per
-        # (ordering, lambda), and no dual weight, which would cut an ordering
-        # for some lambda a second time.
-        assert len(calls) == 6 * len(lams)
-        assert sorted(args[:2] for args in calls) == sorted(
-            itertools.product(orderings, lams)
-        )
+        assert calls == []
+        assert sorted(walked) == sorted(orderings)
 
+    def test_six_symbol_sweep_is_clean(self):
+        report = run_sweep(SweepConfig(pair="diag", m=3, n=3, lambda_max=3, mu_max=3))
+        assert report.ok
+        assert report.cases == 25_401_600
 
 class TestReportSerialization:
     def test_report_is_deterministic_modulo_timing(self):

@@ -13,8 +13,10 @@ from capelli.borel import (
 from capelli.partitions import double_partition, enumerate_hooks, part
 from capelli.weights import (
     diag_highest_weight,
+    diag_walk,
     diagram_cut,
     highest_weight,
+    integer_cut,
     is_generic,
 )
 from reference import (
@@ -163,6 +165,26 @@ def test_diagram_cut_follows_adjacent_swaps():
                         ], (seq, p, lam)
                     swaps += 1
     assert swaps == 7798
+
+
+def test_diag_walk_steps_every_ordering_from_its_neighbour():
+    # plain changes visit each ordering once, one adjacent swap apart, and
+    # the stepped 2w + 2 rho is the one cut and Weyl vector computed anew
+    for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]:
+        hooks = enumerate_hooks(m, n, 4)
+        walk = list(diag_walk(hooks, m, n))
+        orderings = [seq for seq, _ in walk]
+        assert sorted(orderings) == sorted(all_sequences(m, n))
+        for before, after in zip(orderings, orderings[1:]):
+            moved = [p for p in range(m + n) if before[p] != after[p]]
+            assert len(moved) == 2 and moved[1] == moved[0] + 1
+            assert _swap(before, moved[0]) == after
+        for seq, points in walk:
+            rho = weyl_vector(seq)
+            assert points == [
+                tuple(2 * a + 2 * b for a, b in zip(integer_cut(seq, lam, m, n), rho))
+                for lam in hooks
+            ], (seq, m, n)
 
 
 def test_diagram_cut_matches_decreasing_borel_closed_form():
