@@ -28,7 +28,14 @@ from .borel import (
     validate_sequence,
     weyl_vector,
 )
-from .equivalence import DEFAULT_BUDGET, orbit, require_budget, require_point
+from .equivalence import (
+    DEFAULT_BUDGET,
+    OrbitResult,
+    closure_member,
+    orbit,
+    require_budget,
+    require_point,
+)
 from .exact_linalg import format_rational, format_vector, parse_rational
 from .isjp import evaluator, interpolation_polynomial
 from .partitions import (
@@ -41,8 +48,8 @@ from .partitions import (
     require_rank,
     require_theta,
 )
-from .tau import MAP_FAMILIES, family_map
-from .verify import PAIR_CHOICES, SweepConfig, reproduce_example, run_sweep
+from .tau import MAP_FAMILIES, eigenvalue_map, family_map, standard_offset
+from .verify import PAIR_CHOICES, SweepConfig, run_sweep
 from .weights import diag_highest_weight, highest_weight, is_generic
 
 
@@ -273,14 +280,154 @@ def _cmd_example(args) -> int:
     if args.max is not None and args.name != "gl22_table":
         raise ValueError("example: --max applies only to gl22_table")
     table = args.name == "gl22_table"
-    _emit(_table(args) if table else reproduce_example(args.name), args.out)
+    _emit(_table(args) if table else gl22_uniqueness(), args.out)
     return 0
 
 
 def _table(args) -> dict:
     """The closed-form table up to --max (default 5), its only input."""
     bound = 5 if args.max is None else args.max
-    return _parsed("--max", lambda b: reproduce_example("gl22_table", b), bound)
+    return _parsed("--max", gl22_table, bound)
+
+
+# -- the frozen worked examples --------------------------------------------------
+
+
+def _table_shapes(max_entry: int):
+    """The empty shape, one-row shapes, and two-column-height hooks with all
+    parameters bounded by max_entry, in a stable order."""
+    shapes = [()]
+    shapes.extend((r,) for r in range(1, max_entry + 1))
+    for r in range(1, max_entry + 1):
+        for s in range(1, r + 1):
+            for t in range(0, max_entry + 1):
+                shapes.append((r, s) + (1,) * t)
+    return shapes
+
+
+def _closed_form_table_row(lam) -> tuple[tuple, tuple]:
+    """Frozen closed forms for the gl(2|2) table, library rank (m, n) = (2, 1),
+    ell = (1, 1): the doubled standard weight, and the Borel weight: one unit
+    added to each body row and two subtracted from the first tail entry (one
+    unit and one entry for one-row shapes)."""
+    if not lam:
+        return (0, 0, 0, 0), (0, 0, 0, 0)
+    r = lam[0]
+    s = lam[1] if len(lam) > 1 else 0
+    t = max(len(lam) - 2, 0)
+    if s == 0:
+        return (-2 * r, 0, 0, 0), (-(2 * r - 1), 0, -1, 0)
+    return (
+        (-2 * r, -2 * s, -t, -t),
+        (-(2 * r - 1), -(2 * s - 1), -(t + 2), -t),
+    )
+
+
+def gl22_table(max_entry: int) -> dict:
+    """Highest-weight table of gl(2|2), library rank (m, n) = (2, 1), theta
+    1/2 and both levels one, checked against its frozen closed forms."""
+    if max_entry < 0:
+        raise ValueError(f"table bound must be nonnegative, got {max_entry}")
+    m, n = 2, 1
+    borel = BorelDescriptor(m, n, (1, 1))
+    opposite = BorelDescriptor.opposite(m, n)
+    rows = []
+    all_match = True
+    for lam in _table_shapes(max_entry):
+        hw0 = highest_weight(lam, opposite)
+        hw = highest_weight(lam, borel)
+        closed0, closedb = _closed_form_table_row(lam)
+        matches = hw0 == closed0 and hw == closedb
+        all_match = all_match and matches
+        rows.append(
+            {
+                "lambda": format_partition(lam),
+                "hw_standard": format_vector(hw0),
+                "hw_borel": format_vector(hw),
+                "closed_standard": format_vector(closed0),
+                "closed_borel": format_vector(closedb),
+                "matches": matches,
+            }
+        )
+    return {
+        "m": m,
+        "n": n,
+        "ell": [1, 1],
+        "max_entry": max_entry,
+        "all_match": all_match,
+        "rows": rows,
+    }
+
+
+def gl22_uniqueness() -> dict:
+    """Replay the chain that pins down the unique correct affine map for the
+    gl(2|2) Borel, library rank (m, n) = (2, 1), with both levels one: orbit
+    matching over one-row shapes forces two offset candidates, the closure
+    criterion eliminates one, and the survivor is the canonical full map."""
+    m, n = 2, 1
+    theta = Fraction(1, 2)
+    borel = BorelDescriptor(m, n, (1, 1))
+    r_b = borel.root_sum()
+    x0 = standard_offset(m, n)
+
+    def candidate(a: Fraction, b: Fraction, c: Fraction):
+        return eigenvalue_map(borel, [(a, b, c)])
+
+    # Orbit matching: for a one-row shape the mapped highest weight must land
+    # in the shape's equivalence orbit. For each orbit point the three image
+    # coordinates pin (a, b, c) exactly, because each parameter multiplies the
+    # same nonzero difference of the last two input coordinates; intersect the
+    # solution sets over r = 1, 2, 3.
+    fittings = []
+    steps = []
+    for r in (1, 2, 3):
+        shape_orbit = orbit(frobenius_coords((r,), m, n, theta), m, n, theta)
+        if shape_orbit.status != OrbitResult.FINITE:
+            raise AssertionError(f"one-row shape r={r}: orbit is {shape_orbit.status}")
+        hw = highest_weight((r,), borel)
+        u = tuple(a + b for a, b in zip(hw, r_b))
+        gap = u[2] - u[3]
+        if gap == 0:
+            raise AssertionError(f"one-row shape r={r}: zero parameter gap")
+        half = Fraction(1, 2)
+        fitting = set()
+        for target in shape_orbit.points:
+            a = (target[0] + half * u[0] - x0[0]) / gap
+            b = (target[1] + half * u[1] - x0[1]) / gap
+            c = (target[2] + half * (u[2] + u[3]) - x0[2]) / gap
+            if candidate(a, b, c).apply(hw) != target:
+                raise AssertionError(f"fitted map misses orbit point {target}")
+            fitting.add((a, b, c))
+        fittings.append(fitting)
+        steps.append(
+            {
+                "r": r,
+                "fitting": sorted(format_vector(abc) for abc in sorted(fitting)),
+            }
+        )
+    survivors = sorted(set.intersection(*fittings))
+    offset_candidates = [candidate(*abc) for abc in survivors]
+
+    # Closure elimination: the offset must lie in the closure class of the
+    # standard offset.
+    kept = [
+        f for f in offset_candidates if closure_member(x0, f.offset, m, n, theta)
+    ]
+    final = None
+    if len(kept) == 1:
+        final = kept[0].to_json_dict()
+        final["equals_canonical"] = kept[0] == family_map(borel, "full")
+    return {
+        "m": m,
+        "n": n,
+        "ell": [1, 1],
+        "standard_offset": format_vector(x0),
+        "orbit_matching": steps,
+        "surviving_parameters": [format_vector(abc) for abc in survivors],
+        "offset_candidates": [format_vector(f.offset) for f in offset_candidates],
+        "after_closure": [format_vector(f.offset) for f in kept],
+        "final": final,
+    }
 
 
 def _usage_error(message: str):

@@ -40,13 +40,12 @@ from .partitions import (
     double_partition,
     enumerate_hooks,
     format_partition,
-    frobenius_coords,
     node_point,
     parse_int_list,
     part,
 )
-from .tau import MAP_FAMILIES, AffineMap, family_map, in_family_domain
-from .weights import diag_walk, highest_weight, integer_cut
+from .tau import MAP_FAMILIES, family_map, in_family_domain
+from .weights import diag_walk, integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
 
@@ -70,6 +69,8 @@ class SweepConfig(Frozen):
             raise ValueError(f"pair must be one of {PAIR_CHOICES}")
         if map_choice not in MAP_FAMILIES:
             raise ValueError(f"map choice must be one of {MAP_FAMILIES}")
+        if not isinstance(borels, str):
+            raise ValueError(f'borels must be "all" or levels as text, not {borels!r}')
         m, n = as_integer(m, "m"), as_integer(n, "n")
         lambda_max = as_integer(lambda_max, "lambda_max")
         mu_max = as_integer(mu_max, "mu_max")
@@ -286,152 +287,3 @@ def _run_diag(config: SweepConfig) -> SweepReport:
                             }
                         )
     return report
-
-
-def reproduce_example(name: str, max_entry: int = 5) -> dict:
-    """Regenerate a frozen worked example and return it as a JSON-ready dict."""
-    if name == "gl22_table":
-        return _example_table(max_entry)
-    if name == "gl22_uniqueness":
-        return _example_uniqueness()
-    raise ValueError(f"unknown example {name!r}; use gl22_table or gl22_uniqueness")
-
-
-def _table_shapes(max_entry: int):
-    """The empty shape, one-row shapes, and two-column-height hooks with all
-    parameters bounded by max_entry, in a stable order."""
-    shapes = [()]
-    shapes.extend((r,) for r in range(1, max_entry + 1))
-    for r in range(1, max_entry + 1):
-        for s in range(1, r + 1):
-            for t in range(0, max_entry + 1):
-                shapes.append((r, s) + (1,) * t)
-    return shapes
-
-
-def _closed_form_table_row(lam) -> tuple[tuple, tuple]:
-    """Frozen closed forms for the gl(2|2) table, library rank (m, n) = (2, 1),
-    ell = (1, 1): the doubled standard weight, and the Borel weight: one unit
-    added to each body row and two subtracted from the first tail entry (one
-    unit and one entry for one-row shapes)."""
-    if not lam:
-        return (0, 0, 0, 0), (0, 0, 0, 0)
-    r = lam[0]
-    s = lam[1] if len(lam) > 1 else 0
-    t = max(len(lam) - 2, 0)
-    if s == 0:
-        return (-2 * r, 0, 0, 0), (-(2 * r - 1), 0, -1, 0)
-    return (
-        (-2 * r, -2 * s, -t, -t),
-        (-(2 * r - 1), -(2 * s - 1), -(t + 2), -t),
-    )
-
-
-def _example_table(max_entry: int) -> dict:
-    """Highest-weight table of gl(2|2), library rank (m, n) = (2, 1), theta
-    1/2 and both levels one, checked against its frozen closed forms."""
-    if max_entry < 0:
-        raise ValueError(f"table bound must be nonnegative, got {max_entry}")
-    m, n = 2, 1
-    borel = BorelDescriptor(m, n, (1, 1))
-    opposite = BorelDescriptor.opposite(m, n)
-    rows = []
-    all_match = True
-    for lam in _table_shapes(max_entry):
-        hw0 = highest_weight(lam, opposite)
-        hw = highest_weight(lam, borel)
-        closed0, closedb = _closed_form_table_row(lam)
-        matches = hw0 == closed0 and hw == closedb
-        all_match = all_match and matches
-        rows.append(
-            {
-                "lambda": format_partition(lam),
-                "hw_standard": format_vector(hw0),
-                "hw_borel": format_vector(hw),
-                "closed_standard": format_vector(closed0),
-                "closed_borel": format_vector(closedb),
-                "matches": matches,
-            }
-        )
-    return {
-        "m": m,
-        "n": n,
-        "ell": [1, 1],
-        "max_entry": max_entry,
-        "all_match": all_match,
-        "rows": rows,
-    }
-
-
-def _example_uniqueness() -> dict:
-    """Replay the chain that pins down the unique correct affine map for the
-    gl(2|2) Borel, library rank (m, n) = (2, 1), with both levels one: orbit
-    matching over one-row shapes forces two offset candidates, the closure
-    criterion eliminates one, and the survivor is the canonical full map."""
-    from .equivalence import OrbitResult, closure_member, orbit
-    from .tau import eigenvalue_map, standard_offset
-
-    m, n = 2, 1
-    theta = Fraction(1, 2)
-    borel = BorelDescriptor(m, n, (1, 1))
-    r_b = borel.root_sum()
-    x0 = standard_offset(m, n)
-
-    def candidate(a: Fraction, b: Fraction, c: Fraction) -> AffineMap:
-        return eigenvalue_map(borel, [(a, b, c)])
-
-    # Orbit matching: for a one-row shape the mapped highest weight must land
-    # in the shape's equivalence orbit. For each orbit point the three image
-    # coordinates pin (a, b, c) exactly, because each parameter multiplies the
-    # same nonzero difference of the last two input coordinates; intersect the
-    # solution sets over r = 1, 2, 3.
-    fittings = []
-    steps = []
-    for r in (1, 2, 3):
-        shape_orbit = orbit(frobenius_coords((r,), m, n, theta), m, n, theta)
-        if shape_orbit.status != OrbitResult.FINITE:
-            raise AssertionError(f"one-row shape r={r}: orbit is {shape_orbit.status}")
-        hw = highest_weight((r,), borel)
-        u = tuple(a + b for a, b in zip(hw, r_b))
-        gap = u[2] - u[3]
-        if gap == 0:
-            raise AssertionError(f"one-row shape r={r}: zero parameter gap")
-        half = Fraction(1, 2)
-        fitting = set()
-        for target in shape_orbit.points:
-            a = (target[0] + half * u[0] - x0[0]) / gap
-            b = (target[1] + half * u[1] - x0[1]) / gap
-            c = (target[2] + half * (u[2] + u[3]) - x0[2]) / gap
-            if candidate(a, b, c).apply(hw) != target:
-                raise AssertionError(f"fitted map misses orbit point {target}")
-            fitting.add((a, b, c))
-        fittings.append(fitting)
-        steps.append(
-            {
-                "r": r,
-                "fitting": sorted(format_vector(abc) for abc in sorted(fitting)),
-            }
-        )
-    survivors = sorted(set.intersection(*fittings))
-    offset_candidates = [candidate(*abc) for abc in survivors]
-
-    # Closure elimination: the offset must lie in the closure class of the
-    # standard offset.
-    kept = [
-        f for f in offset_candidates if closure_member(x0, f.offset, m, n, theta)
-    ]
-    final = None
-    if len(kept) == 1:
-        final = kept[0].to_json_dict()
-        final["equals_canonical"] = kept[0] == family_map(borel, "full")
-    return {
-        "m": m,
-        "n": n,
-        "ell": [1, 1],
-        "standard_offset": format_vector(x0),
-        "orbit_matching": steps,
-        "surviving_parameters": [format_vector(abc) for abc in survivors],
-        "offset_candidates": [format_vector(f.offset) for f in offset_candidates],
-        "after_closure": [format_vector(f.offset) for f in kept],
-        "final": final,
-    }

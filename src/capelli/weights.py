@@ -6,9 +6,10 @@ weight is a flat tuple of integers, the e-block then the d-block."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .borel import BorelDescriptor, Sequence, standard_sequence, validate_sequence
-from .partitions import double_partition, part, require_hook
+from .partitions import double_partition, node_point, part, require_hook
 
 
 def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
@@ -67,20 +68,16 @@ def diag_walk(lams, m: int, n: int):
     swap from the last (`_plain_changes` from the standard ordering), with
     the list of its 2w + 2 rho per (m|n)-hook lam, unchecked: twice the
     `integer_cut` plus twice the `weyl_vector`, as integer tuples. At the
-    standard ordering the cut is the rows lam_i then the clipped column
-    depths, and 2 rho is m - n - 2p - 1 at the e in position p and
-    m + n - 2j - 1 at d_{j+1}. A same-family swap trades the two
-    coordinates. A mixed swap at p, with r e's before p and c = p - r, moves
-    the e-coordinate by +2 and the d-coordinate by -2 when (e, d) becomes
-    (d, e), and the other way round when (d, e) becomes (e, d), unless box
-    (r + 1, c + 1) is in lam: then it changes nothing."""
+    standard ordering w + rho is the theta = 1 node (`node_point`). A
+    same-family swap trades the two coordinates. A mixed swap at p, with
+    r e's before p and c = p - r, moves the e-coordinate by +2 and the
+    d-coordinate by -2 when (e, d) becomes (d, e), and the other way round
+    when (d, e) becomes (e, d), unless box (r + 1, c + 1) is in lam: then it
+    changes nothing."""
     seq = list(standard_sequence(m, n))
     slot = {symbol: i for i, symbol in enumerate(seq)}
-    points = [
-        [2 * part(lam, i + 1) + m - n - 2 * i - 1 for i in range(m)]
-        + [2 * sum(row > j for row in lam[m:]) + m + n - 2 * j - 1 for j in range(n)]
-        for lam in lams
-    ]
+    nodes = (node_point(lam, m, n, Fraction(1)) for lam in lams)
+    points = [[2 * v // den for v in nums] for den, nums in nodes]
     # the points of the shapes without box (r + 1, c + 1)
     outside = [
         [[pt for lam, pt in zip(lams, points) if part(lam, r + 1) <= c]

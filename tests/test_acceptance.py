@@ -10,12 +10,13 @@ import pytest
 
 from capelli import isjp
 from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
+from capelli.cli import gl22_table, gl22_uniqueness
 from capelli.equivalence import orbit
 from capelli.exact_linalg import integer_form
 from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
 from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
 from capelli.tau import family_map
-from capelli.verify import SweepConfig, reproduce_example, run_sweep
+from capelli.verify import SweepConfig, run_sweep
 from capelli.weights import diag_highest_weight, highest_weight
 from reference import (
     SuperPolynomial,
@@ -301,7 +302,7 @@ class TestClosedFormTable:
     exactly for all parameters up to five."""
 
     def test_table_to_five(self):
-        table = reproduce_example("gl22_table", max_entry=5)
+        table = gl22_table(max_entry=5)
         assert table["all_match"]
         assert all(row["matches"] for row in table["rows"])
 
@@ -330,7 +331,7 @@ class TestUniquenessChain:
     canonical full-family map; orbits behave exactly as derived."""
 
     def test_forced_map_and_candidates(self):
-        data = reproduce_example("gl22_uniqueness")
+        data = gl22_uniqueness()
         assert data["offset_candidates"] == [
             ["1/4", "-5/4", "1"],
             ["1/4", "3/4", "-1"],

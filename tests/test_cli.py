@@ -574,6 +574,12 @@ class TestBadInput:
                 ["orbit", "--m", "1", "--n", "1", "--theta", "1", "--point", "1,2,3"],
                 ["error: --point: point has length 3, expected 2"],
             ),
+            (
+                ["verify", "--pair", "diag", "--m", "1", "--n", "1",
+                 "--lambda-max", "-1", "--mu-max", "0"],
+                ["error: degree bounds must be nonnegative"],
+            ),
+            (["example", "--name", "nope"], ["--name", "'nope'"]),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):

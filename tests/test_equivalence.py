@@ -41,6 +41,16 @@ def test_move_symmetry_on_orbit():
             assert p in monoidal_moves(q, 2, 1, HALF)
 
 
+def test_moves_swap_the_y_block():
+    # with n = 2 the y-block has its own adjacent swap, beside the shift of
+    # x_1 + y_1 / 2 = 1/4, and each move is undone by one move back
+    point = (Q(1, 4), 0, 3)
+    moves = monoidal_moves(point, 1, 2, HALF)
+    assert moves == [(Q(-3, 4), 1, 3), (Q(1, 4), 3, 0)]
+    for q in moves:
+        assert point in monoidal_moves(q, 1, 2, HALF)
+
+
 def test_orbit_four_vectors():
     # closed orbit of (r - 1/4, -3/4, 1): the move-closure has exactly four
     # points, the last one ending in 0 (it is the x-swap of the second)
@@ -106,6 +116,16 @@ def test_closure_member_uniqueness_anchors():
     assert not closure_member((Q(3, 4), Q(-3, 4), 1), x0, 2, 1, HALF)
     with pytest.raises(ValueError):
         closure_member(x0, x0, 2, 1, 1)
+
+
+def test_closure_member_needs_agreement_outside_the_triple():
+    # at rank (2, 2) the only witness triple (1, 2, 1) leaves y_2 outside
+    # it: a point that moves y_2 is no member, though it meets both affine
+    # conditions
+    u = (0, HALF, -HALF, 5)
+    assert infinite_witness(u, 2, 2, HALF) == (1, 2, 1)
+    assert closure_member(u, u, 2, 2, HALF)
+    assert not closure_member(u, (0, HALF, -HALF, 6), 2, 2, HALF)
 
 
 def test_equivalence_degree_filtration():

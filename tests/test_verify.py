@@ -16,6 +16,7 @@ from capelli.borel import (
     standard_sequence,
     weyl_vector,
 )
+from capelli.cli import gl22_table, gl22_uniqueness
 from capelli.exact_linalg import format_rational
 from capelli.isjp import evaluator, interpolation_polynomial
 from capelli.partitions import (
@@ -26,7 +27,7 @@ from capelli.partitions import (
 )
 from capelli.tau import AffineMap, family_map, in_family_domain
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
-from capelli.verify import SweepConfig, SweepReport, reproduce_example, run_sweep
+from capelli.verify import SweepConfig, SweepReport, run_sweep
 from reference import affine_map, evaluate, vec_add, vec_neg
 
 
@@ -50,7 +51,7 @@ def count_evaluator_calls(monkeypatch):
     return calls, rows
 
 
-def break_diagram_cut(monkeypatch, broken, step: int):
+def break_diagram_cut(monkeypatch, broken, step: int, lam=None):
     """Offset the diagram cut of the ordering broken by step in every
     coordinate, under every name it is read by: the glm2n sweep's integer
     cut, the one inside `diagram_cut`, and the pair sweep's walk, whose
@@ -58,19 +59,25 @@ def break_diagram_cut(monkeypatch, broken, step: int):
     weight through this one rule. In the pair sweep both diag factors do:
     the module's for broken, and the dual's for its reverse. In the glm2n
     sweep a Borel's weights are minus the cuts of its reversed ordering, so
-    breaking that ordering breaks that Borel alone."""
+    breaking that ordering breaks that Borel alone. Given lam, only the cut
+    of that shape is broken (the glm2n sweep cuts the doubled shape)."""
     broken = tuple(broken)
     cut, walk = weights.integer_cut, weights.diag_walk
 
-    def broken_cut(seq, lam, m, n):
+    def hit(seq, shape) -> bool:
+        return seq == broken and (lam is None or tuple(shape) == tuple(lam))
+
+    def broken_cut(seq, shape, m, n):
         seq = tuple(seq)
-        w = cut(seq, lam, m, n)
-        return [v + step for v in w] if seq == broken else w
+        w = cut(seq, shape, m, n)
+        return [v + step for v in w] if hit(seq, shape) else w
 
     def broken_walk(lams, m, n):
         for seq, points in walk(lams, m, n):
-            if seq == broken:
-                points = [tuple(v + 2 * step for v in p) for p in points]
+            points = [
+                tuple(v + 2 * step for v in p) if hit(seq, shape) else p
+                for shape, p in zip(lams, points)
+            ]
             yield seq, points
 
     for module in (weights, verify):
@@ -148,6 +155,18 @@ class TestSweepConfig:
         # TypeError on comparing a string bound
         with pytest.raises(ValueError, match=message):
             SweepConfig(*args)
+
+    def test_rejects_a_negative_degree_bound(self):
+        for bounds in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="degree bounds must be nonnegative"):
+                SweepConfig("diag", 1, 1, *bounds)
+
+    @pytest.mark.parametrize("borels", [None, (1, 1), 11])
+    def test_rejects_borels_that_are_not_text(self, borels):
+        # parsing them would fail with an AttributeError
+        with pytest.raises(ValueError, match="borels must be") as info:
+            SweepConfig("glm2n", 2, 1, 2, 2, borels=borels)
+        assert repr(borels) in str(info.value)
 
     def test_rejects_malformed_borels_on_construction(self):
         with pytest.raises(ValueError, match="borels.*'x'"):
@@ -353,7 +372,7 @@ class TestOneSidedSweep:
 
         monkeypatch.setattr(verify, "integer_cut", counted)
         for module in (verify, weights):
-            monkeypatch.setattr(module, "highest_weight", forbidden)
+            monkeypatch.setattr(module, "highest_weight", forbidden, raising=False)
         for module in (verify, borel_module):
             monkeypatch.setattr(module, "weyl_vector", forbidden, raising=False)
         m, n = 2, 2
@@ -521,6 +540,19 @@ class TestPairSweep:
         assert expected
         assert report.failures == expected
 
+    def test_one_broken_shape_leaves_the_other_shapes_clean(self, monkeypatch):
+        # Break the cut of e2,d1,e1 at one shape only: every other shape's
+        # rows are on the node on both sides of every pair, so the sweep
+        # skips it, and only the broken shape fails.
+        m, n = 2, 1
+        break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1, lam=(1,))
+        report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
+        lams = {format_partition(lam) for lam in enumerate_hooks(m, n, 2)}
+        failing = {f["lambda"] for f in report.failures}
+        assert failing == {"1"}
+        assert lams - failing
+        assert report.failures == per_case_pair_failures(m, n, 2, 2)
+
     def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
         m, n = 2, 1
         theta = Fraction(1)
@@ -622,12 +654,12 @@ class TestReportSerialization:
 
 class TestTableExample:
     def test_all_rows_match_closed_forms(self):
-        table = reproduce_example("gl22_table", max_entry=3)
+        table = gl22_table(max_entry=3)
         assert table["all_match"]
         assert all(row["matches"] for row in table["rows"])
 
     def test_contains_expected_shapes(self):
-        table = reproduce_example("gl22_table", max_entry=2)
+        table = gl22_table(max_entry=2)
         shapes = [row["lambda"] for row in table["rows"]]
         assert "" in shapes
         assert "2" in shapes
@@ -636,7 +668,7 @@ class TestTableExample:
         assert "2,2,1,1" in shapes
 
     def test_specific_closed_form_rows(self):
-        table = reproduce_example("gl22_table", max_entry=3)
+        table = gl22_table(max_entry=3)
         by_shape = {row["lambda"]: row for row in table["rows"]}
         assert by_shape["3"]["hw_borel"] == ["-5", "0", "-1", "0"]
         assert by_shape["3,2,1"]["hw_borel"] == ["-5", "-3", "-3", "-1"]
@@ -645,7 +677,7 @@ class TestTableExample:
 
 class TestUniquenessExample:
     def test_full_chain(self):
-        data = reproduce_example("gl22_uniqueness")
+        data = gl22_uniqueness()
         assert data["standard_offset"] == ["-1/4", "-3/4", "1"]
         assert data["surviving_parameters"] == [
             ["0", "-1/2", "1/2"],
@@ -667,10 +699,6 @@ class TestUniquenessExample:
         assert final["offset"] == ["1/4", "3/4", "-1"]
 
     def test_each_round_keeps_four_candidates(self):
-        data = reproduce_example("gl22_uniqueness")
+        data = gl22_uniqueness()
         for step in data["orbit_matching"]:
             assert len(step["fitting"]) == 4
-
-    def test_unknown_example_rejected(self):
-        with pytest.raises(ValueError):
-            reproduce_example("nope")
