@@ -43,9 +43,7 @@ def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
 
 def weyl_vector(seq: Sequence) -> Vector:
     """Half-sum over ordered pairs of (earlier - later), signed +1 for a
-    same-family pair and -1 for a mixed pair. In closed form, the symbol at
-    position p has coefficient half of (same-family after - mixed after) -
-    (same-family before - mixed before).
+    same-family pair and -1 for a mixed pair.
 
     Examples
     ========
@@ -54,20 +52,14 @@ def weyl_vector(seq: Sequence) -> Vector:
     (Fraction(1, 2), Fraction(-1, 2))
     """
     num_eps = sum(1 for kind, _ in seq if kind == "e")
-    family_size = {"e": num_eps, "d": len(seq) - num_eps}
     block_start = {"e": 0, "d": num_eps}
-    coeffs = [Fraction(0)] * len(seq)
-    same_seen = {"e": 0, "d": 0}
-    for p, (kind, index) in enumerate(seq):
-        same_before = same_seen[kind]
-        same_after = family_size[kind] - same_before - 1
-        mixed_before = p - same_before
-        mixed_after = len(seq) - p - 1 - same_after
-        coeffs[block_start[kind] + index - 1] = Fraction(
-            (same_after - mixed_after) - (same_before - mixed_before), 2
-        )
-        same_seen[kind] += 1
-    return tuple(coeffs)
+    slots = [(kind, block_start[kind] + index - 1) for kind, index in seq]
+    twice = [0] * len(seq)
+    for (kind1, earlier), (kind2, later) in itertools.combinations(slots, 2):
+        sign = 1 if kind1 == kind2 else -1
+        twice[earlier] += sign
+        twice[later] -= sign
+    return tuple(Fraction(v, 2) for v in twice)
 
 
 class BorelDescriptor(Frozen):

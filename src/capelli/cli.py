@@ -105,9 +105,13 @@ def _weight_json(weight, m: int) -> dict:
     return {"eps": format_vector(weight[:m]), "delta": format_vector(weight[m:])}
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(payload, out_path: str | None) -> None:
     """Write payload as JSON to out_path, or to stdout when no path is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if not out_path:
         sys.stdout.write(text)
         return
@@ -271,7 +275,7 @@ def _cmd_verify(args) -> int:
     with _out_file(args.out) if args.out else contextlib.nullcontext() as handle:
         report = run_sweep(config)
         if handle:
-            handle.write(report.to_json_text())
+            handle.write(_json_text(report.to_json_dict()))
     sys.stdout.write(report.summary() + "\n")
     return 0 if report.ok else 1
 
@@ -291,6 +295,10 @@ def _table(args) -> dict:
 
 
 # -- the frozen worked examples --------------------------------------------------
+
+# The table has (M + 1)(M(M + 1)/2 + 1) rows for the bound M = max_entry:
+# 33,661 at this bound, built in seconds.
+MAX_TABLE_ENTRY = 40
 
 
 def _table_shapes(max_entry: int):
@@ -328,6 +336,10 @@ def gl22_table(max_entry: int) -> dict:
     1/2 and both levels one, checked against its frozen closed forms."""
     if max_entry < 0:
         raise ValueError(f"table bound must be nonnegative, got {max_entry}")
+    if max_entry > MAX_TABLE_ENTRY:
+        raise ValueError(
+            f"table bound must be at most {MAX_TABLE_ENTRY}, got {max_entry}"
+        )
     m, n = 2, 1
     borel = BorelDescriptor(m, n, (1, 1))
     opposite = BorelDescriptor.opposite(m, n)

@@ -14,16 +14,18 @@ node. The one-sided sweep ("glm2n") checks, for every decreasing Borel of
 the half-parameter family, that the selected affine map sends every Borel
 highest weight to a point spectrally equal to the standard node, and that on
 generic weights it reaches the node as a vector. Both sweeps read their
-values from one table that evaluates each distinct point once. Points and
-rows are integers in lowest terms; only the failure records are made of
-Fractions.
+values from one table that evaluates each distinct point once; each sweep
+keys its points in one form of its own, the pair sweep over 2 as its walk
+makes them and the one-sided sweep in lowest terms. Points and rows are
+integer forms (den, nums), rows in lowest terms; only the failure records
+are made of Fractions.
 
-Reports serialize to deterministic JSON (modulo the elapsed_ms field).
+A report is data (`SweepReport.to_json_dict`), deterministic apart from its
+elapsed_ms field, and keeps at most MAX_FAILURES failure records.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 
@@ -33,7 +35,6 @@ from .exact_linalg import (
     as_integer,
     format_rational,
     format_vector,
-    lowest_terms,
 )
 from .isjp import evaluator
 from .partitions import (
@@ -48,6 +49,9 @@ from .tau import MAP_FAMILIES, family_map, in_family_domain
 from .weights import diag_walk, integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
+# The failure records a report keeps; the rest are only counted, so that a
+# badly broken sweep does not hold one record per failing case.
+MAX_FAILURES = 10_000
 
 
 class SweepConfig(Frozen):
@@ -100,9 +104,10 @@ class SweepConfig(Frozen):
 
 
 class SweepReport:
-    """Result of a sweep: how many cases ran and which ones failed."""
+    """Result of a sweep: how many cases ran and which ones failed. It keeps
+    the first MAX_FAILURES failure records and counts the rest as dropped."""
 
-    __slots__ = ("config", "cases", "failures", "elapsed_ms")
+    __slots__ = ("config", "cases", "failures", "failures_dropped", "elapsed_ms")
 
     def __init__(
         self, config: SweepConfig, cases: int = 0, failures=None, elapsed_ms: int = 0
@@ -110,6 +115,7 @@ class SweepReport:
         self.config = config
         self.cases = cases
         self.failures = [] if failures is None else failures
+        self.failures_dropped = 0
         self.elapsed_ms = elapsed_ms
 
     def __eq__(self, other):
@@ -119,23 +125,32 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.failures_dropped
+
+    def fail(self, record: dict) -> None:
+        """Record one failing case: keep its record while fewer than
+        MAX_FAILURES are kept, else count it as dropped."""
+        if len(self.failures) < MAX_FAILURES:
+            self.failures.append(record)
+        else:
+            self.failures_dropped += 1
 
     def to_json_dict(self) -> dict:
         """The report as JSON data. The failure records are the report's own
-        dicts, not copies."""
-        return {
+        dicts, not copies. The dropped count appears only when nonzero."""
+        data = {
             "config": self.config.to_json_dict(),
             "cases": self.cases,
             "failures": self.failures,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        if self.failures_dropped:
+            data["failures_dropped"] = self.failures_dropped
+        return data
 
     def summary(self) -> str:
-        verdict = "OK" if self.ok else f"{len(self.failures)} FAILURES"
+        failed = len(self.failures) + self.failures_dropped
+        verdict = "OK" if self.ok else f"{failed} FAILURES"
         return (
             f"{self.config.pair} sweep m={self.config.m} n={self.config.n} "
             f"lambda<={self.config.lambda_max} mu<={self.config.mu_max} "
@@ -164,10 +179,12 @@ def _fractions(den: int, nums) -> tuple[Fraction, ...]:
 
 def _value_table(config: SweepConfig, theta: Fraction):
     """The shapes mu and lambda, the lambda nodes, and a reader row(point) of
-    the values of every P_mu at a point. Points and rows are (den, nums) in
-    lowest terms, so a point is its own key, and a point equal to a node has
-    the node's values by definition. Each distinct point is evaluated once,
-    on its first read, by one `evaluator` call for all the polynomials."""
+    the values of every P_mu at a point. Points are (den, nums), the nodes in
+    lowest terms; each sweep keys its points in one form of its own, so a
+    point is its own key, and a point equal to a node in that form has the
+    node's values by definition. Rows are (den, nums) in lowest terms. Each
+    distinct point is evaluated once, on its first read, by one `evaluator`
+    call for all the polynomials."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     values_at = evaluator(m, n, theta, mus)
@@ -212,7 +229,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
             if last_row >= last_level:
                 report.cases += 1
                 if point != node:
-                    report.failures.append(
+                    report.fail(
                         {
                             "kind": "generic_vector",
                             "ell": list(borel.ell),
@@ -227,7 +244,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                 continue
             for mu, lhs, rhs in zip(mus, _fractions(*values), _fractions(*node_row)):
                 if lhs != rhs:
-                    report.failures.append(
+                    report.fail(
                         {
                             "kind": "eigenvalue",
                             "ell": list(borel.ell),
@@ -243,22 +260,18 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
     mus, lams, nodes, row = _value_table(config, Fraction(1))
-    node_rows = [row(node) for node in nodes]
     sequences = list(all_sequences(m, n))
     report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
     # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda,
     # from the walk that steps each ordering's 2w + 2 rho from its
     # neighbour's. The dual's w* and rho for seq are minus the module's for
     # seq reversed, so the first factor's rows for seq1 are the second's for
-    # seq1[::-1]. Each distinct 2w + 2 rho is reduced and read once.
-    rows, seen = {}, {}
-    for seq, points in diag_walk(lams, m, n):
-        rows[seq] = seq_rows = []
-        for twice in points:
-            value_row = seen.get(twice)
-            if value_row is None:
-                value_row = seen[twice] = row(lowest_terms(2, twice))
-            seq_rows.append(value_row)
+    # seq1[::-1]. Points and nodes are keyed in the walk's form (2, 2w + 2 rho).
+    node_rows = [row((2, tuple(2 * v // den for v in nums))) for den, nums in nodes]
+    rows = {
+        seq: [row((2, twice)) for twice in points]
+        for seq, points in diag_walk(lams, m, n)
+    }
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node, and no pair can fail
     # when no ordering's rows are.
@@ -274,7 +287,7 @@ def _run_diag(config: SweepConfig) -> SweepReport:
                 values = zip(mus, *(_fractions(*r) for r in (node_row, row1, row2)))
                 for mu, value, first, second in values:
                     if first != value or second != value:
-                        report.failures.append(
+                        report.fail(
                             {
                                 "kind": "pair_eigenvalue",
                                 "seq1": ",".join(map(format_symbol, seq1)),

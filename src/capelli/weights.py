@@ -105,7 +105,7 @@ def diag_walk(lams, m: int, n: int):
 #
 # The gl(m|2n) module of a hook partition is the dual of the module of its
 # doubled partition, so its highest weight for an ordering is minus the
-# doubled module's lowest weight: minus the cut of the reversed ordering.
+# doubled module's lowest weight, `diag_highest_weight`'s dual case.
 
 
 def highest_weight(lam, borel: BorelDescriptor) -> tuple[int, ...]:
@@ -120,8 +120,9 @@ def highest_weight(lam, borel: BorelDescriptor) -> tuple[int, ...]:
     (-3, -1, -2, 0)
     """
     doubled = double_partition(lam, borel.m, borel.n)
-    cut = diagram_cut(reversed(borel.sequence()), doubled, borel.m, borel.num_delta)
-    return tuple(-v for v in cut)
+    return diag_highest_weight(
+        borel.sequence(), doubled, borel.m, borel.num_delta, dual=True
+    )
 
 
 def is_generic(lam, borel: BorelDescriptor) -> bool:

@@ -580,6 +580,14 @@ class TestBadInput:
                 ["error: degree bounds must be nonnegative"],
             ),
             (["example", "--name", "nope"], ["--name", "'nope'"]),
+            (
+                ["example", "--name", "gl22_table", "--max", "41"],
+                ["--max: table bound must be at most 40", "41"],
+            ),
+            (
+                ["hw", "--table", "--max", "41"],
+                ["--max: table bound must be at most 40", "41"],
+            ),
         ],
     )
     def test_one_line_error_naming_the_input(self, capsys, argv, expected):
@@ -621,13 +629,14 @@ class TestBadInput:
             main(["orbit", "--m", "1", "--n", "0", "--theta", "1", "--point", "1"])
 
 
-def run_module(*argv, timeout):
-    """Run `python -m capelli` on the sources of the imported package."""
+def run_module(*argv, timeout, optimize=False):
+    """Run `python -m capelli` on the sources of the imported package, under
+    `python -O` when optimize is set."""
     src = str(Path(capelli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-m", "capelli", *argv],
+        [sys.executable, *(["-O"] if optimize else []), "-m", "capelli", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -654,3 +663,30 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out_file.read_text())["failures"] == []
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips asserts; the program must not change under it."""
+
+    def test_example_prints_the_same_bytes(self, capsys):
+        proc = run_module(
+            "example", "--name", "gl22_uniqueness", timeout=60, optimize=True
+        )
+        assert proc.returncode == 0
+        code, out, _ = run_cli(capsys, "example", "--name", "gl22_uniqueness")
+        assert code == 0
+        assert proc.stdout == out
+
+    def test_forced_failures_are_still_reported(self):
+        proc = run_module(
+            "verify",
+            "--pair", "glm2n",
+            "--m", "2", "--n", "2",
+            "--lambda-max", "4",
+            "--mu-max", "4",
+            "--map", "cb-forced",
+            timeout=120,
+            optimize=True,
+        )
+        assert proc.returncode == 1
+        assert "79 FAILURES" in proc.stdout

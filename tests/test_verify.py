@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from capelli import borel as borel_module
-from capelli import partitions, verify, weights
+from capelli import cli, partitions, verify, weights
 from capelli.borel import (
     BorelDescriptor,
     format_symbol,
@@ -554,24 +554,30 @@ class TestPairSweep:
         assert report.failures == per_case_pair_failures(m, n, 2, 2)
 
     def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
-        m, n = 2, 1
+        # At (2, 2) many orderings share a point: the walk's keys over 2 must
+        # still meet once per distinct point, and the nodes among them.
         theta = Fraction(1)
-        lams = enumerate_hooks(m, n, 2)
-        mus = enumerate_hooks(m, n, 2)
-        points = {frobenius_coords(lam, m, n, theta) for lam in lams}
-        for seq in itertools.permutations(standard_sequence(m, n)):
-            for lam in lams:
-                rho = weyl_vector(seq)
-                w1 = diag_highest_weight(seq, lam, m, n, dual=True)
-                w2 = diag_highest_weight(seq, lam, m, n, dual=False)
-                points.add(vec_neg(vec_add(w1, rho)))
-                points.add(vec_add(w2, rho))
         calls, rows = count_evaluator_calls(monkeypatch)
-        assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
-        assert len(points) < 2 * 6 * len(lams)
-        assert len(calls) == len(points)
-        assert set(calls) == points
-        assert all(len(row) == len(mus) for row in rows)
+        for m, n in ((2, 1), (2, 2)):
+            lams = enumerate_hooks(m, n, 2)
+            mus = enumerate_hooks(m, n, 2)
+            orderings = list(itertools.permutations(standard_sequence(m, n)))
+            points = {frobenius_coords(lam, m, n, theta) for lam in lams}
+            for seq in orderings:
+                for lam in lams:
+                    rho = weyl_vector(seq)
+                    w1 = diag_highest_weight(seq, lam, m, n, dual=True)
+                    w2 = diag_highest_weight(seq, lam, m, n, dual=False)
+                    points.add(vec_neg(vec_add(w1, rho)))
+                    points.add(vec_add(w2, rho))
+            calls.clear()
+            rows.clear()
+            cfg = SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)
+            assert run_sweep(cfg).ok
+            assert len(points) < 2 * len(orderings) * len(lams)
+            assert len(calls) == len(points)
+            assert set(calls) == points
+            assert all(len(row) == len(mus) for row in rows)
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
         # One walk yields every ordering once, each ordering's 2w + 2 rho
@@ -608,24 +614,36 @@ class TestPairSweep:
 class TestReportSerialization:
     def test_report_is_deterministic_modulo_timing(self):
         cfg = SweepConfig(pair="glm2n", m=2, n=1, lambda_max=2, mu_max=2)
-        first = json.loads(run_sweep(cfg).to_json_text())
-        second = json.loads(run_sweep(cfg).to_json_text())
+        first = json.loads(json.dumps(run_sweep(cfg).to_json_dict()))
+        second = json.loads(json.dumps(run_sweep(cfg).to_json_dict()))
         first.pop("elapsed_ms")
         second.pop("elapsed_ms")
         assert first == second
 
     def test_report_shape(self):
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=1, mu_max=1)
-        data = json.loads(run_sweep(cfg).to_json_text())
+        data = json.loads(json.dumps(run_sweep(cfg).to_json_dict()))
         assert set(data) == {"config", "cases", "failures", "elapsed_ms"}
         assert data["config"]["pair"] == "diag"
 
-    def test_json_text_is_the_dataclass_form(self, monkeypatch):
-        # A forced-failure report serializes as its fields spelled out: the
-        # seven sweep parameters, the case count, the failure records and
-        # the elapsed time.
+    def test_json_text_is_the_dataclass_form(self, monkeypatch, tmp_path, capsys):
+        # A forced-failure report, as `capelli verify --out` writes it, is its
+        # fields spelled out: the seven sweep parameters, the case count, the
+        # failure records and the elapsed time.
         break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1)
-        report = run_sweep(SweepConfig(pair="diag", m=2, n=1, lambda_max=2, mu_max=2))
+        reports = []
+
+        def recorded_sweep(config):
+            reports.append(run_sweep(config))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_sweep", recorded_sweep)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--pair", "diag", "--m", "2", "--n", "1",
+                "--lambda-max", "2", "--mu-max", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        capsys.readouterr()
+        (report,) = reports
         assert report.failures
         form = {
             "config": {
@@ -642,7 +660,36 @@ class TestReportSerialization:
             "elapsed_ms": report.elapsed_ms,
         }
         expected = json.dumps(form, sort_keys=True, indent=2)
-        assert report.to_json_text() == expected + "\n"
+        assert out.read_text(encoding="utf-8") == expected + "\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(pair="diag", m=2, n=1, lambda_max=2, mu_max=2),
+            dict(
+                pair="glm2n", m=2, n=2, lambda_max=4, mu_max=4, map_choice="cb-forced"
+            ),
+        ],
+    )
+    def test_failure_records_past_the_cap_are_only_counted(self, monkeypatch, spec):
+        # A report keeps its first MAX_FAILURES records and counts the rest,
+        # so a badly broken sweep holds bounded memory; its verdict counts
+        # every failure, and a report under the cap has no dropped count. The
+        # diag sweep fails by a broken cut, the glm2n one by its forced map.
+        break_diagram_cut(monkeypatch, (("e", 2), ("d", 1), ("e", 1)), 1)
+        cfg = SweepConfig(**spec)
+        full = run_sweep(cfg)
+        total = len(full.failures)
+        assert total > 5 and full.failures_dropped == 0
+        assert "failures_dropped" not in full.to_json_dict()
+        monkeypatch.setattr(verify, "MAX_FAILURES", 5)
+        capped = run_sweep(cfg)
+        assert capped.failures == full.failures[:5]
+        assert capped.failures_dropped == total - 5
+        assert capped.to_json_dict()["failures_dropped"] == total - 5
+        assert capped.cases == full.cases
+        assert not capped.ok
+        assert f"{total} FAILURES" in capped.summary()
 
     def test_summary_mentions_verdict(self):
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=1, mu_max=1)
