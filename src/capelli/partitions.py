@@ -112,6 +112,8 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     """
     require_rank(m, n)
     max_size = as_integer(max_size, "size bound")
+    if max_size < 0:
+        raise ValueError(f"size bound must be nonnegative, got {max_size}")
     return [
         lam for lam in enumerate_partitions(max_size, max_size) if part(lam, m + 1) <= n
     ]

@@ -4,21 +4,23 @@ Two sweeps are provided. The pair sweep ("diag") checks, for every ordered
 pair of Borel orderings of a doubled hook module, that the two Weyl-vector
 shifts, w -> -(w + rho) for the dual module and w -> w + rho for the module,
 send the two highest weights to points where every interpolation polynomial
-takes the same value as at the standard node. It walks the orderings by
-adjacent swaps (`weights.diag_walk`), stepping each ordering's 2w + 2 rho
-from its neighbour's in integers, with no cut and no Weyl vector computed
-anew. The dual side's point for an ordering is the module side's point for
-the reversed ordering, so the sweep evaluates one row list per ordering,
-counts the pairs as a product, and walks only the pairs with a row off the
-node. The one-sided sweep ("glm2n") checks, for every decreasing Borel of
-the half-parameter family, that the selected affine map sends every Borel
-highest weight to a point spectrally equal to the standard node, and that on
-generic weights it reaches the node as a vector. Both sweeps read their
-values from one table that evaluates each distinct point once; each sweep
-keys its points in one form of its own, the pair sweep over 2 as its walk
-makes them and the one-sided sweep in lowest terms. Points and rows are
-integer forms (den, nums), rows in lowest terms; only the failure records
-are made of Fractions.
+takes the same value as at the standard node. Orderings with one e/d pattern
+have points that differ only by a permutation inside each block, so the
+sweep computes one row list per pattern, from the cut and Weyl vector of the
+pattern's ordering with increasing indices, and every ordering reads its
+pattern's list. The dual side's point for an ordering is the module side's
+point for the reversed ordering, so it reads the reversed pattern's list.
+The sweep counts the pairs as a product and walks only the pairs with a row
+off the node, until the report is full; the failures past that are counted
+from the patterns. The one-sided sweep ("glm2n") checks, for every
+decreasing Borel of the half-parameter family, that the selected affine map
+sends every Borel highest weight to a point spectrally equal to the standard
+node, and that on generic weights it reaches the node as a vector. Both
+sweeps read their values from one table that evaluates each distinct point
+once; each sweep keys its points in one form of its own, the pair sweep over
+2 and the one-sided sweep in lowest terms. Points and rows are integer forms
+(den, nums), rows in lowest terms; only the failure records are made of
+Fractions.
 
 A report is data (`SweepReport.to_json_dict`), deterministic apart from its
 elapsed_ms field, and keeps at most MAX_FAILURES failure records.
@@ -26,10 +28,12 @@ elapsed_ms field, and keeps at most MAX_FAILURES failure records.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from fractions import Fraction
 
-from .borel import BorelDescriptor, all_sequences, format_symbol
+from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
 from .exact_linalg import (
     Frozen,
     as_integer,
@@ -46,7 +50,7 @@ from .partitions import (
     part,
 )
 from .tau import MAP_FAMILIES, family_map, in_family_domain
-from .weights import diag_walk, integer_cut
+from .weights import integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
 # The failure records a report keeps; the rest are only counted, so that a
@@ -260,35 +264,51 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
     mus, lams, nodes, row = _value_table(config, Fraction(1))
-    sequences = list(all_sequences(m, n))
-    report = SweepReport(config, cases=len(sequences) ** 2 * len(lams) * len(mus))
-    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda,
-    # from the walk that steps each ordering's 2w + 2 rho from its
-    # neighbour's. The dual's w* and rho for seq are minus the module's for
-    # seq reversed, so the first factor's rows for seq1 are the second's for
-    # seq1[::-1]. Points and nodes are keyed in the walk's form (2, 2w + 2 rho).
+    orderings = math.factorial(m + n)
+    report = SweepReport(config, cases=orderings**2 * len(lams) * len(mus))
+    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.
+    # A symbol's coordinate of w + rho depends only on its family and on how
+    # many e's and d's come before it, so the orderings of one e/d pattern
+    # have points that differ by a permutation inside each block, where every
+    # P_mu takes one value: each pattern's rows are computed once, at its
+    # ordering whose families' indices increase. The dual's w* and rho for
+    # seq are minus the module's for seq reversed, so the first factor's rows
+    # for seq1 are the second's for seq1[::-1]. Points and nodes are keyed as
+    # (2, 2w + 2 rho); the nodes come from their closed form, so a broken
+    # standard pattern is caught.
     node_rows = [row((2, tuple(2 * v // den for v in nums))) for den, nums in nodes]
-    rows = {
-        seq: [row((2, twice)) for twice in points]
-        for seq, points in diag_walk(lams, m, n)
-    }
+    by_pattern = {}
+    for e_slots in itertools.combinations(range(m + n), m):
+        pattern = tuple("e" if p in e_slots else "d" for p in range(m + n))
+        index = {"e": itertools.count(1), "d": itertools.count(1)}
+        seq = tuple((kind, next(index[kind])) for kind in pattern)
+        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq)]
+        twice = [
+            tuple(2 * c + r for c, r in zip(integer_cut(seq, lam, m, n), rho2))
+            for lam in lams
+        ]
+        by_pattern[pattern] = [row((2, point)) for point in twice]
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node, and no pair can fail
-    # when no ordering's rows are.
-    off_node = [seq for seq in sequences if rows[seq] != node_rows]
-    if not off_node:
+    # when no pattern's rows are.
+    if all(pattern_rows == node_rows for pattern_rows in by_pattern.values()):
         return report
-    for seq1 in sequences:
-        rows1 = rows[seq1[::-1]]
-        for seq2 in sequences if rows1 != node_rows else off_node:
-            for lam, node_row, row1, row2 in zip(lams, node_rows, rows1, rows[seq2]):
-                if row1 == node_row == row2:
-                    continue
-                values = zip(mus, *(_fractions(*r) for r in (node_row, row1, row2)))
-                for mu, value, first, second in values:
-                    if first != value or second != value:
-                        report.fail(
-                            {
+    sequences = list(all_sequences(m, n))
+    rows = {seq: by_pattern[tuple(kind for kind, _ in seq)] for seq in sequences}
+    off_node = [seq for seq in sequences if rows[seq] != node_rows]
+
+    def failures():
+        for seq1 in sequences:
+            rows1 = rows[seq1[::-1]]
+            for seq2 in sequences if rows1 != node_rows else off_node:
+                cases = zip(lams, node_rows, rows1, rows[seq2])
+                for lam, node_row, row1, row2 in cases:
+                    if row1 == node_row == row2:
+                        continue
+                    values = zip(mus, *(_fractions(*r) for r in (node_row, row1, row2)))
+                    for mu, value, first, second in values:
+                        if first != value or second != value:
+                            yield {
                                 "kind": "pair_eigenvalue",
                                 "seq1": ",".join(map(format_symbol, seq1)),
                                 "seq2": ",".join(map(format_symbol, seq2)),
@@ -298,5 +318,21 @@ def _run_diag(config: SweepConfig) -> SweepReport:
                                 "second": format_rational(second),
                                 "node": format_rational(value),
                             }
-                        )
+
+    for record in itertools.islice(failures(), MAX_FAILURES):
+        report.fail(record)
+    if len(report.failures) < MAX_FAILURES:
+        return report
+    # Past the cap the failures are only counted, from the patterns. Each of
+    # the P patterns holds m! n! orderings and reversal permutes them, so a
+    # (lambda, mu) whose value k patterns leave fails on
+    # (m! n!)^2 (P^2 - (P - k)^2) pairs.
+    patterns, ways = len(by_pattern), (orderings // len(by_pattern)) ** 2
+    failed = 0
+    for i, node_row in enumerate(node_rows):
+        columns = zip(*(_fractions(*r[i]) for r in by_pattern.values()))
+        for value, column in zip(_fractions(*node_row), columns):
+            k = sum(v != value for v in column)
+            failed += ways * (patterns**2 - (patterns - k) ** 2)
+    report.failures_dropped = failed - MAX_FAILURES
     return report

@@ -5,11 +5,8 @@ weight is a flat tuple of integers, the e-block then the d-block."""
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
-from .borel import BorelDescriptor, Sequence, standard_sequence, validate_sequence
-from .partitions import double_partition, node_point, part, require_hook
+from .borel import BorelDescriptor, Sequence, validate_sequence
+from .partitions import double_partition, part, require_hook
 
 
 def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
@@ -46,59 +43,6 @@ def integer_cut(seq: Sequence, lam: tuple[int, ...], m: int, n: int) -> list[int
             cut[m + index - 1] = sum(1 for p in lam[rows:] if p > cols)
             cols += 1
     return cut
-
-
-def _plain_changes(size: int):
-    """The positions p of the adjacent swaps (p, p + 1) that walk every
-    ordering of size items once, in plain changes (Knuth, TAOCP 4A, 7.2.1.2):
-    the last item sweeps down and up through the others, and between two
-    sweeps the others take their own next plain change."""
-    down = range(size - 2, -1, -1)
-    inner = _plain_changes(size - 1) if size > 2 else iter(())
-    for k in itertools.count():
-        yield from reversed(down) if k % 2 else down
-        p = next(inner, None)
-        if p is None:
-            return
-        yield p + (k % 2 == 0)
-
-
-def diag_walk(lams, m: int, n: int):
-    """Yield every ordering of the m e- and n d-symbols, each one adjacent
-    swap from the last (`_plain_changes` from the standard ordering), with
-    the list of its 2w + 2 rho per (m|n)-hook lam, unchecked: twice the
-    `integer_cut` plus twice the `weyl_vector`, as integer tuples. At the
-    standard ordering w + rho is the theta = 1 node (`node_point`). A
-    same-family swap trades the two coordinates. A mixed swap at p, with
-    r e's before p and c = p - r, moves the e-coordinate by +2 and the
-    d-coordinate by -2 when (e, d) becomes (d, e), and the other way round
-    when (d, e) becomes (e, d), unless box (r + 1, c + 1) is in lam: then it
-    changes nothing."""
-    seq = list(standard_sequence(m, n))
-    slot = {symbol: i for i, symbol in enumerate(seq)}
-    nodes = (node_point(lam, m, n, Fraction(1)) for lam in lams)
-    points = [[2 * v // den for v in nums] for den, nums in nodes]
-    # the points of the shapes without box (r + 1, c + 1)
-    outside = [
-        [[pt for lam, pt in zip(lams, points) if part(lam, r + 1) <= c]
-         for c in range(n)]
-        for r in range(m)
-    ]
-    yield tuple(seq), list(map(tuple, points))
-    for p in _plain_changes(m + n):
-        a, b = seq[p], seq[p + 1]
-        seq[p], seq[p + 1] = b, a
-        i, k = slot[a], slot[b]
-        if a[0] == b[0]:
-            for pt in points:
-                pt[i], pt[k] = pt[k], pt[i]
-        else:
-            r = sum(kind == "e" for kind, _ in seq[:p])
-            step, e, d = (2, i, k) if a[0] == "e" else (-2, k, i)
-            for pt in outside[r][p - r]:
-                pt[e] += step
-                pt[d] -= step
-        yield tuple(seq), list(map(tuple, points))
 
 
 # -- the (m|2n) family: duals of doubled hook modules ----------------------------

@@ -136,6 +136,17 @@ def coeff(w, symbol, m: int) -> Fraction:
     return w[index - 1] if kind == "e" else w[m + index - 1]
 
 
+def pattern_representative(seq) -> tuple:
+    """The ordering with seq's e/d pattern whose families' indices both
+    increase: d, e, e, d gives d1, e1, e2, d2."""
+    seen = {"e": 0, "d": 0}
+    representative = []
+    for kind, _ in seq:
+        seen[kind] += 1
+        representative.append((kind, seen[kind]))
+    return tuple(representative)
+
+
 def root(borel: BorelDescriptor, i: int, k: int) -> tuple:
     """The mixed root d_k - e_i."""
     m, num_delta = borel.m, borel.num_delta

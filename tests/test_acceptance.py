@@ -13,8 +13,19 @@ from capelli.borel import BorelDescriptor, standard_sequence, weyl_vector
 from capelli.cli import gl22_table, gl22_uniqueness
 from capelli.equivalence import orbit
 from capelli.exact_linalg import integer_form
-from capelli.isjp import characteristic_value, eigenvalue, interpolation_polynomial
-from capelli.partitions import enumerate_hooks, frobenius_coords, size, transpose
+from capelli.isjp import (
+    characteristic_value,
+    eigenvalue,
+    evaluator,
+    interpolation_polynomial,
+)
+from capelli.partitions import (
+    enumerate_hooks,
+    frobenius_coords,
+    node_point,
+    size,
+    transpose,
+)
 from capelli.tau import family_map
 from capelli.verify import SweepConfig, run_sweep
 from capelli.weights import diag_highest_weight, highest_weight
@@ -193,6 +204,36 @@ class TestIndependentOracles:
                         standard_tableaux(lam),
                     )
                 assert eigenvalue(mu, lam, m, n, 1) == expected, (mu, lam)
+
+    def test_node_values_do_not_depend_on_the_rank(self):
+        # The super interpolation polynomials are images of Okounkov's
+        # shifted Jack polynomials (Sergeev-Veselov, Comm. Math. Phys. 245,
+        # 2004), so a node value is the pure even rank's:
+        # eigenvalue(mu, lam, m, n, theta) == eigenvalue(mu, lam, 6, 0, theta)
+        # for every pair of hooks with |mu| <= |lam| <= 6. Control: with
+        # 1/theta on the (6, 0) side the values differ unless theta = 1.
+        def node_values(m, n, theta):
+            hooks = enumerate_hooks(m, n, 6)
+            values_at = evaluator(m, n, theta, hooks)
+            table = {}
+            for lam in hooks:
+                den, nums = values_at(*node_point(lam, m, n, theta))
+                for mu, value in zip(hooks, nums):
+                    if size(mu) <= size(lam):
+                        table[mu, lam] = Fraction(value, den)
+            return table
+
+        pairs = 0
+        for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3)):
+            even, inverted = node_values(6, 0, theta), node_values(6, 0, 1 / theta)
+            differ = 0
+            for m, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+                for pair, value in node_values(m, n, theta).items():
+                    assert value == even[pair], (m, n, theta, pair)
+                    differ += value != inverted[pair]
+                    pairs += 1
+            assert differ == (0 if theta == 1 else 400), theta
+        assert pairs == 4 * 1873
 
     @pytest.mark.parametrize(
         "theta", [Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(2, 3)]

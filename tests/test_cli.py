@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,31 @@ class TestExample:
         assert code == 0
         data = json.loads(out_file.read_text())
         assert data["all_match"] is True
+
+
+def readme_commands() -> list[list[str]]:
+    """The `capelli ...` lines of the README's "Command line" sh block, with
+    their backslash continuations joined, as argument lists."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("capelli ")]
+
+
+def test_the_readme_command_block_runs(monkeypatch, tmp_path, capsys):
+    # Every command the README shows exits 0, so its examples cannot drift
+    # from the CLI, and its two eig lines, which must agree, print one value.
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    eigenvalues = []
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv[0] == "eig":
+            eigenvalues.append(json.loads(out)["eigenvalue"])
+    assert len(eigenvalues) == 2 and eigenvalues[0] == eigenvalues[1]
 
 
 def _choices(subcommand, flag):

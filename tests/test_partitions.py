@@ -88,6 +88,15 @@ def test_enumerate_hooks_counts():
     assert len(enumerate_hooks(3, 3, 3)) == 7  # every partition of size <= 3 fits
 
 
+def test_enumerate_hooks_rejects_a_negative_bound():
+    # there is no partition of negative size, not even the empty one
+    for bound in (-1, -3):
+        message = f"size bound must be nonnegative, got {bound}"
+        with pytest.raises(ValueError, match=message):
+            enumerate_hooks(1, 1, bound)
+    assert enumerate_hooks(1, 1, 0) == [()]
+
+
 def test_enumerate_hooks_graded():
     hooks = enumerate_hooks(2, 2, 5)
     sizes = [size(lam) for lam in hooks]

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,13 @@ from capelli.partitions import (
 from capelli.tau import AffineMap, family_map, in_family_domain
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
 from capelli.verify import SweepConfig, SweepReport, run_sweep
-from reference import affine_map, evaluate, vec_add, vec_neg
+from reference import (
+    affine_map,
+    evaluate,
+    pattern_representative,
+    vec_add,
+    vec_neg,
+)
 
 
 def count_evaluator_calls(monkeypatch):
@@ -52,37 +59,29 @@ def count_evaluator_calls(monkeypatch):
 
 
 def break_diagram_cut(monkeypatch, broken, step: int, lam=None):
-    """Offset the diagram cut of the ordering broken by step in every
-    coordinate, under every name it is read by: the glm2n sweep's integer
-    cut, the one inside `diagram_cut`, and the pair sweep's walk, whose
-    2w + 2 rho for broken moves by 2 step. Both sweeps read every highest
-    weight through this one rule. In the pair sweep both diag factors do:
-    the module's for broken, and the dual's for its reverse. In the glm2n
-    sweep a Borel's weights are minus the cuts of its reversed ordering, so
-    breaking that ordering breaks that Borel alone. Given lam, only the cut
-    of that shape is broken (the glm2n sweep cuts the doubled shape)."""
-    broken = tuple(broken)
-    cut, walk = weights.integer_cut, weights.diag_walk
-
-    def hit(seq, shape) -> bool:
-        return seq == broken and (lam is None or tuple(shape) == tuple(lam))
+    """Offset the diagram cut by step in every coordinate for every ordering
+    with the e/d pattern of broken, under every name it is read by: the
+    sweeps' integer cut and the one inside `diagram_cut`. Both sweeps read
+    every highest weight through this one rule. The pair sweep cuts one
+    ordering per pattern and reads it for every ordering of that pattern, so
+    both diag factors break: the module's for the pattern, and the dual's
+    for its reverse. The glm2n sweep also cuts one ordering per pattern, a
+    Borel's reversed ordering, so breaking it breaks that Borel alone. Given
+    lam, only the cut of that shape is broken (the glm2n sweep cuts the
+    doubled shape)."""
+    pattern = [kind for kind, _ in broken]
+    cut = weights.integer_cut
 
     def broken_cut(seq, shape, m, n):
         seq = tuple(seq)
         w = cut(seq, shape, m, n)
-        return [v + step for v in w] if hit(seq, shape) else w
-
-    def broken_walk(lams, m, n):
-        for seq, points in walk(lams, m, n):
-            points = [
-                tuple(v + 2 * step for v in p) if hit(seq, shape) else p
-                for shape, p in zip(lams, points)
-            ]
-            yield seq, points
+        hit = [kind for kind, _ in seq] == pattern
+        if hit and (lam is None or tuple(shape) == tuple(lam)):
+            return [v + step for v in w]
+        return w
 
     for module in (weights, verify):
         monkeypatch.setattr(module, "integer_cut", broken_cut)
-        monkeypatch.setattr(module, "diag_walk", broken_walk)
 
 
 def per_case_pair_failures(m: int, n: int, lambda_max: int, mu_max: int) -> list:
@@ -524,17 +523,18 @@ class TestPairSweep:
         assert report.cases == len(orderings) ** 2 * len(lams) * len(mus)
 
     @pytest.mark.parametrize("end", [0, -1])
-    def test_forced_failures_at_the_walk_ends_match_a_per_case_loop(
+    def test_forced_failures_at_the_pattern_ends_match_a_per_case_loop(
         self, monkeypatch, end
     ):
-        # The walk starts from the standard ordering's closed form and steps
-        # to its last ordering: a broken cut at either end is caught as in
-        # the middle.
+        # The first ordering has the standard e/d pattern, whose rows are
+        # also the nodes', and the last the all-d-first one: a broken cut of
+        # either pattern is caught as in the middle, since the node rows come
+        # from the closed form, not from the standard pattern's cut.
         m, n = 2, 1
-        walk = [seq for seq, _ in weights.diag_walk(enumerate_hooks(m, n, 2), m, n)]
-        assert walk[0] == standard_sequence(m, n)
-        assert walk[-1] == (("e", 2), ("e", 1), ("d", 1))
-        break_diagram_cut(monkeypatch, walk[end], 1)
+        orderings = list(itertools.permutations(standard_sequence(m, n)))
+        assert pattern_representative(orderings[0]) == standard_sequence(m, n)
+        assert pattern_representative(orderings[-1]) == (("d", 1), ("e", 1), ("e", 2))
+        break_diagram_cut(monkeypatch, orderings[end], 1)
         report = run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2))
         expected = per_case_pair_failures(m, n, 2, 2)
         assert expected
@@ -554,57 +554,61 @@ class TestPairSweep:
         assert report.failures == per_case_pair_failures(m, n, 2, 2)
 
     def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
-        # At (2, 2) many orderings share a point: the walk's keys over 2 must
-        # still meet once per distinct point, and the nodes among them.
+        # Every ordering reads its e/d pattern's rows, so the sweep evaluates
+        # exactly the patterns' points, at each pattern's representative, and
+        # the nodes, each once: 16 points at (2, 2).
         theta = Fraction(1)
         calls, rows = count_evaluator_calls(monkeypatch)
-        for m, n in ((2, 1), (2, 2)):
+        for (m, n), count in ((2, 1), 8), ((2, 2), 16):
             lams = enumerate_hooks(m, n, 2)
             mus = enumerate_hooks(m, n, 2)
-            orderings = list(itertools.permutations(standard_sequence(m, n)))
+            orderings = itertools.permutations(standard_sequence(m, n))
+            representatives = {pattern_representative(seq) for seq in orderings}
+            assert len(representatives) == math.comb(m + n, m)
             points = {frobenius_coords(lam, m, n, theta) for lam in lams}
-            for seq in orderings:
+            for seq in representatives:
+                rho = weyl_vector(seq)
                 for lam in lams:
-                    rho = weyl_vector(seq)
-                    w1 = diag_highest_weight(seq, lam, m, n, dual=True)
-                    w2 = diag_highest_weight(seq, lam, m, n, dual=False)
-                    points.add(vec_neg(vec_add(w1, rho)))
-                    points.add(vec_add(w2, rho))
+                    w = diag_highest_weight(seq, lam, m, n, dual=False)
+                    points.add(vec_add(w, rho))
             calls.clear()
             rows.clear()
             cfg = SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)
             assert run_sweep(cfg).ok
-            assert len(points) < 2 * len(orderings) * len(lams)
-            assert len(calls) == len(points)
+            assert len(calls) == len(points) == count
             assert set(calls) == points
             assert all(len(row) == len(mus) for row in rows)
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
-        # One walk yields every ordering once, each ordering's 2w + 2 rho
-        # stepped from its neighbour's: the sweep cuts no ordering and makes
-        # no Weyl vector.
-        calls, walked = [], []
+        # Every ordering of one e/d pattern reads that pattern's rows, so the
+        # sweep cuts each pattern once per shape and makes one Weyl vector
+        # per pattern, both at the pattern's representative.
+        calls = []
 
-        def counted(name):
-            return lambda *args: calls.append(name)
+        def counted(function):
+            def count(*args):
+                calls.append((function.__name__, args))
+                return function(*args)
 
-        def recorded_walk(*args):
-            for seq, points in weights.diag_walk(*args):
-                walked.append(seq)
-                yield seq, points
+            return count
 
+        cut = counted(weights.integer_cut)
         for module in (weights, verify):
-            monkeypatch.setattr(module, "integer_cut", counted("integer_cut"))
-        for module in (borel_module, verify):
-            monkeypatch.setattr(
-                module, "weyl_vector", counted("weyl_vector"), raising=False
-            )
-        monkeypatch.setattr(verify, "diag_walk", recorded_walk)
-        m, n = 2, 1
-        orderings = list(itertools.permutations(standard_sequence(m, n)))
+            monkeypatch.setattr(module, "integer_cut", cut)
+        monkeypatch.setattr(verify, "weyl_vector", counted(weyl_vector))
+        m, n = 2, 2
+        lams = enumerate_hooks(m, n, 2)
+        orderings = itertools.permutations(standard_sequence(m, n))
+        representatives = sorted({pattern_representative(seq) for seq in orderings})
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
-        assert calls == []
-        assert sorted(walked) == sorted(orderings)
+        assert sorted(calls) == sorted(
+            [("weyl_vector", (seq,)) for seq in representatives]
+            + [
+                ("integer_cut", (seq, lam, m, n))
+                for seq in representatives
+                for lam in lams
+            ]
+        )
 
     def test_six_symbol_sweep_is_clean(self):
         report = run_sweep(SweepConfig(pair="diag", m=3, n=3, lambda_max=3, mu_max=3))
@@ -690,6 +694,44 @@ class TestReportSerialization:
         assert capped.cases == full.cases
         assert not capped.ok
         assert f"{total} FAILURES" in capped.summary()
+
+    @pytest.mark.parametrize(
+        "broken, lam",
+        [
+            (standard_sequence(2, 2), None),
+            ((("e", 2), ("d", 1), ("e", 1), ("d", 2)), (1,)),
+        ],
+        ids=["standard", "mixed-one-shape"],
+    )
+    def test_pair_failures_past_the_cap_are_counted_from_the_patterns(
+        self, monkeypatch, broken, lam
+    ):
+        # Once the report is full the pair sweep stops walking pairs and
+        # counts the rest from its e/d patterns; the count is the walk's.
+        break_diagram_cut(monkeypatch, broken, 1, lam=lam)
+        cfg = SweepConfig(pair="diag", m=2, n=2, lambda_max=2, mu_max=2)
+        full = run_sweep(cfg)
+        assert len(full.failures) > 5 and full.failures_dropped == 0
+        monkeypatch.setattr(verify, "MAX_FAILURES", 5)
+        capped = run_sweep(cfg)
+        assert capped.failures == full.failures[:5]
+        assert len(capped.failures) + capped.failures_dropped == len(full.failures)
+
+    def test_a_broken_pair_sweep_stops_recording_at_the_cap(self, monkeypatch):
+        # A badly broken six-symbol sweep has two million failing cases; it
+        # records the first MAX_FAILURES and builds no record past them.
+        recorded = []
+        fail = SweepReport.fail
+
+        def counted(report, record):
+            recorded.append(record)
+            fail(report, record)
+
+        monkeypatch.setattr(SweepReport, "fail", counted)
+        break_diagram_cut(monkeypatch, standard_sequence(3, 3), 1)
+        report = run_sweep(SweepConfig(pair="diag", m=3, n=3, lambda_max=3, mu_max=3))
+        assert len(recorded) == len(report.failures) == verify.MAX_FAILURES
+        assert report.failures_dropped == 2_062_304
 
     def test_summary_mentions_verdict(self):
         cfg = SweepConfig(pair="diag", m=1, n=1, lambda_max=1, mu_max=1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,12 @@ from capelli.borel import (
     standard_sequence,
     weyl_vector,
 )
+from capelli.isjp import evaluator
 from capelli.partitions import double_partition, enumerate_hooks, part
 from capelli.weights import (
     diag_highest_weight,
-    diag_walk,
     diagram_cut,
     highest_weight,
-    integer_cut,
     is_generic,
 )
 from reference import (
@@ -28,6 +28,7 @@ from reference import (
     nongeneric_index,
     odd_reflection_step,
     opposite_sequence,
+    pattern_representative,
     reflection_walk,
     truncated_root_sum,
     unit_weight,
@@ -167,24 +168,31 @@ def test_diagram_cut_follows_adjacent_swaps():
     assert swaps == 7798
 
 
-def test_diag_walk_steps_every_ordering_from_its_neighbour():
-    # plain changes visit each ordering once, one adjacent swap apart, and
-    # the stepped 2w + 2 rho is the one cut and Weyl vector computed anew
+def test_orderings_of_one_pattern_have_their_representatives_points():
+    # A symbol's coordinate of w + rho depends only on its family and on the
+    # e's and d's before it, so position by position every ordering's
+    # 2w + 2 rho is its e/d pattern representative's: the pair sweep reads
+    # each ordering's values at its representative.
+    def twice_shifted(seq, lam, m, n):
+        w = diag_highest_weight(seq, lam, m, n, dual=False)
+        return [int(2 * (a + b)) for a, b in zip(w, weyl_vector(seq))]
+
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]:
         hooks = enumerate_hooks(m, n, 4)
-        walk = list(diag_walk(hooks, m, n))
-        orderings = [seq for seq, _ in walk]
-        assert sorted(orderings) == sorted(all_sequences(m, n))
-        for before, after in zip(orderings, orderings[1:]):
-            moved = [p for p in range(m + n) if before[p] != after[p]]
-            assert len(moved) == 2 and moved[1] == moved[0] + 1
-            assert _swap(before, moved[0]) == after
-        for seq, points in walk:
-            rho = weyl_vector(seq)
-            assert points == [
-                tuple(2 * a + 2 * b for a, b in zip(integer_cut(seq, lam, m, n), rho))
-                for lam in hooks
-            ], (seq, m, n)
+        values_at = evaluator(m, n, Fraction(1), hooks) if (m, n) == (2, 2) else None
+        points = {}
+        for seq in all_sequences(m, n):
+            rep = pattern_representative(seq)
+            for lam in hooks:
+                if (rep, lam) not in points:
+                    points[rep, lam] = twice_shifted(rep, lam, m, n)
+                point = twice_shifted(seq, lam, m, n)
+                assert [coeff(point, s, m) for s in seq] == [
+                    coeff(points[rep, lam], s, m) for s in rep
+                ], (seq, lam)
+                if values_at:
+                    assert values_at(2, point) == values_at(2, points[rep, lam])
+        assert len(points) == math.comb(m + n, m) * len(hooks)
 
 
 def test_diagram_cut_matches_decreasing_borel_closed_form():
