@@ -71,7 +71,7 @@ class BorelDescriptor(Frozen):
     __slots__ = ("m", "n", "ell")
 
     def __init__(self, m: int, n: int, ell):
-        require_rank(m, n)
+        m, n = require_rank(m, n)
         ell = tuple(as_integer(v, "ell entry") for v in ell)
         if len(ell) != m:
             raise ValueError(f"ell must have length m={m}")

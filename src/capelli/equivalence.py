@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .exact_linalg import Frozen, Vector, as_rational, format_vector
+from .exact_linalg import Frozen, Vector, as_integer, as_rational, format_vector
 from .partitions import require_rank, require_theta
 
 DEFAULT_BUDGET = 10**4
@@ -30,6 +30,7 @@ def monoidal_moves(point, m: int, n: int, theta) -> list[Vector]:
     shifts -e_i + e_{m+j} (resp. +e_i - e_{m+j}) available when x_i +
     theta*y_j equals (1-theta)/2 (resp. its negative)."""
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     point = require_point(point, m, n)
     level = (1 - theta) / 2
     out = set()
@@ -75,6 +76,7 @@ def infinite_witness(point, m: int, n: int, theta) -> tuple[int, int, int] | Non
     a point has an infinite orbit. Returns None when theta != 1/2 or no
     triple fires."""
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     point = require_point(point, m, n)
     if theta != HALF:
         return None
@@ -114,7 +116,9 @@ class OrbitResult(Frozen):
 
 
 def require_budget(budget: int) -> int:
-    """budget, raising ValueError unless it is nonnegative."""
+    """budget as an int, raising ValueError unless it is a nonnegative
+    integer."""
+    budget = as_integer(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     return budget
@@ -126,6 +130,7 @@ def orbit(point, m: int, n: int, theta, budget: int = DEFAULT_BUDGET) -> OrbitRe
     than `budget` distinct points appear."""
     budget = require_budget(budget)
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     start = require_point(point, m, n)
     seen = {start}
     if len(seen) > budget:
@@ -166,6 +171,7 @@ def closure_member(u, v, m: int, n: int, theta) -> bool:
     theta = require_theta(theta)
     if theta != HALF:
         raise ValueError("closure criterion requires theta = 1/2")
+    m, n = require_rank(m, n)
     u = require_point(u, m, n)
     v = require_point(v, m, n)
     for i, i0, j in _witness_triples(u, m, n):

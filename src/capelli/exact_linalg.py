@@ -65,8 +65,12 @@ def as_rational(value, what: str) -> Rational:
 
 
 def as_integer(value, what: str) -> int:
-    """value as an int, raising ValueError naming it unless it is whole."""
-    whole = int(value)
+    """value as an int, raising ValueError naming it unless it is whole; an
+    infinity or a NaN is not."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} {value!r} is not an integer") from None
     if whole != value:
         raise ValueError(f"{what} {value!r} is not an integer")
     return whole

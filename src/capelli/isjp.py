@@ -9,6 +9,9 @@ degree < d. So each size is built on the smaller ones (Newton
 interpolation, as in the binomial formula): each top product p_nu, |nu| = d,
 less its interpolant on the smaller nodes vanishes on them, and one small
 solve at the nodes of size d combines these residuals, kept as coordinates.
+All of it runs on small integers over one denominator per vector: a Newton
+step is one integer combination, and the solve's columns are divided by
+their gcds.
 
 A polynomial is kept as its coordinates over the products Q_nu of the power
 sums scaled to integer coefficients, Q_r = E_r p_r, ordered as
@@ -22,6 +25,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from types import SimpleNamespace
 
 from .exact_linalg import integer_form, lowest_terms, solve_linear
@@ -31,6 +35,7 @@ from .partitions import (
     enumerate_partitions,
     node_point,
     require_hook,
+    require_rank,
     require_theta,
     size,
     validate_partition,
@@ -103,6 +108,7 @@ def evaluator(m: int, n: int, theta, shapes):
     lowest terms. A call takes every product once, and each value as one
     integer dot product with the polynomial's coordinates over one den."""
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     shapes = [require_hook(lam, m, n) for lam in shapes]
     entry = _polynomials_of_size(m, n, theta, max(map(size, shapes), default=0))
     forms = [_polynomials_of_size(m, n, theta, size(lam)).coords[lam] for lam in shapes]
@@ -120,25 +126,6 @@ def evaluator(m: int, n: int, theta, shapes):
     return values_at
 
 
-def _combination(terms) -> tuple[int, tuple[int, ...]]:
-    """The sum of c * nums / den over the terms (c, den, nums), as (den, nums)
-    in lowest terms; a shorter nums is padded with 0.
-
-    Examples
-    ========
-
-    >>> _combination([(1, 2, (1, 1)), (-1, 3, (0, 1, 3)), (0, 5, (7,))])
-    (6, (3, 1, -6))
-    """
-    # Each coefficient in lowest terms first keeps the common denominator small.
-    terms = [(c, den, math.gcd(c, den), nums) for c, den, nums in terms if c]
-    common = math.lcm(*(den // g for _, den, g, _ in terms))
-    factors = [c // g * (common // (den // g)) for c, den, g, _ in terms]
-    width = max((len(nums) for *_, nums in terms), default=0)
-    columns = zip(*([*nums] + [0] * (width - len(nums)) for *_, nums in terms))
-    return lowest_terms(common, [sum(map(operator.mul, factors, c)) for c in columns])
-
-
 @lru_cache(maxsize=CACHED_SIZES)
 def _polynomials_of_size(m: int, n: int, theta, d: int):
     """The entry of size d: coords maps each hook of size d to its coordinates
@@ -154,8 +141,12 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
     the smaller products, and den on Q_nu. P_kappa vanishes at every other
     node of size <= |kappa| and is |kappa|! at its own, so subtracting
     r_nu(kappa) / s! P_kappa for each kappa of size s, for s = 0..d-1 in
-    turn, makes r_nu vanish on every smaller node. One solve at the nodes of
-    size d picks each shape's sum c_nu r_nu, its pivots from the left."""
+    turn, makes r_nu vanish on every smaller node. Each size s is one step:
+    its polynomials, with each node's bottom and s! folded in, are integer
+    columns over one denominator, and the step is r_nu's values at the
+    size-s nodes, one integer combination and one `lowest_terms`. One solve
+    at the nodes of size d, on columns divided by their gcds, picks each
+    shape's sum c_nu r_nu, its pivots from the left."""
     lower = [_polynomials_of_size(m, n, theta, s) for s in range(d)]
     shapes = enumerate_hooks(m, n, d)[sum(len(entry.coords) for entry in lower) :]
     products = list(enumerate_partitions(d, d))
@@ -181,43 +172,59 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         values = at[rho][1]
         return sum(map(operator.mul, low, values)) + den * values[first + j]
 
+    # Each smaller size's P_kappa / (bottom * s!) over one denominator, as
+    # rows: row i holds every kappa's i-th coordinate.
+    steps = []
+    for s, smaller in enumerate(lower):
+        scaled = [
+            lowest_terms(p * at[kappa][0] * math.factorial(s), nums)
+            for kappa, (p, nums) in smaller.coords.items()
+        ]
+        common = math.lcm(*(den for den, _ in scaled))
+        rows = zip(*([x * (common // den) for x in nums] for den, nums in scaled))
+        steps.append((list(smaller.coords), common, list(rows)))
     residuals = []
     for j in range(len(products) - first):
         den, low = 1, ()
-        for s, smaller in enumerate(lower):
-            scale = math.factorial(s)
-            den, low = _combination(
-                [(1, den, low)]
-                + [
-                    (-value(kappa, j, den, low), den * at[kappa][0] * scale * p, nums)
-                    for kappa, (p, nums) in smaller.coords.items()
-                ]
-            )
+        for kappas, common, rows in steps:
+            # r_nu - sum r_nu(kappa) / s! P_kappa, over den * common.
+            vs = [value(kappa, j, den, low) for kappa in kappas]
+            pairs = zip_longest(low, rows, fillvalue=0)
+            nums = [x * common - sum(map(operator.mul, vs, row)) for x, row in pairs]
+            den, low = lowest_terms(den * common, nums)
         residuals.append((den, low))
-    # One integer row per node in lowest terms, its right-hand side scaled with it.
-    common = math.lcm(*(den for den, _ in residuals))
+    # One integer row per node in lowest terms, r_nu(rho) * den_nu over the
+    # row's den, its right-hand side scaled with it. Column nu, divided by its
+    # gcd g_nu, solves for y_nu = g_nu * c_nu / den_nu.
     forms = [
-        lowest_terms(
-            common * at[rho][0],
-            [value(rho, j, *r) * (common // r[0]) for j, r in enumerate(residuals)],
-        )
+        lowest_terms(at[rho][0], [value(rho, j, *r) for j, r in enumerate(residuals)])
         for rho in shapes
     ]
+    gcds = [math.gcd(*column) or 1 for column in zip(*(row for _, row in forms))]
     rhs = [[0] * len(shapes) for _ in shapes]
     for i, (lam, (scale, _)) in enumerate(zip(shapes, forms)):
         rhs[i][i] = scale * characteristic_value(lam)
     try:
-        den, solutions = solve_linear([row for _, row in forms], rhs)
+        den, solutions = solve_linear(
+            [[x // g for x, g in zip(row, gcds)] for _, row in forms], rhs
+        )
     except ValueError as error:
         raise ValueError(
             f"power-sum products do not reach the hook count {len(entry.points)} "
             f"for (m,n,theta,degree)=({m},{n},{theta},{d}): {error}"
         ) from None
-    # P_lam = sum c_nu r_nu: c_nu on Q_nu itself, and the residuals below.
-    for lam, coefs in zip(shapes, solutions):
-        entry.coords[lam] = _combination(
-            [(1, den, [0] * first + list(coefs))]
-            + [(c, den * r, low) for c, (r, low) in zip(coefs, residuals)]
+    # P_lam = sum c_nu r_nu = sum (y_nu / g_nu) (den_nu Q_nu + low_nu): one
+    # integer combination over lcm(g) and the den of y in lowest terms, which
+    # is far smaller than the solve's.
+    common = math.lcm(*gcds)
+    lows = list(zip(*(low for _, low in residuals)))
+    for lam, solution in zip(shapes, solutions):
+        scale, ys = lowest_terms(den, solution)
+        factors = [y * (common // g) for y, g in zip(ys, gcds)]
+        entry.coords[lam] = lowest_terms(
+            scale * common,
+            [sum(map(operator.mul, factors, column)) for column in lows]
+            + [f * r for f, (r, _) in zip(factors, residuals)],
         )
     return entry
 
@@ -256,6 +263,7 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     hook partition of size <= |lam|.
     """
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     lam = require_hook(lam, m, n)
     entry = _polynomials_of_size(m, n, theta, size(lam))
     if lam not in entry.polys:
@@ -274,6 +282,7 @@ def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:
     of lam; the scalar through which the operator indexed by mu acts on the
     component indexed by lam."""
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     point = node_point(require_hook(lam, m, n), m, n, theta)
     den, (value,) = evaluator(m, n, theta, [mu])(*point)
     return Fraction(value, den)

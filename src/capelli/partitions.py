@@ -48,22 +48,25 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def require_rank(m: int, n: int):
-    """Raise ValueError unless both ranks are nonnegative integers."""
-    if as_integer(m, "m") < 0 or as_integer(n, "n") < 0:
+def require_rank(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as ints, raising ValueError unless both ranks are nonnegative
+    integers."""
+    m, n = as_integer(m, "m"), as_integer(n, "n")
+    if m < 0 or n < 0:
         raise ValueError(f"m and n must be nonnegative, got ({m}, {n})")
+    return m, n
 
 
 def is_hook(lam: Partition, m: int, n: int) -> bool:
     """True iff the diagram fits in the (m|n) fat hook: row m+1 has length <= n."""
-    require_rank(m, n)
+    m, n = require_rank(m, n)
     lam = validate_partition(lam)
     return part(lam, m + 1) <= n
 
 
 def require_hook(lam: Partition, m: int, n: int) -> Partition:
     """lam validated once, raising ValueError unless it fits the (m|n) hook."""
-    require_rank(m, n)
+    m, n = require_rank(m, n)
     lam = validate_partition(lam)
     if part(lam, m + 1) > n:
         raise ValueError(f"partition {lam} not in the ({m}|{n}) hook")
@@ -110,7 +113,7 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     >>> enumerate_hooks(1, 1, 3)
     [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,)]
     """
-    require_rank(m, n)
+    m, n = require_rank(m, n)
     max_size = as_integer(max_size, "size bound")
     if max_size < 0:
         raise ValueError(f"size bound must be nonnegative, got {max_size}")
@@ -165,6 +168,7 @@ def frobenius_coords(lam: Partition, m: int, n: int, theta) -> Vector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     theta = require_theta(theta)
+    m, n = require_rank(m, n)
     den, nums = node_point(require_hook(lam, m, n), m, n, theta)
     return tuple(Fraction(v, den) for v in nums)
 

@@ -6,7 +6,7 @@ weight is a flat tuple of integers, the e-block then the d-block."""
 from __future__ import annotations
 
 from .borel import BorelDescriptor, Sequence, validate_sequence
-from .partitions import double_partition, part, require_hook
+from .partitions import double_partition, part, require_hook, require_rank
 
 
 def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
@@ -24,6 +24,7 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
     >>> diagram_cut((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1)
     (2, 0, 3)
     """
+    m, n = require_rank(m, n)
     seq = validate_sequence(seq, m, n)
     return tuple(integer_cut(seq, require_hook(lam, m, n), m, n))
 

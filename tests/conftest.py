@@ -1,6 +1,6 @@
 import pytest
 
-from capelli import partitions
+from capelli import isjp, partitions
 from capelli.partitions import validate_partition
 
 
@@ -15,3 +15,12 @@ def validations(monkeypatch) -> list:
 
     monkeypatch.setattr(partitions, "validate_partition", counting)
     return calls
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty polynomial cache for the test, emptied again after it, so no
+    size built by one test serves another."""
+    isjp._polynomials_of_size.cache_clear()
+    yield
+    isjp._polynomials_of_size.cache_clear()

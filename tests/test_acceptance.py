@@ -87,11 +87,10 @@ class TestDefiningProperties:
                     assert evaluate(poly, nodes[mu]) == 0, (lam, mu, theta)
             assert satisfies_monoidal_symmetry(poly, theta, all_pairs=True)
 
-    def test_cold_build_to_size_eight(self):
+    def test_cold_build_to_size_eight(self, cold_cache):
         # The frontier: every (2|2) polynomial up to size 8 at theta = 1/2,
         # built from an empty cache and checked at the nodes.
         m, n, theta = 2, 2, HALF
-        isjp._polynomials_of_size.cache_clear()
         shapes = enumerate_hooks(m, n, 8)
         nodes = {mu: frobenius_coords(mu, m, n, theta) for mu in shapes}
         for lam in shapes:
@@ -102,12 +101,11 @@ class TestDefiningProperties:
                 if mu != lam and size(mu) <= size(lam):
                     assert evaluate(poly, nodes[mu]) == 0, (lam, mu)
 
-    def test_cold_build_to_size_ten(self):
+    def test_cold_build_to_size_ten(self, cold_cache):
         # The frontier without monomials: every (2|2) polynomial up to size 10
         # at theta = 1/2, built from an empty cache and checked at every node
         # through the library's evaluator.
         m, n, theta = 2, 2, HALF
-        isjp._polynomials_of_size.cache_clear()
         shapes = enumerate_hooks(m, n, 10)
         values_at = isjp.evaluator(m, n, theta, shapes)
         for mu in shapes:

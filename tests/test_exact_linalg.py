@@ -6,16 +6,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capelli.borel import BorelDescriptor, validate_sequence
-from capelli.equivalence import require_point
+from capelli.equivalence import (
+    closure_member,
+    infinite_witness,
+    monoidal_moves,
+    orbit,
+    require_point,
+)
 from capelli.exact_linalg import (
     format_rational,
     integer_form,
     parse_rational,
     solve_linear,
 )
-from capelli.isjp import interpolation_polynomial
-from capelli.partitions import require_theta, validate_partition
+from capelli.isjp import eigenvalue, evaluator, interpolation_polynomial
+from capelli.partitions import (
+    enumerate_hooks,
+    frobenius_coords,
+    is_hook,
+    require_theta,
+    validate_partition,
+)
 from capelli.sympoly import SparsePolynomial
+from capelli.weights import diagram_cut
 from reference import _reduce, matvec, nullspace_basis, rational_matrix, width
 
 
@@ -31,8 +44,8 @@ def test_parse_rational():
         parse_rational("x")
 
 
-# Each input that int() or Fraction() would round or convert silently, and
-# the start of the error naming it.
+# Each input that int() or Fraction() would round or convert silently, or
+# reject without naming it, and the start of the error naming it.
 INEXACT = {
     "part": (lambda: validate_partition((2.5, 1)), "part 2.5 "),
     "fraction part": (
@@ -62,6 +75,13 @@ INEXACT = {
         lambda: require_point((Fraction(1, 2), 0.25), 1, 1),
         "coordinate 0.25 ",
     ),
+    "infinite bound": (lambda: enumerate_hooks(1, 1, float("inf")), "size bound inf "),
+    "NaN bound": (lambda: enumerate_hooks(1, 1, float("nan")), "size bound nan "),
+    "budget": (lambda: orbit((0, 0), 1, 1, Fraction(1, 2), budget=2.5), "budget 2.5 "),
+    "budget text": (
+        lambda: orbit((0, 0), 1, 1, Fraction(1, 2), budget="5"),
+        "budget '5' ",
+    ),
 }
 
 
@@ -73,6 +93,43 @@ def test_no_float_reaches_the_exact_arithmetic(call, message):
         call()
     assert validate_partition((2.0, Fraction(1))) == (2, 1)
     assert require_theta("0.5") == Fraction(1, 2)
+
+
+# Each entry point that goes on to use the rank, called at rank (m, n).
+RANK_USERS = {
+    "interpolation_polynomial": lambda m, n: interpolation_polynomial(
+        m, n, Fraction(1, 2), (1,)
+    ),
+    "eigenvalue": lambda m, n: eigenvalue((1,), (2,), m, n, Fraction(1, 2)),
+    "frobenius_coords": lambda m, n: frobenius_coords((1,), m, n, Fraction(1, 2)),
+    "evaluator": lambda m, n: evaluator(m, n, Fraction(1, 2), [(1,)])(2, (1, 0, 3)),
+    "BorelDescriptor": lambda m, n: BorelDescriptor(m, n, (1, 1)).sequence(),
+    "orbit": lambda m, n: orbit((Fraction(1, 2), 0, 1), m, n, Fraction(1, 2)),
+    "is_hook": lambda m, n: is_hook((1, 1, 1), m, n),
+    "enumerate_hooks": lambda m, n: enumerate_hooks(m, n, 3),
+    "diagram_cut": lambda m, n: diagram_cut(
+        (("e", 1), ("d", 1), ("e", 2)), (3, 1, 1), m, n
+    ),
+    "monoidal_moves": lambda m, n: monoidal_moves((0, 1, 0), m, n, 1),
+    "infinite_witness": lambda m, n: infinite_witness(
+        (0, Fraction(1, 2), Fraction(-1, 2)), m, n, Fraction(1, 2)
+    ),
+    "closure_member": lambda m, n: closure_member(
+        (0, Fraction(1, 2), Fraction(-1, 2)),
+        (1, Fraction(1, 2), Fraction(-3, 2)),
+        m,
+        n,
+        Fraction(1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("call", RANK_USERS.values(), ids=list(RANK_USERS))
+def test_a_whole_float_rank_acts_as_its_int(call):
+    # A whole float rank is read as its int before it reaches range() or an
+    # index, so it gives exactly what the int gives.
+    assert call(2.0, 1) == call(2, 1)
+    assert type(BorelDescriptor(2.0, 1, (1, 1)).m) is int
 
 
 def test_format_rational():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -164,22 +165,18 @@ def test_matches_interpolant_on_defect_nullspace_basis(m, n, theta):
         ), lam
 
 
-def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch):
+def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
     # Negative control: if every power sum were p_1, the products would span
     # too little, and the build must refuse rather than return a polynomial.
     def first_power_sum(theta, r):
         return power_sum_coefficients(theta, 1)
 
     monkeypatch.setattr(isjp, "power_sum_coefficients", first_power_sum)
-    isjp._polynomials_of_size.cache_clear()
-    try:
-        with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,2\)"):
-            interpolation_polynomial(2, 1, HALF, (2,))
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+    with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,2\)"):
+        interpolation_polynomial(2, 1, HALF, (2,))
 
 
-def test_dimension_guard_names_the_first_degenerate_size(monkeypatch):
+def test_dimension_guard_names_the_first_degenerate_size(monkeypatch, cold_cache):
     # Negative control above size 2: with p_3 replaced by p_1, sizes <= 2 are
     # untouched and must build as before, and size 3 must be refused.
     small = enumerate_hooks(2, 1, 2)
@@ -190,13 +187,10 @@ def test_dimension_guard_names_the_first_degenerate_size(monkeypatch):
 
     monkeypatch.setattr(isjp, "power_sum_coefficients", third_is_first)
     isjp._polynomials_of_size.cache_clear()
-    try:
-        for lam in small:
-            assert interpolation_polynomial(2, 1, HALF, lam) == unpatched[lam], lam
-        with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,3\)"):
-            interpolation_polynomial(2, 1, HALF, (2, 1))
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+    for lam in small:
+        assert interpolation_polynomial(2, 1, HALF, lam) == unpatched[lam], lam
+    with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,3\)"):
+        interpolation_polynomial(2, 1, HALF, (2, 1))
 
 
 # Ranks with an empty block included; sizes stay small so that the expanded
@@ -243,7 +237,7 @@ def test_evaluator_matches_fraction_arithmetic_on_the_expansion(case):
                 values_at(*integer_form(wrong))
 
 
-def test_request_order_and_cache_state_do_not_matter():
+def test_request_order_and_cache_state_do_not_matter(cold_cache):
     # Sizes reached through the cache's own recursion, or rebuilt after a
     # clear, give the same polynomials as an ascending build.
     m, n, theta = 2, 2, HALF
@@ -253,21 +247,17 @@ def test_request_order_and_cache_state_do_not_matter():
     def build(shapes):
         return {lam: interpolation_polynomial(m, n, theta, lam) for lam in shapes}
 
-    try:
-        clear()
-        ascending = build(hooks)
-        clear()
-        assert build(reversed(hooks)) == ascending
-        clear()
-        split = build(lam for lam in hooks if size(lam) < 4)
-        clear()
-        split.update(build(lam for lam in hooks if size(lam) >= 4))
-        assert split == ascending
-    finally:
-        clear()
+    ascending = build(hooks)
+    clear()
+    assert build(reversed(hooks)) == ascending
+    clear()
+    split = build(lam for lam in hooks if size(lam) < 4)
+    clear()
+    split.update(build(lam for lam in hooks if size(lam) >= 4))
+    assert split == ascending
 
 
-def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
+def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch, cold_cache):
     # Each size is one solve of integer rows: a row per hook of that size and
     # a column per power-sum product of that size; no elimination runs over
     # smaller nodes.
@@ -280,11 +270,7 @@ def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
         return solve_linear(rows, rhs)
 
     monkeypatch.setattr(isjp, "solve_linear", recording_solve)
-    isjp._polynomials_of_size.cache_clear()
-    try:
-        interpolation_polynomial(m, n, theta, (3, 2, 1))
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+    interpolation_polynomial(m, n, theta, (3, 2, 1))
     hooks = enumerate_hooks(m, n, top)
     expected = [
         (
@@ -297,7 +283,51 @@ def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch):
     assert shapes == expected
 
 
-def test_each_node_point_is_computed_once(monkeypatch):
+def test_every_solve_column_has_gcd_one(monkeypatch, cold_cache):
+    # The build divides each column of a size's solve by its gcd, so the
+    # solve runs on the smallest integers with the same solutions.
+    columns = []
+
+    def recording_solve(rows, rhs):
+        columns.extend(zip(*rows))
+        return solve_linear(rows, rhs)
+
+    monkeypatch.setattr(isjp, "solve_linear", recording_solve)
+    evaluator(2, 2, HALF, enumerate_hooks(2, 2, 8))
+    assert len(columns) == len(list(enumerate_partitions(8, 8)))
+    assert all(math.gcd(*column) == 1 for column in columns if any(column))
+
+
+# sha256 over each size's sorted(coords.items()) in turn, sizes 0..top, taken
+# from the build whose solve ran on undivided columns and whose Newton steps
+# combined one term at a time.
+COORDINATE_DIGESTS = [
+    (
+        2, 2, HALF, 10,
+        "b431fb38d412b23a3dc3f04daadb4b182c56568348474aa231dc679b6ff391ac",
+    ),
+    (
+        1, 2, Fraction(1, 3), 8,
+        "ccc90658082fa56ba65a55e21f93c8ab8511b7ba3b786e882cc8d9b899c1cd29",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "m,n,theta,top,digest", COORDINATE_DIGESTS, ids=["2-2-half-10", "1-2-third-8"]
+)
+def test_coordinates_are_in_lowest_terms_and_match_digests(
+    m, n, theta, top, digest, cold_cache
+):
+    hasher = hashlib.sha256()
+    for d in range(top + 1):
+        coords = sorted(isjp._polynomials_of_size(m, n, theta, d).coords.items())
+        for lam, (den, nums) in coords:
+            assert den > 0 and math.gcd(den, *nums) == 1, lam
+        hasher.update(repr(coords).encode())
+    assert hasher.hexdigest() == digest
+
+def test_each_node_point_is_computed_once(monkeypatch, cold_cache):
     # Each size computes the integer node points only at its own nodes and
     # reads the smaller nodes' points from the cache: one call per hook.
     m, n, theta, top = 2, 1, HALF, 6
@@ -308,17 +338,13 @@ def test_each_node_point_is_computed_once(monkeypatch):
         return node_point(lam, *args)
 
     monkeypatch.setattr(isjp, "node_point", counting_point)
-    isjp._polynomials_of_size.cache_clear()
-    try:
-        for lam in enumerate_hooks(m, n, top):
-            interpolation_polynomial(m, n, theta, lam)
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+    for lam in enumerate_hooks(m, n, top):
+        interpolation_polynomial(m, n, theta, lam)
     assert len(calls) == 29
     assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
 
 
-def test_each_normalization_value_is_taken_once_per_shape(monkeypatch):
+def test_each_normalization_value_is_taken_once_per_shape(monkeypatch, cold_cache):
     # The residuals divide by |kappa|! once per size of the smaller nodes, so
     # the only characteristic values a cold build takes are its right-hand
     # sides: one per shape.
@@ -330,11 +356,7 @@ def test_each_normalization_value_is_taken_once_per_shape(monkeypatch):
         return characteristic_value(lam)
 
     monkeypatch.setattr(isjp, "characteristic_value", counting_value)
-    isjp._polynomials_of_size.cache_clear()
-    try:
-        evaluator(m, n, theta, enumerate_hooks(m, n, top))
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+    evaluator(m, n, theta, enumerate_hooks(m, n, top))
     assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
 
 
@@ -414,13 +436,9 @@ GOLDEN_DIGESTS = [
 
 
 @pytest.mark.parametrize("m,n,theta,top,digest", GOLDEN_DIGESTS)
-def test_polynomials_match_golden_digests(m, n, theta, top, digest):
-    isjp._polynomials_of_size.cache_clear()
-    try:
-        hasher = hashlib.sha256()
-        for lam in enumerate_hooks(m, n, top):
-            poly = interpolation_polynomial(m, n, theta, lam)
-            hasher.update(json.dumps(poly.to_json_dict(), sort_keys=True).encode())
-    finally:
-        isjp._polynomials_of_size.cache_clear()
+def test_polynomials_match_golden_digests(m, n, theta, top, digest, cold_cache):
+    hasher = hashlib.sha256()
+    for lam in enumerate_hooks(m, n, top):
+        poly = interpolation_polynomial(m, n, theta, lam)
+        hasher.update(json.dumps(poly.to_json_dict(), sort_keys=True).encode())
     assert hasher.hexdigest() == digest

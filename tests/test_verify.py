@@ -146,8 +146,16 @@ class TestSweepConfig:
             (("glm2n", 2, 1, 2.5, 2), "lambda_max 2.5 is not an integer"),
             (("diag", 1.5, 1, 1, 1), "m 1.5 is not an integer"),
             (("diag", 1, 1, 1, "2"), "mu_max '2' is not an integer"),
+            (("diag", 1, 1, float("inf"), 1), "lambda_max inf is not an integer"),
+            (("diag", 1, 1, 1, float("nan")), "mu_max nan is not an integer"),
         ],
-        ids=["fractional-bound", "fractional-rank", "string-bound"],
+        ids=[
+            "fractional-bound",
+            "fractional-rank",
+            "string-bound",
+            "infinite-bound",
+            "nan-bound",
+        ],
     )
     def test_rejects_a_non_integer_on_construction(self, args, message):
         # each would construct and fail only inside run_sweep, or with a
