@@ -102,6 +102,29 @@ def _product_values(entry, scale: int, ints, m: int) -> tuple[int, list[int]]:
     return powers[d], values
 
 
+def _power_sum_terms(theta, r: int) -> list:
+    """Q_r as triples (k, a_k, b_k), its nonzero coefficients of x^k and y^k."""
+    xs, ys = power_sum_coefficients(theta, r)
+    _, nums = integer_form(xs + ys)
+    return [(k, a, b) for k, a, b in zip(range(r + 1), nums, nums[r + 1 :]) if a or b]
+
+
+def power_sums(m: int, n: int, theta, d: int):
+    """sums_at(den, nums): Q_1..Q_d at the point nums / den of length m + n
+    as a row (den, nums) in lowest terms, by `_product_values` on the Q_(r).
+    Each P_mu, |mu| <= d, is a polynomial in them: equal rows, equal values."""
+    terms = [_power_sum_terms(theta, r) for r in range(1, d + 1)]
+    entry = SimpleNamespace(sums=terms, layout=[(0, r) for r in range(1, d + 1)])
+
+    def sums_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
+        if len(nums) != m + n:
+            raise ValueError(f"point has length {len(nums)}, expected {m + n}")
+        scale, values = _product_values(entry, den, nums, m)
+        return lowest_terms(scale, values[1:])
+
+    return sums_at
+
+
 def evaluator(m: int, n: int, theta, shapes):
     """values_at(den, nums): the values of the interpolation polynomials of
     shapes at the point nums / den of length m + n, as a row (den, nums) in
@@ -155,12 +178,9 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         coords={}, points={}, sums=[], layout=[], polys={}, products=None
     )
     if lower:
-        xs, ys = power_sum_coefficients(theta, d)
-        _, nums = integer_form(xs + ys)
         index = {nu: i for i, nu in enumerate(products)}
         entry.points = dict(lower[-1].points)
-        pairs = enumerate(zip(nums[: len(xs)], nums[len(xs) :]))
-        entry.sums = lower[-1].sums + [[(k, a, b) for k, (a, b) in pairs if a or b]]
+        entry.sums = lower[-1].sums + [_power_sum_terms(theta, d)]
         entry.layout = lower[-1].layout + [
             (index[nu[:-1]], nu[-1]) for nu in products[first:]
         ]

@@ -16,11 +16,11 @@ from the patterns. The one-sided sweep ("glm2n") checks, for every
 decreasing Borel of the half-parameter family, that the selected affine map
 sends every Borel highest weight to a point spectrally equal to the standard
 node, and that on generic weights it reaches the node as a vector. Both
-sweeps read their values from one table that evaluates each distinct point
-once; each sweep keys its points in one form of its own, the pair sweep over
-2 and the one-sided sweep in lowest terms. Points and rows are integer forms
-(den, nums), rows in lowest terms; only the failure records are made of
-Fractions.
+check that mapped points agree with their nodes in the compatible algebra
+up to degree mu_max, deciding from one table of the power sums Q_1..Q_mu_max
+(each P_mu is a polynomial in them); P_mu is evaluated only for failure
+records. Each sweep keys its points in one form, over 2 (pair) or in lowest
+terms (one-sided); points and rows are (den, nums), rows in lowest terms.
 
 A report is data (`SweepReport.to_json_dict`), deterministic apart from its
 elapsed_ms field, and keeps at most MAX_FAILURES failure records.
@@ -40,7 +40,7 @@ from .exact_linalg import (
     format_rational,
     format_vector,
 )
-from .isjp import evaluator
+from .isjp import evaluator, power_sums
 from .partitions import (
     double_partition,
     enumerate_hooks,
@@ -183,24 +183,23 @@ def _fractions(den: int, nums) -> tuple[Fraction, ...]:
 
 def _value_table(config: SweepConfig, theta: Fraction):
     """The shapes mu and lambda, the lambda nodes, and a reader row(point) of
-    the values of every P_mu at a point. Points are (den, nums), the nodes in
-    lowest terms; each sweep keys its points in one form of its own, so a
-    point is its own key, and a point equal to a node in that form has the
-    node's values by definition. Rows are (den, nums) in lowest terms. Each
-    distinct point is evaluated once, on its first read, by one `evaluator`
-    call for all the polynomials."""
+    the power sums Q_1..Q_mu_max at a point, read once per distinct point.
+    Points are (den, nums), the nodes in lowest terms; each sweep keys its
+    points in one form of its own, so a point is its own key, and a point
+    equal to a node in that form has the node's values by definition. Rows
+    are (den, nums) in lowest terms; equal rows give every P_mu one value."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
-    values_at = evaluator(m, n, theta, mus)
+    sums_at = power_sums(m, n, theta, config.mu_max)
     lams = enumerate_hooks(m, n, config.lambda_max)
     nodes = [node_point(lam, m, n, theta) for lam in lams]
     rows = {}
 
     def row(point) -> tuple:
-        values = rows.get(point)
-        if values is None:
-            values = rows[point] = values_at(*point)
-        return values
+        sums = rows.get(point)
+        if sums is None:
+            sums = rows[point] = sums_at(*point)
+        return sums
 
     return mus, lams, nodes, row
 
@@ -216,6 +215,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     ]
     m, n = config.m, config.n
     mus, lams, nodes, row = _value_table(config, Fraction(1, 2))
+    values_at = None
     # The highest weight is minus the cut of the reversed ordering on the
     # doubled shape (`weights.highest_weight`). The orderings and the shapes
     # are generated valid, so the cut runs unchecked, in integers. A weight
@@ -244,9 +244,11 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
                     )
             report.cases += len(mus)
             # A point on its node has the node's values: only one off it is read.
-            if point == node or (values := row(point)) == (node_row := row(node)):
+            if point == node or row(point) == row(node):
                 continue
-            for mu, lhs, rhs in zip(mus, _fractions(*values), _fractions(*node_row)):
+            values_at = values_at or evaluator(m, n, Fraction(1, 2), mus)
+            lhs_row, rhs_row = (_fractions(*values_at(*p)) for p in (point, node))
+            for mu, lhs, rhs in zip(mus, lhs_row, rhs_row):
                 if lhs != rhs:
                     report.fail(
                         {
@@ -266,11 +268,11 @@ def _run_diag(config: SweepConfig) -> SweepReport:
     mus, lams, nodes, row = _value_table(config, Fraction(1))
     orderings = math.factorial(m + n)
     report = SweepReport(config, cases=orderings**2 * len(lams) * len(mus))
-    # Per ordering, the values at w + rho = (2w + 2 rho) / 2 for each lambda.
+    # Per ordering, the point w + rho = (2w + 2 rho) / 2 for each lambda.
     # A symbol's coordinate of w + rho depends only on its family and on how
     # many e's and d's come before it, so the orderings of one e/d pattern
     # have points that differ by a permutation inside each block, where every
-    # P_mu takes one value: each pattern's rows are computed once, at its
+    # P_mu takes one value: each pattern's points are computed once, at its
     # ordering whose families' indices increase. The dual's w* and rho for
     # seq are minus the module's for seq reversed, so the first factor's rows
     # for seq1 are the second's for seq1[::-1]. Points and nodes are keyed as
@@ -283,16 +285,19 @@ def _run_diag(config: SweepConfig) -> SweepReport:
         index = {"e": itertools.count(1), "d": itertools.count(1)}
         seq = tuple((kind, next(index[kind])) for kind in pattern)
         rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq)]
-        twice = [
-            tuple(2 * c + r for c, r in zip(integer_cut(seq, lam, m, n), rho2))
-            for lam in lams
+        by_pattern[pattern] = [
+            (2, tuple(2 * c + r for c, r in zip(cut, rho2)))
+            for cut in (integer_cut(seq, lam, m, n) for lam in lams)
         ]
-        by_pattern[pattern] = [row((2, point)) for point in twice]
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node, and no pair can fail
-    # when no pattern's rows are.
-    if all(pattern_rows == node_rows for pattern_rows in by_pattern.values()):
+    # when no pattern's rows are. Past this the rows are value rows.
+    if all(list(map(row, points)) == node_rows for points in by_pattern.values()):
         return report
+    values_at = evaluator(m, n, Fraction(1), mus)
+    node_rows = [values_at(*node) for node in nodes]
+    for pattern, points in by_pattern.items():
+        by_pattern[pattern] = [values_at(*point) for point in points]
     sequences = list(all_sequences(m, n))
     rows = {seq: by_pattern[tuple(kind for kind, _ in seq)] for seq in sequences}
     off_node = [seq for seq in sequences if rows[seq] != node_rows]

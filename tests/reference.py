@@ -1,6 +1,6 @@
 """Independent references for the tests: the paper's closed forms, the
-odd-reflection walks, the defect-nullspace basis of compatible polynomials
-and the predicates that the library itself does not need. The eigenvalue
+odd-reflection walks, the defect-nullspace basis of compatible polynomials,
+the shifted Jack polynomials by reverse tableaux, and the predicates that the library itself does not need. The eigenvalue
 maps are built here in Fractions, by matrix products: the standard matrix
 perturbed by pair columns, each kernel column from the image of an odd root
 sum, and the offset from the image of the root sum; a matrix is the tuple of
@@ -19,6 +19,7 @@ expanded output. The
 graded polynomial algebras at the end are the starting material of a
 Capelli-operator oracle; the library builds no operator."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -825,6 +826,80 @@ def interpolant_on_basis(m: int, n: int, theta, lam) -> SparsePolynomial:
     if _reduce(rows) != list(range(len(basis))):
         raise ValueError("the basis does not separate the nodes")
     return combination(m, n, [row[-1] for row in rows], basis)
+
+
+# -- shifted Jack polynomials by reverse tableaux -------------------------------
+#
+# Okounkov-Olshanski, "Shifted Jack polynomials, binomial formula, and
+# applications" (Math. Res. Lett. 4, 1997), with the horizontal-strip weights
+# of Macdonald, *Symmetric Functions and Hall Polynomials*, VI (6.24) and
+# (7.13'), in the Jack limit. Nothing here calls the library's build, power
+# sums or evaluator: node values come from tableaux alone.
+
+
+def _jack_b(shape: tuple, i: int, j: int, alpha: Fraction) -> Fraction:
+    """b_shape(s) at the box s = (i, j), 0-based: (alpha a + l + 1) /
+    (alpha a + l + alpha) with a and l the box's arm and leg."""
+    arm = shape[i] - j - 1
+    leg = sum(1 for row in shape if row > j) - i - 1
+    return (alpha * arm + leg + 1) / (alpha * arm + leg + alpha)
+
+
+@functools.lru_cache(maxsize=None)
+def strip_weight(kappa: tuple, nu: tuple, theta: Fraction) -> Fraction:
+    """psi_{kappa/nu} for a horizontal strip kappa/nu, alpha = 1/theta: the
+    product of b_nu(s) / b_kappa(s) over the boxes s whose row meets the
+    strip and whose column does not."""
+    alpha, low = 1 / theta, nu + (0,) * (len(kappa) - len(nu))
+    rows = [i for i, row in enumerate(kappa) if row > low[i]]
+    columns = {j for i in rows for j in range(low[i], kappa[i])}
+    psi = Fraction(1)
+    for i in rows:
+        for j in range(low[i]):
+            if j not in columns:
+                psi *= _jack_b(nu, i, j, alpha) / _jack_b(kappa, i, j, alpha)
+    return psi
+
+
+@functools.lru_cache(maxsize=None)
+def shifted_jack(mu: tuple, xs: tuple, theta: Fraction, coleg: Fraction) -> Fraction:
+    """P*_mu(xs; theta) = sum over reverse tableaux T of shape mu with entries
+    1..len(xs) (weakly decreasing along rows, strictly down columns) of
+    psi_T times the product over boxes s of (x_T(s) - a'(s) + coleg l'(s)),
+    a' and l' the coarm and coleg; coleg is theta in the formula. The boxes
+    holding 1 are a horizontal strip mu/nu, and nu holds the entries 2.."""
+    if not mu:
+        return Fraction(1)
+    if not xs:
+        return Fraction(0)
+    bounds = [(mu[i + 1] if i + 1 < len(mu) else 0, row) for i, row in enumerate(mu)]
+    total = Fraction(0)
+    for nu in itertools.product(*(range(low, high + 1) for low, high in bounds)):
+        factor = Fraction(1)
+        for i, (row, kept) in enumerate(zip(mu, nu)):
+            for j in range(kept, row):
+                factor *= xs[0] - j + coleg * i
+        nu = tuple(row for row in nu if row)
+        rest = shifted_jack(nu, xs[1:], theta, coleg)
+        total += strip_weight(mu, nu, theta) * factor * rest
+    return total
+
+
+def node_value_by_tableaux(mu, lam, theta, coleg=None) -> Fraction:
+    """P_mu at the node of lam: |mu|! P*_mu(lam; theta) / H(mu), with
+    H(mu) = prod over boxes of (a(s) + theta l(s) + 1). The super
+    interpolation polynomial's node values are those of the shifted Jack
+    polynomial on the parts of lam (Sergeev-Veselov, Comm. Math. Phys. 245,
+    2004); coleg replaces theta as the weight of the coleg, for a control."""
+    theta = Fraction(theta)
+    mu, lam = tuple(mu), tuple(lam)
+    hook = Fraction(1)
+    for i, row in enumerate(mu):
+        for j in range(row):
+            leg = sum(1 for r in mu if r > j) - i - 1
+            hook *= row - j - 1 + theta * leg + 1
+    coleg = theta if coleg is None else Fraction(coleg)
+    return math.factorial(sum(mu)) * shifted_jack(mu, lam, theta, coleg) / hook
 
 
 # -- graded polynomial algebras ---------------------------------------------------

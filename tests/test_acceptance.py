@@ -41,6 +41,7 @@ from reference import (
     hw_standard_diag,
     invariant_operator_matrix,
     monomials_of_degree,
+    node_value_by_tableaux,
     odd_pair_set,
     odd_root_sum,
     opposite_sequence,
@@ -181,7 +182,7 @@ def standard_tableaux(outer, inner=()) -> int:
 
 
 class TestIndependentOracles:
-    """Eigenvalues against a closed form and a duality, neither of which
+    """Eigenvalues against closed forms and a duality, none of which
     rebuilds the interpolation system the library solves."""
 
     @pytest.mark.parametrize(
@@ -202,6 +203,32 @@ class TestIndependentOracles:
                         standard_tableaux(lam),
                     )
                 assert eigenvalue(mu, lam, m, n, 1) == expected, (mu, lam)
+
+    def test_okounkov_olshanski_formula_at_every_theta(self):
+        # Shifted Jack polynomials by reverse tableaux (Okounkov-Olshanski,
+        # Math. Res. Lett. 4, 1997): P_mu(node lam) = |mu|! P*_mu(lam) / H(mu)
+        # for every pair of hooks with |mu| <= |lam| <= 5, at four values of
+        # theta. Control: l'(s)/theta in place of theta l'(s) changes 399 of
+        # the values, none at theta = 1.
+        checks = changed = 0
+        for theta in (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3)):
+            for m, n in RANKS:
+                hooks = enumerate_hooks(m, n, 5)
+                values_at = evaluator(m, n, theta, hooks)
+                for lam in hooks:
+                    den, nums = values_at(*node_point(lam, m, n, theta))
+                    for mu, value in zip(hooks, nums):
+                        if size(mu) > size(lam):
+                            continue
+                        value = Fraction(value, den)
+                        assert node_value_by_tableaux(mu, lam, theta) == value, (
+                            m, n, theta, mu, lam
+                        )
+                        control = node_value_by_tableaux(mu, lam, theta, 1 / theta)
+                        assert theta != 1 or control == value
+                        changed += control != value
+                        checks += 1
+        assert (checks, changed) == (4 * 606, 399)
 
     def test_node_values_do_not_depend_on_the_rank(self):
         # The super interpolation polynomials are images of Okounkov's

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from capelli import borel as borel_module
-from capelli import cli, partitions, verify, weights
+from capelli import cli, isjp, partitions, verify, weights
 from capelli.borel import (
     BorelDescriptor,
     format_symbol,
@@ -18,8 +18,8 @@ from capelli.borel import (
     weyl_vector,
 )
 from capelli.cli import gl22_table, gl22_uniqueness
-from capelli.exact_linalg import format_rational
-from capelli.isjp import evaluator, interpolation_polynomial
+from capelli.exact_linalg import format_rational, integer_form
+from capelli.isjp import evaluator, interpolation_polynomial, power_sums
 from capelli.partitions import (
     double_partition,
     enumerate_hooks,
@@ -38,24 +38,36 @@ from reference import (
 )
 
 
-def count_evaluator_calls(monkeypatch):
-    """Record every call of the sweep's evaluator: the points it was called
-    on and the value rows it returned, as Fractions, in call order."""
+def count_reads(monkeypatch, name: str):
+    """Record every call of the reader that the sweep's `verify.<name>`
+    returns: the points it was called on and the rows it returned, as
+    Fractions, in call order."""
     calls, rows = [], []
+    make = getattr(verify, name)
 
-    def counted_evaluator(*args):
-        values_at = evaluator(*args)
+    def counted_make(*args):
+        read = make(*args)
 
         def counted(den, nums):
             calls.append(tuple(Fraction(v, den) for v in nums))
-            row = values_at(den, nums)
+            row = read(den, nums)
             rows.append(tuple(Fraction(v, row[0]) for v in row[1]))
             return row
 
         return counted
 
-    monkeypatch.setattr(verify, "evaluator", counted_evaluator)
+    monkeypatch.setattr(verify, name, counted_make)
     return calls, rows
+
+
+def count_evaluator_calls(monkeypatch):
+    """The points the sweep's evaluator reads and the value rows it gives."""
+    return count_reads(monkeypatch, "evaluator")
+
+
+def count_power_sum_reads(monkeypatch):
+    """The points the sweep reads power sums at and the rows it gets."""
+    return count_reads(monkeypatch, "power_sums")
 
 
 def break_diagram_cut(monkeypatch, broken, step: int, lam=None):
@@ -326,10 +338,10 @@ class TestOneSidedSweep:
         assert report.cases == cases
 
     def test_each_distinct_borel_point_is_evaluated_once(self, monkeypatch):
-        # The one-sided sweep evaluates two kinds of point, each once: a
-        # mapped point off its node, and that shape's node. A point on its
-        # node has the node's values, so a node every Borel reaches is never
-        # evaluated.
+        # The one-sided sweep reads power sums at two kinds of point, each
+        # once: a mapped point off its node, and that shape's node. A point
+        # on its node has the node's values, so a node every Borel reaches is
+        # never read. A clean sweep evaluates no polynomial.
         m, n, theta = 2, 1, Fraction(1, 2)
         lams = enumerate_hooks(m, n, 3)
         mus = enumerate_hooks(m, n, 2)
@@ -342,27 +354,32 @@ class TestOneSidedSweep:
                     off.add(point)
                     left.add(lam)
         kept = {nodes[lam] for lam in lams if lam not in left}
-        calls, rows = count_evaluator_calls(monkeypatch)
+        calls, rows = count_power_sum_reads(monkeypatch)
+        evaluated, _ = count_evaluator_calls(monkeypatch)
         assert run_sweep(SweepConfig(pair="glm2n", m=m, n=n, lambda_max=3, mu_max=2)).ok
-        assert off and kept
+        assert off and kept and len(mus) > 2
         assert len(calls) == len(set(calls))
         assert set(calls) == off | {nodes[lam] for lam in left}
         assert not kept & set(calls)
-        assert all(len(row) == len(mus) for row in rows)
+        assert all(len(row) == 2 for row in rows)
+        assert not evaluated
 
     def test_borel_sweep_evaluates_only_off_node_points_and_their_nodes(
         self, monkeypatch
     ):
         # The benchmark's one-Borel sweep: 67 mapped points leave their
         # node, and those 67 shapes' nodes are read; the other 120 shapes
-        # cost no evaluation (254 calls when every node was evaluated).
-        calls, _ = count_evaluator_calls(monkeypatch)
+        # cost no read (254 reads when every node was read), and no point is
+        # evaluated.
+        calls, _ = count_power_sum_reads(monkeypatch)
+        evaluated, _ = count_evaluator_calls(monkeypatch)
         cfg = SweepConfig(
             pair="glm2n", m=2, n=2, lambda_max=11, mu_max=4, borels="4,4"
         )
         report = run_sweep(cfg)
         assert (report.ok, report.cases) == (True, 2364)
         assert len(calls) == len(set(calls)) == 134
+        assert not evaluated
 
     def test_highest_weights_are_cut_once_per_borel_and_shape(self, monkeypatch):
         # Each highest weight is minus one unchecked cut of the Borel's
@@ -562,11 +579,13 @@ class TestPairSweep:
         assert report.failures == per_case_pair_failures(m, n, 2, 2)
 
     def test_each_distinct_point_is_evaluated_once(self, monkeypatch):
-        # Every ordering reads its e/d pattern's rows, so the sweep evaluates
-        # exactly the patterns' points, at each pattern's representative, and
-        # the nodes, each once: 16 points at (2, 2).
+        # Every ordering reads its e/d pattern's rows, so the sweep reads
+        # power sums at exactly the patterns' points, at each pattern's
+        # representative, and the nodes, each once: 16 points at (2, 2). A
+        # clean sweep evaluates no polynomial.
         theta = Fraction(1)
-        calls, rows = count_evaluator_calls(monkeypatch)
+        calls, rows = count_power_sum_reads(monkeypatch)
+        evaluated, _ = count_evaluator_calls(monkeypatch)
         for (m, n), count in ((2, 1), 8), ((2, 2), 16):
             lams = enumerate_hooks(m, n, 2)
             mus = enumerate_hooks(m, n, 2)
@@ -585,7 +604,8 @@ class TestPairSweep:
             assert run_sweep(cfg).ok
             assert len(calls) == len(points) == count
             assert set(calls) == points
-            assert all(len(row) == len(mus) for row in rows)
+            assert len(mus) > 2 and all(len(row) == 2 for row in rows)
+            assert not evaluated
 
     def test_highest_weights_are_computed_once_per_ordering(self, monkeypatch):
         # Every ordering of one e/d pattern reads that pattern's rows, so the
@@ -622,6 +642,100 @@ class TestPairSweep:
         report = run_sweep(SweepConfig(pair="diag", m=3, n=3, lambda_max=3, mu_max=3))
         assert report.ok
         assert report.cases == 25_401_600
+
+class TestVerdictFromPowerSums:
+    """A sweep decides from the power sums Q_1..Q_mu_max at each point; the
+    polynomials are built and evaluated only to write failure records."""
+
+    @pytest.mark.parametrize(
+        "config, cases",
+        [
+            (SweepConfig("glm2n", 2, 2, 20, 20), 43_169_676),
+            (SweepConfig("glm2n", 3, 2, 5, 4, map_choice="releven"), None),
+            (SweepConfig("diag", 3, 2, 3, 3), None),
+        ],
+    )
+    def test_a_clean_sweep_builds_and_evaluates_no_polynomial(
+        self, monkeypatch, config, cases
+    ):
+        # No polynomial of size 20 can be built at desk scale, and none is.
+        def forbidden(*args):
+            raise AssertionError(f"polynomial work on a clean sweep: {args}")
+
+        monkeypatch.setattr(isjp, "_polynomials_of_size", forbidden)
+        monkeypatch.setattr(verify, "evaluator", forbidden)
+        report = run_sweep(config)
+        assert report.ok
+        assert cases is None or report.cases == cases
+
+    def test_the_evaluator_reads_only_the_failing_points_and_their_nodes(
+        self, monkeypatch
+    ):
+        # The forced-kernel control at (2, 2): its 79 failures come from 10
+        # (Borel, lambda) pairs, and only their mapped points and nodes are
+        # evaluated.
+        m, n, theta = 2, 2, Fraction(1, 2)
+        calls, _ = count_evaluator_calls(monkeypatch)
+        cfg = SweepConfig("glm2n", m, n, 4, 4, map_choice="cb-forced")
+        report = run_sweep(cfg)
+        assert len(report.failures) == 79
+        failing = {(tuple(f["ell"]), f["lambda"]) for f in report.failures}
+        assert len(failing) == 10
+        shapes = {format_partition(lam): lam for lam in enumerate_hooks(m, n, 4)}
+        expected = set()
+        for ell, name in failing:
+            borel, lam = BorelDescriptor(m, n, ell), shapes[name]
+            tau = family_map(borel, "cb-forced")
+            expected.add(tau.apply(highest_weight(lam, borel)))
+            expected.add(frobenius_coords(lam, m, n, theta))
+        assert set(calls) == expected
+
+    @pytest.mark.parametrize(
+        "pair, m, n, lambda_max, mu_max, map_choice",
+        [
+            ("glm2n", 2, 2, 6, 5, "full"),
+            ("glm2n", 2, 2, 6, 5, "cb-forced"),
+            ("diag", 3, 2, 3, 3, None),
+        ],
+    )
+    def test_equal_power_sums_exactly_when_equal_values(
+        self, pair, m, n, lambda_max, mu_max, map_choice
+    ):
+        # Group every distinct point of the sweep, mapped points and nodes,
+        # found here without the sweep, by its power-sum row and by its value
+        # row: the two groupings agree, so each decides what the other does.
+        theta = Fraction(1, 2) if pair == "glm2n" else Fraction(1)
+        lams = enumerate_hooks(m, n, lambda_max)
+        nodes = {frobenius_coords(lam, m, n, theta) for lam in lams}
+        points = set(nodes)
+        if pair == "glm2n":
+            for borel in BorelDescriptor.enumerate(m, n):
+                if in_family_domain(borel, map_choice):
+                    tau = family_map(borel, map_choice)
+                    points |= {tau.apply(highest_weight(lam, borel)) for lam in lams}
+        else:
+            for seq in itertools.permutations(standard_sequence(m, n)):
+                rho = weyl_vector(seq)
+                for lam in lams:
+                    w = diag_highest_weight(seq, lam, m, n, dual=False)
+                    dual = diag_highest_weight(seq, lam, m, n, dual=True)
+                    points |= {vec_add(w, rho), vec_neg(vec_add(dual, rho))}
+        sums_at = power_sums(m, n, theta, mu_max)
+        values_at = evaluator(m, n, theta, enumerate_hooks(m, n, mu_max))
+        groupings = []
+        for read in sums_at, values_at:
+            groups = {}
+            for point in points:
+                groups.setdefault(read(*integer_form(point)), set()).add(point)
+            groupings.append({frozenset(group) for group in groups.values()})
+        assert groupings[0] == groupings[1]
+        # Not vacuous: points leave their nodes yet share their rows, and
+        # other points share no row with any node.
+        assert len(groupings[0]) < len(points)
+        assert any(not group & nodes for group in groupings[0]) == (
+            map_choice == "cb-forced"
+        )
+
 
 class TestReportSerialization:
     def test_report_is_deterministic_modulo_timing(self):
