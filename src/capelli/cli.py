@@ -71,7 +71,7 @@ def _hook_partition(args, flag: str, text: str):
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(p) for p in text.split(","))
+    return tuple(parse_rational(p) for p in text.split(",")) if text.strip() else ()
 
 
 def _parse_sequence(text: str, num_eps: int, num_delta: int):

@@ -3,21 +3,17 @@ the filtered compatible-polynomial space taking value |shape|! at the shape's
 own shifted coordinates and vanishing at those of every other hook partition
 of size up to |shape|.
 
-The space of degree <= d is spanned by the products p_nu of deformed power
-sums with |nu| <= d, and the polynomials of size below d span its part of
-degree < d. So each size is built on the smaller ones (Newton
-interpolation, as in the binomial formula): each top product p_nu, |nu| = d,
-less its interpolant on the smaller nodes vanishes on them, and one small
-solve at the nodes of size d combines these residuals, kept as coordinates.
-All of it runs on small integers over one denominator per vector: a Newton
-step is one integer combination, and the solve's columns are divided by
-their gcds.
-
-A polynomial is kept as its coordinates over the products Q_nu of the power
-sums scaled to integer coefficients, Q_r = E_r p_r, ordered as
+Every rank reads one table per theta = p/q, in the power sums q_r of
+`_row_reader`: at the node of any hook lam, q_r = (2pq)^r E_r sum_i ((lam_i -
+theta(i - 1/2))^r - (-theta(i - 1/2))^r) reads lam's rows alone
+(Sergeev-Veselov, Comm. Math. Phys. 245, 2004). So the table interpolates at
+every partition, and each size is built on the smaller ones (Newton
+interpolation): each top product q_nu, |nu| = d, less its interpolant on the
+smaller nodes vanishes on them, and one square solve at the partitions of
+size d combines these residuals, all in small integers. A polynomial is
+kept as its coordinates over the products q_nu, ordered as
 `enumerate_partitions` lists nu, so that a smaller size's coordinates are a
-prefix. Every value is taken from the coordinates; only
-`interpolation_polynomial` expands them into monomials."""
+prefix; only `interpolation_polynomial` expands them into monomials."""
 
 from __future__ import annotations
 
@@ -31,7 +27,6 @@ from types import SimpleNamespace
 from .exact_linalg import integer_form, lowest_terms, solve_linear
 from .partitions import (
     Partition,
-    enumerate_hooks,
     enumerate_partitions,
     node_point,
     require_hook,
@@ -42,8 +37,8 @@ from .partitions import (
 )
 from .sympoly import SparsePolynomial, integer_product
 
-# Sizes whose polynomials stay cached; each entry holds every polynomial of
-# one size for one (m, n, theta), with every node's point up to that size.
+# Sizes whose polynomials stay cached; each entry holds one size of one
+# theta's table, every node's point up to that size and each rank's expansions.
 CACHED_SIZES = 64
 
 
@@ -76,32 +71,6 @@ def power_sum_coefficients(theta, r: int):
     return (0,) * r + (1,), tuple(psi)
 
 
-def _product_values(entry, scale: int, ints, m: int) -> tuple[int, list[int]]:
-    """(scale^d, values): values[i] is the i-th product Q_nu, |nu| <= d, at
-    the point ints / scale times scale^d, where d is the entry's size.
-
-    With X, Y the point's integer blocks, scale^r Q_r is
-    sum_k (a_k sum_i X_i^k + b_k sum_j Y_j^k) scale^(r - k), and each
-    product is a smaller one times one of these, divided by scale^r."""
-    d = len(entry.sums)
-    powers = [scale**k for k in range(d + 1)]
-    # Column k of a block sums its k-th powers, each a running product.
-    xs, ys = [0] * (d + 1), [0] * (d + 1)
-    for i, v in enumerate(ints):
-        sums, power = xs if i < m else ys, 1
-        for k in range(d + 1):
-            sums[k] += power
-            power *= v
-    q = [
-        sum((a * xs[k] + b * ys[k]) * powers[r - k] for k, a, b in terms)
-        for r, terms in enumerate(entry.sums, 1)
-    ]
-    values = [powers[d]]
-    for parent, r in entry.layout:
-        values.append(values[parent] // powers[r] * q[r - 1])
-    return powers[d], values
-
-
 def _power_sum_terms(theta, r: int) -> list:
     """Q_r as triples (k, a_k, b_k), its nonzero coefficients of x^k and y^k."""
     xs, ys = power_sum_coefficients(theta, r)
@@ -109,17 +78,58 @@ def _power_sum_terms(theta, r: int) -> list:
     return [(k, a, b) for k, a, b in zip(range(r + 1), nums, nums[r + 1 :]) if a or b]
 
 
-def power_sums(m: int, n: int, theta, d: int):
-    """sums_at(den, nums): Q_1..Q_d at the point nums / den of length m + n
-    as a row (den, nums) in lowest terms, by `_product_values` on the Q_(r).
-    Each P_mu, |mu| <= d, is a polynomial in them: equal rows, equal values."""
-    terms = [_power_sum_terms(theta, r) for r in range(1, d + 1)]
-    entry = SimpleNamespace(sums=terms, layout=[(0, r) for r in range(1, d + 1)])
+def _moves(m: int, n: int, theta) -> tuple[int, list[int]]:
+    """(2pq, moves), theta = p/q: delta = (n - theta*m)/2, -delta/theta over 2pq."""
+    p, q = theta.numerator, theta.denominator
+    return 2 * p * q, [p * (n * q - m * p)] * m + [q * (m * p - n * q)] * n
 
-    def sums_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
+
+def _row_reader(m: int, n: int, theta, terms, layout):
+    """values_at(den, nums) -> (scale, values): the one path from a point
+    nums / den of rank (m, n) to its products q_nu laid out as in layout, each
+    times scale, for terms Q_1..Q_d. q_r = (2pq)^r (T_delta (Q - Q(empty
+    node)))_r, T_delta[r][k] = C(r, k) delta^(r - k) E_r / E_k, is (2pq)^r
+    times Q_r at the moved point less at the moved empty node; at a node,
+    scale is 1."""
+    unit, moves = _moves(m, n, theta)
+    base, empty = node_point((), m, n, theta)
+    d = len(terms)
+
+    def values_at(den: int, nums) -> tuple[int, list[int]]:
         if len(nums) != m + n:
             raise ValueError(f"point has length {len(nums)}, expected {m + n}")
-        scale, values = _product_values(entry, den, nums, m)
+        scale = math.lcm(den, unit)
+        powers = [scale**k for k in range(d + 1)]
+        # Column k sums v^k - e^k over a block's moved v and moved empty node e.
+        xs, ys = [0] * (d + 1), [0] * (d + 1)
+        for i, (v, e, move) in enumerate(zip(nums, empty, moves)):
+            sums, move = xs if i < m else ys, move * (scale // unit)
+            v, e = v * (scale // den) + move, e * (scale // base) + move
+            power_v = power_e = 1
+            for k in range(d + 1):
+                sums[k] += power_v - power_e
+                power_v, power_e = power_v * v, power_e * e
+        q = [
+            sum((a * xs[k] + b * ys[k]) * powers[r - k] for k, a, b in rterms)
+            for r, rterms in enumerate(terms, 1)
+        ]
+        dens = [(scale // unit) ** k for k in range(d + 1)]
+        values = [dens[d]]
+        for parent, r in layout:
+            values.append(values[parent] // dens[r] * q[r - 1])
+        return dens[d], values
+
+    return values_at
+
+
+def power_sums(m: int, n: int, theta, d: int):
+    """sums_at(den, nums): q_1..q_d at a point of rank (m, n) by `_row_reader`,
+    in lowest terms. Each P_mu, |mu| <= d, is a polynomial in them."""
+    terms = [_power_sum_terms(theta, r) for r in range(1, d + 1)]
+    values_at = _row_reader(m, n, theta, terms, [(0, r) for r in range(1, d + 1)])
+
+    def sums_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
+        scale, values = values_at(den, nums)
         return lowest_terms(scale, values[1:])
 
     return sums_at
@@ -133,15 +143,14 @@ def evaluator(m: int, n: int, theta, shapes):
     theta = require_theta(theta)
     m, n = require_rank(m, n)
     shapes = [require_hook(lam, m, n) for lam in shapes]
-    entry = _polynomials_of_size(m, n, theta, max(map(size, shapes), default=0))
-    forms = [_polynomials_of_size(m, n, theta, size(lam)).coords[lam] for lam in shapes]
+    entry = _polynomials_of_size(theta, max(map(size, shapes), default=0))
+    forms = [_polynomials_of_size(theta, size(lam)).coords[lam] for lam in shapes]
     common = math.lcm(*(den for den, _ in forms))
     forms = [[x * (common // den) for x in nums] for den, nums in forms]
+    products_at = _row_reader(m, n, theta, entry.sums, entry.layout)
 
     def values_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
-        if len(nums) != m + n:
-            raise ValueError(f"point has length {len(nums)}, expected {m + n}")
-        scale, values = _product_values(entry, den, nums, m)
+        scale, values = products_at(den, nums)
         return lowest_terms(
             common * scale, [sum(map(operator.mul, c, values)) for c in forms]
         )
@@ -150,42 +159,39 @@ def evaluator(m: int, n: int, theta, shapes):
 
 
 @lru_cache(maxsize=CACHED_SIZES)
-def _polynomials_of_size(m: int, n: int, theta, d: int):
-    """The entry of size d: coords maps each hook of size d to its coordinates
-    (den, nums), and points each hook of size <= d to its shifted coordinates
-    (den, nums); sums holds Q_1..Q_d as triples (k, a_k, b_k), the nonzero
-    coefficients of x^k and y^k, and layout each nonempty product's (parent,
-    last part); polys and products keep `interpolation_polynomial`'s
-    expansions. Smaller sizes come from this cache, so each size computes
-    only its own points.
+def _polynomials_of_size(theta, d: int):
+    """The table's entry of size d: coords maps each partition of size d to
+    its coordinates (den, nums), points each partition rho of size <= d to its
+    node at rank (len(rho), 0), sums holds Q_1..Q_d, layout each nonempty
+    product's (parent, last part), and polys and products each rank's
+    expansions. Smaller sizes come from this cache.
 
-    Each top product Q_nu, |nu| = d, less its interpolant on the smaller
+    Each top product q_nu, |nu| = d, less its interpolant on the smaller
     nodes is a residual r_nu, kept as coordinates: integers over one den on
-    the smaller products, and den on Q_nu. P_kappa vanishes at every other
+    the smaller products, and den on q_nu. P_kappa vanishes at every other
     node of size <= |kappa| and is |kappa|! at its own, so subtracting
     r_nu(kappa) / s! P_kappa for each kappa of size s, for s = 0..d-1 in
     turn, makes r_nu vanish on every smaller node. Each size s is one step:
     its polynomials, with each node's bottom and s! folded in, are integer
     columns over one denominator, and the step is r_nu's values at the
-    size-s nodes, one integer combination and one `lowest_terms`. One solve
-    at the nodes of size d, on columns divided by their gcds, picks each
-    shape's sum c_nu r_nu, its pivots from the left."""
-    lower = [_polynomials_of_size(m, n, theta, s) for s in range(d)]
-    shapes = enumerate_hooks(m, n, d)[sum(len(entry.coords) for entry in lower) :]
+    size-s nodes, one integer combination and one `lowest_terms`. One square
+    solve at the nodes of size d, on columns divided by their gcds, picks
+    each shape's sum c_nu r_nu."""
+    lower = [_polynomials_of_size(theta, s) for s in range(d)]
     products = list(enumerate_partitions(d, d))
     first = sum(1 for nu in products if size(nu) < d)
+    shapes = products[first:]
     entry = SimpleNamespace(
-        coords={}, points={}, sums=[], layout=[], polys={}, products=None
+        coords={}, points={}, sums=[], layout=[], polys={}, products={}
     )
     if lower:
         index = {nu: i for i, nu in enumerate(products)}
         entry.points = dict(lower[-1].points)
         entry.sums = lower[-1].sums + [_power_sum_terms(theta, d)]
-        entry.layout = lower[-1].layout + [
-            (index[nu[:-1]], nu[-1]) for nu in products[first:]
-        ]
-    entry.points.update({rho: node_point(rho, m, n, theta) for rho in shapes})
-    at = {rho: _product_values(entry, *point, m) for rho, point in entry.points.items()}
+        entry.layout = lower[-1].layout + [(index[nu[:-1]], nu[-1]) for nu in shapes]
+    entry.points.update({rho: node_point(rho, len(rho), 0, theta) for rho in shapes})
+    readers = [_row_reader(k, 0, theta, entry.sums, entry.layout) for k in range(d + 1)]
+    at = {rho: readers[len(rho)](*point) for rho, point in entry.points.items()}
 
     def value(rho, j, den, low):
         # r_nu(rho) * den * bottom for the j-th top product; low ends below s.
@@ -204,7 +210,7 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         rows = zip(*([x * (common // den) for x in nums] for den, nums in scaled))
         steps.append((list(smaller.coords), common, list(rows)))
     residuals = []
-    for j in range(len(products) - first):
+    for j in range(len(shapes)):
         den, low = 1, ()
         for kappas, common, rows in steps:
             # r_nu - sum r_nu(kappa) / s! P_kappa, over den * common.
@@ -230,10 +236,10 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
         )
     except ValueError as error:
         raise ValueError(
-            f"power-sum products do not reach the hook count {len(entry.points)} "
-            f"for (m,n,theta,degree)=({m},{n},{theta},{d}): {error}"
+            f"power-sum products do not separate the {len(shapes)} partitions "
+            f"for (theta,degree)=({theta},{d}): {error}"
         ) from None
-    # P_lam = sum c_nu r_nu = sum (y_nu / g_nu) (den_nu Q_nu + low_nu): one
+    # P_lam = sum c_nu r_nu = sum (y_nu / g_nu) (den_nu q_nu + low_nu): one
     # integer combination over lcm(g) and the den of y in lowest terms, which
     # is far smaller than the solve's.
     common = math.lcm(*gcds)
@@ -250,27 +256,31 @@ def _polynomials_of_size(m: int, n: int, theta, d: int):
 
 
 def _expanded_products(m: int, n: int, theta, d: int) -> list:
-    """Every product Q_nu, |nu| <= d, in order, as {exponents: integer
-    coefficient}: made on the first call for size d, each as a smaller
-    product times one Q_r, and kept in the size's cache entry."""
-    entry = _polynomials_of_size(m, n, theta, d)
-    if entry.products is None and not d:
-        entry.products = [{(0,) * (m + n): 1}]
-    elif entry.products is None:
+    """Every product q_nu, |nu| <= d, at rank (m, n), in order, as
+    {exponents: integer coefficient}: made on the first call for size d, each
+    as a smaller product times one q_r, and kept in the size's cache entry."""
+    entry = _polynomials_of_size(theta, d)
+    if (m, n) not in entry.products and not d:
+        entry.products[m, n] = [{(0,) * (m + n): 1}]
+    elif (m, n) not in entry.products:
         made = list(_expanded_products(m, n, theta, d - 1))
-        power = {}
-        for v in range(m + n):
+        # q_d: (2pq)^d a_k (x + move / 2pq)^k by the binomial theorem, + q_d(0).
+        unit, moves = _moves(m, n, theta)
+        _, at_origin = _row_reader(m, n, theta, entry.sums, [(0, d)])(1, [0] * (m + n))
+        power = {(0,) * (m + n): at_origin[-1]}
+        for v, move in enumerate(moves):
             for k, *pair in entry.sums[-1]:
-                exp = tuple(k if u == v else 0 for u in range(m + n))
-                power[exp] = power.get(exp, 0) + pair[v >= m]
-        power = {exp: c for exp, c in power.items() if c}
-        # Q_(r) is the product laid out as (0, r).
+                for t in range(1, k + 1):
+                    exp = tuple(t if u == v else 0 for u in range(m + n))
+                    c = pair[v >= m] * math.comb(k, t) * move ** (k - t)
+                    power[exp] = power.get(exp, 0) + c * unit ** (d - k + t)
+        # q_(r) is the product laid out as (0, r).
         single = {r: i + 1 for i, (parent, r) in enumerate(entry.layout) if not parent}
         for parent, r in entry.layout[len(made) - 1 :]:
             factor = made[single[r]] if r < d else power
             made.append(integer_product(made[parent], factor))
-        entry.products = made
-    return entry.products
+        entry.products[m, n] = made
+    return entry.products[m, n]
 
 
 def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
@@ -285,16 +295,16 @@ def interpolation_polynomial(m: int, n: int, theta, lam) -> SparsePolynomial:
     theta = require_theta(theta)
     m, n = require_rank(m, n)
     lam = require_hook(lam, m, n)
-    entry = _polynomials_of_size(m, n, theta, size(lam))
-    if lam not in entry.polys:
+    entry = _polynomials_of_size(theta, size(lam))
+    if (m, n, lam) not in entry.polys:
         den, nums = entry.coords[lam]
         sums: dict[tuple[int, ...], int] = {}
         for c, product in zip(nums, _expanded_products(m, n, theta, size(lam))):
             if c:
                 for exp, v in product.items():
                     sums[exp] = sums.get(exp, 0) + c * v
-        entry.polys[lam] = SparsePolynomial._from_sums(m, n, sums, den)
-    return entry.polys[lam]
+        entry.polys[m, n, lam] = SparsePolynomial._from_sums(m, n, sums, den)
+    return entry.polys[m, n, lam]
 
 
 def eigenvalue(mu, lam, m: int, n: int, theta) -> Fraction:

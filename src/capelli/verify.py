@@ -17,7 +17,7 @@ decreasing Borel of the half-parameter family, that the selected affine map
 sends every Borel highest weight to a point spectrally equal to the standard
 node, and that on generic weights it reaches the node as a vector. Both
 check that mapped points agree with their nodes in the compatible algebra
-up to degree mu_max, deciding from one table of the power sums Q_1..Q_mu_max
+up to degree mu_max, deciding from one table of the power sums q_1..q_mu_max
 (each P_mu is a polynomial in them); P_mu is evaluated only for failure
 records. Each sweep keys its points in one form, over 2 (pair) or in lowest
 terms (one-sided); points and rows are (den, nums), rows in lowest terms.
@@ -183,7 +183,7 @@ def _fractions(den: int, nums) -> tuple[Fraction, ...]:
 
 def _value_table(config: SweepConfig, theta: Fraction):
     """The shapes mu and lambda, the lambda nodes, and a reader row(point) of
-    the power sums Q_1..Q_mu_max at a point, read once per distinct point.
+    the power sums q_1..q_mu_max at a point, read once per distinct point.
     Points are (den, nums), the nodes in lowest terms; each sweep keys its
     points in one form of its own, so a point is its own key, and a point
     equal to a node in that form has the node's values by definition. Rows

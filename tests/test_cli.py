@@ -288,6 +288,15 @@ class TestOrbit:
         assert data["status"] == "infinite"
         assert data["witness"] is not None
 
+    def test_blank_point_is_the_empty_point_at_rank_zero(self, capsys):
+        # As `orbit((), 0, 0, 1/2)` and `parse_int_list("")`: blank text is the
+        # empty point, not an empty rational literal.
+        code, out, _ = run_cli(
+            capsys, "orbit", "--m", "0", "--n", "0", "--theta", "1/2", "--point", ""
+        )
+        assert code == 0
+        assert json.loads(out) == {"status": "finite", "explored": 1, "points": [[]]}
+
     def test_budget_zero_is_exhausted_by_the_start_point(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from capelli.partitions import (
     enumerate_hooks,
     enumerate_partitions,
     frobenius_coords,
+    is_hook,
     node_point,
     size,
 )
@@ -154,7 +156,14 @@ def test_rejects_a_fractional_rank():
 
 
 @pytest.mark.parametrize(
-    "m,n,theta", [(2, 1, HALF), (2, 2, ONE), (1, 2, Fraction(1, 3))]
+    "m,n,theta",
+    [
+        (2, 1, HALF),
+        (2, 2, ONE),
+        (1, 2, Fraction(1, 3)),
+        (0, 2, HALF),
+        (3, 1, Fraction(2)),
+    ],
 )
 def test_matches_interpolant_on_defect_nullspace_basis(m, n, theta):
     # The power-sum build against the old one: monomial symmetric generators,
@@ -165,6 +174,83 @@ def test_matches_interpolant_on_defect_nullspace_basis(m, n, theta):
         ), lam
 
 
+# Ranks with an empty block, a point of length 0, and theta off 1/2 and 1.
+TRANSLATION_RANKS = [(0, 0), (1, 1), (2, 1), (0, 2), (4, 0), (1, 3)]
+
+
+@pytest.mark.parametrize("theta", [HALF, Fraction(1, 3), ONE, Fraction(3)])
+def test_power_sum_rows_are_the_translated_power_sums(theta):
+    # The row of `power_sums` against its formula, in Fractions from psi_r
+    # alone: q_r = (2pq)^r E_r sum_k C(r, k) delta^(r - k) (p_k(z) - p_k(empty
+    # node)), the unitriangular T_delta on the deformed power sums p_k with
+    # Q_k = E_k p_k, delta = (n - theta*m)/2.
+    rng, top = random.Random(7), 5
+    unit = 2 * theta.numerator * theta.denominator
+    coefficients = [power_sum_coefficients(theta, k) for k in range(1, top + 1)]
+    scales = [integer_form(xs + ys)[0] for xs, ys in coefficients]
+
+    def p(k, point, m):
+        xs, ys = coefficients[k - 1]
+        weights = [xs if i < m else ys for i in range(len(point))]
+        return sum(w[j] * v**j for w, v in zip(weights, point) for j in range(k + 1))
+
+    for m, n in TRANSLATION_RANKS:
+        delta = (n - theta * m) / 2
+        empty = frobenius_coords((), m, n, theta)
+        rows_at = isjp.power_sums(m, n, theta, top)
+        for _ in range(5):
+            point = tuple(
+                Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(m + n)
+            )
+            den, q = rows_at(*integer_form(point))
+            for r in range(1, top + 1):
+                diffs = [p(k, point, m) - p(k, empty, m) for k in range(1, r + 1)]
+                expected = unit**r * scales[r - 1] * sum(
+                    math.comb(r, k) * delta ** (r - k) * x
+                    for k, x in enumerate(diffs, 1)
+                )
+                assert Fraction(q[r - 1], den) == expected, (m, n, point, r)
+
+
+@pytest.mark.parametrize("theta", [HALF, ONE, Fraction(2, 3)])
+def test_non_hook_table_polynomials_vanish_at_every_rank(theta):
+    # The table holds every partition; read through a rank's power sums, a
+    # shape that is no hook of that rank gives the zero polynomial, as
+    # Sergeev-Veselov's map sends exactly those shapes to zero (Comm. Math.
+    # Phys. 245, 2004). Fractions only, from the coordinates and the rows.
+    # Control: each such polynomial is |mu|! at its own node, read at rank
+    # (len(mu), 0), so none is zero in the q_r.
+    rng, top = random.Random(11), 5
+    shapes = list(enumerate_partitions(top, top))
+
+    def value(mu, row_den, q):
+        qs = [Fraction(x, row_den) for x in q]
+        den, nums = isjp._polynomials_of_size(theta, size(mu)).coords[mu]
+        products = enumerate_partitions(size(mu), size(mu))
+        terms = zip(nums, products)
+        return sum(c * math.prod(qs[r - 1] for r in nu) for c, nu in terms) / den
+
+    vanished = 0
+    for m, n in [(1, 1), (2, 1), (0, 2), (1, 2)]:
+        rows_at = isjp.power_sums(m, n, theta, top)
+        others = [mu for mu in shapes if not is_hook(mu, m, n)]
+        for mu in others:
+            own = isjp.power_sums(len(mu), 0, theta, size(mu))
+            point = node_point(mu, len(mu), 0, theta)
+            assert value(mu, *own(*point)) == characteristic_value(mu), mu
+        for _ in range(6):
+            point = tuple(
+                Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(m + n)
+            )
+            row = rows_at(*integer_form(point))
+            for mu in others:
+                assert value(mu, *row) == 0, (m, n, mu, point)
+                vanished += 1
+    # (1, 1) has 3 shapes of size <= 5 that are no hook and (0, 2) has 7;
+    # (2, 1) and (1, 2) have none below size 6.
+    assert vanished == 6 * (3 + 7)
+
+
 def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
     # Negative control: if every power sum were p_1, the products would span
     # too little, and the build must refuse rather than return a polynomial.
@@ -172,7 +258,7 @@ def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
         return power_sum_coefficients(theta, 1)
 
     monkeypatch.setattr(isjp, "power_sum_coefficients", first_power_sum)
-    with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,2\)"):
+    with pytest.raises(ValueError, match=r"\(theta,degree\)=\(1/2,2\)"):
         interpolation_polynomial(2, 1, HALF, (2,))
 
 
@@ -189,7 +275,7 @@ def test_dimension_guard_names_the_first_degenerate_size(monkeypatch, cold_cache
     isjp._polynomials_of_size.cache_clear()
     for lam in small:
         assert interpolation_polynomial(2, 1, HALF, lam) == unpatched[lam], lam
-    with pytest.raises(ValueError, match=r"\(m,n,theta,degree\)=\(2,1,1/2,3\)"):
+    with pytest.raises(ValueError, match=r"\(theta,degree\)=\(1/2,3\)"):
         interpolation_polynomial(2, 1, HALF, (2, 1))
 
 
@@ -258,9 +344,9 @@ def test_request_order_and_cache_state_do_not_matter(cold_cache):
 
 
 def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch, cold_cache):
-    # Each size is one solve of integer rows: a row per hook of that size and
-    # a column per power-sum product of that size; no elimination runs over
-    # smaller nodes.
+    # Each size is one square solve of integer rows: a row per partition of
+    # that size and a column per power-sum product of that size, whatever the
+    # rank asked for; no elimination runs over smaller nodes.
     m, n, theta, top = 2, 1, HALF, 6
     shapes = []
 
@@ -271,15 +357,15 @@ def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch, cold_cache):
 
     monkeypatch.setattr(isjp, "solve_linear", recording_solve)
     interpolation_polynomial(m, n, theta, (3, 2, 1))
-    hooks = enumerate_hooks(m, n, top)
+    partitions = list(enumerate_partitions(top, top))
     expected = [
         (
-            sum(1 for lam in hooks if size(lam) == d),
+            sum(1 for lam in partitions if size(lam) == d),
             sum(1 for nu in enumerate_partitions(d, d) if size(nu) == d),
         )
         for d in range(top + 1)
     ]
-    assert expected[top] == (10, 11)
+    assert expected[top] == (11, 11)
     assert shapes == expected
 
 
@@ -299,29 +385,29 @@ def test_every_solve_column_has_gcd_one(monkeypatch, cold_cache):
 
 
 # sha256 over each size's sorted(coords.items()) in turn, sizes 0..top, taken
-# from the build whose solve ran on undivided columns and whose Newton steps
-# combined one term at a time.
+# from the rank-free table once its monomial expansions matched every
+# GOLDEN_DIGESTS entry below.
 COORDINATE_DIGESTS = [
     (
-        2, 2, HALF, 10,
-        "b431fb38d412b23a3dc3f04daadb4b182c56568348474aa231dc679b6ff391ac",
+        HALF, 10,
+        "cbd7ba40427b881785b6e842a164f3f6eb20b6a9ae2c059c9be2255db5c35461",
     ),
     (
-        1, 2, Fraction(1, 3), 8,
-        "ccc90658082fa56ba65a55e21f93c8ab8511b7ba3b786e882cc8d9b899c1cd29",
+        Fraction(1, 3), 8,
+        "0430d62e66b515200ab6ffda3569c67e3f809df05ec33884d2e1024938b538f7",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "m,n,theta,top,digest", COORDINATE_DIGESTS, ids=["2-2-half-10", "1-2-third-8"]
+    "theta,top,digest", COORDINATE_DIGESTS, ids=["half-10", "third-8"]
 )
 def test_coordinates_are_in_lowest_terms_and_match_digests(
-    m, n, theta, top, digest, cold_cache
+    theta, top, digest, cold_cache
 ):
     hasher = hashlib.sha256()
     for d in range(top + 1):
-        coords = sorted(isjp._polynomials_of_size(m, n, theta, d).coords.items())
+        coords = sorted(isjp._polynomials_of_size(theta, d).coords.items())
         for lam, (den, nums) in coords:
             assert den > 0 and math.gcd(den, *nums) == 1, lam
         hasher.update(repr(coords).encode())
@@ -329,7 +415,10 @@ def test_coordinates_are_in_lowest_terms_and_match_digests(
 
 def test_each_node_point_is_computed_once(monkeypatch, cold_cache):
     # Each size computes the integer node points only at its own nodes and
-    # reads the smaller nodes' points from the cache: one call per hook.
+    # reads the smaller nodes' points from the cache: one call per partition.
+    # Each power-sum reader reads its rank's empty node once more: the build
+    # makes one per rank (l, 0), l <= d, at each size d, 28 in all, and the
+    # rank-(2,1) expansions one per size from 1 to 6.
     m, n, theta, top = 2, 1, HALF, 6
     calls = []
 
@@ -340,8 +429,9 @@ def test_each_node_point_is_computed_once(monkeypatch, cold_cache):
     monkeypatch.setattr(isjp, "node_point", counting_point)
     for lam in enumerate_hooks(m, n, top):
         interpolation_polynomial(m, n, theta, lam)
-    assert len(calls) == 29
-    assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
+    partitions = list(enumerate_partitions(top, top))
+    assert len(partitions) == 30
+    assert Counter(calls) == Counter(partitions) + Counter({(): 28 + top})
 
 
 def test_each_normalization_value_is_taken_once_per_shape(monkeypatch, cold_cache):
@@ -357,7 +447,7 @@ def test_each_normalization_value_is_taken_once_per_shape(monkeypatch, cold_cach
 
     monkeypatch.setattr(isjp, "characteristic_value", counting_value)
     evaluator(m, n, theta, enumerate_hooks(m, n, top))
-    assert sorted(calls) == sorted(enumerate_hooks(m, n, top))
+    assert sorted(calls) == sorted(enumerate_partitions(top, top))
 
 
 # The library functions that may make a Fraction while polynomials are built

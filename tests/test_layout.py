@@ -211,3 +211,14 @@ def test_one_bounded_cache():
     assert bounds and not (
         isinstance(bounds[0], ast.Constant) and bounds[0].value is None
     ), "the cache needs a maxsize"
+
+
+def test_the_cache_is_keyed_on_theta_and_size_alone():
+    # One table per theta serves every rank: the one cache takes no rank.
+    (build,) = [
+        node
+        for node in ast.walk(_trees()["isjp"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_polynomials_of_size"
+    ]
+    assert [arg.arg for arg in build.args.args] == ["theta", "d"]
+    assert not (build.args.vararg or build.args.kwarg or build.args.kwonlyargs)
