@@ -3,17 +3,17 @@ the filtered compatible-polynomial space taking value |shape|! at the shape's
 own shifted coordinates and vanishing at those of every other hook partition
 of size up to |shape|.
 
-Every rank reads one table per theta = p/q, in the power sums q_r of
-`_row_reader`: at the node of any hook lam, q_r = (2pq)^r E_r sum_i ((lam_i -
-theta(i - 1/2))^r - (-theta(i - 1/2))^r) reads lam's rows alone
-(Sergeev-Veselov, Comm. Math. Phys. 245, 2004). So the table interpolates at
-every partition, and each size is built on the smaller ones (Newton
-interpolation): each top product q_nu, |nu| = d, less its interpolant on the
-smaller nodes vanishes on them, and one square solve at the partitions of
-size d combines these residuals, all in small integers. A polynomial is
-kept as its coordinates over the products q_nu, ordered as
-`enumerate_partitions` lists nu, so that a smaller size's coordinates are a
-prefix; only `interpolation_polynomial` expands them into monomials."""
+Every rank reads one table per theta = p/q through `_sums_reader`, the one
+path from a point to its power sums q_r. At the node of any hook lam, q_r =
+(2pq)^r E_r sum_i ((lam_i - theta(i - 1/2))^r - (-theta(i - 1/2))^r) is an
+integer and reads lam's rows alone (Sergeev-Veselov, Comm. Math. Phys. 245,
+2004). So the table interpolates at every partition, and each size is built on
+the smaller ones (Newton interpolation): each top product q_nu, |nu| = d, less
+its interpolant on the smaller nodes vanishes on them, and one square solve at
+the partitions of size d combines these residuals, all in small integers. A
+polynomial is kept as its coordinates over the products q_nu, in
+`enumerate_partitions` order, so a smaller size's are a prefix; only
+`interpolation_polynomial` expands them into monomials."""
 
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from .partitions import (
 )
 from .sympoly import SparsePolynomial, integer_product
 
-# Sizes whose polynomials stay cached; each entry holds one size of one
-# theta's table, every node's point up to that size and each rank's expansions.
+# Bound of the one cache, and so the largest size built: a build reads every
+# smaller size from the cache. An entry is one size of one theta's table.
 CACHED_SIZES = 64
 
 
@@ -84,55 +84,56 @@ def _moves(m: int, n: int, theta) -> tuple[int, list[int]]:
     return 2 * p * q, [p * (n * q - m * p)] * m + [q * (m * p - n * q)] * n
 
 
-def _row_reader(m: int, n: int, theta, terms, layout):
-    """values_at(den, nums) -> (scale, values): the one path from a point
-    nums / den of rank (m, n) to its products q_nu laid out as in layout, each
-    times scale, for terms Q_1..Q_d. q_r = (2pq)^r (T_delta (Q - Q(empty
-    node)))_r, T_delta[r][k] = C(r, k) delta^(r - k) E_r / E_k, is (2pq)^r
-    times Q_r at the moved point less at the moved empty node; at a node,
-    scale is 1."""
+def _sums_reader(m: int, n: int, theta, terms):
+    """sums_at(den, nums) -> (den, q): the one path from a point nums / den of
+    rank (m, n) to its power sums q_1..q_d for terms Q_1..Q_d, in lowest
+    terms. q_r = (2pq)^r (T_delta (Q - Q(empty node)))_r, T_delta[r][k] =
+    C(r, k) delta^(r - k) E_r / E_k, is (2pq)^r times Q_r at the moved point
+    less at the moved empty node, whose Q_r are taken once, here."""
     unit, moves = _moves(m, n, theta)
-    base, empty = node_point((), m, n, theta)
     d = len(terms)
 
-    def values_at(den: int, nums) -> tuple[int, list[int]]:
-        if len(nums) != m + n:
-            raise ValueError(f"point has length {len(nums)}, expected {m + n}")
-        scale = math.lcm(den, unit)
-        powers = [scale**k for k in range(d + 1)]
-        # Column k sums v^k - e^k over a block's moved v and moved empty node e.
-        xs, ys = [0] * (d + 1), [0] * (d + 1)
-        for i, (v, e, move) in enumerate(zip(nums, empty, moves)):
-            sums, move = xs if i < m else ys, move * (scale // unit)
-            v, e = v * (scale // den) + move, e * (scale // base) + move
-            power_v = power_e = 1
+    def moved(den: int, nums) -> tuple[int, list[int]]:
+        # (scale / 2pq, Q_r(moved point) * scale^r), scale = lcm(den, 2pq):
+        # column k sums v^k over a block's moved v, one power per coordinate.
+        scale, xs, ys = math.lcm(den, unit), [0] * (d + 1), [0] * (d + 1)
+        for i, (v, move) in enumerate(zip(nums, moves)):
+            column, v, power = ys if i >= m else xs, v * (scale // den), 1
+            v += move * (scale // unit)
             for k in range(d + 1):
-                sums[k] += power_v - power_e
-                power_v, power_e = power_v * v, power_e * e
-        q = [
-            sum((a * xs[k] + b * ys[k]) * powers[r - k] for k, a, b in rterms)
+                column[k] += power
+                power *= v
+        return scale // unit, [
+            sum((a * xs[k] + b * ys[k]) * scale ** (r - k) for k, a, b in rterms)
             for r, rterms in enumerate(terms, 1)
         ]
-        dens = [(scale // unit) ** k for k in range(d + 1)]
-        values = [dens[d]]
-        for parent, r in layout:
-            values.append(values[parent] // dens[r] * q[r - 1])
-        return dens[d], values
 
-    return values_at
+    _, empty = moved(*node_point((), m, n, theta))
+
+    def sums_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
+        if len(nums) != m + n:
+            raise ValueError(f"point has length {len(nums)}, expected {m + n}")
+        t, q = moved(den, nums)
+        q = [(x - e * t**r) * t ** (d - r) for r, (x, e) in enumerate(zip(q, empty), 1)]
+        return lowest_terms(t**d, q)
+
+    return sums_at
+
+
+def _products(layout, den: int, q) -> list[int]:
+    """The products q_nu laid out as (parent, last part) after the empty one,
+    each over den^d, for q = q_1..q_d over den."""
+    values = [den ** len(q)]
+    for parent, r in layout:
+        values.append(values[parent] // den * q[r - 1])
+    return values
 
 
 def power_sums(m: int, n: int, theta, d: int):
-    """sums_at(den, nums): q_1..q_d at a point of rank (m, n) by `_row_reader`,
-    in lowest terms. Each P_mu, |mu| <= d, is a polynomial in them."""
+    """sums_at(den, nums): q_1..q_d at a point of rank (m, n) in lowest terms,
+    by `_sums_reader`. Each P_mu, |mu| <= d, is a polynomial in them."""
     terms = [_power_sum_terms(theta, r) for r in range(1, d + 1)]
-    values_at = _row_reader(m, n, theta, terms, [(0, r) for r in range(1, d + 1)])
-
-    def sums_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
-        scale, values = values_at(den, nums)
-        return lowest_terms(scale, values[1:])
-
-    return sums_at
+    return _sums_reader(m, n, theta, terms)
 
 
 def evaluator(m: int, n: int, theta, shapes):
@@ -147,12 +148,12 @@ def evaluator(m: int, n: int, theta, shapes):
     forms = [_polynomials_of_size(theta, size(lam)).coords[lam] for lam in shapes]
     common = math.lcm(*(den for den, _ in forms))
     forms = [[x * (common // den) for x in nums] for den, nums in forms]
-    products_at = _row_reader(m, n, theta, entry.sums, entry.layout)
+    sums_at = _sums_reader(m, n, theta, entry.sums)
 
     def values_at(den: int, nums) -> tuple[int, tuple[int, ...]]:
-        scale, values = products_at(den, nums)
+        values = _products(entry.layout, *sums_at(den, nums))
         return lowest_terms(
-            common * scale, [sum(map(operator.mul, c, values)) for c in forms]
+            common * values[0], [sum(map(operator.mul, c, values)) for c in forms]
         )
 
     return values_at
@@ -166,17 +167,19 @@ def _polynomials_of_size(theta, d: int):
     product's (parent, last part), and polys and products each rank's
     expansions. Smaller sizes come from this cache.
 
-    Each top product q_nu, |nu| = d, less its interpolant on the smaller
-    nodes is a residual r_nu, kept as coordinates: integers over one den on
-    the smaller products, and den on q_nu. P_kappa vanishes at every other
-    node of size <= |kappa| and is |kappa|! at its own, so subtracting
-    r_nu(kappa) / s! P_kappa for each kappa of size s, for s = 0..d-1 in
-    turn, makes r_nu vanish on every smaller node. Each size s is one step:
-    its polynomials, with each node's bottom and s! folded in, are integer
-    columns over one denominator, and the step is r_nu's values at the
-    size-s nodes, one integer combination and one `lowest_terms`. One square
-    solve at the nodes of size d, on columns divided by their gcds, picks
-    each shape's sum c_nu r_nu."""
+    Every node's point is over a divisor of 2pq, so its products are integers.
+    Each top product q_nu, |nu| = d, less its interpolant on the smaller nodes
+    is a residual r_nu, kept as coordinates: integers over one den on the
+    smaller products, and den on q_nu. P_kappa vanishes at every other node of
+    size <= |kappa| and is |kappa|! at its own, so subtracting r_nu(kappa) /
+    s! P_kappa for each kappa of size s, for s = 0..d-1 in turn, makes r_nu
+    vanish on every smaller node. Each size s is one step: its polynomials,
+    with s! folded in, are integer columns over one denominator, and the step
+    is r_nu's values at the size-s nodes, one integer combination and one
+    `lowest_terms`. One square solve at the nodes of size d, on columns
+    divided by their gcds, picks each shape's sum c_nu r_nu."""
+    if d > CACHED_SIZES:
+        raise ValueError(f"size {d} exceeds CACHED_SIZES = {CACHED_SIZES}")
     lower = [_polynomials_of_size(theta, s) for s in range(d)]
     products = list(enumerate_partitions(d, d))
     first = sum(1 for nu in products if size(nu) < d)
@@ -190,21 +193,22 @@ def _polynomials_of_size(theta, d: int):
         entry.sums = lower[-1].sums + [_power_sum_terms(theta, d)]
         entry.layout = lower[-1].layout + [(index[nu[:-1]], nu[-1]) for nu in shapes]
     entry.points.update({rho: node_point(rho, len(rho), 0, theta) for rho in shapes})
-    readers = [_row_reader(k, 0, theta, entry.sums, entry.layout) for k in range(d + 1)]
-    at = {rho: readers[len(rho)](*point) for rho, point in entry.points.items()}
+    readers = [_sums_reader(k, 0, theta, entry.sums) for k in range(d + 1)]
+    at = {
+        rho: _products(entry.layout, *readers[len(rho)](*point))
+        for rho, point in entry.points.items()
+    }
 
     def value(rho, j, den, low):
-        # r_nu(rho) * den * bottom for the j-th top product; low ends below s.
-        values = at[rho][1]
-        return sum(map(operator.mul, low, values)) + den * values[first + j]
+        # r_nu(rho) * den for the j-th top product; low ends below s.
+        return sum(map(operator.mul, low, at[rho])) + den * at[rho][first + j]
 
-    # Each smaller size's P_kappa / (bottom * s!) over one denominator, as
-    # rows: row i holds every kappa's i-th coordinate.
+    # Each smaller size's P_kappa / s! over one denominator, as rows: row i
+    # holds every kappa's i-th coordinate.
     steps = []
     for s, smaller in enumerate(lower):
         scaled = [
-            lowest_terms(p * at[kappa][0] * math.factorial(s), nums)
-            for kappa, (p, nums) in smaller.coords.items()
+            lowest_terms(p * math.factorial(s), x) for p, x in smaller.coords.values()
         ]
         common = math.lcm(*(den for den, _ in scaled))
         rows = zip(*([x * (common // den) for x in nums] for den, nums in scaled))
@@ -219,20 +223,16 @@ def _polynomials_of_size(theta, d: int):
             nums = [x * common - sum(map(operator.mul, vs, row)) for x, row in pairs]
             den, low = lowest_terms(den * common, nums)
         residuals.append((den, low))
-    # One integer row per node in lowest terms, r_nu(rho) * den_nu over the
-    # row's den, its right-hand side scaled with it. Column nu, divided by its
+    # One integer row per node, r_nu(rho) * den_nu. Column nu, divided by its
     # gcd g_nu, solves for y_nu = g_nu * c_nu / den_nu.
-    forms = [
-        lowest_terms(at[rho][0], [value(rho, j, *r) for j, r in enumerate(residuals)])
-        for rho in shapes
-    ]
-    gcds = [math.gcd(*column) or 1 for column in zip(*(row for _, row in forms))]
+    forms = [[value(rho, j, *r) for j, r in enumerate(residuals)] for rho in shapes]
+    gcds = [math.gcd(*column) or 1 for column in zip(*forms)]
     rhs = [[0] * len(shapes) for _ in shapes]
-    for i, (lam, (scale, _)) in enumerate(zip(shapes, forms)):
-        rhs[i][i] = scale * characteristic_value(lam)
+    for i, lam in enumerate(shapes):
+        rhs[i][i] = characteristic_value(lam)
     try:
         den, solutions = solve_linear(
-            [[x // g for x, g in zip(row, gcds)] for _, row in forms], rhs
+            [[x // g for x, g in zip(row, gcds)] for row in forms], rhs
         )
     except ValueError as error:
         raise ValueError(
@@ -266,7 +266,7 @@ def _expanded_products(m: int, n: int, theta, d: int) -> list:
         made = list(_expanded_products(m, n, theta, d - 1))
         # q_d: (2pq)^d a_k (x + move / 2pq)^k by the binomial theorem, + q_d(0).
         unit, moves = _moves(m, n, theta)
-        _, at_origin = _row_reader(m, n, theta, entry.sums, [(0, d)])(1, [0] * (m + n))
+        _, at_origin = _sums_reader(m, n, theta, entry.sums)(1, [0] * (m + n))
         power = {(0,) * (m + n): at_origin[-1]}
         for v, move in enumerate(moves):
             for k, *pair in entry.sums[-1]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import capelli
-from capelli import cli
+from capelli import cli, isjp
 from capelli.cli import build_parser, main
 from capelli.isjp import eigenvalue
 from capelli.tau import MAP_FAMILIES
@@ -652,6 +652,21 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error: --out: ") and err.count("\n") == 1
         assert not target.exists()
+
+    def test_a_size_past_the_cache_bound_is_a_one_line_error(
+        self, capsys, monkeypatch
+    ):
+        # The size is refused before any table size is built; without the
+        # bound the command builds size after size with no end in reach.
+        def no_build(*args):
+            raise AssertionError("a size was built")
+
+        monkeypatch.setattr(isjp, "enumerate_partitions", no_build)
+        big = "99999999999999999999"
+        argv = ["isjp", "--m", "2", "--n", "1", "--theta", "1/2", "--lambda", big]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: size {big} exceeds CACHED_SIZES = 64\n"
 
     def test_a_library_key_error_is_not_a_usage_error(self, monkeypatch):
         # Bad input raises ValueError; a KeyError inside a command is a bug

@@ -212,6 +212,31 @@ def test_power_sum_rows_are_the_translated_power_sums(theta):
                 assert Fraction(q[r - 1], den) == expected, (m, n, point, r)
 
 
+@pytest.mark.parametrize("theta", [HALF, Fraction(1, 3), ONE, Fraction(2)])
+def test_node_power_sums_are_integers_that_read_the_rows_alone(theta):
+    # The build reads each node rho at rank (len(rho), 0) and takes its
+    # products as integers over no denominator. At every rank (k, 0) with k >=
+    # len(rho), the power sums at rho's node must be the same integers, the
+    # closed form q_r = (2pq)^r E_r sum_i ((rho_i - theta(i - 1/2))^r -
+    # (-theta(i - 1/2))^r), in Fractions from psi_r's coefficients alone.
+    top = 7
+    unit = 2 * theta.numerator * theta.denominator
+    scales = [
+        integer_form(sum(power_sum_coefficients(theta, r), ()))[0]
+        for r in range(1, top + 1)
+    ]
+    readers = [isjp.power_sums(k, 0, theta, top) for k in range(top + 1)]
+    for rho in enumerate_partitions(top, top):
+        shifts = [theta * (i - HALF) for i in range(1, len(rho) + 1)]
+        closed = tuple(
+            unit**r * scale * sum((x - s) ** r - (-s) ** r for x, s in zip(rho, shifts))
+            for r, scale in enumerate(scales, 1)
+        )
+        for k in range(len(rho), top + 1):
+            den, q = readers[k](*node_point(rho, k, 0, theta))
+            assert den == 1 and q == closed, (rho, k)
+
+
 @pytest.mark.parametrize("theta", [HALF, ONE, Fraction(2, 3)])
 def test_non_hook_table_polynomials_vanish_at_every_rank(theta):
     # The table holds every partition; read through a rank's power sums, a
@@ -249,6 +274,19 @@ def test_non_hook_table_polynomials_vanish_at_every_rank(theta):
     # (1, 1) has 3 shapes of size <= 5 that are no hook and (0, 2) has 7;
     # (2, 1) and (1, 2) have none below size 6.
     assert vanished == 6 * (3 + 7)
+
+
+def test_a_size_past_the_cache_bound_is_refused_at_once(monkeypatch, cold_cache):
+    # A build of size d reads every smaller size from the one cache, which
+    # holds CACHED_SIZES sizes, so a larger size must raise before any size
+    # is built, not run for ever.
+    def no_build(*args):
+        raise AssertionError("a size was built")
+
+    monkeypatch.setattr(isjp, "enumerate_partitions", no_build)
+    assert isjp.CACHED_SIZES == 64
+    with pytest.raises(ValueError, match="size 65 exceeds CACHED_SIZES = 64"):
+        interpolation_polynomial(2, 1, HALF, (65,))
 
 
 def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
