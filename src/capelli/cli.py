@@ -75,7 +75,7 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_sequence(text: str, num_eps: int, num_delta: int):
-    seq = tuple(parse_symbol(p) for p in text.split(","))
+    seq = tuple(parse_symbol(p) for p in text.split(",")) if text.strip() else ()
     return validate_sequence(seq, num_eps, num_delta)
 
 

@@ -37,8 +37,8 @@ from .partitions import (
 )
 from .sympoly import SparsePolynomial, integer_product
 
-# Bound of the one cache, and so the largest size built: a build reads every
-# smaller size from the cache. An entry is one size of one theta's table.
+# Bound of the one cache, and so the largest size built: a build reads its
+# predecessor, which reads its own. An entry is one size of one theta's table.
 CACHED_SIZES = 64
 
 
@@ -164,8 +164,9 @@ def _polynomials_of_size(theta, d: int):
     """The table's entry of size d: coords maps each partition of size d to
     its coordinates (den, nums), points each partition rho of size <= d to its
     node at rank (len(rho), 0), sums holds Q_1..Q_d, layout each nonempty
-    product's (parent, last part), and polys and products each rank's
-    expansions. Smaller sizes come from this cache.
+    product's (parent, last part), steps each size's Newton step, and polys
+    and products each rank's expansions. It reads only size d - 1 from this
+    cache and carries that entry's points, sums, layout and steps forward.
 
     Every node's point is over a divisor of 2pq, so its products are integers.
     Each top product q_nu, |nu| = d, less its interpolant on the smaller nodes
@@ -180,18 +181,19 @@ def _polynomials_of_size(theta, d: int):
     divided by their gcds, picks each shape's sum c_nu r_nu."""
     if d > CACHED_SIZES:
         raise ValueError(f"size {d} exceeds CACHED_SIZES = {CACHED_SIZES}")
-    lower = [_polynomials_of_size(theta, s) for s in range(d)]
-    products = list(enumerate_partitions(d, d))
+    products = enumerate_partitions(d, d)
     first = sum(1 for nu in products if size(nu) < d)
     shapes = products[first:]
     entry = SimpleNamespace(
-        coords={}, points={}, sums=[], layout=[], polys={}, products={}
+        coords={}, points={}, sums=[], layout=[], steps=[], polys={}, products={}
     )
-    if lower:
+    if d:
+        previous = _polynomials_of_size(theta, d - 1)
         index = {nu: i for i, nu in enumerate(products)}
-        entry.points = dict(lower[-1].points)
-        entry.sums = lower[-1].sums + [_power_sum_terms(theta, d)]
-        entry.layout = lower[-1].layout + [(index[nu[:-1]], nu[-1]) for nu in shapes]
+        entry.points = dict(previous.points)
+        entry.sums = previous.sums + [_power_sum_terms(theta, d)]
+        entry.layout = previous.layout + [(index[nu[:-1]], nu[-1]) for nu in shapes]
+        entry.steps = list(previous.steps)
     entry.points.update({rho: node_point(rho, len(rho), 0, theta) for rho in shapes})
     readers = [_sums_reader(k, 0, theta, entry.sums) for k in range(d + 1)]
     at = {
@@ -203,20 +205,10 @@ def _polynomials_of_size(theta, d: int):
         # r_nu(rho) * den for the j-th top product; low ends below s.
         return sum(map(operator.mul, low, at[rho])) + den * at[rho][first + j]
 
-    # Each smaller size's P_kappa / s! over one denominator, as rows: row i
-    # holds every kappa's i-th coordinate.
-    steps = []
-    for s, smaller in enumerate(lower):
-        scaled = [
-            lowest_terms(p * math.factorial(s), x) for p, x in smaller.coords.values()
-        ]
-        common = math.lcm(*(den for den, _ in scaled))
-        rows = zip(*([x * (common // den) for x in nums] for den, nums in scaled))
-        steps.append((list(smaller.coords), common, list(rows)))
     residuals = []
     for j in range(len(shapes)):
         den, low = 1, ()
-        for kappas, common, rows in steps:
+        for kappas, common, rows in entry.steps:
             # r_nu - sum r_nu(kappa) / s! P_kappa, over den * common.
             vs = [value(kappa, j, den, low) for kappa in kappas]
             pairs = zip_longest(low, rows, fillvalue=0)
@@ -252,6 +244,12 @@ def _polynomials_of_size(theta, d: int):
             [sum(map(operator.mul, factors, column)) for column in lows]
             + [f * r for f, (r, _) in zip(factors, residuals)],
         )
+    # This size's step: each P_lam / d! over one denominator, as rows: row i
+    # holds every lam's i-th coordinate.
+    scaled = [lowest_terms(p * math.factorial(d), x) for p, x in entry.coords.values()]
+    common = math.lcm(*(den for den, _ in scaled))
+    rows = zip(*([x * (common // den) for x in nums] for den, nums in scaled))
+    entry.steps.append((shapes, common, list(rows)))
     return entry
 
 

@@ -88,24 +88,15 @@ def double_partition(lam: Partition, m: int, n: int) -> Partition:
     return tuple(2 * p for p in require_hook(lam, m, n))
 
 
-def enumerate_partitions(max_size: int, max_parts: int):
-    """Yield all partitions with at most max_parts parts and size <= max_size,
-    ordered by size then lexicographically."""
-
-    def rows(remaining, parts_left, cap):
-        yield ()
-        if parts_left == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rows(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    found = sorted(rows(max_size, max_parts, max_size), key=lambda p: (sum(p), p))
-    yield from found
+def enumerate_partitions(max_size: int, max_parts: int) -> list[Partition]:
+    """All partitions with at most max_parts parts and size <= max_size,
+    ordered by size then lexicographically: the (max_parts|0) hooks."""
+    return enumerate_hooks(max_parts, 0, max_size)
 
 
 def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
-    """All (m|n)-hook partitions of size <= max_size, by size then lex.
+    """All (m|n)-hook partitions of size <= max_size, by size then lex,
+    generated depth first on a stack, each row past m capped at n.
 
     Examples
     ========
@@ -117,9 +108,15 @@ def enumerate_hooks(m: int, n: int, max_size: int) -> list[Partition]:
     max_size = as_integer(max_size, "size bound")
     if max_size < 0:
         raise ValueError(f"size bound must be nonnegative, got {max_size}")
-    return [
-        lam for lam in enumerate_partitions(max_size, max_size) if part(lam, m + 1) <= n
-    ]
+    found, stack = [], [((), max_size, max_size)]
+    while stack:
+        lam, left, cap = stack.pop()
+        found.append(lam)
+        if len(lam) >= m:
+            cap = min(cap, n)
+        stack.extend((lam + (p,), left - p, p) for p in range(1, min(cap, left) + 1))
+    found.sort(key=lambda lam: (sum(lam), lam))
+    return found
 
 
 def require_theta(theta) -> Fraction:

@@ -236,6 +236,20 @@ def nongeneric_index(lam, borel: BorelDescriptor) -> int | None:
     return None
 
 
+# -- hooks by brute force ------------------------------------------------------
+
+
+def hooks_by_brute_force(m: int, n: int, max_size: int) -> list[tuple[int, ...]]:
+    """Every weakly decreasing tuple of positive parts of size <= max_size
+    whose row m + 1 is at most n, sorted by (size, tuple)."""
+    tuples = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(max_size, 0, -1), length)
+        for length in range(max_size + 1)
+    )
+    hooks = [t for t in tuples if sum(t) <= max_size and part(t, m + 1) <= n]
+    return sorted(hooks, key=lambda t: (sum(t), t))
+
+
 # -- the point side by transposes and Fraction sums -----------------------------
 #
 # Oracles for the library's integer forms of the shifted coordinates, the

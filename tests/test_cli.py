@@ -111,6 +111,22 @@ class TestHw:
         assert code == 0
         assert '"generic": true' in out
 
+    def test_sequence_mode_reads_blank_text_as_the_empty_ordering(self, capsys):
+        # At rank (0|0) the only ordering is the empty one.
+        argv = ["hw", "--m", "0", "--n", "0", "--seq=", "--lambda="]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        empty = {"eps": [], "delta": []}
+        assert json.loads(out) == {
+            "lambda": "", "seq": [], "dual": False, "hw": empty, "rho": empty
+        }
+        # At any other rank the empty ordering is a one-line error.
+        code, out, err = run_cli(capsys, *argv[:2], "1", *argv[3:])
+        assert code == 2 and not out
+        assert err == (
+            "error: --seq: sequence () is not an ordering of 1 e/0 d symbols\n"
+        )
+
     def test_table_mode_is_csv(self, capsys):
         code, out, _ = run_cli(capsys, "hw", "--table", "--max", "2")
         assert code == 0
@@ -713,6 +729,20 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out_file.read_text())["failures"] == []
+
+    def test_mu_max_costs_the_hooks_it_names(self):
+        # 2,486 hooks of size <= 70 at (1|1), among about 30 million partitions:
+        # generated directly, the sweep takes well under a second.
+        proc = run_module(
+            "verify",
+            "--pair", "glm2n",
+            "--m", "1", "--n", "1",
+            "--lambda-max", "2",
+            "--mu-max", "70",
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert ", OK (" in proc.stdout
 
 
 class TestOptimizedInterpreter:

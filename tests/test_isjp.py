@@ -289,6 +289,22 @@ def test_a_size_past_the_cache_bound_is_refused_at_once(monkeypatch, cold_cache)
         interpolation_polynomial(2, 1, HALF, (65,))
 
 
+def test_each_size_reads_only_its_predecessor(cold_cache, monkeypatch):
+    # A cold size-6 build requests sizes 5, 4, ..., 0 once each, every size
+    # its predecessor alone: 6 requests, where reading every smaller size at
+    # each size would make 21. (cold_cache comes first so that it clears the
+    # real cache after the wrapper is undone.)
+    build, requests = isjp._polynomials_of_size, []
+
+    def recording(theta, d):
+        requests.append(d)
+        return build(theta, d)
+
+    monkeypatch.setattr(isjp, "_polynomials_of_size", recording)
+    build(HALF, 6)
+    assert requests == [5, 4, 3, 2, 1, 0]
+
+
 def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
     # Negative control: if every power sum were p_1, the products would span
     # too little, and the build must refuse rather than return a polynomial.

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import capelli
 from capelli.exact_linalg import integer_form
 from capelli.partitions import (
     double_partition,
@@ -22,6 +27,7 @@ from reference import (
     arm_columns,
     double_partition_by_columns,
     frobenius_coords_by_fractions,
+    hooks_by_brute_force,
 )
 
 
@@ -102,6 +108,38 @@ def test_enumerate_hooks_graded():
     sizes = [size(lam) for lam in hooks]
     assert sizes == sorted(sizes)
     assert len(set(hooks)) == len(hooks)
+
+
+def test_enumerate_hooks_and_partitions_match_brute_force():
+    # Order and completeness: every shape the reference keeps, in its order.
+    for s in range(9):
+        for m in range(4):
+            for n in range(4):
+                assert enumerate_hooks(m, n, s) == hooks_by_brute_force(m, n, s)
+            assert list(enumerate_partitions(s, m)) == hooks_by_brute_force(m, 0, s)
+
+
+def test_a_long_single_column_is_no_recursion():
+    # A (0|1) hook of size s has s rows; the enumeration must not recurse per
+    # row (the recursion limit is 1000), nor walk every partition of size
+    # <= 1500, which would never finish.
+    src = str(Path(capelli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "from capelli.partitions import enumerate_hooks\n"
+        "assert enumerate_hooks(0, 1, 1500) == [(1,) * k for k in range(1501)]\n"
+        "print('ok')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_frobenius_coords_anchors():
