@@ -1,9 +1,8 @@
 """Exact linear algebra over the rational numbers.
 
 A vector of rationals is kept as integers over one denominator in lowest
-terms (`integer_form`, `lowest_terms`), and the solve runs in integers; no
-floats are ever introduced, so every comparison downstream is an exact
-equality.
+terms (`integer_form`, `lowest_terms`); no floats are ever introduced, so
+every comparison downstream is an exact equality.
 """
 
 from __future__ import annotations
@@ -132,66 +131,3 @@ class Frozen:
     def __hash__(self):
         return hash(self._fields())
 
-
-def solve_linear(rows, rhs_columns) -> tuple[int, list[tuple[int, ...]]]:
-    """Solve rows * x = b exactly for each right-hand side b, with one
-    elimination for all of them. The rows and right-hand sides are integers.
-
-    The rows need full rank, so at least as many columns as rows. Pivot
-    columns are picked from left to right and every other coordinate of x is
-    0; a square invertible system gives its unique solution. Returns
-    (den, solutions): each solution is an integer tuple over den > 0, the
-    last pivot with its sign normalized.
-
-    Raises ValueError if the rows are ragged or dependent, or a right-hand
-    side has the wrong length.
-
-    Examples
-    ========
-
-    >>> solve_linear([[1, 1, 0], [0, 0, 2]], [(3, 4)])
-    (2, [(6, 0, 4)])
-    """
-    count = len(rows)
-    cols = len(rows[0]) if rows else 0
-    if any(len(row) != cols for row in rows):
-        raise ValueError("ragged rows")
-    columns = list(rhs_columns)
-    if any(len(b) != count for b in columns):
-        raise ValueError(f"right-hand side length differs from {count} rows")
-    # Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-    # on the augmented rows. Every entry stays a minor of the augmented
-    # matrix, so each division by the previous pivot is exact, and at the end
-    # every pivot row holds the last pivot on its own pivot column and 0 on
-    # the others.
-    work = [[*row, *(b[i] for b in columns)] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    last = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == count:
-            break
-        pivot = next((i for i in range(r, count) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        p = top[c]
-        for i, row in enumerate(work):
-            if i != r:
-                f = row[c]
-                work[i] = [(p * x - f * y) // last for x, y in zip(row, top)]
-        pivots.append(c)
-        last = p
-    if len(pivots) < count:
-        raise ValueError(
-            f"singular matrix in solve_linear: rank {len(pivots)} < {count} rows"
-        )
-    sign = -1 if last < 0 else 1
-    solutions = []
-    for k in range(cols, cols + len(columns)):
-        x = [0] * cols
-        for row, c in zip(work, pivots):
-            x[c] = sign * row[k]
-        solutions.append(tuple(x))
-    return sign * last, solutions

@@ -9,9 +9,9 @@ path from a point to its power sums q_r. At the node of any hook lam, q_r =
 integer and reads lam's rows alone (Sergeev-Veselov, Comm. Math. Phys. 245,
 2004). So the table interpolates at every partition, and each size is built on
 the smaller ones (Newton interpolation): each top product q_nu, |nu| = d, less
-its interpolant on the smaller nodes vanishes on them, and one square solve at
-the partitions of size d combines these residuals, all in small integers. A
-polynomial is kept as its coordinates over the products q_nu, in
+its interpolant on the smaller nodes vanishes on them, and one Gauss-Jordan
+elimination at the partitions of size d combines these residuals, all in small
+integers. A polynomial is kept as its coordinates over the products q_nu, in
 `enumerate_partitions` order, so a smaller size's are a prefix; only
 `interpolation_polynomial` expands them into monomials."""
 
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from types import SimpleNamespace
 
-from .exact_linalg import integer_form, lowest_terms, solve_linear
+from .exact_linalg import integer_form, lowest_terms
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -177,8 +177,10 @@ def _polynomials_of_size(theta, d: int):
     vanish on every smaller node. Each size s is one step: its polynomials,
     with s! folded in, are integer columns over one denominator, and the step
     is r_nu's values at the size-s nodes, one integer combination and one
-    `lowest_terms`. One square solve at the nodes of size d, on columns
-    divided by their gcds, picks each shape's sum c_nu r_nu."""
+    `lowest_terms`. At the nodes of size d, one Gauss-Jordan elimination of
+    the residuals' integer rows, each combination divided by its gcd, picks
+    each shape's sum c_nu r_nu; a size with no pivot at some node raises
+    ValueError."""
     if d > CACHED_SIZES:
         raise ValueError(f"size {d} exceeds CACHED_SIZES = {CACHED_SIZES}")
     products = enumerate_partitions(d, d)
@@ -215,34 +217,40 @@ def _polynomials_of_size(theta, d: int):
             nums = [x * common - sum(map(operator.mul, vs, row)) for x, row in pairs]
             den, low = lowest_terms(den * common, nums)
         residuals.append((den, low))
-    # One integer row per node, r_nu(rho) * den_nu. Column nu, divided by its
-    # gcd g_nu, solves for y_nu = g_nu * c_nu / den_nu.
-    forms = [[value(rho, j, *r) for j, r in enumerate(residuals)] for rho in shapes]
-    gcds = [math.gcd(*column) or 1 for column in zip(*forms)]
-    rhs = [[0] * len(shapes) for _ in shapes]
-    for i, lam in enumerate(shapes):
-        rhs[i][i] = characteristic_value(lam)
-    try:
-        den, solutions = solve_linear(
-            [[x // g for x, g in zip(row, gcds)] for row in forms], rhs
-        )
-    except ValueError as error:
-        raise ValueError(
-            f"power-sum products do not separate the {len(shapes)} partitions "
-            f"for (theta,degree)=({theta},{d}): {error}"
-        ) from None
-    # P_lam = sum c_nu r_nu = sum (y_nu / g_nu) (den_nu q_nu + low_nu): one
-    # integer combination over lcm(g) and the den of y in lowest terms, which
-    # is far smaller than the solve's.
-    common = math.lcm(*gcds)
+    # One integer row per top product nu: den_nu r_nu at the size-d nodes,
+    # then nu's unit row. Gauss-Jordan elimination, each combination
+    # a row - b pivot divided by its gcd, leaves row k as v at node k alone
+    # and e after: sum e_nu den_nu r_nu is v at node k and 0 at the others.
+    count = len(shapes)
+    rows = [
+        [value(rho, j, *r) for rho in shapes] + [int(i == j) for i in range(count)]
+        for j, r in enumerate(residuals)
+    ]
+    for k, rho in enumerate(shapes):
+        pivot = next((i for i in range(k, count) if rows[i][k]), None)
+        if pivot is None:
+            raise ValueError(
+                f"power-sum products do not separate the {count} partitions "
+                f"for (theta,degree)=({theta},{d}): no pivot at node {rho}"
+            )
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                g = math.gcd(top[k], row[k])
+                a, b = top[k] // g, row[k] // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row]
+    # P_lam = |lam|! / v sum e_nu (den_nu q_nu + low_nu): integers over v.
     lows = list(zip(*(low for _, low in residuals)))
-    for lam, solution in zip(shapes, solutions):
-        scale, ys = lowest_terms(den, solution)
-        factors = [y * (common // g) for y, g in zip(ys, gcds)]
+    for k, (lam, row) in enumerate(zip(shapes, rows)):
+        v, e = row[k], row[count:]
+        scale = characteristic_value(lam) * (-1 if v < 0 else 1)
         entry.coords[lam] = lowest_terms(
-            scale * common,
-            [sum(map(operator.mul, factors, column)) for column in lows]
-            + [f * r for f, (r, _) in zip(factors, residuals)],
+            abs(v),
+            [scale * sum(map(operator.mul, e, column)) for column in lows]
+            + [scale * x * den for x, (den, _) in zip(e, residuals)],
         )
     # This size's step: each P_lam / d! over one denominator, as rows: row i
     # holds every lam's i-th coordinate.

@@ -1,23 +1,23 @@
 """Independent references for the tests: the paper's closed forms, the
 odd-reflection walks, the defect-nullspace basis of compatible polynomials,
-the shifted Jack polynomials by reverse tableaux, and the predicates that the library itself does not need. The eigenvalue
-maps are built here in Fractions, by matrix products: the standard matrix
-perturbed by pair columns, each kernel column from the image of an odd root
-sum, and the offset from the image of the root sum; a matrix is the tuple of
-its rows, each a tuple of Fractions. The library writes each map's integer
-rows in closed form. A weight is a flat
+the shifted Jack polynomials by reverse tableaux, the Jack polynomials by
+horizontal strips, and the predicates that the library itself does not need.
+The eigenvalue maps are built here in Fractions, by matrix products: the
+standard matrix perturbed by pair columns, each kernel column from the image
+of an odd root sum, and the offset from the image of the root sum; a matrix
+is the tuple of its rows, each a tuple of Fractions. The library writes each
+map's integer rows in closed form. A weight is a flat
 tuple, the e-block then the d-block, as in the library; its arithmetic here
 is this module's own. The library computes every highest weight with one
 rule, the diagram cut of `weights.integer_cut`, and every interpolation
 polynomial from deformed power sums; the tests compare both with these
 derivations. The highest-weight oracles never call the rule, and
 the polynomial oracle never calls the power sums or the library's
-elimination; its Fraction Gauss-Jordan, `_reduce`, is also the oracle for
-the library's integer solve. The library takes every value from a
-polynomial's power-sum coordinates; the monomial evaluator here checks its
-expanded output. The
-graded polynomial algebras at the end are the starting material of a
-Capelli-operator oracle; the library builds no operator."""
+elimination; it eliminates in Fractions with `_reduce`. The library takes
+every value from a polynomial's power-sum coordinates; the monomial
+evaluator here checks its expanded output. The graded polynomial algebras
+at the end are the starting material of a Capelli-operator oracle; the
+library builds no operator."""
 
 import functools
 import itertools
@@ -875,6 +875,13 @@ def strip_weight(kappa: tuple, nu: tuple, theta: Fraction) -> Fraction:
     return psi
 
 
+def _strips_below(mu: tuple):
+    """Every nu with mu/nu a horizontal strip, as one part per row of mu,
+    zeros kept: mu[i + 1] <= nu[i] <= mu[i]."""
+    bounds = [(mu[i + 1] if i + 1 < len(mu) else 0, row) for i, row in enumerate(mu)]
+    return itertools.product(*(range(low, high + 1) for low, high in bounds))
+
+
 @functools.lru_cache(maxsize=None)
 def shifted_jack(mu: tuple, xs: tuple, theta: Fraction, coleg: Fraction) -> Fraction:
     """P*_mu(xs; theta) = sum over reverse tableaux T of shape mu with entries
@@ -886,9 +893,8 @@ def shifted_jack(mu: tuple, xs: tuple, theta: Fraction, coleg: Fraction) -> Frac
         return Fraction(1)
     if not xs:
         return Fraction(0)
-    bounds = [(mu[i + 1] if i + 1 < len(mu) else 0, row) for i, row in enumerate(mu)]
     total = Fraction(0)
-    for nu in itertools.product(*(range(low, high + 1) for low, high in bounds)):
+    for nu in _strips_below(mu):
         factor = Fraction(1)
         for i, (row, kept) in enumerate(zip(mu, nu)):
             for j in range(kept, row):
@@ -896,6 +902,34 @@ def shifted_jack(mu: tuple, xs: tuple, theta: Fraction, coleg: Fraction) -> Frac
         nu = tuple(row for row in nu if row)
         rest = shifted_jack(nu, xs[1:], theta, coleg)
         total += strip_weight(mu, nu, theta) * factor * rest
+    return total
+
+
+def hook_product(mu: tuple, theta: Fraction) -> Fraction:
+    """H(mu): the product over the boxes of mu of (a(s) + theta l(s) + 1),
+    a and l the box's arm and leg."""
+    hook = Fraction(1)
+    for i, row in enumerate(mu):
+        for j in range(row):
+            leg = sum(1 for r in mu if r > j) - i - 1
+            hook *= row - j - 1 + theta * leg + 1
+    return hook
+
+
+@functools.lru_cache(maxsize=None)
+def jack_coefficient(lam: tuple, kappa: tuple, theta: Fraction) -> Fraction:
+    """The coefficient of x^kappa in the Jack polynomial P_lam, alpha =
+    1/theta, in len(kappa) variables: the sum over chains of horizontal strips
+    nu < lam, the last of size kappa[-1], of psi_{lam/nu} times nu's
+    coefficient of x^kappa[:-1] (Macdonald VI (7.13'), Jack limit)."""
+    if not kappa:
+        return Fraction(not lam)
+    total = Fraction(0)
+    for nu in _strips_below(lam):
+        if sum(lam) - sum(nu) == kappa[-1]:
+            nu = tuple(row for row in nu if row)
+            rest = jack_coefficient(nu, kappa[:-1], theta)
+            total += strip_weight(lam, nu, theta) * rest
     return total
 
 
@@ -907,12 +941,8 @@ def node_value_by_tableaux(mu, lam, theta, coleg=None) -> Fraction:
     2004); coleg replaces theta as the weight of the coleg, for a control."""
     theta = Fraction(theta)
     mu, lam = tuple(mu), tuple(lam)
-    hook = Fraction(1)
-    for i, row in enumerate(mu):
-        for j in range(row):
-            leg = sum(1 for r in mu if r > j) - i - 1
-            hook *= row - j - 1 + theta * leg + 1
     coleg = theta if coleg is None else Fraction(coleg)
+    hook = hook_product(mu, theta)
     return math.factorial(sum(mu)) * shifted_jack(mu, lam, theta, coleg) / hook
 
 

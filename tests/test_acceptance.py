@@ -38,8 +38,10 @@ from reference import (
     derivation_pairing,
     evaluate,
     even_core,
+    hook_product,
     hw_standard_diag,
     invariant_operator_matrix,
+    jack_coefficient,
     monomials_of_degree,
     node_value_by_tableaux,
     odd_pair_set,
@@ -259,6 +261,30 @@ class TestIndependentOracles:
                     pairs += 1
             assert differ == (0 if theta == 1 else 400), theta
         assert pairs == 4 * 1873
+
+    def test_top_degree_is_the_jack_polynomial(self):
+        # The top-degree part of P_lam at rank (4, 0) is |lam|! / H(lam) times
+        # the Jack polynomial P_lam, alpha = 1/theta, which is taken here by
+        # horizontal strips, with no power sum and no elimination: every
+        # coefficient of x^kappa, kappa |- |lam|, for each lam with |lam| <= 6.
+        # Control: the strip weights at 1/theta change 189 of the coefficients.
+        checks = changed = 0
+        for theta in (Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3)):
+            for lam in enumerate_hooks(4, 0, 6):
+                poly = interpolation_polynomial(4, 0, theta, lam)
+                scale = factorial(size(lam)) / hook_product(lam, theta)
+                for kappa in enumerate_hooks(4, 0, size(lam)):
+                    if size(kappa) < size(lam):
+                        continue
+                    exp = kappa + (0,) * (4 - len(kappa))
+                    value = poly.terms.get(exp, 0)
+                    assert scale * jack_coefficient(lam, exp, theta) == value, (
+                        theta, lam, kappa
+                    )
+                    control = scale * jack_coefficient(lam, exp, 1 / theta)
+                    changed += control != value
+                    checks += 1
+        assert (checks, changed) == (628, 189)
 
     @pytest.mark.parametrize(
         "theta", [Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(2, 3)]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capelli import isjp
-from capelli.exact_linalg import integer_form, solve_linear
+from capelli.exact_linalg import integer_form
 from capelli.isjp import (
     characteristic_value,
     eigenvalue,
@@ -395,47 +395,6 @@ def test_request_order_and_cache_state_do_not_matter(cold_cache):
     clear()
     split.update(build(lam for lam in hooks if size(lam) >= 4))
     assert split == ascending
-
-
-def test_one_solve_per_size_at_the_nodes_of_that_size(monkeypatch, cold_cache):
-    # Each size is one square solve of integer rows: a row per partition of
-    # that size and a column per power-sum product of that size, whatever the
-    # rank asked for; no elimination runs over smaller nodes.
-    m, n, theta, top = 2, 1, HALF, 6
-    shapes = []
-
-    def recording_solve(rows, rhs):
-        assert all(type(x) is int for row in [*rows, *rhs] for x in row)
-        shapes.append((len(rows), len(rows[0])))
-        return solve_linear(rows, rhs)
-
-    monkeypatch.setattr(isjp, "solve_linear", recording_solve)
-    interpolation_polynomial(m, n, theta, (3, 2, 1))
-    partitions = list(enumerate_partitions(top, top))
-    expected = [
-        (
-            sum(1 for lam in partitions if size(lam) == d),
-            sum(1 for nu in enumerate_partitions(d, d) if size(nu) == d),
-        )
-        for d in range(top + 1)
-    ]
-    assert expected[top] == (11, 11)
-    assert shapes == expected
-
-
-def test_every_solve_column_has_gcd_one(monkeypatch, cold_cache):
-    # The build divides each column of a size's solve by its gcd, so the
-    # solve runs on the smallest integers with the same solutions.
-    columns = []
-
-    def recording_solve(rows, rhs):
-        columns.extend(zip(*rows))
-        return solve_linear(rows, rhs)
-
-    monkeypatch.setattr(isjp, "solve_linear", recording_solve)
-    evaluator(2, 2, HALF, enumerate_hooks(2, 2, 8))
-    assert len(columns) == len(list(enumerate_partitions(8, 8)))
-    assert all(math.gcd(*column) == 1 for column in columns if any(column))
 
 
 # sha256 over each size's sorted(coords.items()) in turn, sizes 0..top, taken
