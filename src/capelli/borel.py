@@ -41,9 +41,21 @@ def validate_sequence(seq, num_eps: int, num_delta: int) -> Sequence:
     return seq
 
 
+def twice_weyl_vector(seq: Sequence) -> tuple[int, ...]:
+    """2 rho in integers: the sum over ordered pairs of (earlier - later),
+    signed +1 for a same-family pair and -1 for a mixed pair."""
+    block_start = {"e": 0, "d": sum(1 for kind, _ in seq if kind == "e")}
+    slots = [(kind, block_start[kind] + index - 1) for kind, index in seq]
+    twice = [0] * len(seq)
+    for (kind1, earlier), (kind2, later) in itertools.combinations(slots, 2):
+        sign = 1 if kind1 == kind2 else -1
+        twice[earlier] += sign
+        twice[later] -= sign
+    return tuple(twice)
+
+
 def weyl_vector(seq: Sequence) -> Vector:
-    """Half-sum over ordered pairs of (earlier - later), signed +1 for a
-    same-family pair and -1 for a mixed pair.
+    """Half of `twice_weyl_vector`, as Fractions.
 
     Examples
     ========
@@ -51,15 +63,7 @@ def weyl_vector(seq: Sequence) -> Vector:
     >>> weyl_vector((("d", 1), ("e", 1)))
     (Fraction(1, 2), Fraction(-1, 2))
     """
-    num_eps = sum(1 for kind, _ in seq if kind == "e")
-    block_start = {"e": 0, "d": num_eps}
-    slots = [(kind, block_start[kind] + index - 1) for kind, index in seq]
-    twice = [0] * len(seq)
-    for (kind1, earlier), (kind2, later) in itertools.combinations(slots, 2):
-        sign = 1 if kind1 == kind2 else -1
-        twice[earlier] += sign
-        twice[later] -= sign
-    return tuple(Fraction(v, 2) for v in twice)
+    return tuple(Fraction(v, 2) for v in twice_weyl_vector(seq))
 
 
 class BorelDescriptor(Frozen):

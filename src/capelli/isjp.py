@@ -13,7 +13,8 @@ its interpolant on the smaller nodes vanishes on them, and one Gauss-Jordan
 elimination at the partitions of size d combines these residuals, all in small
 integers. A polynomial is kept as its coordinates over the products q_nu, in
 `enumerate_partitions` order, so a smaller size's are a prefix; only
-`interpolation_polynomial` expands them into monomials."""
+`interpolation_polynomial` expands them into monomials. The deformed power sums
+themselves come from one closed-form series per theta, in integers."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from types import SimpleNamespace
 
-from .exact_linalg import integer_form, lowest_terms
+from .exact_linalg import lowest_terms
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -47,35 +48,31 @@ def characteristic_value(lam: Partition) -> int:
     return math.factorial(size(validate_partition(lam)))
 
 
-def power_sum_coefficients(theta, r: int):
-    """(x, y): the coefficients of t^0..t^r in the one-variable parts of the
-    deformed shifted power sum p_r = sum_i x_i^r + sum_j psi_r(y_j).
-
-    With D g(t) = g(t + 1/2) - g(t - 1/2), psi_r is the polynomial with
-    psi_r(0) = 0 and D psi_r(y) = D(x^r) at x = -theta*y, so p_r is
-    shift-compatible on every hyperplane x_i = -theta*y_j (Sergeev-Veselov,
-    Comm. Math. Phys. 245, 2004). Its r coefficients solve a triangular
-    system: D(y^k) has degree k - 1 and leading coefficient k."""
-    theta = require_theta(theta)
-    if r < 1:
-        raise ValueError(f"power sum index must be positive, got {r}")
-
-    def diff(k: int, j: int) -> Fraction:
-        """Coefficient of t^j in D(t^k): only odd k - j survive."""
-        return Fraction(math.comb(k, j), 2 ** (k - j - 1)) if (k - j) % 2 else 0
-
-    psi = [Fraction(0)] * (r + 1)
-    for j in range(r - 1, -1, -1):
-        rest = sum(psi[k] * diff(k, j) for k in range(j + 2, r + 1))
-        psi[j + 1] = (diff(r, j) * (-theta) ** j - rest) / (j + 1)
-    return (0,) * r + (1,), tuple(psi)
-
-
-def _power_sum_terms(theta, r: int) -> list:
-    """Q_r as triples (k, a_k, b_k), its nonzero coefficients of x^k and y^k."""
-    xs, ys = power_sum_coefficients(theta, r)
-    _, nums = integer_form(xs + ys)
-    return [(k, a, b) for k, a, b in zip(range(r + 1), nums, nums[r + 1 :]) if a or b]
+def _power_sum_terms(theta, d: int) -> list:
+    """Q_1..Q_d from one series for theta = p/q, Q_r = E_r p_r as triples
+    (k, a_k, b_k): its nonzero integer coefficients of x^k and y^k. In p_r =
+    sum_i x_i^r + sum_j psi_r(y_j), psi_r(0) = 0 and D psi_r(y) = D(x^r) at
+    x = -theta*y for D g(t) = g(t + 1/2) - g(t - 1/2), so p_r is
+    shift-compatible on every hyperplane x_i = -theta*y_j. As D =
+    2 sinh(d/dt / 2), psi_r[j] = (-1)^(r+1) C(r, j) p^j g_(r-j) / (2^(r-j) q^r)
+    for j >= 1 with r - j even, where sum g_k v^k / k! = sinh(qv) / sinh(pv):
+    n p g_(n-1) = q^n - sum_(odd i >= 3) C(n, i) p^i g_(n-i) for odd n. g_2m is
+    an integer over p^(m+1) (2m+1)!!, so each g is kept over one such den."""
+    p, q, odd = theta.numerator, theta.denominator, range(1, d + 1, 2)
+    den = p ** len(odd) * math.prod(odd)
+    g = []  # g[m] = g_2m * den
+    for n in odd:
+        rest = sum(math.comb(n, i) * p**i * g[(n - i) // 2] for i in range(3, n + 1, 2))
+        g.append((q**n * den - rest) // (n * p))
+    terms = []
+    for r in range(1, d + 1):
+        ys = [0] * (r + 1)
+        for j in range(r, 0, -2):
+            ys[j] = (-1) ** (r + 1) * math.comb(r, j) * (2 * p) ** j * g[(r - j) // 2]
+        # psi_r = ys / ((2q)^r den); its lowest terms are (E_r, E_r psi_r).
+        e, ys = lowest_terms((2 * q) ** r * den, ys)
+        terms.append([(k, e * (k == r), b) for k, b in enumerate(ys) if b or k == r])
+    return terms
 
 
 def _moves(m: int, n: int, theta) -> tuple[int, list[int]]:
@@ -132,8 +129,7 @@ def _products(layout, den: int, q) -> list[int]:
 def power_sums(m: int, n: int, theta, d: int):
     """sums_at(den, nums): q_1..q_d at a point of rank (m, n) in lowest terms,
     by `_sums_reader`. Each P_mu, |mu| <= d, is a polynomial in them."""
-    terms = [_power_sum_terms(theta, r) for r in range(1, d + 1)]
-    return _sums_reader(m, n, theta, terms)
+    return _sums_reader(m, n, theta, _power_sum_terms(theta, d))
 
 
 def evaluator(m: int, n: int, theta, shapes):
@@ -193,7 +189,7 @@ def _polynomials_of_size(theta, d: int):
         previous = _polynomials_of_size(theta, d - 1)
         index = {nu: i for i, nu in enumerate(products)}
         entry.points = dict(previous.points)
-        entry.sums = previous.sums + [_power_sum_terms(theta, d)]
+        entry.sums = previous.sums + _power_sum_terms(theta, d)[-1:]
         entry.layout = previous.layout + [(index[nu[:-1]], nu[-1]) for nu in shapes]
         entry.steps = list(previous.steps)
     entry.points.update({rho: node_point(rho, len(rho), 0, theta) for rho in shapes})

@@ -33,7 +33,7 @@ import math
 import time
 from fractions import Fraction
 
-from .borel import BorelDescriptor, all_sequences, format_symbol, weyl_vector
+from .borel import BorelDescriptor, all_sequences, format_symbol, twice_weyl_vector
 from .exact_linalg import (
     Frozen,
     as_integer,
@@ -284,7 +284,7 @@ def _run_diag(config: SweepConfig) -> SweepReport:
         pattern = tuple("e" if p in e_slots else "d" for p in range(m + n))
         index = {"e": itertools.count(1), "d": itertools.count(1)}
         seq = tuple((kind, next(index[kind])) for kind in pattern)
-        rho2 = [2 * x.numerator // x.denominator for x in weyl_vector(seq)]
+        rho2 = twice_weyl_vector(seq)
         by_pattern[pattern] = [
             (2, tuple(2 * c + r for c, r in zip(cut, rho2)))
             for cut in (integer_cut(seq, lam, m, n) for lam in lams)

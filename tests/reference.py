@@ -1,4 +1,5 @@
 """Independent references for the tests: the paper's closed forms, the
+triangular solve for the coefficients of the deformed power sums, the
 odd-reflection walks, the defect-nullspace basis of compatible polynomials,
 the shifted Jack polynomials by reverse tableaux, the Jack polynomials by
 horizontal strips, and the predicates that the library itself does not need.
@@ -32,11 +33,7 @@ from capelli.borel import (
     weyl_vector,
 )
 from capelli.exact_linalg import as_rational, integer_form
-from capelli.isjp import (
-    characteristic_value,
-    interpolation_polynomial,
-    power_sum_coefficients,
-)
+from capelli.isjp import characteristic_value, interpolation_polynomial
 from capelli.partitions import (
     enumerate_hooks,
     enumerate_partitions,
@@ -640,9 +637,33 @@ def scale(p: SparsePolynomial, value) -> SparsePolynomial:
     )
 
 
+def power_sum_coefficients(theta, r: int):
+    """(x, y): the coefficients of t^0..t^r in the one-variable parts of the
+    deformed shifted power sum p_r = sum_i x_i^r + sum_j psi_r(y_j).
+
+    With D g(t) = g(t + 1/2) - g(t - 1/2), psi_r is the polynomial with
+    psi_r(0) = 0 and D psi_r(y) = D(x^r) at x = -theta*y, so p_r is
+    shift-compatible on every hyperplane x_i = -theta*y_j (Sergeev-Veselov,
+    Comm. Math. Phys. 245, 2004). Its r coefficients solve a triangular
+    system: D(y^k) has degree k - 1 and leading coefficient k."""
+    theta = require_theta(theta)
+    if r < 1:
+        raise ValueError(f"power sum index must be positive, got {r}")
+
+    def diff(k: int, j: int) -> Fraction:
+        """Coefficient of t^j in D(t^k): only odd k - j survive."""
+        return Fraction(math.comb(k, j), 2 ** (k - j - 1)) if (k - j) % 2 else 0
+
+    psi = [Fraction(0)] * (r + 1)
+    for j in range(r - 1, -1, -1):
+        rest = sum(psi[k] * diff(k, j) for k in range(j + 2, r + 1))
+        psi[j + 1] = (diff(r, j) * (-theta) ** j - rest) / (j + 1)
+    return (0,) * r + (1,), tuple(psi)
+
+
 def deformed_power_sum(m: int, n: int, theta, r: int) -> SparsePolynomial:
     """The deformed shifted power sum p_r = sum_i x_i^r + sum_j psi_r(y_j)
-    as a polynomial, from the library's coefficients."""
+    as a polynomial, from the triangular solve above."""
     xs, ys = power_sum_coefficients(theta, r)
     terms = {}
     for v in range(m + n):

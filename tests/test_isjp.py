@@ -18,7 +18,6 @@ from capelli.isjp import (
     eigenvalue,
     evaluator,
     interpolation_polynomial,
-    power_sum_coefficients,
 )
 from capelli.partitions import (
     enumerate_hooks,
@@ -29,7 +28,13 @@ from capelli.partitions import (
     size,
 )
 from capelli.sympoly import SparsePolynomial
-from reference import degree, evaluate, evaluate_by_fractions, interpolant_on_basis
+from reference import (
+    degree,
+    evaluate,
+    evaluate_by_fractions,
+    interpolant_on_basis,
+    power_sum_coefficients,
+)
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -237,6 +242,69 @@ def test_node_power_sums_are_integers_that_read_the_rows_alone(theta):
             assert den == 1 and q == closed, (rho, k)
 
 
+SERIES_THETAS = [HALF, Fraction(1, 3), Fraction(2, 3), ONE, Fraction(3), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("theta", SERIES_THETAS)
+def test_power_sum_terms_match_the_triangular_solve(theta):
+    # The library's integer series against the triangular solve in Fractions:
+    # Q_r = E_r p_r, E_r the least common denominator, as its nonzero triples.
+    top = 40
+    terms = isjp._power_sum_terms(theta, top)
+    assert len(terms) == top
+    for r, got in enumerate(terms, 1):
+        xs, ys = power_sum_coefficients(theta, r)
+        _, nums = integer_form(xs + ys)
+        want = [(k, a, b) for k, a, b in zip(range(r + 1), nums, nums[r + 1 :])]
+        assert got == [t for t in want if t[1] or t[2]], (theta, r)
+
+
+@pytest.mark.parametrize("theta", SERIES_THETAS + [Fraction(7, 2)])
+def test_psi_solves_the_difference_equation(theta):
+    # The defining identity itself, with no series and no triangular solve:
+    # D g(t) = g(t + 1/2) - g(t - 1/2) expanded by the binomial theorem,
+    # psi_r read from the library's integer terms. D psi_r(y) = D(x^r) at x =
+    # -theta*y holds as polynomials in y, and psi_r(0) = 0.
+    def central_difference(coefficients):
+        out = [Fraction(0)] * len(coefficients)
+        for k, c in enumerate(coefficients):
+            for j in range(k):
+                shift = HALF ** (k - j) * (1 - (-1) ** (k - j))
+                out[j] += c * math.comb(k, j) * shift
+        return out
+
+    top = 12
+    for r, terms in enumerate(isjp._power_sum_terms(theta, top), 1):
+        assert [k for k, a, _ in terms if a] == [r]
+        e = terms[-1][1]
+        psi = [Fraction(0)] * (r + 1)
+        for k, _, b in terms:
+            psi[k] = Fraction(b, e)
+        assert psi[0] == 0, (theta, r)
+        x_part = central_difference([0] * r + [1])
+        substituted = [c * (-theta) ** j for j, c in enumerate(x_part)]
+        assert central_difference(psi) == substituted, (theta, r)
+
+
+def test_power_sums_make_one_series_per_table_size(monkeypatch, cold_cache):
+    # Work guard: `power_sums` to degree d makes the series once, not once
+    # per r, and a cold table of size d makes it once per size 1..d.
+    series, calls = isjp._power_sum_terms, []
+
+    def counted(theta, d):
+        calls.append((theta, d))
+        return series(theta, d)
+
+    monkeypatch.setattr(isjp, "_power_sum_terms", counted)
+    for d in (1, 8, 30):
+        calls.clear()
+        isjp.power_sums(1, 1, HALF, d)
+        assert calls == [(HALF, d)]
+    calls.clear()
+    isjp._polynomials_of_size(HALF, 6)
+    assert calls == [(HALF, s) for s in range(1, 7)]
+
+
 @pytest.mark.parametrize("theta", [HALF, ONE, Fraction(2, 3)])
 def test_non_hook_table_polynomials_vanish_at_every_rank(theta):
     # The table holds every partition; read through a rank's power sums, a
@@ -308,10 +376,12 @@ def test_each_size_reads_only_its_predecessor(cold_cache, monkeypatch):
 def test_dimension_guard_rejects_degenerate_power_sums(monkeypatch, cold_cache):
     # Negative control: if every power sum were p_1, the products would span
     # too little, and the build must refuse rather than return a polynomial.
-    def first_power_sum(theta, r):
-        return power_sum_coefficients(theta, 1)
+    terms = isjp._power_sum_terms
 
-    monkeypatch.setattr(isjp, "power_sum_coefficients", first_power_sum)
+    def first_power_sum(theta, d):
+        return terms(theta, 1) * d
+
+    monkeypatch.setattr(isjp, "_power_sum_terms", first_power_sum)
     with pytest.raises(ValueError, match=r"\(theta,degree\)=\(1/2,2\)"):
         interpolation_polynomial(2, 1, HALF, (2,))
 
@@ -322,10 +392,13 @@ def test_dimension_guard_names_the_first_degenerate_size(monkeypatch, cold_cache
     small = enumerate_hooks(2, 1, 2)
     unpatched = {lam: interpolation_polynomial(2, 1, HALF, lam) for lam in small}
 
-    def third_is_first(theta, r):
-        return power_sum_coefficients(theta, 1 if r == 3 else r)
+    terms = isjp._power_sum_terms
 
-    monkeypatch.setattr(isjp, "power_sum_coefficients", third_is_first)
+    def third_is_first(theta, d):
+        made = terms(theta, d)
+        return made[:2] + made[:1] + made[3:] if d >= 3 else made
+
+    monkeypatch.setattr(isjp, "_power_sum_terms", third_is_first)
     isjp._polynomials_of_size.cache_clear()
     for lam in small:
         assert interpolation_polynomial(2, 1, HALF, lam) == unpatched[lam], lam
@@ -464,10 +537,9 @@ def test_each_normalization_value_is_taken_once_per_shape(monkeypatch, cold_cach
 
 
 # The library functions that may make a Fraction while polynomials are built
-# and expanded: psi_r's coefficients, theta, and the expansion's output terms.
-# The node points are integers (`node_point`).
+# and expanded: theta and the expansion's output terms. psi_r's coefficients
+# (`_power_sum_terms`) and the node points (`node_point`) are integers.
 FRACTION_MAKERS = {
-    "power_sum_coefficients",
     "require_theta",
     "_from_sums",
 }

@@ -398,7 +398,8 @@ class TestOneSidedSweep:
         for module in (verify, weights):
             monkeypatch.setattr(module, "highest_weight", forbidden, raising=False)
         for module in (verify, borel_module):
-            monkeypatch.setattr(module, "weyl_vector", forbidden, raising=False)
+            for name in ("weyl_vector", "twice_weyl_vector"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         m, n = 2, 2
         lams = enumerate_hooks(m, n, 3)
         for family in ("full", "releven"):
@@ -623,14 +624,16 @@ class TestPairSweep:
         cut = counted(weights.integer_cut)
         for module in (weights, verify):
             monkeypatch.setattr(module, "integer_cut", cut)
-        monkeypatch.setattr(verify, "weyl_vector", counted(weyl_vector))
+        monkeypatch.setattr(
+            verify, "twice_weyl_vector", counted(borel_module.twice_weyl_vector)
+        )
         m, n = 2, 2
         lams = enumerate_hooks(m, n, 2)
         orderings = itertools.permutations(standard_sequence(m, n))
         representatives = sorted({pattern_representative(seq) for seq in orderings})
         assert run_sweep(SweepConfig(pair="diag", m=m, n=n, lambda_max=2, mu_max=2)).ok
         assert sorted(calls) == sorted(
-            [("weyl_vector", (seq,)) for seq in representatives]
+            [("twice_weyl_vector", (seq,)) for seq in representatives]
             + [
                 ("integer_cut", (seq, lam, m, n))
                 for seq in representatives
