@@ -104,7 +104,7 @@ class BorelDescriptor(Frozen):
         return sum(1 for v in self.ell if v >= k)
 
     def j_vector(self) -> tuple[int, ...]:
-        return tuple(self.j_of(k) for k in range(1, self.num_delta + 1))
+        return tuple(sum(v >= k for v in self.ell) for k in range(1, 2 * self.n + 1))
 
     def sequence(self) -> Sequence:
         seq: list[Symbol] = []

@@ -91,8 +91,8 @@ def integer_form(values) -> tuple[int, tuple[int, ...]]:
 
 
 def lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
-    """The vector nums / den, den > 0, as (den, nums) divided by their gcd,
-    so two forms are equal exactly when the vectors are.
+    """The vector nums / den, den nonzero, as (den > 0, nums) divided by their
+    gcd signed as den, so two forms are equal exactly when the vectors are.
 
     Examples
     ========
@@ -100,7 +100,7 @@ def lowest_terms(den: int, nums) -> tuple[int, tuple[int, ...]]:
     >>> lowest_terms(12, [6, -4, 0])
     (6, (3, -2, 0))
     """
-    gcd = math.gcd(den, *nums)
+    gcd = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     if gcd == 1:
         return den, tuple(nums)
     return den // gcd, tuple(v // gcd for v in nums)

@@ -43,9 +43,7 @@ def transpose(lam: Partition) -> Partition:
     (2, 2, 1, 1)
     """
     lam = validate_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return hook_frame(lam, 0, part(lam, 1))
 
 
 def require_rank(m: int, n: int) -> tuple[int, int]:
@@ -74,10 +72,9 @@ def require_hook(lam: Partition, m: int, n: int) -> Partition:
 
 
 def double_partition(lam: Partition, m: int, n: int) -> Partition:
-    """Double a ((m|n)-hook) partition into the (m|2n) hook: rows 1..m are
-    doubled and each column length below row m is repeated twice. Row m+r
-    then meets both copies of the lam_{m+r} <= n columns it met, so every
-    row doubles.
+    """Double an (m|n)-hook partition into the (m|2n) hook: every row doubles,
+    so rows 1..m double and each column is listed twice (row m+r meets both
+    copies of the lam_{m+r} <= n columns it met).
 
     Examples
     ========
@@ -86,6 +83,20 @@ def double_partition(lam: Partition, m: int, n: int) -> Partition:
     (4, 2, 2, 2)
     """
     return tuple(2 * p for p in require_hook(lam, m, n))
+
+
+def hook_frame(lam: Partition, m: int, n: int) -> tuple[int, ...]:
+    """What a diagram cut reads of an (m|n) hook, unchecked: its rows
+    lam_1..lam_m, then its column lengths lam'_1..lam'_n, zero-padded.
+
+    Examples
+    ========
+
+    >>> hook_frame((3, 1, 1), 2, 1)
+    (3, 1, 3)
+    """
+    cols = (len([p for p in lam if p >= j]) for j in range(1, n + 1))
+    return (*lam[:m], *(0,) * (m - len(lam)), *cols)
 
 
 def enumerate_partitions(max_size: int, max_parts: int) -> list[Partition]:
@@ -147,7 +158,7 @@ def node_point(lam: Partition, m: int, n: int, theta: Fraction):
         for i in range(1, m + 1)
     ]
     ys = [
-        q * (2 * p * sum(r >= j for r in lam[m:]) + q * (n + 1 - 2 * j) + m * p)
+        q * (2 * p * len([r for r in lam[m:] if r >= j]) + q * (n + 1 - 2 * j) + m * p)
         for j in range(1, n + 1)
     ]
     return lowest_terms(2 * p * q, xs + ys)

@@ -26,20 +26,21 @@ from .exact_linalg import (
 
 
 class AffineMap(Frozen):
-    """x -> matrix * x + offset on flattened weight coordinates, held as the
-    rows of [matrix | offset]: integers over one denominator den, in lowest
-    terms, so two maps are equal exactly when their matrices and offsets
-    are. A map with no rows takes no coordinates."""
+    """x -> matrix * x + offset, held as the rows of [matrix | offset] and as
+    terms (row, column, entry) for their nonzero entries: integers over one
+    denominator den, in lowest terms, so maps are equal exactly when their
+    rows are. A map with no rows takes no coordinates."""
 
-    __slots__ = ("den", "rows")
+    __slots__ = ("den", "rows", "terms")
 
     def __init__(self, den: int, rows):
         rows = [tuple(row) for row in rows]
         den, nums = lowest_terms(den, [x for row in rows for x in row])
         width = len(rows[0]) if rows else 0
         rows = tuple(nums[i * width : (i + 1) * width] for i in range(len(rows)))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", rows)
+        terms = tuple((k // width, k % width, v) for k, v in enumerate(nums) if v)
+        for name, value in zip(self.__slots__, (den, rows, terms)):
+            object.__setattr__(self, name, value)
 
     @property
     def matrix(self) -> tuple[Vector, ...]:
@@ -54,15 +55,15 @@ class AffineMap(Frozen):
         return tuple(Fraction(row[-1], self.den) for row in self.rows)
 
     def integer_apply(self, den: int, nums) -> tuple[int, tuple[int, ...]]:
-        """matrix * (nums / den) + offset in lowest terms: each row of
-        [matrix | offset] times (nums, den) is one integer sum."""
+        """matrix * (nums / den) + offset in lowest terms, den nonzero, summed
+        over each row's nonzero entries of [matrix | offset]: -1 maps -nums."""
         cols = len(self.rows[0]) - 1 if self.rows else 0
         if cols != len(nums):
             raise ValueError(f"dimension mismatch in apply: {cols} vs {len(nums)}")
-        x = (*nums, den)
-        return lowest_terms(
-            self.den * den, [sum(map(operator.mul, r, x)) for r in self.rows]
-        )
+        x, sums = (*nums, den), [0] * len(self.rows)
+        for i, j, v in self.terms:
+            sums[i] += v * x[j]
+        return lowest_terms(self.den * den, sums)
 
     def apply(self, point) -> Vector:
         """matrix * point + offset as Fractions, through `integer_apply`;
@@ -167,8 +168,8 @@ def family_map(borel: BorelDescriptor, family: str) -> AffineMap:
     # e_{m - j_{2k}}, and 1/2 on e_{m+k}. A pair with gap 0 gets 0.
     m, n = borel.m, borel.n
     columns = []
-    for k in range(1, n + 1):
-        j_hi, j_lo = borel.j_of(2 * k - 1), borel.j_of(2 * k)
+    j = borel.j_vector()
+    for k, j_hi, j_lo in zip(range(1, n + 1), j[::2], j[1::2]):
         gap = j_hi - j_lo
         col = [0] * (m + n)
         if gap and family in ("full", "veryeven"):

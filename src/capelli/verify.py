@@ -42,12 +42,11 @@ from .exact_linalg import (
 )
 from .isjp import evaluator, power_sums
 from .partitions import (
-    double_partition,
     enumerate_hooks,
     format_partition,
+    hook_frame,
     node_point,
     parse_int_list,
-    part,
 )
 from .tau import MAP_FAMILIES, family_map, in_family_domain
 from .weights import integer_cut
@@ -182,17 +181,18 @@ def _fractions(den: int, nums) -> tuple[Fraction, ...]:
 
 
 def _value_table(config: SweepConfig, theta: Fraction):
-    """The shapes mu and lambda, the lambda nodes, and a reader row(point) of
-    the power sums q_1..q_mu_max at a point, read once per distinct point.
-    Points are (den, nums), the nodes in lowest terms; each sweep keys its
-    points in one form of its own, so a point is its own key, and a point
-    equal to a node in that form has the node's values by definition. Rows
-    are (den, nums) in lowest terms; equal rows give every P_mu one value."""
+    """The shapes mu and lambda, the lambda nodes and frames, and a reader
+    row(point) of the power sums q_1..q_mu_max, read once per distinct
+    point. Points are (den, nums), the nodes in lowest terms; each sweep
+    keys its points in one form of its own, so a point is its own key, and
+    a point equal to a node in that form has the node's values. Rows are
+    (den, nums) in lowest terms; equal rows give every P_mu one value."""
     m, n = config.m, config.n
     mus = enumerate_hooks(m, n, config.mu_max)
     sums_at = power_sums(m, n, theta, config.mu_max)
     lams = enumerate_hooks(m, n, config.lambda_max)
     nodes = [node_point(lam, m, n, theta) for lam in lams]
+    frames = [hook_frame(lam, m, n) for lam in lams]
     rows = {}
 
     def row(point) -> tuple:
@@ -201,7 +201,7 @@ def _value_table(config: SweepConfig, theta: Fraction):
             sums = rows[point] = sums_at(*point)
         return sums
 
-    return mus, lams, nodes, row
+    return mus, lams, nodes, frames, row
 
 
 def _run_glm2n(config: SweepConfig) -> SweepReport:
@@ -214,23 +214,22 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
         if in_family_domain(borel, config.map_choice)
     ]
     m, n = config.m, config.n
-    mus, lams, nodes, row = _value_table(config, Fraction(1, 2))
+    mus, lams, nodes, frames, row = _value_table(config, Fraction(1, 2))
     values_at = None
     # The highest weight is minus the cut of the reversed ordering on the
-    # doubled shape (`weights.highest_weight`). The orderings and the shapes
-    # are generated valid, so the cut runs unchecked, in integers. A weight
-    # is generic when 2 lam_m >= ell_m (`weights.is_generic`), and every
-    # weight is when there is no e-symbol.
-    doubled = [double_partition(lam, m, n) for lam in lams]
-    last_rows = [part(lam2, m) for lam2 in doubled]
+    # doubled shape (`weights.highest_weight`), whose (m|2n) frame has each
+    # row of lam's doubled and each column twice; it is cut unchecked and
+    # mapped over denominator -1, which negates it.
+    doubled = [
+        (*[2 * r for r in frame[:m]], *[c for c in frame[m:] for _ in "ab"])
+        for frame in frames
+    ]
     for borel, tau in maps:
         reverse = borel.sequence()[::-1]
-        last_level = borel.ell[-1] if m else 0
-        for lam, lam2, last_row, node in zip(lams, doubled, last_rows, nodes):
-            weight = [-v for v in integer_cut(reverse, lam2, m, 2 * n)]
-            point = tau.integer_apply(1, weight)
-            # On a generic weight the map must reach the node as a vector.
-            if last_row >= last_level:
+        for lam, frame, node in zip(lams, doubled, nodes):
+            point = tau.integer_apply(-1, integer_cut(reverse, frame, m))
+            # A generic weight (2 lam_m >= ell_m) must map onto the node as a vector.
+            if frame[m - 1] >= borel.ell[-1]:
                 report.cases += 1
                 if point != node:
                     report.fail(
@@ -265,7 +264,7 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
 
 def _run_diag(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
-    mus, lams, nodes, row = _value_table(config, Fraction(1))
+    mus, lams, nodes, frames, row = _value_table(config, Fraction(1))
     orderings = math.factorial(m + n)
     report = SweepReport(config, cases=orderings**2 * len(lams) * len(mus))
     # Per ordering, the point w + rho = (2w + 2 rho) / 2 for each lambda.
@@ -287,7 +286,7 @@ def _run_diag(config: SweepConfig) -> SweepReport:
         rho2 = twice_weyl_vector(seq)
         by_pattern[pattern] = [
             (2, tuple(2 * c + r for c, r in zip(cut, rho2)))
-            for cut in (integer_cut(seq, lam, m, n) for lam in lams)
+            for cut in (integer_cut(seq, frame, m) for frame in frames)
         ]
     # A failure needs a row off the node on one side, so seq1 meets every
     # seq2 only when its own rows are off the node, and no pair can fail

@@ -6,7 +6,7 @@ weight is a flat tuple of integers, the e-block then the d-block."""
 from __future__ import annotations
 
 from .borel import BorelDescriptor, Sequence, validate_sequence
-from .partitions import double_partition, part, require_hook, require_rank
+from .partitions import double_partition, hook_frame, part, require_hook, require_rank
 
 
 def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
@@ -26,23 +26,22 @@ def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
     """
     m, n = require_rank(m, n)
     seq = validate_sequence(seq, m, n)
-    return tuple(integer_cut(seq, require_hook(lam, m, n), m, n))
+    return tuple(integer_cut(seq, hook_frame(require_hook(lam, m, n), m, n), m))
 
 
-def integer_cut(seq: Sequence, lam: tuple[int, ...], m: int, n: int) -> list[int]:
-    """The coordinates of `diagram_cut` in a list, with no check of its
-    input: seq must be an ordering of the m e- and n d-symbols and lam an
-    (m|n)-hook partition."""
-    cut = [0] * (m + n)
+def integer_cut(seq: Sequence, frame: tuple[int, ...], m: int) -> list[int]:
+    """`diagram_cut` as a list, unchecked, from the hook's `hook_frame`: a
+    symbol met after r e- and c d-symbols takes its box count, lam_{r+1} - c
+    for an e and lam'_{c+1} - r for a d, or 0 when that is negative."""
+    cut = [0] * len(frame)
     rows = cols = 0
     for kind, index in seq:
         if kind == "e":
-            cut[index - 1] = max(0, part(lam, rows + 1) - cols)
-            rows += 1
+            boxes, rows = frame[rows] - cols, rows + 1
+            cut[index - 1] = boxes if boxes > 0 else 0
         else:
-            # the depth of column cols + 1 below row rows
-            cut[m + index - 1] = sum(1 for p in lam[rows:] if p > cols)
-            cols += 1
+            boxes, cols = frame[m + cols] - rows, cols + 1
+            cut[m + index - 1] = boxes if boxes > 0 else 0
     return cut
 
 

@@ -42,7 +42,6 @@ from capelli.partitions import (
     require_hook,
     require_theta,
     size,
-    transpose,
     validate_partition,
 )
 from capelli.sympoly import SparsePolynomial
@@ -250,14 +249,25 @@ def hooks_by_brute_force(m: int, n: int, max_size: int) -> list[tuple[int, ...]]
 # -- the point side by transposes and Fraction sums -----------------------------
 #
 # Oracles for the library's integer forms of the shifted coordinates, the
-# doubling and the diagram cut: each reads the diagram through its transpose
-# and sums in Fractions.
+# doubling and the diagram cut: each reads the diagram through its transpose,
+# counted here box by box rather than by the library's frame, and sums in
+# Fractions.
+
+
+def transpose_by_boxes(lam) -> tuple[int, ...]:
+    """The conjugate partition: column j holds one box of each row that is
+    at least j long."""
+    columns = [0] * (lam[0] if lam else 0)
+    for row in lam:
+        for j in range(row):
+            columns[j] += 1
+    return tuple(columns)
 
 
 def arm_columns(lam, m: int, n: int) -> tuple[int, ...]:
     """Column lengths below row m: the vector (max(0, lam'_j - m)) for j = 1..n,
     of a hook partition that the caller has checked with `require_hook`."""
-    tr = transpose(lam)
+    tr = transpose_by_boxes(lam)
     return tuple(max(0, part(tr, j) - m) for j in range(1, n + 1))
 
 
@@ -269,7 +279,7 @@ def double_partition_by_columns(lam, m: int, n: int):
     doubled_cols = []
     for c in cols:
         doubled_cols.extend((c, c))
-    tail = transpose(validate_partition(doubled_cols))
+    tail = transpose_by_boxes(validate_partition(doubled_cols))
     head = tuple(2 * part(lam, i) for i in range(1, m + 1))
     return validate_partition(head + tail)
 
@@ -297,7 +307,7 @@ def diagram_cut_by_columns(seq, lam, m: int, n: int) -> tuple:
     d-symbol met the boxes of column j below the rows already taken."""
     seq = validate_sequence(seq, m, n)
     lam = require_hook(lam, m, n)
-    columns = transpose(lam)
+    columns = transpose_by_boxes(lam)
     coeffs = {"e": [0] * m, "d": [0] * n}
     taken = {"e": 0, "d": 0}
     for kind, index in seq:

@@ -13,7 +13,7 @@ from capelli.equivalence import (
     orbit,
     require_point,
 )
-from capelli.exact_linalg import format_rational, parse_rational
+from capelli.exact_linalg import format_rational, lowest_terms, parse_rational
 from capelli.isjp import eigenvalue, evaluator, interpolation_polynomial
 from capelli.partitions import (
     enumerate_hooks,
@@ -132,6 +132,15 @@ def test_format_rational():
     assert format_rational(Fraction(-6, 8)) == "-3/4"
     assert format_rational(Fraction(14, 2)) == "7"
     assert format_rational(0) == "0"
+
+
+def test_lowest_terms_takes_the_sign_of_the_denominator():
+    # A negative denominator is divided out with the gcd, so the form is the
+    # one form of the vector, over a positive denominator.
+    assert lowest_terms(-4, [2, -6]) == (2, (-1, 3)) == lowest_terms(4, [-2, 6])
+    assert lowest_terms(-1, [3, 0]) == (1, (-3, 0))
+    assert lowest_terms(-6, []) == (1, ())
+    assert lowest_terms(5, [2, 3]) == (5, (2, 3))
 
 
 def test_nullspace_known_kernel():

@@ -28,6 +28,7 @@ from reference import (
     double_partition_by_columns,
     frobenius_coords_by_fractions,
     hooks_by_brute_force,
+    transpose_by_boxes,
 )
 
 
@@ -222,6 +223,7 @@ def partitions_strategy(draw, max_size=10):
 def test_transpose_involution(lam):
     assert transpose(transpose(lam)) == lam
     assert size(transpose(lam)) == size(lam)
+    assert transpose(lam) == transpose_by_boxes(lam)
 
 
 @settings(max_examples=80, deadline=None)

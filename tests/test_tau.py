@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -312,6 +315,65 @@ def test_affine_map_validation_and_json():
     blob = tau.to_json_dict()
     assert blob["matrix"][0] == ["-1/2", "0", "0", "0"]
     assert blob["offset"] == ["-1/4", "-3/4", "1"]
+
+
+def test_affine_maps_hash_and_equal_maps_hash_equal():
+    # Every field of a map is a tuple, so a map hashes; a map rebuilt from
+    # its rows, or over a multiple of its denominator, is equal and hashes
+    # equal, and so does any other family's map that is equal to it.
+    maps = [
+        family_map(b, family)
+        for b in BorelDescriptor.enumerate(2, 2)
+        for family in MAP_FAMILIES
+        if in_family_domain(b, family)
+    ]
+    assert len(maps) == 49
+    for tau in maps:
+        assert isinstance(hash(tau), int)
+        for twin in (
+            AffineMap(tau.den, tau.rows),
+            AffineMap(3 * tau.den, [[3 * v for v in row] for row in tau.rows]),
+        ):
+            assert twin == tau and hash(twin) == hash(tau)
+        for other in maps:
+            if other == tau:
+                assert hash(other) == hash(tau)
+    assert len(set(maps)) == len({(tau.den, tau.rows) for tau in maps}) < len(maps)
+
+
+def test_integer_apply_over_minus_one_maps_the_negated_point():
+    # Over denominator -1 a map takes minus the point, in lowest terms with
+    # a positive denominator, as the sweep applies it to minus a cut.
+    for b in BorelDescriptor.enumerate(2, 2):
+        tau = family_map(b, "full")
+        for w in itertools.product(range(-2, 3), repeat=3):
+            w = (*w, 1, 0, -1)
+            den, nums = tau.integer_apply(-1, w)
+            assert den > 0
+            assert (den, nums) == tau.integer_apply(1, [-v for v in w])
+
+
+# The maps of every family on every decreasing Borel of (2, 2), (3, 3) and
+# (4, 4), digested as [ell, family, den, rows] in that order, as the builder
+# gave them when it read the levels j_k one call at a time.
+MAP_DIGESTS = {
+    (2, 2): (49, "f637bd2d41a7f1e5323a7df43cda80cda9ea1214d09ac9f807a616af1d92090e"),
+    (3, 3): (251, "72af06d9232a50c357aa929d63b90e7716973b85b41de54607bf442454ea5818"),
+    (4, 4): (1381, "a447fd2c568ded9b1914a2fdf93232daf6a3d6026ec42242ce9da75595e8e158"),
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(MAP_DIGESTS))
+def test_maps_match_their_digests(m, n):
+    maps = [
+        [list(b.ell), family, tau.den, [list(row) for row in tau.rows]]
+        for b in BorelDescriptor.enumerate(m, n)
+        for family in MAP_FAMILIES
+        if in_family_domain(b, family)
+        for tau in [family_map(b, family)]
+    ]
+    digest = hashlib.sha256(json.dumps(maps).encode()).hexdigest()
+    assert (len(maps), digest) == MAP_DIGESTS[m, n]
 
 
 # Entries over 3 and 5 and their products, so a map's denominator is not a

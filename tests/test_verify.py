@@ -25,6 +25,7 @@ from capelli.partitions import (
     enumerate_hooks,
     format_partition,
     frobenius_coords,
+    hook_frame,
 )
 from capelli.tau import AffineMap, family_map, in_family_domain
 from capelli.weights import diag_highest_weight, highest_weight, is_generic
@@ -73,22 +74,22 @@ def count_power_sum_reads(monkeypatch):
 def break_diagram_cut(monkeypatch, broken, step: int, lam=None):
     """Offset the diagram cut by step in every coordinate for every ordering
     with the e/d pattern of broken, under every name it is read by: the
-    sweeps' integer cut and the one inside `diagram_cut`. Both sweeps read
-    every highest weight through this one rule. The pair sweep cuts one
-    ordering per pattern and reads it for every ordering of that pattern, so
-    both diag factors break: the module's for the pattern, and the dual's
-    for its reverse. The glm2n sweep also cuts one ordering per pattern, a
-    Borel's reversed ordering, so breaking it breaks that Borel alone. Given
-    lam, only the cut of that shape is broken (the glm2n sweep cuts the
-    doubled shape)."""
+    sweeps' integer cut of a frame and the one inside `diagram_cut`. Both
+    sweeps read every highest weight through this one rule. The pair sweep
+    cuts one ordering per pattern and reads it for every ordering of that
+    pattern, so both diag factors break: the module's for the pattern, and
+    the dual's for its reverse. The glm2n sweep also cuts one ordering per
+    pattern, a Borel's reversed ordering, so breaking it breaks that Borel
+    alone. Given lam, only the cut of that shape's frame is broken (the glm2n
+    sweep cuts the doubled shape's frame)."""
     pattern = [kind for kind, _ in broken]
     cut = weights.integer_cut
 
-    def broken_cut(seq, shape, m, n):
+    def broken_cut(seq, frame, m):
         seq = tuple(seq)
-        w = cut(seq, shape, m, n)
+        w = cut(seq, frame, m)
         hit = [kind for kind, _ in seq] == pattern
-        if hit and (lam is None or tuple(shape) == tuple(lam)):
+        if hit and (lam is None or frame == hook_frame(lam, m, len(frame) - m)):
             return [v + step for v in w]
         return w
 
@@ -383,8 +384,8 @@ class TestOneSidedSweep:
 
     def test_highest_weights_are_cut_once_per_borel_and_shape(self, monkeypatch):
         # Each highest weight is minus one unchecked cut of the Borel's
-        # reversed ordering on the doubled shape: no validated
-        # `highest_weight` and no Weyl vector on the sweep path.
+        # reversed ordering on the doubled shape's frame in the (m|2n) hook:
+        # no validated `highest_weight` and no Weyl vector on the sweep path.
         calls = []
 
         def counted(*args):
@@ -414,10 +415,11 @@ class TestOneSidedSweep:
                 if family == "full" or b.is_relatively_even()
             ]
             assert len(borels) == (15 if family == "full" else 13)
+            doubled = [
+                hook_frame(double_partition(lam, m, n), m, 2 * n) for lam in lams
+            ]
             expected = [
-                (b.sequence()[::-1], double_partition(lam, m, n), m, 2 * n)
-                for b in borels
-                for lam in lams
+                (b.sequence()[::-1], frame, m) for b in borels for frame in doubled
             ]
             assert sorted(calls) == sorted(expected)
 
@@ -456,30 +458,68 @@ class TestOneSidedSweep:
             assert built == [(b, family) for b in domain]
 
     def test_shapes_are_validated_per_shape_not_per_borel(self, monkeypatch):
-        # Genericity is read once per shape, so a sweep over every Borel
-        # validates its shapes as often as a sweep over one Borel.
-        original = partitions.require_hook
+        # The shapes are generated valid, and each one's frame and genericity
+        # row are read once, unchecked, so a clean sweep validates no shape:
+        # none over every Borel, as none over one.
+        checks = [partitions.require_hook, partitions.validate_partition]
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(check):
+            def counted(*args):
+                calls.append((check.__name__, args))
+                return check(*args)
+
+            return counted
 
         for name, module in list(sys.modules.items()):
             if not name.startswith("capelli."):
                 continue
-            if getattr(module, "require_hook", None) is original:
-                monkeypatch.setattr(module, "require_hook", counted)
+            for check in checks:
+                if getattr(module, check.__name__, None) is check:
+                    monkeypatch.setattr(module, check.__name__, counting(check))
         counts = []
         for borels in ("all", "all", "1,3"):
             calls.clear()
             cfg = SweepConfig(
                 pair="glm2n", m=2, n=2, lambda_max=3, mu_max=2, borels=borels
             )
-            run_sweep(cfg)
+            assert run_sweep(cfg).ok
             counts.append(len(calls))
-        # the first run also builds the polynomials
-        assert counts[1] == counts[2] > 0
+        assert counts == [0, 0, 0]
+
+    def test_each_shape_has_one_frame_and_one_cut_per_borel(self, monkeypatch):
+        # Work guard, by call counts: a sweep makes each shape's frame once,
+        # at every Borel as at one, and cuts exactly Borels x shapes times;
+        # no partition is validated once the Borel loop has begun.
+        events = []
+
+        def recording(module, name):
+            original = getattr(module, name)
+
+            def recorded(*args):
+                events.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        recording(verify, "hook_frame")
+        recording(verify, "integer_cut")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("capelli.") and hasattr(module, "validate_partition"):
+                recording(module, "validate_partition")
+        m, n, lambda_max = 2, 2, 6
+        shapes = len(enumerate_hooks(m, n, lambda_max))
+        for borels, count in (("all", 15), ("1,3", 1)):
+            events.clear()
+            cfg = SweepConfig(
+                pair="glm2n", m=m, n=n, lambda_max=lambda_max, mu_max=3, borels=borels
+            )
+            assert run_sweep(cfg).ok
+            assert events.count("hook_frame") == shapes
+            assert events.count("integer_cut") == count * shapes
+            first_cut = events.index("integer_cut")
+            assert "validate_partition" not in events[first_cut:]
+            assert events[first_cut:] == ["integer_cut"] * (count * shapes)
 
     def test_failures_name_the_borel_whose_cut_is_broken(self, monkeypatch):
         broken = BorelDescriptor(2, 1, (1, 1))
@@ -635,7 +675,7 @@ class TestPairSweep:
         assert sorted(calls) == sorted(
             [("twice_weyl_vector", (seq,)) for seq in representatives]
             + [
-                ("integer_cut", (seq, lam, m, n))
+                ("integer_cut", (seq, hook_frame(lam, m, n), m))
                 for seq in representatives
                 for lam in lams
             ]

@@ -12,11 +12,12 @@ from capelli.borel import (
     weyl_vector,
 )
 from capelli.isjp import evaluator
-from capelli.partitions import double_partition, enumerate_hooks, part
+from capelli.partitions import double_partition, enumerate_hooks, hook_frame, part
 from capelli.weights import (
     diag_highest_weight,
     diagram_cut,
     highest_weight,
+    integer_cut,
     is_generic,
 )
 from reference import (
@@ -332,3 +333,20 @@ def cuts_strategy(draw, max_rank=3, max_size=10):
 @example(((), (), 0, 0))
 def test_diagram_cut_matches_the_transpose_reading(cut):
     assert diagram_cut(*cut) == diagram_cut_by_columns(*cut)
+
+
+def test_frame_cut_matches_the_transpose_reading_exhaustively():
+    # The cut reads only the hook's frame, its rows lam_1..lam_m and its
+    # column lengths lam'_1..lam'_n: every ordering of every (m|n) hook with
+    # |lam| <= 8, for every rank with m + n <= 5, cuts as the transpose does.
+    count = 0
+    for m, n in ((m, s - m) for s in range(6) for m in range(s + 1)):
+        orderings = list(all_sequences(m, n))
+        for lam in enumerate_hooks(m, n, 8):
+            frame = hook_frame(lam, m, n)
+            assert len(frame) == m + n
+            for seq in orderings:
+                cut = tuple(integer_cut(seq, frame, m))
+                assert cut == diagram_cut_by_columns(seq, lam, m, n), (seq, lam)
+                count += 1
+    assert count == 55_273
