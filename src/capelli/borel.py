@@ -91,26 +91,15 @@ class BorelDescriptor(Frozen):
     def num_delta(self) -> int:
         return 2 * self.n
 
-    def ell_of(self, i: int) -> int:
-        """Right-count of e_i (1-based)."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"i={i} out of range")
-        return self.ell[i - 1]
-
-    def j_of(self, k: int) -> int:
-        """Number of e-symbols left of d_k: #{i : ell_i >= k}."""
-        if not 1 <= k <= self.num_delta:
-            raise ValueError(f"k={k} out of range")
-        return sum(1 for v in self.ell if v >= k)
-
     def j_vector(self) -> tuple[int, ...]:
+        """j_k = #{i : ell_i >= k}, the e-symbols left of d_k, for k = 1..2n."""
         return tuple(sum(v >= k for v in self.ell) for k in range(1, 2 * self.n + 1))
 
     def sequence(self) -> Sequence:
         seq: list[Symbol] = []
         k = self.num_delta
         for i in range(self.m, 0, -1):
-            while k > self.ell_of(i):
+            while k > self.ell[i - 1]:
                 seq.append(("d", k))
                 k -= 1
             seq.append(("e", i))
@@ -156,9 +145,8 @@ class BorelDescriptor(Frozen):
 
     def is_relatively_even(self) -> bool:
         """Each d-pair's e-counts differ by at most one."""
-        return all(
-            self.j_of(2 * k - 1) - self.j_of(2 * k) <= 1 for k in range(1, self.n + 1)
-        )
+        j = self.j_vector()
+        return all(hi - lo <= 1 for hi, lo in zip(j[::2], j[1::2]))
 
 
 def parse_symbol(token: str) -> Symbol:

@@ -49,7 +49,7 @@ from .partitions import (
     parse_int_list,
 )
 from .tau import MAP_FAMILIES, family_map, in_family_domain
-from .weights import integer_cut
+from .weights import doubled_frame, integer_cut
 
 PAIR_CHOICES = ("diag", "glm2n")
 # The failure records a report keeps; the rest are only counted, so that a
@@ -216,14 +216,9 @@ def _run_glm2n(config: SweepConfig) -> SweepReport:
     m, n = config.m, config.n
     mus, lams, nodes, frames, row = _value_table(config, Fraction(1, 2))
     values_at = None
-    # The highest weight is minus the cut of the reversed ordering on the
-    # doubled shape (`weights.highest_weight`), whose (m|2n) frame has each
-    # row of lam's doubled and each column twice; it is cut unchecked and
-    # mapped over denominator -1, which negates it.
-    doubled = [
-        (*[2 * r for r in frame[:m]], *[c for c in frame[m:] for _ in "ab"])
-        for frame in frames
-    ]
+    # `weights.highest_weight`, unchecked: the reversed ordering cuts the
+    # `weights.doubled_frame`, and the map over denominator -1 negates it.
+    doubled = [doubled_frame(frame, m) for frame in frames]
     for borel, tau in maps:
         reverse = borel.sequence()[::-1]
         for lam, frame, node in zip(lams, doubled, nodes):

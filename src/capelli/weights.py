@@ -6,32 +6,12 @@ weight is a flat tuple of integers, the e-block then the d-block."""
 from __future__ import annotations
 
 from .borel import BorelDescriptor, Sequence, validate_sequence
-from .partitions import double_partition, hook_frame, part, require_hook, require_rank
-
-
-def diagram_cut(seq: Sequence, lam, m: int, n: int) -> tuple[int, ...]:
-    """Highest weight, for the ordering seq of the m e- and n d-symbols, of
-    the module indexed by an (m|n)-hook partition, read off its diagram: the
-    j-th e-symbol met takes the boxes of row j right of the columns already
-    taken, and the j-th d-symbol met takes the boxes of column j below the
-    rows already taken. Each count is the coefficient of the symbol itself.
-
-    Examples
-    ========
-
-    >>> diagram_cut((("e", 1), ("e", 2), ("d", 1)), (3, 1, 1), 2, 1)
-    (3, 1, 1)
-    >>> diagram_cut((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1)
-    (2, 0, 3)
-    """
-    m, n = require_rank(m, n)
-    seq = validate_sequence(seq, m, n)
-    return tuple(integer_cut(seq, hook_frame(require_hook(lam, m, n), m, n), m))
+from .partitions import hook_frame, part, require_hook, require_rank
 
 
 def integer_cut(seq: Sequence, frame: tuple[int, ...], m: int) -> list[int]:
-    """`diagram_cut` as a list, unchecked, from the hook's `hook_frame`: a
-    symbol met after r e- and c d-symbols takes its box count, lam_{r+1} - c
+    """The diagram cut of seq as a list, unchecked, from the hook's
+    `hook_frame`: a symbol met after r e- and c d-symbols takes lam_{r+1} - c
     for an e and lam'_{c+1} - r for a d, or 0 when that is negative."""
     cut = [0] * len(frame)
     rows = cols = 0
@@ -48,8 +28,15 @@ def integer_cut(seq: Sequence, frame: tuple[int, ...], m: int) -> list[int]:
 # -- the (m|2n) family: duals of doubled hook modules ----------------------------
 #
 # The gl(m|2n) module of a hook partition is the dual of the module of its
-# doubled partition, so its highest weight for an ordering is minus the
-# doubled module's lowest weight, `diag_highest_weight`'s dual case.
+# doubled partition, so its highest weight for an ordering is minus the cut
+# of the reversed ordering on the doubled shape.
+
+
+def doubled_frame(frame: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The (m|2n) `hook_frame` of the doubled shape (`double_partition`)
+    from an (m|n) hook's frame, unchecked: each row lam_1..lam_m doubles
+    and each column length is listed twice."""
+    return (*[2 * r for r in frame[:m]], *[c for c in frame[m:] for _ in "ab"])
 
 
 def highest_weight(lam, borel: BorelDescriptor) -> tuple[int, ...]:
@@ -63,10 +50,9 @@ def highest_weight(lam, borel: BorelDescriptor) -> tuple[int, ...]:
     >>> highest_weight((2, 1), BorelDescriptor(2, 1, (1, 1)))
     (-3, -1, -2, 0)
     """
-    doubled = double_partition(lam, borel.m, borel.n)
-    return diag_highest_weight(
-        borel.sequence(), doubled, borel.m, borel.num_delta, dual=True
-    )
+    m, n = borel.m, borel.n
+    frame = doubled_frame(hook_frame(require_hook(lam, m, n), m, n), m)
+    return tuple(-v for v in integer_cut(borel.sequence()[::-1], frame, m))
 
 
 def is_generic(lam, borel: BorelDescriptor) -> bool:
@@ -75,7 +61,7 @@ def is_generic(lam, borel: BorelDescriptor) -> bool:
     generic). Then the highest weight is the standard one minus the Borel's
     root sum."""
     lam = require_hook(lam, borel.m, borel.n)
-    return borel.m == 0 or 2 * part(lam, borel.m) >= borel.ell_of(borel.m)
+    return borel.m == 0 or 2 * part(lam, borel.m) >= borel.ell[-1]
 
 
 # -- arbitrary orderings for the equal-family pair ------------------------------
@@ -84,12 +70,26 @@ def is_generic(lam, borel: BorelDescriptor) -> bool:
 def diag_highest_weight(
     seq: Sequence, lam, m: int, n: int, dual: bool
 ) -> tuple[int, ...]:
-    """Highest weight of an arbitrary ordering for the (m|n)-hook module
-    (dual=False) or its dual (dual=True).
+    """Highest weight, for the ordering seq of the m e- and n d-symbols, of
+    the module indexed by an (m|n)-hook partition (dual=False) or of its
+    dual (dual=True), read off its diagram: the j-th e-symbol met takes the
+    boxes of row j right of the columns already taken, and the j-th d-symbol
+    met takes the boxes of column j below the rows already taken. Each count
+    is the coefficient of the symbol itself. The dual's highest weight is
+    minus the module's lowest weight, which is the module's highest weight
+    for the reversed ordering.
 
-    The dual's highest weight is minus the module's lowest weight, which is
-    the module's highest weight for the reversed ordering.
+    Examples
+    ========
+
+    >>> diag_highest_weight((("e", 1), ("e", 2), ("d", 1)), (3, 1, 1), 2, 1, False)
+    (3, 1, 1)
+    >>> diag_highest_weight((("d", 1), ("e", 1), ("e", 2)), (3, 1, 1), 2, 1, False)
+    (2, 0, 3)
     """
+    m, n = require_rank(m, n)
+    seq = validate_sequence(seq, m, n)
+    frame = hook_frame(require_hook(lam, m, n), m, n)
     if dual:
-        return tuple(-v for v in diagram_cut(reversed(seq), lam, m, n))
-    return diagram_cut(seq, lam, m, n)
+        return tuple(-v for v in integer_cut(seq[::-1], frame, m))
+    return tuple(integer_cut(seq, frame, m))

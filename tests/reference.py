@@ -157,7 +157,7 @@ def generic_roots(borel: BorelDescriptor) -> list[tuple]:
     return [
         root(borel, i, k)
         for i in range(borel.m, 0, -1)
-        for k in range(1, borel.ell_of(i) + 1)
+        for k in range(1, borel.ell[i - 1] + 1)
     ]
 
 
@@ -174,7 +174,7 @@ def core_reflection_roots(borel: BorelDescriptor) -> list[tuple]:
         root(borel, i, 2 * k - 1)
         for k in range(borel.n, 0, -1)
         for i in range(borel.m, 0, -1)
-        if borel.ell_of(i) == 2 * k - 1
+        if borel.ell[i - 1] == 2 * k - 1
     ]
 
 
@@ -207,7 +207,7 @@ def truncated_root_sum(lam, borel: BorelDescriptor) -> tuple:
     lam = require_hook(lam, borel.m, borel.n)
     total = (0,) * (borel.m + borel.num_delta)
     for i in range(1, borel.m + 1):
-        t = min(borel.ell_of(i), 2 * part(lam, i))
+        t = min(borel.ell[i - 1], 2 * part(lam, i))
         eps = [0] * borel.m
         eps[i - 1] = -t
         delta = [1 if k <= t else 0 for k in range(1, borel.num_delta + 1)]
@@ -227,7 +227,7 @@ def nongeneric_index(lam, borel: BorelDescriptor) -> int | None:
     """Least row index where the clip bites, or None when generic."""
     lam = require_hook(lam, borel.m, borel.n)
     for i in range(1, borel.m + 1):
-        if borel.ell_of(i) > 2 * part(lam, i):
+        if borel.ell[i - 1] > 2 * part(lam, i):
             return i
     return None
 
@@ -385,12 +385,18 @@ def x0_delta_entry(k: int, m: int, n: int) -> Fraction:
     return Fraction(m + 2 + 2 * n - 4 * k, 2)
 
 
+def e_count_left_of(borel: BorelDescriptor, k: int) -> int:
+    """j_k, the number of e-symbols left of d_k, counted off ell: the e_i
+    with ell_i >= k."""
+    return sum(1 for v in borel.ell if v >= k)
+
+
 def odd_pair_set(borel: BorelDescriptor) -> tuple[int, ...]:
     """Pairs k whose two d-symbols see different e-counts."""
     return tuple(
         k
         for k in range(1, borel.n + 1)
-        if borel.j_of(2 * k) < borel.j_of(2 * k - 1)
+        if e_count_left_of(borel, 2 * k) < e_count_left_of(borel, 2 * k - 1)
     )
 
 
@@ -400,7 +406,7 @@ def odd_root_sum(borel: BorelDescriptor, k: int) -> tuple:
     if not 1 <= k <= borel.n:
         raise ValueError(f"k={k} out of range")
     m = borel.m
-    j_hi, j_lo = borel.j_of(2 * k - 1), borel.j_of(2 * k)
+    j_hi, j_lo = e_count_left_of(borel, 2 * k - 1), e_count_left_of(borel, 2 * k)
     weight = [0] * (m + borel.num_delta)
     for i in range(m - j_hi, m - j_lo):
         weight[i] = -1
@@ -462,7 +468,7 @@ def full_matrix(borel: BorelDescriptor) -> tuple:
     for k in range(1, n + 1):
         col = [Fraction(0)] * (m + n)
         if k in odd_pair_set(borel):
-            col[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
+            col[m - e_count_left_of(borel, 2 * k) - 1] = Fraction(1, 2)
             col[m + k - 1] = Fraction(-1, 2)
         columns.append(col)
     return matrix_from_pair_columns(m, n, columns)
@@ -476,7 +482,7 @@ def kernel_matrix(borel: BorelDescriptor) -> tuple:
     base = standard_matrix(m, n)
     columns = []
     for k in range(1, n + 1):
-        gap = borel.j_of(2 * k - 1) - borel.j_of(2 * k)
+        gap = e_count_left_of(borel, 2 * k - 1) - e_count_left_of(borel, 2 * k)
         image = matvec(base, odd_root_sum(borel, k))
         columns.append([-v / gap if gap else Fraction(0) for v in image])
     return matrix_from_pair_columns(m, n, columns)
@@ -544,7 +550,7 @@ def in_full_family(matrix, borel: BorelDescriptor) -> bool:
         return False
     for k in odd_pair_set(borel):
         want = [Fraction(0)] * (m + n)
-        want[m - borel.j_of(2 * k) - 1] = Fraction(1, 2)
+        want[m - e_count_left_of(borel, 2 * k) - 1] = Fraction(1, 2)
         want[m + k - 1] += Fraction(-1)
         if column(matrix, m + 2 * k - 2) != tuple(want):
             return False

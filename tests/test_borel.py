@@ -138,17 +138,6 @@ def test_descriptor_validation():
             BorelDescriptor(m, n, ell)
 
 
-@pytest.mark.parametrize("m, n, ell", [(2, 1, (0, 1)), (0, 1, ())])
-def test_index_lookups_reject_indices_out_of_range(m, n, ell):
-    b = BorelDescriptor(m, n, ell)
-    for i in (0, m + 1):
-        with pytest.raises(ValueError, match=f"i={i} out of range"):
-            b.ell_of(i)
-    for k in (0, 2 * n + 1):
-        with pytest.raises(ValueError, match=f"k={k} out of range"):
-            b.j_of(k)
-
-
 def test_descriptor_sequence_round_trip():
     b = BorelDescriptor(2, 1, (1, 1))
     assert b.sequence() == (("d", 2), ("e", 2), ("e", 1), ("d", 1))
@@ -213,6 +202,37 @@ def test_classification():
         if b.is_very_even():
             assert b.is_relatively_even()
             assert odd_pair_set(b) == ()
+
+
+def test_parity_predicates_match_counts_off_the_ordering():
+    # Counted off the ordering alone, using neither ell nor the j-vector:
+    # j_k is the number of e-symbols met before d_k, and e_i's right-count is
+    # the number of d-symbols met after it. Very even is every right-count
+    # even (equivalently every j_{2k-1} = j_{2k}); relatively even is
+    # j_{2k-1} - j_{2k} <= 1 for every d-pair k.
+    seen = []
+    for m in range(5):
+        for n in range(4):
+            for b in BorelDescriptor.enumerate(m, n):
+                seq = b.sequence()
+                kinds = [kind for kind, _ in seq]
+                j = {
+                    k: kinds[:p].count("e")
+                    for p, (kind, k) in enumerate(seq)
+                    if kind == "d"
+                }
+                right = [
+                    kinds[p:].count("d") for p, kind in enumerate(kinds) if kind == "e"
+                ]
+                pair_gaps = [j[2 * k - 1] - j[2 * k] for k in range(1, n + 1)]
+                relatively_even = all(gap <= 1 for gap in pair_gaps)
+                very_even = all(v % 2 == 0 for v in right)
+                assert very_even == all(gap == 0 for gap in pair_gaps), b
+                assert b.is_relatively_even() == relatively_even, b
+                assert b.is_very_even() == very_even, b
+                seen.append((relatively_even, very_even))
+    assert len(seen) == 496
+    assert sum(r for r, _ in seen) == 340 and sum(v for _, v in seen) == 125
 
 
 def test_even_core():
@@ -295,4 +315,4 @@ def test_ell_j_duality(data):
     # j is weakly decreasing and recovers ell by the transpose relation
     assert list(js) == sorted(js, reverse=True)
     for i in range(1, m + 1):
-        assert b.ell_of(i) == sum(1 for k in range(1, 2 * n + 1) if js[k - 1] >= m - i + 1)
+        assert b.ell[i - 1] == sum(1 for k in range(1, 2 * n + 1) if js[k - 1] >= m - i + 1)

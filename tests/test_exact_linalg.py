@@ -23,7 +23,7 @@ from capelli.partitions import (
     validate_partition,
 )
 from capelli.sympoly import SparsePolynomial
-from capelli.weights import diagram_cut
+from capelli.weights import diag_highest_weight
 from reference import matvec, nullspace_basis, rational_matrix, width
 
 
@@ -102,8 +102,8 @@ RANK_USERS = {
     "orbit": lambda m, n: orbit((Fraction(1, 2), 0, 1), m, n, Fraction(1, 2)),
     "is_hook": lambda m, n: is_hook((1, 1, 1), m, n),
     "enumerate_hooks": lambda m, n: enumerate_hooks(m, n, 3),
-    "diagram_cut": lambda m, n: diagram_cut(
-        (("e", 1), ("d", 1), ("e", 2)), (3, 1, 1), m, n
+    "diagram_cut": lambda m, n: diag_highest_weight(
+        (("e", 1), ("d", 1), ("e", 2)), (3, 1, 1), m, n, dual=False
     ),
     "monoidal_moves": lambda m, n: monoidal_moves((0, 1, 0), m, n, 1),
     "infinite_witness": lambda m, n: infinite_witness(

@@ -3,12 +3,13 @@
 there, or is public API. No module is exempt. References that only the
 tests need live in `tests/reference.py`. Nothing in the library is an
 `assert`, every import is used, and the README's "Library layout" table
-names exactly the library's modules. The library has one cache, and it is
-bounded: objects are set up in their constructors, so no lazy memo hides
-beside it."""
+names exactly the library's modules and no identifier that the library
+does not define. The library has one cache, and it is bounded: objects are
+set up in their constructors, so no lazy memo hides beside it."""
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -168,6 +169,41 @@ def test_readme_layout_table_names_every_module():
     listed = re.findall(r"^\| `capelli\.(\w+)` \|", section, flags=re.MULTILINE)
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(listed) == sorted(modules)
+
+
+def _bound_names(body) -> set:
+    """The names a module or class body binds: its functions and classes,
+    its assignment targets and the entries of its `__slots__`, and those of
+    the classes it defines."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= _bound_names(node.body)
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+                if target.id == "__slots__":
+                    names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_readme_layout_table_names_only_library_definitions():
+    # A backticked identifier in the table, alone or called with arguments,
+    # names a module, a definition of `src/capelli` or a stdlib module, part
+    # by dotted part, so a deleted name cannot stay documented. Spans with
+    # a space, such as commands, are not identifiers.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    known = {"capelli"} | set(sys.stdlib_module_names)
+    for stem, tree in _trees().items():
+        known |= {stem} | _bound_names(tree.body)
+    spans = re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", section)
+    assert len(spans) > 50
+    unknown = [span for span in spans if not set(span.split(".")) <= known]
+    assert unknown == []
 
 
 CACHE_FACTORIES = {"lru_cache", "cache"}

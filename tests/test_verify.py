@@ -74,7 +74,7 @@ def count_power_sum_reads(monkeypatch):
 def break_diagram_cut(monkeypatch, broken, step: int, lam=None):
     """Offset the diagram cut by step in every coordinate for every ordering
     with the e/d pattern of broken, under every name it is read by: the
-    sweeps' integer cut of a frame and the one inside `diagram_cut`. Both
+    sweeps' integer cut of a frame and the one that `weights` calls. Both
     sweeps read every highest weight through this one rule. The pair sweep
     cuts one ordering per pattern and reads it for every ordering of that
     pattern, so both diag factors break: the module's for the pattern, and
